@@ -1,8 +1,8 @@
 """Event-driven core loop for the (killed) misanthrope dynamics.
 
-One code path, compiled with numba when available and interpreted otherwise;
-both consume the identical Philox stream, so trajectories are bit-for-bit
-reproducible regardless of compilation.
+The loop is interpreted Python over numpy arrays; it consumes the caller's
+Philox stream one scalar draw at a time, so a trajectory depends only on its
+stream.
 
 Per event only the touched sites (and, when b depends on the destination
 occupancy, their kernel preimages) have their exit rates recomputed; the
@@ -12,20 +12,6 @@ against float drift.
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-        return deco
-
 STATUS_HIT = 0
 STATUS_CENSORED = 1
 STATUS_FROZEN = 2
@@ -34,7 +20,6 @@ STATUS_BUFFER_FULL = 3
 _RESYNC_PERIOD = 4096
 
 
-@njit(cache=True)
 def _site_rate(occ, nbr, w, btab, s):
     n = occ[s]
     if n == 0:
@@ -47,7 +32,6 @@ def _site_rate(occ, nbr, w, btab, s):
     return r
 
 
-@njit(cache=True)
 def _refresh_all(occ, nbr, w, btab, rates):
     total = 0.0
     for s in range(occ.shape[0]):
@@ -57,7 +41,6 @@ def _refresh_all(occ, nbr, w, btab, rates):
     return total
 
 
-@njit(cache=True)
 def run_killed(occ, nbr, innbr, w, btab, target_dep, in_window, threshold,
                t0, t_max, gen, ev_time, ev_src, ev_dst, n_ev0):
     """Advance the configuration until the window sum exceeds the threshold,

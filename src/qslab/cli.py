@@ -37,7 +37,7 @@ EXIT_COMPARE = 5
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatchers (each returns {filename: text-or-bytes writer})
+# experiment dispatchers (each writes its result files into `out`)
 # ---------------------------------------------------------------------------
 
 def _run_survival(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -160,13 +160,23 @@ def _run_spectral(cfg: ExperimentConfig, out: Path, workers: int) -> None:
               "core": int(core_mask.sum()),
               "suppressed_rate": kg.suppressed_rate}
     report["principal"] = res.to_dict()
-    if res.qsd is not None:
+    skipped = {}
+    if res.qsd is None:
+        for section in ("qsd_fixed_point", "sandwich", "rayleigh"):
+            skipped[section] = ("defective spectrum: the decay rate is a "
+                                "survival fit, with no Perron vectors")
+    else:
         report["qsd_fixed_point"] = {
             k: v for k, v in qsd_fixed_point_check(kgc, res.qsd).items()
             if k != "generator_residuals"}
         nu_full = product_vector(space, cfg.measure().marginal)
         nu_core = nu_full[kgc.ac_indices]
-        if (nu_core > 0).all():
+        n_zero = int(np.count_nonzero(nu_core <= 0))
+        if n_zero:
+            for section in ("sandwich", "rayleigh"):
+                skipped[section] = (f"{n_zero} core states have zero "
+                                    "product-measure weight")
+        else:
             f = normalize_density(res.qsd / nu_core, nu_core)
             g = normalize_density(res.right_vector, nu_core)
             sandwich = hitting_sandwich_check(
@@ -183,6 +193,8 @@ def _run_spectral(cfg: ExperimentConfig, out: Path, workers: int) -> None:
                 "lambda_s": ray.lambda_s,
                 "classical_bound_margin": ray.classical_bound_margin,
             }
+    if skipped:
+        report["skipped"] = skipped
     storage.write_json(out / "spectral.json", report)
 
 
@@ -375,10 +387,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         try:
             result = compare_runs(args.run_a, args.run_b)
-        except (FileNotFoundError, KeyError) as exc:
-            print(f"compare failed: {exc}", file=sys.stderr)
-            return EXIT_COMPARE
-        except ValueError as exc:
+        except (FileNotFoundError, KeyError, ValueError) as exc:
             print(f"compare failed: {exc}", file=sys.stderr)
             return EXIT_COMPARE
         text = storage.canonical_json(result)

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 from scipy.stats import chi2 as chi2_dist
-from scipy.stats import poisson
 
 from . import rng as rngmod
 from ._kernel import (STATUS_BUFFER_FULL, STATUS_CENSORED, STATUS_FROZEN,
@@ -26,6 +25,7 @@ from .estimators import SurvivalCurve
 from .measures import Marginal, ProductMeasure
 from .model import (BLOCKED, Configuration, JumpKernel, Lattice, Model,
                     TargetSet)
+from .spectral import uniformized_sum
 
 HIT = "hit_target"
 CENSORED = "censored"
@@ -94,26 +94,14 @@ class Trajectory:
     def n_events(self) -> int:
         return self.times.size
 
-    def sojourns(self):
-        """Yield (occupancy copy, duration) for every visited state in A^c.
-
-        For a hit trajectory the last sojourn ends at tau (the state entered
-        at tau lies in the target and is not yielded)."""
-        occ = self.initial.copy()
-        t_prev = 0.0
-        for k in range(self.times.size):
-            yield occ.copy(), float(self.times[k] - t_prev)
-            occ[self.sources[k]] -= 1
-            occ[self.destinations[k]] += 1
-            t_prev = float(self.times[k])
-        if self.terminal_status == CENSORED and self.terminal_time > t_prev:
-            yield occ.copy(), float(self.terminal_time - t_prev)
-
-    def final_state(self) -> np.ndarray:
-        occ = self.initial.copy()
-        np.subtract.at(occ, self.sources, 1)
-        np.add.at(occ, self.destinations, 1)
-        return occ
+    def states(self) -> np.ndarray:
+        """Visited states in order, the initial one first and the state
+        entered by the last event last: shape (n_events + 1, n_sites)."""
+        rows = np.arange(1, self.times.size + 1)
+        deltas = np.zeros((rows.size + 1, self.initial.size), dtype=np.int64)
+        deltas[rows, self.destinations] += 1
+        deltas[rows, self.sources] -= 1
+        return self.initial + np.cumsum(deltas, axis=0)
 
 
 @dataclass
@@ -122,7 +110,6 @@ class HittingResult:
     status: str
     frozen: bool = False
     trajectory: Trajectory | None = None
-    stream_index: int | None = None
 
     @property
     def hit(self) -> bool:
@@ -130,62 +117,60 @@ class HittingResult:
 
 
 class _EventBuffers:
-    """Reusable event arrays shared across the trajectories of one span."""
+    """Reusable fixed-size event arrays shared across the trajectories of
+    one span."""
 
-    def __init__(self, size: int = 2048):
-        self.resize(size)
+    size = 2048
 
-    def resize(self, size: int):
-        self.size = size
-        self.times = np.empty(size)
-        self.sources = np.empty(size, dtype=np.int64)
-        self.destinations = np.empty(size, dtype=np.int64)
+    def __init__(self):
+        self.times = np.empty(self.size)
+        self.sources = np.empty(self.size, dtype=np.int64)
+        self.destinations = np.empty(self.size, dtype=np.int64)
 
 
 def _simulate(ctx: SimContext, occ: np.ndarray, t_max: float,
               gen: np.random.Generator, record: bool,
               buffers: _EventBuffers | None = None):
     """Run one trajectory to the target or to t_max; returns
-    (status, time, times, srcs, dsts) with event arrays trimmed."""
+    (status, time, times, srcs, dsts), the event arrays None unless recorded.
+
+    A full buffer resumes the kernel from an empty buffer of the same size
+    whether or not events are recorded, so the resume points (where the
+    kernel recomputes its rate total) depend only on the trajectory."""
     total = int(occ.sum())
     btab = ctx.btab(max(total, 1))
     buf = buffers or _EventBuffers()
-    n_ev = 0
+    chunks = []
     t = 0.0
     while True:
         status, t, n_ev = run_killed(
             occ, ctx.nbr, ctx.innbr, ctx.weights, btab, ctx.target_dep,
             ctx.in_window, ctx.threshold, t, t_max, gen, buf.times,
-            buf.sources, buf.destinations, n_ev)
+            buf.sources, buf.destinations, 0)
+        if record:
+            chunk = (buf.times[:n_ev], buf.sources[:n_ev],
+                     buf.destinations[:n_ev])
+            if status == STATUS_BUFFER_FULL:
+                chunk = tuple(arr.copy() for arr in chunk)
+            chunks.append(chunk)
         if status != STATUS_BUFFER_FULL:
             break
-        if record:
-            old = buf.times[:n_ev], buf.sources[:n_ev], buf.destinations[:n_ev]
-            saved = tuple(arr.copy() for arr in old)
-            buf.resize(buf.size * 2)
-            buf.times[:n_ev] = saved[0]
-            buf.sources[:n_ev] = saved[1]
-            buf.destinations[:n_ev] = saved[2]
-        else:
-            n_ev = 0
-    if record:
-        return (status, t, buf.times[:n_ev].copy(),
-                buf.sources[:n_ev].copy(), buf.destinations[:n_ev].copy())
+    if record:  # concatenate copies, so the last chunk may be a buffer view
+        return (status, t, *(np.concatenate(parts) for parts in zip(*chunks)))
     return status, t, None, None, None
 
 
 def simulate_killed(initial: Configuration, model: Model,
                     target: TargetSet | None, t_max: float,
                     rng: np.random.Generator, reverse: bool = False,
-                    record_trajectory: bool = False,
-                    _ctx: SimContext | None = None) -> HittingResult:
+                    record_trajectory: bool = False) -> HittingResult:
     """Exact event-driven run of the killed process from one configuration.
 
     Entering the target stops the run (tau); otherwise the trajectory is
     censored at t_max.  A configuration with no active rate is reported
     frozen and censored.  `reverse` simulates the adjoint kernel p*.
     """
-    ctx = _ctx or SimContext(model, target, reverse)
+    ctx = SimContext(model, target, reverse)
     occ = initial.occupancy.copy()
     status, t, ev_t, ev_s, ev_d = _simulate(ctx, occ, t_max, rng,
                                             record_trajectory)
@@ -213,6 +198,7 @@ class BatchResult:
     t_max: float
     initials: np.ndarray | None = None
     events: list | None = None  # (times, srcs, dsts) triples when recorded
+    finals: np.ndarray | None = None  # occupancy at the end of each run
 
     @property
     def n(self) -> int:
@@ -242,7 +228,7 @@ def _run_span(payload, lo, hi):
     taus = np.empty(n)
     hit = np.empty(n, dtype=bool)
     frozen = np.empty(n, dtype=bool)
-    init_out = None
+    init_out = final_out = None
     events = [] if record else None
     buffers = _EventBuffers()
     for k in range(n):
@@ -254,15 +240,17 @@ def _run_span(payload, lo, hi):
             occ = np.asarray(provider(gen), dtype=np.int64).copy()
         if init_out is None:
             init_out = np.empty((n, occ.size), dtype=np.int64)
+            final_out = np.empty((n, occ.size), dtype=np.int64)
         init_out[k] = occ
         status, t, ev_t, ev_s, ev_d = _simulate(ctx, occ, t_max, gen, record,
                                                 buffers)
+        final_out[k] = occ
         hit[k] = status == STATUS_HIT
         frozen[k] = status == STATUS_FROZEN
         taus[k] = t if hit[k] else t_max
         if record:
             events.append((ev_t, ev_s, ev_d))
-    return taus, hit, frozen, init_out, events
+    return taus, hit, frozen, init_out, events, final_out
 
 
 def _span_worker(span):
@@ -305,7 +293,8 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     events = None
     if record_events:
         events = [ev for p in parts for ev in p[4]]
-    return BatchResult(taus, hit, frozen, t_max, initials_out, events)
+    finals = np.vstack([p[5] for p in parts])
+    return BatchResult(taus, hit, frozen, t_max, initials_out, events, finals)
 
 
 def measure_provider(measure: ProductMeasure, lattice: Lattice):
@@ -363,10 +352,6 @@ class SupermultiplicativityReport:
     slack_stderr: float
     n_traj: int
 
-    @property
-    def slack_sigmas(self) -> float:
-        return self.slack / self.slack_stderr if self.slack_stderr > 0 else 0.0
-
     def passed(self, n_sigma: float = 3.0) -> bool:
         return self.slack >= -n_sigma * self.slack_stderr
 
@@ -406,40 +391,51 @@ def supermultiplicativity_check(model: Model, target: TargetSet,
 # dominating free walk: hitting probabilities
 # ---------------------------------------------------------------------------
 
+RENORMALIZE, IDLE, ESCAPE = "renormalize", "idle", "escape"
+
+
 def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
-                 absorb_sites: np.ndarray):
-    """Jump-chain transition matrix among non-absorbing sites plus the
-    one-step hit vector into the absorbing set.  Blocked directions are
-    suppressed (renormalized within the remaining ones)."""
+                 absorb_sites: np.ndarray, off_box: str):
+    """One-step matrix of a single walk among the non-absorbing sites, its
+    one-step hit vector into the absorbing set, and the site -> row map.
+
+    `off_box` says what a blocked direction does: RENORMALIZE drops it and
+    rescales the open ones (a site with none open never moves), IDLE keeps
+    its mass as a self-loop, ESCAPE removes the walk (the mass leaves)."""
     n = lattice.num_sites
     absorbing = np.zeros(n, dtype=bool)
     absorbing[absorb_sites] = True
     keep = np.flatnonzero(~absorbing)
     pos = -np.ones(n, dtype=np.int64)
     pos[keep] = np.arange(keep.size)
-    nbr = lattice.neighbor_table(kernel.offsets)
-    rows, cols, vals = [], [], []
-    hit = np.zeros(keep.size)
-    for x in keep:
-        wsum = 0.0
-        for o, w in enumerate(kernel.weights):
-            y = nbr[x, o]
-            if y >= 0:
-                wsum += w
-        if wsum <= 0:
-            continue  # stuck site: never hits
-        for o, w in enumerate(kernel.weights):
-            y = nbr[x, o]
-            if y < 0:
-                continue
-            if absorbing[y]:
-                hit[pos[x]] += w / wsum
-            else:
-                rows.append(pos[x])
-                cols.append(pos[y])
-                vals.append(w / wsum)
+    nbr = lattice.neighbor_table(kernel.offsets)[keep]
+    inside = nbr >= 0
+    w = np.where(inside, kernel.weights, 0.0)
+    if off_box == RENORMALIZE:
+        norm = w.sum(axis=1, keepdims=True)
+    else:
+        norm = kernel.weights.sum()
+    prob = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0)
+    into = inside & absorbing[nbr]
+    hit = np.where(into, prob, 0.0).sum(axis=1)
+    move = inside & ~into
+    rows = np.broadcast_to(np.arange(keep.size)[:, None], nbr.shape)
+    rows, cols, vals = rows[move], pos[nbr[move]], prob[move]
+    if off_box == IDLE:
+        diag = np.arange(keep.size)
+        rows = np.concatenate([rows, diag])
+        cols = np.concatenate([cols, diag])
+        vals = np.concatenate([vals, 1.0 - prob.sum(axis=1)])
     P = csr_matrix((vals, (rows, cols)), shape=(keep.size, keep.size))
-    return P, hit, pos, keep
+    return P, hit, pos
+
+
+def _ever_hits(lattice: Lattice, kernel: JumpKernel, start: int,
+               target_sites: np.ndarray, off_box: str) -> float:
+    """Probability that the jump chain from `start` ever enters the target."""
+    P, hit, pos = _walk_matrix(lattice, kernel, target_sites, off_box)
+    h = spsolve((identity(P.shape[0], format="csr") - P).tocsc(), hit)
+    return float(np.clip(h[pos[start]], 0.0, 1.0))
 
 
 def rw_hitting(lattice: Lattice, kernel: JumpKernel, start: int,
@@ -452,45 +448,13 @@ def rw_hitting(lattice: Lattice, kernel: JumpKernel, start: int,
     if start in target_sites:
         return 1.0
     if horizon is None:
-        P, hit, pos, keep = _walk_matrix(lattice, kernel, target_sites)
-        h = spsolve((identity(keep.size, format="csr") - P).tocsc(), hit)
-        return float(np.clip(h[pos[start]], 0.0, 1.0))
+        return _ever_hits(lattice, kernel, start, target_sites, RENORMALIZE)
     # continuous time at jump rate delta: uniformize at delta, with blocked
     # directions becoming self-loops (the walk waits through them)
-    n = lattice.num_sites
-    absorbing = np.zeros(n, dtype=bool)
-    absorbing[target_sites] = True
-    keep = np.flatnonzero(~absorbing)
-    pos = -np.ones(n, dtype=np.int64)
-    pos[keep] = np.arange(keep.size)
-    nbr = lattice.neighbor_table(kernel.offsets)
-    rows, cols, vals = [], [], []
-    wnorm = float(kernel.weights.sum())
-    for x in keep:
-        # self-loop mass: blocked directions leave the clock running idle
-        loop = 1.0
-        for o, w in enumerate(kernel.weights):
-            y = nbr[x, o]
-            if y < 0:
-                continue
-            loop -= w / wnorm
-            if not absorbing[y]:
-                rows.append(pos[x])
-                cols.append(pos[y])
-                vals.append(w / wnorm)
-        rows.append(pos[x])
-        cols.append(pos[x])
-        vals.append(loop)
-    Q = csr_matrix((vals, (rows, cols)), shape=(keep.size, keep.size))
-    lam = delta * horizon
-    kmax = int(poisson.ppf(1.0 - tol, lam)) + 1
-    pois = poisson.pmf(np.arange(kmax + 1), lam)
-    v = np.ones(keep.size)
-    surv = pois[0] * v
-    for k in range(1, kmax + 1):
-        v = Q.dot(v)
-        surv = surv + pois[k] * v
-    return float(np.clip(1.0 - surv[pos[start]], 0.0, 1.0))
+    Q, _, pos = _walk_matrix(lattice, kernel, target_sites, IDLE)
+    not_hit = uniformized_sum(Q.dot, np.ones(Q.shape[0]), delta * horizon,
+                              tol)[0]
+    return float(np.clip(1.0 - not_hit[pos[start]], 0.0, 1.0))
 
 
 def free_walk_box(kernel: JumpKernel, start_coord: Sequence[int],
@@ -510,25 +474,19 @@ def free_walk_box(kernel: JumpKernel, start_coord: Sequence[int],
 
 def rw_hitting_free(kernel: JumpKernel, start_coord: Sequence[int],
                     target_coords: Sequence[Sequence[int]],
-                    horizon: float | None = None, delta: float = 1.0,
                     padding: int | None = None, tol: float = 1e-10,
                     max_padding: int = 256) -> float:
-    """Hitting probability for the walk on the full integer lattice,
+    """Ever-hitting probability for the walk on the full integer lattice,
     approximated on a padded blocked box where leaving the box counts as
     escape.  The padding either is given explicitly or doubles until the
     value moves less than tol (walks with a recurrent symmetrization may hit
     the cap; the returned value is then a lower bound)."""
     R = max(1, kernel.range)
-    if horizon is not None and padding is None:
-        padding = R * (int(poisson.ppf(1.0 - 1e-12, delta * horizon)) + 1)
 
     def solve(pad):
         lattice, start, targets, _ = free_walk_box(
             kernel, start_coord, target_coords, pad)
-        # escape semantics: walking off the box must absorb, not block, so
-        # pad the target set with a one-shell absorbing boundary of "escape"
-        # sites handled by solving on the open box with blocked=escape rows.
-        return _free_solve(lattice, kernel, start, targets, horizon, delta)
+        return _ever_hits(lattice, kernel, start, targets, ESCAPE)
 
     if padding is not None:
         return solve(padding)
@@ -541,47 +499,6 @@ def rw_hitting_free(kernel: JumpKernel, start_coord: Sequence[int],
             return cur
         prev = cur
     return prev
-
-
-def _free_solve(lattice: Lattice, kernel: JumpKernel, start: int,
-                target_sites: np.ndarray, horizon: float | None,
-                delta: float, tol: float = 1e-12) -> float:
-    """Absorbing solve where stepping off the blocked box means escaping."""
-    n = lattice.num_sites
-    absorbing = np.zeros(n, dtype=bool)
-    absorbing[target_sites] = True
-    keep = np.flatnonzero(~absorbing)
-    pos = -np.ones(n, dtype=np.int64)
-    pos[keep] = np.arange(keep.size)
-    nbr = lattice.neighbor_table(kernel.offsets)
-    rows, cols, vals = [], [], []
-    hit = np.zeros(keep.size)
-    for x in keep:
-        for o, w in enumerate(kernel.weights):
-            y = nbr[x, o]
-            if y < 0:
-                continue  # escaped: contributes neither to P nor to hit
-            if absorbing[y]:
-                hit[pos[x]] += w
-            else:
-                rows.append(pos[x])
-                cols.append(pos[y])
-                vals.append(w)
-    P = csr_matrix((vals, (rows, cols)), shape=(keep.size, keep.size))
-    if horizon is None:
-        h = spsolve((identity(keep.size, format="csr") - P).tocsc(), hit)
-        return float(np.clip(h[pos[start]], 0.0, 1.0))
-    lam = delta * horizon
-    kmax = int(poisson.ppf(1.0 - tol, lam)) + 1
-    pois = poisson.pmf(np.arange(kmax + 1), lam)
-    escape = 1.0 - hit - np.asarray(P.sum(axis=1)).ravel()
-    not_hit = np.ones(keep.size)
-    acc = pois[0] * not_hit
-    for k in range(1, kmax + 1):
-        # escaped walks stay not-hit forever within the box approximation
-        not_hit = P.dot(not_hit) + escape
-        acc = acc + pois[k] * not_hit
-    return float(np.clip(1.0 - acc[pos[start]], 0.0, 1.0))
 
 
 def rw_hitting_mc(kernel: JumpKernel, start_coord: Sequence[int],
@@ -888,10 +805,8 @@ def stationarity_check(model: Model, measure: ProductMeasure, t: float,
     bins; the threshold is the chi-square quantile at the n_sigma level."""
     batch = run_batch(model, None, n_traj, t, seed,
                       provider=measure_provider(measure, model.lattice),
-                      record_events=True, workers=workers)
-    final = np.empty(n_traj, dtype=np.int64)
-    for i in range(n_traj):
-        final[i] = batch.trajectory(i).final_state()[site]
+                      workers=workers)
+    final = batch.finals[:, site]
     probs = measure.marginal.probabilities
     kmax = probs.size - 1
     counts = np.bincount(np.minimum(final, kmax), minlength=kmax + 1).astype(float)

@@ -70,9 +70,6 @@ class SurvivalCurve:
         return (np.clip(self.estimate - n_sigma * se, 0.0, 1.0),
                 np.clip(self.estimate + n_sigma * se, 0.0, 1.0))
 
-    def is_nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(self.log_estimate) <= 1e-12))
-
 
 def synthetic_exponential_curve(c: float, lam: float,
                                 t: Sequence[float]) -> SurvivalCurve:

@@ -119,19 +119,14 @@ def _harvest(batch: BatchResult, iteration: int,
             continue  # started inside the target: tau = 0, no occupation
         ends = traj.times
         starts = np.concatenate([[0.0], ends[:-1]])
-        occ = traj.initial.copy()
-        for k in range(traj.n_events):
-            occs.append(occ.copy())
-            occ[traj.sources[k]] -= 1
-            occ[traj.destinations[k]] += 1
+        occs.append(traj.states()[:-1])
         logw.append(sojourn_log_weight(starts, ends))
     if not occs:
         raise PhiUndefinedError(
             f"no usable trajectory: censored fraction "
             f"{batch.censored_fraction:.3f} at horizon {batch.t_max}; raise "
             "t_max or the trajectory budget")
-    return SojournPool(np.array(occs, dtype=np.int64),
-                       np.concatenate(logw), iteration,
+    return SojournPool(np.concatenate(occs), np.concatenate(logw), iteration,
                        batch.n, batch.censored_fraction)
 
 

@@ -137,10 +137,6 @@ class StateSpace:
             raise StateSpaceError(f"state {key} not in the space")
         return got
 
-    def __contains__(self, occupancy) -> bool:
-        key = tuple(int(x) for x in np.asarray(occupancy).ravel())
-        return key in self._index
-
     def configuration(self, i: int) -> Configuration:
         return Configuration(self.occupancies[i])
 
@@ -233,9 +229,6 @@ class KilledGenerator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def restrict(self, full_vector: np.ndarray) -> np.ndarray:
-        return np.asarray(full_vector)[self.ac_indices]
 
     def exit_rates(self) -> np.ndarray:
         return -np.asarray(self.matrix.diagonal())
@@ -424,6 +417,25 @@ def principal_decay(kg: KilledGenerator, tol: float = EIGEN_TOL,
 # survival by uniformization
 # ---------------------------------------------------------------------------
 
+def uniformized_sum(step: Callable[[np.ndarray], np.ndarray],
+                    v0: np.ndarray, lams: Sequence[float] | float,
+                    tol: float = 1e-12) -> list[np.ndarray]:
+    """Poisson-weighted sums  sum_k Poisson(k; lam) v_k  with v_{k+1} =
+    step(v_k), one per lam, each truncated at the (1 - tol) Poisson quantile
+    plus one (at k = 0 for lam = 0).  The v_k are computed once, up to the
+    largest truncation."""
+    pmfs = [poisson.pmf(np.arange(int(poisson.ppf(1.0 - tol, lam)) + 2), lam)
+            if lam > 0 else np.ones(1) for lam in np.atleast_1d(lams)]
+    v = v0
+    acc = [pmf[0] * v for pmf in pmfs]
+    for k in range(1, max(pmf.size for pmf in pmfs)):
+        v = step(v)
+        for j, pmf in enumerate(pmfs):
+            if k < pmf.size:
+                acc[j] = acc[j] + pmf[k] * v
+    return acc
+
+
 def exact_survival(kg: KilledGenerator, initial: np.ndarray,
                    ts: Sequence[float] | float, tol: float = 1e-12,
                    return_log: bool = False):
@@ -443,26 +455,11 @@ def exact_survival(kg: KilledGenerator, initial: np.ndarray,
     if lam_u <= 0:  # no exit rate anywhere: nothing ever dies
         out = np.zeros(times.size) if return_log else np.ones(times.size) * init.sum()
         return (out[0] if scalar else out)
-    Q = (L / lam_u) + sparse_identity(kg.dim, format="csr")
+    QT = ((L / lam_u) + sparse_identity(kg.dim, format="csr")).T.tocsr()
 
     if not return_log:
-        out = np.empty(times.size)
-        kmaxes = [int(poisson.ppf(1.0 - tol, lam_u * t)) + 1 if t > 0 else 0
-                  for t in times]
-        kmax = max(kmaxes)
-        v = np.ones(kg.dim)
-        inner = np.empty(kmax + 1)
-        inner[0] = float(init @ v)
-        for k in range(1, kmax + 1):
-            v = Q.dot(v)
-            inner[k] = float(init @ v)
-        for j, t in enumerate(times):
-            if t == 0.0:
-                out[j] = inner[0]
-                continue
-            ks = np.arange(kmaxes[j] + 1)
-            pmf = poisson.pmf(ks, lam_u * t)
-            out[j] = float(pmf @ inner[:kmaxes[j] + 1])
+        mus = uniformized_sum(QT.dot, init, lam_u * times, tol)
+        out = np.array([float(mu.sum()) for mu in mus])
         return out[0] if scalar else out
 
     # log mode: propagate mu^T exp(segment L) with renormalization
@@ -472,20 +469,11 @@ def exact_survival(kg: KilledGenerator, initial: np.ndarray,
     mu = init.copy()
     log_norm = 0.0
     t_done = 0.0
-    QT = Q.T.tocsr()
     for j in order:
         t = times[j]
         while t_done < t:
             step = min(t - t_done, seg_budget / lam_u)
-            lam = lam_u * step
-            kmax = int(poisson.ppf(1.0 - tol, lam)) + 1
-            pmf = poisson.pmf(np.arange(kmax + 1), lam)
-            acc = pmf[0] * mu
-            v = mu
-            for k in range(1, kmax + 1):
-                v = QT.dot(v)
-                acc = acc + pmf[k] * v
-            mu = acc
+            mu = uniformized_sum(QT.dot, mu, lam_u * step, tol)[0]
             t_done += step
             norm = mu.sum()
             if norm <= 0:
@@ -699,12 +687,6 @@ def tasep_line_survival(rho: float, t) -> np.ndarray | float:
 
 def tasep_line_decay_rate(rho: float) -> float:
     return float(rho)
-
-
-def tasep_line_yaglom() -> dict:
-    """Descriptor of the conditioned long-time law: an independent-site
-    profile, density rho strictly left of the origin and zero elsewhere."""
-    return {"left_of_origin": "bernoulli(rho)", "origin_and_right": "empty"}
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .phi import PhiIterationLog
 
 ENSEMBLE_FORMAT_VERSION = 1
 CURVE_FORMAT_VERSION = 1
-TRAJECTORY_FORMAT_VERSION = 1
 
 
 def canonical_json(obj) -> str:
@@ -118,34 +117,8 @@ def save_iteration_log(log: PhiIterationLog, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# trajectories and matrices
+# matrices
 # ---------------------------------------------------------------------------
-
-def save_trajectory(traj, path) -> None:
-    """Debug dump: npz with the initial state and the event list."""
-    with open(Path(path), "wb") as fh:
-        np.savez(fh,
-                 format_version=np.int64(TRAJECTORY_FORMAT_VERSION),
-                 initial=traj.initial, times=traj.times,
-                 sources=traj.sources, destinations=traj.destinations,
-                 terminal_time=np.float64(traj.terminal_time),
-                 terminal_status=np.bytes_(traj.terminal_status.encode()),
-                 frozen=np.bool_(traj.frozen))
-
-
-def load_trajectory(path):
-    from .dynamics import Trajectory
-    data = np.load(Path(path))
-    return Trajectory(
-        initial=data["initial"],
-        times=data["times"],
-        sources=data["sources"],
-        destinations=data["destinations"],
-        terminal_time=float(data["terminal_time"]),
-        terminal_status=bytes(data["terminal_status"]).decode(),
-        frozen=bool(data["frozen"]),
-    )
-
 
 def save_matrix(matrix, path) -> None:
     """Sparse triplet text export (Matrix Market) for external verification."""

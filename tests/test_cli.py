@@ -1,0 +1,105 @@
+"""End-to-end runs through the command-line entry point on small configs."""
+
+import json
+
+import pytest
+
+from qslab import cli
+
+
+def _model(extent, boundary, offsets, weights, rates):
+    return {"lattice": {"extent": [extent], "boundary": boundary},
+            "kernel": {"offsets": offsets, "weights": weights},
+            "rates": rates}
+
+
+# the `toy` fixture of conftest.py as a config
+TOY = {"model": _model(3, "torus", [[1], [-1]], [0.7, 0.3],
+                       {"family": "zero_range", "g": {"kind": "identity"}}),
+       "target": {"sites": [0], "threshold": 1}, "rho": 0.5}
+# totally asymmetric exclusion on a 6-ring: a defective killed spectrum
+TASEP_RING = {"model": _model(6, "torus", [[1]], [1.0],
+                              {"family": "exclusion"}),
+              "target": {"sites": [0], "threshold": 0}, "rho": 0.5}
+
+
+def _write(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("experiment,budgets", [
+    ("survival", {"t_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
+                  "n_traj": 400, "t_max": 20.0}),
+    ("phi-direct", {"order": 2, "n_traj": 100, "t_max": 30.0}),
+])
+def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
+                                       budgets):
+    config = _write(tmp_path, "cfg", dict(TOY, experiment=experiment,
+                                          seed=5, budgets=budgets))
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["run", "--config", config, "--out", str(out),
+                         "--workers", str(workers)]) == cli.EXIT_OK
+        outs.append(out)
+    hashes = [_manifest(out)["results_hash"] for out in outs]
+    assert hashes[0] == hashes[1]
+    capsys.readouterr()
+    assert cli.main(["compare", str(outs[0]), str(outs[1])]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["identical"] is True
+
+
+def test_missing_config_file_exits_2(tmp_path):
+    assert cli.main(["run", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+def test_config_without_seed_exits_2(tmp_path):
+    config = _write(tmp_path, "noseed", dict(TOY, experiment="survival",
+                                             budgets={"t_grid": [1.0],
+                                                      "n_traj": 10}))
+    assert cli.main(["run", "--config", config,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_accepts_valid_config(tmp_path, capsys):
+    config = _write(tmp_path, "cfg", dict(TOY, experiment="survival",
+                                          seed=1))
+    assert cli.main(["validate", "--config", config]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def _spectral_report(tmp_path, base, state_space):
+    config = _write(tmp_path, "spectral", dict(
+        base, experiment="spectral", seed=1,
+        budgets={"state_space": state_space}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config,
+                     "--out", str(out)]) == cli.EXIT_OK
+    return json.loads((out / "spectral.json").read_text())
+
+
+def test_spectral_reports_zero_weight_skip(tmp_path):
+    # the truncated marginal gives the high-occupancy core states weight 0
+    rep = _spectral_report(tmp_path, TOY, {"kind": "max_total", "value": 20})
+    assert "qsd_fixed_point" in rep
+    assert set(rep["skipped"]) == {"sandwich", "rayleigh"}
+    assert "zero product-measure weight" in rep["skipped"]["sandwich"]
+    assert "sandwich" not in rep and "rayleigh" not in rep
+
+
+def test_spectral_reports_defective_skip(tmp_path):
+    rep = _spectral_report(tmp_path, TASEP_RING,
+                           {"kind": "fixed_total", "value": 3})
+    assert rep["principal"]["defective"]
+    assert set(rep["skipped"]) == {"qsd_fixed_point", "sandwich",
+                                   "rayleigh"}
+    assert all("defective" in why for why in rep["skipped"].values())

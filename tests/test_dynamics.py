@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qslab import rng as rngmod
 from qslab.dynamics import (CENSORED, HIT, SimContext, measure_provider,
@@ -117,6 +119,23 @@ class TestBatches:
         assert (one.taus == two.taus).all()
         assert (one.hit == two.hit).all()
 
+    def test_recorded_long_trajectories_worker_invariant(self):
+        """Trajectories longer than the event buffer resume where their own
+        event count says, not where earlier trajectories of the span left
+        the buffer, so recorded batches do not depend on the worker count."""
+        lattice = Lattice((6,), "torus")
+        model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
+                                          np.array([0.7, 0.3])), G_LINEAR)
+        initials = np.full((8, 6), 3)
+        one, two = (run_batch(model, None, 8, 300.0, seed=7,
+                              initials=initials, record_events=True,
+                              workers=w) for w in (1, 2))
+        assert min(ev[0].size for ev in one.events) > 2 * 2048
+        for a, b in zip(one.events, two.events):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+        assert np.array_equal(one.finals, two.finals)
+
     def test_conservation_on_torus(self, toy):
         model, target, measure = toy
         batch = run_batch(model, target, 128, 20.0, seed=11,
@@ -124,7 +143,46 @@ class TestBatches:
                           record_events=True)
         for i in range(batch.n):
             traj = batch.trajectory(i)
-            assert traj.final_state().sum() == traj.initial.sum()
+            assert traj.states()[-1].sum() == traj.initial.sum()
+
+
+class TestReplayProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(n_sites=st.integers(2, 5), torus=st.booleans(),
+           exclusion=st.booleans(), seed=st.integers(0, 2**32),
+           threshold=st.integers(-1, 3), data=st.data())
+    def test_states_finals_and_split_batches(self, n_sites, torus, exclusion,
+                                             seed, threshold, data):
+        """states() conserves the total and ends at the engine's final
+        occupancy; a batch equals its two halves run with base_index."""
+        lattice = Lattice((n_sites,), "torus" if torus else "blocked")
+        rates = RateFunction.exclusion() if exclusion else G_LINEAR
+        model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
+                                          np.array([0.7, 0.3])), rates)
+        target = None if threshold < 0 else \
+            TargetSet(np.array([0]), threshold)
+        cap = 1 if exclusion else 3
+        initials = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, cap), min_size=n_sites,
+                     max_size=n_sites), min_size=4, max_size=4)))
+        whole = run_batch(model, target, 4, 3.0, seed, initials=initials,
+                          record_events=True)
+        for i in range(whole.n):
+            states = whole.trajectory(i).states()
+            assert (states.sum(axis=1) == initials[i].sum()).all()
+            assert np.array_equal(states[-1], whole.finals[i])
+        halves = [run_batch(model, target, 2, 3.0, seed,
+                            initials=initials[lo:lo + 2],
+                            record_events=True, base_index=lo)
+                  for lo in (0, 2)]
+        assert np.array_equal(whole.taus,
+                              np.concatenate([h.taus for h in halves]))
+        assert np.array_equal(whole.finals,
+                              np.vstack([h.finals for h in halves]))
+        split = [ev for h in halves for ev in h.events]
+        for a, b in zip(whole.events, split):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
 
 
 class TestSurvivalCurve:

@@ -268,6 +268,11 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     Initial states come either from `provider(gen)` (drawn on the trajectory's
     own stream) or from a precomputed `initials` matrix.  Results depend only
     on (seed, base_index), never on `workers`.
+
+    With `workers` > 1 the spans run in processes started by the "fork"
+    method, which inherit the payload (a provider may be a closure that
+    cannot be pickled) instead of receiving it.  Fork exists on POSIX
+    systems only; elsewhere `workers` must stay 1.
     """
     if (provider is None) == (initials is None):
         raise ValueError("exactly one of provider/initials must be given")
@@ -432,8 +437,11 @@ def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
 
 def _ever_hits(lattice: Lattice, kernel: JumpKernel, start: int,
                target_sites: np.ndarray, off_box: str) -> float:
-    """Probability that the jump chain from `start` ever enters the target."""
+    """Probability that the jump chain from `start` ever enters the target
+    (one when it starts there)."""
     P, hit, pos = _walk_matrix(lattice, kernel, target_sites, off_box)
+    if pos[start] < 0:
+        return 1.0
     h = spsolve((identity(P.shape[0], format="csr") - P).tocsc(), hit)
     return float(np.clip(h[pos[start]], 0.0, 1.0))
 

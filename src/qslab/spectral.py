@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import identity as sparse_identity
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import eigsh, splu
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
@@ -62,65 +62,89 @@ class MaxTotal:
     total: int
 
 
-def _count_fixed(n_sites: int, total: int, cap: int) -> int:
-    # bounded compositions via one-dimensional DP
-    dp = np.zeros(total + 1, dtype=object)
-    dp[0] = 1
-    for _ in range(n_sites):
-        new = np.zeros(total + 1, dtype=object)
-        for s in range(total + 1):
-            if dp[s]:
-                for x in range(min(cap, total - s) + 1):
-                    new[s + x] += dp[s]
-        dp = new
-    return int(dp[total])
+def _composition_counts(n_sites: int, total: int, cap: int) -> np.ndarray:
+    """Exact counts (Python ints): entry [k, r] is the number of ways to
+    place r particles on k sites with at most `cap` per site."""
+    table = np.zeros((n_sites + 1, total + 1), dtype=object)
+    table[0, 0] = 1
+    for k in range(n_sites):
+        run = np.cumsum(table[k])
+        table[k + 1] = run
+        table[k + 1, cap + 1:] -= run[:max(total - cap, 0)]
+    return table
 
 
 def count_states(n_sites: int, constraint, site_cap: int | None) -> int:
     if isinstance(constraint, SiteCap):
         cap = constraint.cap if site_cap is None else min(constraint.cap, site_cap)
         return (cap + 1) ** n_sites
-    if isinstance(constraint, FixedTotal):
+    if isinstance(constraint, (FixedTotal, MaxTotal)):
         cap = constraint.total if site_cap is None else site_cap
-        return _count_fixed(n_sites, constraint.total, cap)
-    if isinstance(constraint, MaxTotal):
-        cap = constraint.total if site_cap is None else site_cap
-        return sum(_count_fixed(n_sites, m, min(cap, m) if site_cap is None
-                                else cap)
-                   for m in range(constraint.total + 1))
+        top = _composition_counts(n_sites, constraint.total, cap)[n_sites]
+        if isinstance(constraint, FixedTotal):
+            return int(top[-1])
+        return int(top.sum())
     raise StateSpaceError(f"unknown constraint {constraint!r}")
 
 
 def _enumerate_fixed(n_sites: int, total: int, cap: int) -> np.ndarray:
-    out = []
-    occ = np.zeros(n_sites, dtype=np.int64)
-
-    def rec(pos: int, remaining: int):
-        if pos == n_sites - 1:
-            if remaining <= cap:
-                occ[pos] = remaining
-                out.append(occ.copy())
-            return
-        for x in range(min(cap, remaining) + 1):
-            occ[pos] = x
-            rec(pos + 1, remaining - x)
-        occ[pos] = 0
-
-    rec(0, total)
-    return np.array(out, dtype=np.int64) if out else \
-        np.empty((0, n_sites), dtype=np.int64)
+    """Every placement of `total` particles on the sites, at most `cap` per
+    site, in lexicographic order.  Each site extends every prefix by the
+    values the later sites can still complete, so no prefix is wasted; the
+    rows are then read back along the parent links."""
+    left = np.array([total], dtype=np.int64)
+    values, parents = [], []
+    for i in range(n_sites):
+        lo = np.maximum(left - (n_sites - 1 - i) * cap, 0)
+        width = np.maximum(np.minimum(left, cap) - lo + 1, 0)
+        parent = np.repeat(np.arange(left.size), width)
+        first = np.repeat(np.cumsum(width) - width, width)
+        value = lo[parent] + np.arange(parent.size) - first
+        values.append(value)
+        parents.append(parent)
+        left = left[parent] - value
+    occ = np.empty((left.size, n_sites), dtype=np.int64)
+    row = np.arange(left.size)
+    for i in reversed(range(n_sites)):
+        occ[:, i] = values[i][row]
+        row = parents[i][row]
+    return occ
 
 
 class StateSpace:
-    """Exhaustive, duplicate-free enumeration with a bijective index map."""
+    """Exhaustive, duplicate-free enumeration with a bijective index map.
+
+    A state's index is its position in the enumeration order, computed from
+    the state itself: the mixed-radix value for SiteCap boxes; for sector
+    spaces, the size of the lower sectors plus, per site, the number of
+    sector states that agree before that site and hold less on it."""
 
     def __init__(self, lattice: Lattice, occupancies: np.ndarray, constraint):
         self.lattice = lattice
         self.occupancies = occupancies
         self.constraint = constraint
-        self._index = {tuple(row): i for i, row in enumerate(occupancies)}
-        if len(self._index) != occupancies.shape[0]:
-            raise StateSpaceError("duplicate states in enumeration")
+        n_sites = occupancies.shape[1]
+        # the enumeration holds every state under its per-site cap, so its
+        # largest occupancy is that cap (or the total, which binds first)
+        self._cap = int(occupancies.max(initial=0))
+        if isinstance(constraint, SiteCap):
+            self._radix = (self._cap + 1) ** np.arange(n_sites - 1, -1, -1)
+        else:
+            counts = _composition_counts(n_sites, constraint.total, self._cap)
+            # prefix sums over the particle number, reduced mod 2^64: a rank
+            # is a sum of differences of these, each at most the state count,
+            # so the wrapped uint64 arithmetic returns it exactly
+            self._below = (np.cumsum(counts, axis=1) % 2**64).astype(np.uint64)
+            # states of the space with fewer particles: none for FixedTotal
+            self._sector_start = np.zeros(constraint.total + 1, dtype=np.uint64)
+            if isinstance(constraint, FixedTotal):
+                self._min_total = constraint.total
+            else:
+                self._min_total = 0
+                self._sector_start[1:] = self._below[n_sites, :-1]
+        if not np.array_equal(self._rank(occupancies), np.arange(self.size)):
+            raise StateSpaceError(
+                "occupancies are not the enumeration of the constraint")
 
     @property
     def size(self) -> int:
@@ -130,11 +154,32 @@ class StateSpace:
     def n_sites(self) -> int:
         return self.occupancies.shape[1]
 
+    def _rank(self, occ: np.ndarray) -> np.ndarray:
+        """Indices of the rows of `occ` in the space, -1 for absent ones."""
+        occ = np.asarray(occ, dtype=np.int64)
+        valid = ((occ >= 0) & (occ <= self._cap)).all(axis=1)
+        if isinstance(self.constraint, SiteCap):
+            return np.where(valid, occ @ self._radix, -1)
+        totals = occ.sum(axis=1)
+        valid &= (totals >= self._min_total) & (totals <= self.constraint.total)
+        occ = np.where(valid[:, None], occ, 0)
+        totals = occ.sum(axis=1)
+        # particles at and after each site, and the number of sites after it
+        left = totals[:, None] - np.cumsum(occ, axis=1) + occ
+        after = np.arange(self.n_sites - 1, -1, -1)
+        below = self._below
+        rank = self._sector_start[totals] + (
+            below[after, left] - below[after, left - occ]).sum(
+                axis=1, dtype=np.uint64)
+        return np.where(valid, rank.view(np.int64), -1)
+
     def index_of(self, occupancy) -> int:
-        key = tuple(int(x) for x in np.asarray(occupancy).ravel())
-        got = self._index.get(key)
-        if got is None:
-            raise StateSpaceError(f"state {key} not in the space")
+        occ = np.asarray(occupancy, dtype=np.int64).ravel()
+        got = (int(self._rank(occ[None, :])[0])
+               if occ.size == self.n_sites else -1)
+        if got < 0:
+            raise StateSpaceError(
+                f"state {tuple(occ.tolist())} not in the space")
         return got
 
     def configuration(self, i: int) -> Configuration:
@@ -236,7 +281,13 @@ class KilledGenerator:
 
 def build_killed_generator(space: StateSpace, model: Model,
                            target: TargetSet) -> KilledGenerator:
-    """Assemble the sparse killed generator over the A^c states."""
+    """Assemble the sparse killed generator over the A^c states.
+
+    Each kernel offset is handled for all A^c states and sites at once:
+    rates from the b table, cap suppression, killing from the change of the
+    window sum, and the index of every moved state.  The diagonal, the
+    killing rates and the suppressed total are summed in (state, site,
+    offset) order."""
     target.validate_on(space.lattice)
     occ_all = space.occupancies
     in_a = occ_all[:, target.sites].sum(axis=1) > target.threshold
@@ -245,7 +296,6 @@ def build_killed_generator(space: StateSpace, model: Model,
     pos[ac_indices] = np.arange(ac_indices.size)
     nbr = space.lattice.neighbor_table(model.kernel.offsets)
     weights = model.kernel.weights
-    b = model.rates.b
     hard_cap = model.rates.max_site_occupancy
     if isinstance(space.constraint, SiteCap):
         site_cap = space.constraint.cap
@@ -253,45 +303,62 @@ def build_killed_generator(space: StateSpace, model: Model,
         site_cap = None
     if hard_cap is not None:
         site_cap = hard_cap if site_cap is None else min(site_cap, hard_cap)
+    # grand-canonical truncation: the capped chain drops a jump onto a full
+    # site; its rate is accounted for sensitivity reporting
+    truncates = site_cap is not None and hard_cap is None
 
+    occ = occ_all[ac_indices]
+    n_ac, n_sites = occ.shape
+    b_tab = model.rates.b_table(int(occ.max(initial=0)))
+    in_window = np.zeros(n_sites, dtype=bool)
+    in_window[target.sites] = True
+    window = occ[:, in_window].sum(axis=1)
+    # rates per (state, site, offset) of the jumps the chain makes, of those
+    # that kill, and of those the cap suppresses
+    made = np.zeros((n_ac, n_sites, weights.size))
+    kills = np.zeros_like(made)
+    cut = np.zeros_like(made)
     rows, cols, vals = [], [], []
-    diag = np.zeros(ac_indices.size)
-    killing = np.zeros(ac_indices.size)
-    suppressed = 0.0
-    for row, si in enumerate(ac_indices):
-        occ = occ_all[si]
-        for i in np.flatnonzero(occ):
-            ni = int(occ[i])
-            for o, w in enumerate(weights):
-                j = nbr[i, o]
-                if j < 0:
-                    continue
-                rate = w * b(ni, int(occ[j]))
-                if rate <= 0.0:
-                    continue
-                if site_cap is not None and occ[j] + 1 > site_cap \
-                        and hard_cap is None:
-                    # grand-canonical truncation: the capped chain drops this
-                    # jump entirely; account it for sensitivity reporting
-                    suppressed += rate
-                    continue
-                new = occ.copy()
-                new[i] -= 1
-                new[j] += 1
-                if new[target.sites].sum() > target.threshold:
-                    killing[row] += rate
-                    diag[row] -= rate
-                    continue
-                tgt = space.index_of(new)
-                rows.append(row)
-                cols.append(int(pos[tgt]))
-                vals.append(rate)
-                diag[row] -= rate
-    rows.extend(range(ac_indices.size))
-    cols.extend(range(ac_indices.size))
-    vals.extend(diag)
-    mat = csr_matrix((vals, (rows, cols)),
-                     shape=(ac_indices.size, ac_indices.size))
+    for o, w in enumerate(weights):
+        dest = nbr[:, o]
+        blocked = dest < 0
+        dest = np.where(blocked, 0, dest)
+        dest_occ = occ[:, dest]
+        rate = w * b_tab[occ, dest_occ]
+        live = (rate > 0.0) & (occ > 0) & ~blocked
+        if truncates:
+            over = live & (dest_occ + 1 > site_cap)
+            cut[:, :, o] = np.where(over, rate, 0.0)
+            live &= ~over
+        dies = live & (window[:, None] - in_window + in_window[dest]
+                       > target.threshold)
+        made[:, :, o] = np.where(live, rate, 0.0)
+        kills[:, :, o] = np.where(dies, rate, 0.0)
+        row, site = np.nonzero(live & ~dies)
+        moved = occ[row]
+        moved[np.arange(row.size), site] -= 1
+        moved[np.arange(row.size), dest[site]] += 1
+        tgt = space._rank(moved)
+        if (tgt < 0).any():
+            bad = moved[np.argmax(tgt < 0)]
+            raise StateSpaceError(
+                f"state {tuple(bad.tolist())} not in the space")
+        rows.append(row)
+        cols.append(pos[tgt])
+        vals.append(rate[row, site])
+    diag = np.zeros(n_ac)
+    killing = np.zeros(n_ac)
+    for made_k, kills_k in zip(made.reshape(n_ac, -1).T,
+                               kills.reshape(n_ac, -1).T):
+        diag -= made_k
+        killing += kills_k
+    # a running sum repeats the additions of a scalar loop, in its order
+    suppressed = float(np.cumsum(cut.ravel())[-1]) if cut.size else 0.0
+    diagonal = np.arange(n_ac)
+    mat = csr_matrix((np.concatenate(vals + [diag]),
+                      (np.concatenate(rows + [diagonal]),
+                       np.concatenate(cols + [diagonal]))),
+                     shape=(n_ac, n_ac))
     return KilledGenerator(space, target, mat, killing, ac_indices,
                            suppressed)
 
@@ -356,7 +423,9 @@ def principal_decay(kg: KilledGenerator, tol: float = EIGEN_TOL,
     Inverse power iteration on (sigma I - L) with sigma above the largest
     row magnitude; stagnating residuals signal a defective spectrum (the
     canonical ring is the canonical example) and the rate is then fitted on
-    the exact survival curve instead of forced out of the iteration."""
+    the exact survival curve instead of forced out of the iteration.  One LU
+    factorization serves both vectors: the left one solves with its
+    transpose."""
     L = kg.matrix.tocsc()
     n = kg.dim
     if n == 0:
@@ -370,22 +439,19 @@ def principal_decay(kg: KilledGenerator, tol: float = EIGEN_TOL,
     # shift zero (plain inverse iteration on -L) converges at the spectral-gap
     # ratio; it fails to factor exactly when never-absorbed mass makes L
     # singular, where the conservative diagonal shift still applies
-    lu = lut = None
     try:
         lu = splu((-L).tocsc())
-        lut = splu((-L).T.tocsc())
         if not (np.isfinite(lu.solve(np.ones(n))).all()
-                and np.isfinite(lut.solve(np.ones(n))).all()):
-            lu = lut = None
+                and np.isfinite(lu.solve(np.ones(n), trans="T")).all()):
+            lu = None
     except RuntimeError:
-        lu = lut = None
+        lu = None
     if lu is None:
         sigma = 1.0 + float(np.abs(L.diagonal()).max()) * 2.0
-        shifted = (sigma * sparse_identity(n, format="csc")) - L
-        lu = splu(shifted)
-        lut = splu(shifted.T.tocsc())
+        lu = splu((sigma * sparse_identity(n, format="csc")) - L)
     right, nu_r, res_r = _inverse_iteration(lu.solve, L, n, max_iter, tol)
-    left, nu_l, res_l = _inverse_iteration(lut.solve, L.T, n, max_iter, tol)
+    left, nu_l, res_l = _inverse_iteration(
+        lambda x: lu.solve(x, trans="T"), L.T, n, max_iter, tol)
     ok = res_r <= 1e-10 and res_l <= 1e-10 and abs(nu_r - nu_l) <= 1e-8
     if ok:
         lam = -0.5 * (nu_r + nu_l)
@@ -501,31 +567,27 @@ def absorbing_core(kg: KilledGenerator) -> np.ndarray:
     set; sectors with too few particles to ever raise the window above the
     threshold never die (infinite hitting time, the trivial fixed point).
     The core keeps exactly the states that can reach killing and cannot leak
-    into a class that cannot."""
-    adj = kg.matrix.copy()
-    adj.setdiag(0.0)
-    adj.eliminate_zeros()
-    adj = adj.tocsc()  # column access = reversed-edge adjacency
+    into a class that cannot.  Each of the two masks is one breadth-first
+    traversal of the reversed jump graph, started from a virtual state
+    joined to every seed state."""
     n = kg.dim
-    can_kill = kg.killing > 0
-    frontier = list(np.flatnonzero(can_kill))
-    while frontier:
-        x = frontier.pop()
-        col = adj.getcol(x)
-        for y in col.nonzero()[0]:
-            if not can_kill[y]:
-                can_kill[y] = True
-                frontier.append(int(y))
-    reaches_dead = ~can_kill
-    frontier = list(np.flatnonzero(reaches_dead))
-    while frontier:
-        x = frontier.pop()
-        col = adj.getcol(x)
-        for y in col.nonzero()[0]:
-            if not reaches_dead[y]:
-                reaches_dead[y] = True
-                frontier.append(int(y))
-    return can_kill & ~reaches_dead
+    jumps = kg.matrix.tocoo()
+    edge = (jumps.row != jumps.col) & (jumps.data != 0)
+    heads, tails = jumps.col[edge], jumps.row[edge]
+
+    def reaching(seeds: np.ndarray) -> np.ndarray:
+        reverse = csr_matrix(
+            (np.ones(heads.size + seeds.size),
+             (np.concatenate([heads, np.full(seeds.size, n)]),
+              np.concatenate([tails, seeds]))),
+            shape=(n + 1, n + 1))
+        mask = np.zeros(n + 1, dtype=bool)
+        mask[breadth_first_order(reverse, n, directed=True,
+                                 return_predecessors=False)] = True
+        return mask[:n]
+
+    can_kill = reaching(np.flatnonzero(kg.killing > 0))
+    return can_kill & ~reaching(np.flatnonzero(~can_kill))
 
 
 def restrict_to_core(kg: KilledGenerator,
@@ -644,26 +706,37 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
                       lambda_asymmetric: float | None = None) -> RayleighReport:
     """Dirichlet quotients -<f, L f>_nu / <f, f>_nu for the symmetrized-half
     kernel, with the exact minimum from the symmetric eigenproblem; trial
-    vectors live on the survivor states (implicitly zero on the target)."""
+    vectors live on the survivor states (implicitly zero on the target).
+
+    The minimum is the bottom eigenvalue of the sparse S = D^(1/2) (-L)
+    D^(-1/2), D = diag(nu), found by shift-invert Lanczos about -1 (S is
+    positive semidefinite, so S + I factors) from a fixed start vector, so
+    that repeated calls return the same bits."""
     sym_model = Model(model.lattice, model.kernel.symmetrized_half(),
                       model.rates)
     kgs = build_killed_generator(space, sym_model, target)
     nu = np.asarray(nu_full, dtype=np.float64)[kgs.ac_indices]
     if (nu <= 0).any():
         raise SolverError("symmetrized quotient needs positive nu on A^c")
-    L = kgs.matrix.toarray()
+    L = kgs.matrix
     d = np.sqrt(nu)
-    S = (d[:, None] * (-L)) / d[None, :]
-    asym = float(np.abs(S - S.T).max())
+    neg = (-L).tocoo()
+    S = csr_matrix(((d[neg.row] * neg.data) / d[neg.col], (neg.row, neg.col)),
+                   shape=neg.shape)
+    asym = float(abs(S - S.T).max())
     if asym > 1e-8:
         raise SolverError(
             "symmetrized-kernel chain is not reversible under the supplied "
             f"measure (asymmetry {asym:.2e}); the quotient is ill-posed")
-    S = 0.5 * (S + S.T)
-    evals, evecs = np.linalg.eigh(S)
-    lam_s = float(evals[0])
-    v = evecs[:, 0]
-    resid = float(np.linalg.norm(S @ v - lam_s * v, np.inf))
+    S = (0.5 * (S + S.T)).tocsc()
+    if kgs.dim == 1:
+        lam_s, resid = float(S[0, 0]), 0.0
+    else:
+        evals, evecs = eigsh(S, k=1, sigma=-1.0, which="LM", tol=0,
+                             v0=np.ones(kgs.dim))
+        lam_s = float(evals[0])
+        v = evecs[:, 0]
+        resid = float(np.linalg.norm(S @ v - lam_s * v, np.inf))
     quotients = []
     for trial in trial_vectors:
         fvec = np.asarray(trial, dtype=np.float64)

@@ -77,14 +77,17 @@ def test_validate_accepts_valid_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-def _spectral_report(tmp_path, base, state_space):
+def _run_spectral(tmp_path, base, state_space):
+    """Exit code of `run` on a spectral config; output in tmp_path/out."""
     config = _write(tmp_path, "spectral", dict(
         base, experiment="spectral", seed=1,
         budgets={"state_space": state_space}))
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", config,
-                     "--out", str(out)]) == cli.EXIT_OK
-    return json.loads((out / "spectral.json").read_text())
+    return cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
+
+
+def _spectral_report(tmp_path, base, state_space):
+    assert _run_spectral(tmp_path, base, state_space) == cli.EXIT_OK
+    return json.loads((tmp_path / "out" / "spectral.json").read_text())
 
 
 def test_spectral_reports_zero_weight_skip(tmp_path):
@@ -103,3 +106,29 @@ def test_spectral_reports_defective_skip(tmp_path):
     assert set(rep["skipped"]) == {"qsd_fixed_point", "sandwich",
                                    "rayleigh"}
     assert all("defective" in why for why in rep["skipped"].values())
+
+
+def test_spectral_over_state_limit_exits_3(tmp_path):
+    # 3^12 = 531,441 capped states, past the enumeration limit
+    ring = dict(TOY, model=_model(12, "torus", [[1], [-1]], [0.7, 0.3],
+                                  {"family": "zero_range",
+                                   "g": {"kind": "identity"}}))
+    assert _run_spectral(tmp_path, ring, {"kind": "site_cap", "value": 2}) \
+        == cli.EXIT_MODEL
+
+
+def test_spectral_with_empty_core_exits_4(tmp_path):
+    # exclusion puts at most two particles on the window {0, 1}, so the
+    # threshold 2 is never passed and no state can be killed
+    ring = {"model": _model(6, "torus", [[1], [-1]], [0.7, 0.3],
+                            {"family": "exclusion"}),
+            "target": {"sites": [0, 1], "threshold": 2}, "rho": 0.5}
+    assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 6}) \
+        == cli.EXIT_RUNTIME
+
+
+def test_compare_without_manifests_exits_5(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert cli.main(["compare", str(tmp_path / "a"),
+                     str(tmp_path / "b")]) == cli.EXIT_COMPARE

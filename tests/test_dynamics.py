@@ -259,6 +259,10 @@ class TestWalkHitting:
         assert solve == pytest.approx(0.25, abs=1e-10)
         assert abs(mc - solve) <= 3 * se
 
+    def test_free_walk_started_on_target_has_hit(self):
+        kernel = JumpKernel(np.array([[1], [-1]]), np.array([0.3, 0.7]))
+        assert rw_hitting_free(kernel, [0], [[0]]) == 1.0
+
     def test_horizon_mode_matches_poisson_path(self):
         # one forced direction: the hitting law is a unit-rate Poisson
         # counting process reaching distance 2

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from conftest import (absorbing_core_bfs, enumerate_reference,
+                      killed_generator_loop)
+
 from qslab.estimators import SurvivalCurve, fit_decay
 from qslab.measures import Marginal, ProductMeasure
 from qslab.model import (JumpKernel, Lattice, Model, RateFunction, TargetSet)
@@ -61,6 +64,100 @@ class TestEnumeration:
         space = enumerate_states(lat, MaxTotal(3))
         totals = space.occupancies.sum(axis=1)
         assert (np.diff(totals) >= 0).all()  # sector-major ordering
+
+
+def _reference_cases():
+    """(model, target, constraint, site_cap) spanning the assembly paths:
+    sector unions, cap suppression, exclusion, target-dependent b, blocked
+    boundary, two dimensions and a long sparse lattice."""
+    two_way = JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3]))
+
+    def ring(n):
+        return Lattice((n,), "torus")
+
+    misanthrope = RateFunction.misanthrope(
+        lambda n, m: float(n) / (1.0 + m), lambda k: float(k))
+    plane = JumpKernel(np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+                       np.array([0.4, 0.2, 0.25, 0.15]))
+    line = Lattice((9,), "blocked")
+    return {
+        "toy-max-total-20": (Model(ring(3), two_way, G_LINEAR),
+                             TargetSet(np.array([0]), 1), MaxTotal(20), None),
+        "zero-range-site-cap-2": (Model(ring(5), two_way, G_LINEAR),
+                                  TargetSet(np.array([0, 1]), 2), SiteCap(2),
+                                  None),
+        "exclusion-ring-fixed-total": (
+            Model(ring(8), two_way, RateFunction.exclusion()),
+            TargetSet(np.array([0, 1]), 1), FixedTotal(4), 1),
+        "misanthrope": (Model(ring(6), two_way, misanthrope),
+                        TargetSet(np.array([0]), 2), MaxTotal(5), None),
+        # a particle left of the window may jump over it, out of reach for
+        # good: such states can kill and still leave the core
+        "blocked-line": (Model(line, JumpKernel(np.array([[1], [2]]),
+                                                np.array([0.6, 0.4])),
+                               RateFunction.exclusion()),
+                         TargetSet(np.array([4]), 0), MaxTotal(9), 1),
+        "torus-2d": (Model(Lattice((3, 3), "torus"), plane, G_LINEAR),
+                     TargetSet(np.array([0, 1]), 2), MaxTotal(4), None),
+        "40-sites-max-total-2": (Model(ring(40), two_way, G_LINEAR),
+                                 TargetSet(np.array([0]), 1), MaxTotal(2),
+                                 None),
+    }
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCE_CASES))
+def reference_case(request):
+    model, target, constraint, site_cap = REFERENCE_CASES[request.param]
+    space = enumerate_states(model.lattice, constraint, site_cap=site_cap)
+    kg = build_killed_generator(space, model, target)
+    return model, target, site_cap, space, kg
+
+
+class TestAgainstLoopReference:
+    """The array-at-a-time exact layer against the loop implementations in
+    conftest."""
+
+    def test_enumeration_matches_recursion(self, reference_case):
+        model, _, site_cap, space, _ = reference_case
+        ref = enumerate_reference(model.lattice.num_sites, space.constraint,
+                                  site_cap)
+        assert np.array_equal(space.occupancies, ref)
+
+    def test_index_round_trip_and_absent_states(self, reference_case):
+        space = reference_case[3]
+        assert [space.index_of(row) for row in space.occupancies] == \
+            list(range(space.size))
+        top = space.occupancies.max()
+        absent = [np.full(space.n_sites, top + 1),
+                  np.r_[-1, np.ones(space.n_sites - 1, dtype=np.int64)],
+                  np.zeros(space.n_sites + 1, dtype=np.int64)]
+        if not isinstance(space.constraint, SiteCap):
+            absent.append(np.r_[space.constraint.total + 1,
+                                np.zeros(space.n_sites - 1, dtype=np.int64)])
+        for occ in absent:
+            with pytest.raises(StateSpaceError):
+                space.index_of(occ)
+
+    def test_generator_matches_loop(self, reference_case):
+        model, target, _, space, kg = reference_case
+        mat, killing, ac_indices, suppressed = killed_generator_loop(
+            space, model, target)
+        assert np.array_equal(kg.ac_indices, ac_indices)
+        assert np.array_equal(kg.matrix.indptr, mat.indptr)
+        assert np.array_equal(kg.matrix.indices, mat.indices)
+        ulp = np.spacing(np.maximum(np.abs(kg.matrix.data), np.abs(mat.data)))
+        assert (np.abs(kg.matrix.data - mat.data) <= ulp).all()
+        assert np.array_equal(kg.killing, killing)
+        assert kg.suppressed_rate == suppressed
+        if isinstance(space.constraint, SiteCap):
+            assert suppressed > 0
+
+    def test_core_matches_bfs(self, reference_case):
+        kg = reference_case[4]
+        assert np.array_equal(absorbing_core(kg), absorbing_core_bfs(kg))
 
 
 class TestKilledGenerator:
@@ -267,6 +364,34 @@ class TestRayleigh:
             trial = rng.random(kg.dim)
             r2 = rayleigh_quotient(model, target, space, nu_full, [trial])
             assert r2.trial_quotients[0] >= rep.lambda_s - 1e-12
+
+    def test_repeat_calls_are_bit_identical(self, excl_ring):
+        model, target, measure, space, _ = excl_ring
+        nu_full = product_vector(space, measure.marginal)
+        first, second = (rayleigh_quotient(model, target, space, nu_full)
+                         for _ in range(2))
+        assert first.lambda_s == second.lambda_s
+        assert first.eigen_residual == second.eigen_residual
+        assert first.eigen_residual <= 1e-10
+
+    def test_single_survivor_state(self):
+        # one particle on a blocked pair, trap on the right: the symmetrized
+        # walk leaves the survivor state (1, 0) at rate 1/2, into the trap
+        lattice = Lattice((2,), "blocked")
+        model = Model(lattice, JumpKernel(np.array([[1]]), np.array([1.0])),
+                      RateFunction.exclusion())
+        space = enumerate_states(lattice, FixedTotal(1), site_cap=1)
+        rep = rayleigh_quotient(model, TargetSet(np.array([1]), 0), space,
+                                np.ones(space.size), [np.ones(1)])
+        assert rep.lambda_s == 0.5
+        assert rep.eigen_residual == 0.0
+        assert rep.trial_quotients == [0.5]
+
+    def test_non_reversible_measure_raises(self, excl_ring):
+        model, target, _, space, _ = excl_ring
+        nu_full = np.random.default_rng(3).uniform(0.5, 1.5, space.size)
+        with pytest.raises(SolverError, match="not reversible"):
+            rayleigh_quotient(model, target, space, nu_full)
 
 
 class TestAbsorbingCore:

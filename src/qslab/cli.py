@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, storage
 from .config import ConfigError, ExperimentConfig
-from .dynamics import second_class_escape, sigma_exit, survival_curve
+from .dynamics import (WorkCounts, second_class_escape, sigma_exit,
+                       survival_curve)
 from .estimators import FitError, SurvivalCurve, exponentiality_report, fit_decay
 from .measures import DensityError, FugacityError, increasing_suite, domination_test
 from .model import Configuration, ModelError, TargetSet, validate_model
@@ -37,10 +39,12 @@ EXIT_COMPARE = 5
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatchers (each writes its result files into `out`)
+# experiment dispatchers (each writes its result files into `out` and returns
+# the simulation work it did)
 # ---------------------------------------------------------------------------
 
-def _run_survival(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_survival(cfg: ExperimentConfig, out: Path,
+                  workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     curve = survival_curve(
         model, target, cfg.budget("t_grid"), int(cfg.budget("n_traj")),
@@ -54,9 +58,11 @@ def _run_survival(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     expo = exponentiality_report(curve.taus[curve.hit], fit.lambda_hat,
                                  seed=cfg.seed)
     storage.write_json(out / "exponentiality.json", expo.to_dict())
+    return WorkCounts.of_starts(curve.immortal)
 
 
-def _run_oracle_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_oracle_check(cfg: ExperimentConfig, out: Path,
+                      workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     t_grid = np.asarray(cfg.budget("t_grid"), dtype=np.float64)
     if model.lattice.boundary == "blocked":
@@ -82,7 +88,7 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             "truncation_bound": float((1.0 - rho)
                                       ** (model.lattice.num_sites + 1)),
         })
-        return
+        return WorkCounts.of_starts(curve.immortal)
     # ring: canonical fixed-count chain against the closed-form mixture
     n_sites = model.lattice.num_sites
     n_particles = int(round(float(cfg.raw["rho"]) * n_sites))
@@ -103,9 +109,11 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "lambda_ring": oracle.decay_rate,
         "half_line_rate_for_same_density": float(cfg.raw["rho"]),
     })
+    return WorkCounts()
 
 
-def _run_phi_iterate(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_phi_iterate(cfg: ExperimentConfig, out: Path,
+                     workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     ensembles, log = phi_iterate(
         model, target, cfg.measure(), int(cfg.budget("iterations")),
@@ -118,9 +126,11 @@ def _run_phi_iterate(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "e_tau_path": [r.e_tau for r in log.rows],
         "censor_path": [r.censor_fraction for r in log.rows],
     })
+    return log.work()
 
 
-def _run_phi_direct(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_phi_direct(cfg: ExperimentConfig, out: Path,
+                    workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     ens, stats = phi_direct(
         model, target, cfg.measure(), int(cfg.budget("order")),
@@ -133,6 +143,7 @@ def _run_phi_direct(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "censored_fraction": stats.censor_fraction,
         "effective_sample_size": stats.ess,
     })
+    return stats.work
 
 
 def _state_constraint(cfg: ExperimentConfig):
@@ -147,7 +158,8 @@ def _state_constraint(cfg: ExperimentConfig):
     raise ConfigError(f"unknown state space kind {kind!r}")
 
 
-def _run_spectral(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_spectral(cfg: ExperimentConfig, out: Path,
+                  workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     space = enumerate_states(model.lattice, _state_constraint(cfg),
                              site_cap=model.rates.max_site_occupancy)
@@ -196,12 +208,14 @@ def _run_spectral(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     if skipped:
         report["skipped"] = skipped
     storage.write_json(out / "spectral.json", report)
+    return WorkCounts()
 
 
-def _run_domination(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_domination(cfg: ExperimentConfig, out: Path,
+                    workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     measure = cfg.measure()
-    ensembles, _ = phi_iterate(
+    ensembles, log = phi_iterate(
         model, target, measure, int(cfg.budget("iterations")),
         int(cfg.budget("n_particles")), float(cfg.budget("t_max")), cfg.seed,
         workers=workers)
@@ -221,14 +235,18 @@ def _run_domination(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     storage.write_json(out / "domination.json", {
         "schema_version": 1, "rows": rows, "worst_excess_sigmas": worst,
         "passed_at_3_sigma": bool(worst <= 3.0)})
+    return log.work()
 
 
-def _run_sigma_exit(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
+                    workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     reports = []
+    work = WorkCounts()
     for kappa in cfg.budget("kappas"):
         rep = sigma_exit(model, target, cfg.measure(), float(kappa),
                          int(cfg.budget("n_traj")), cfg.seed)
+        work += WorkCounts(trajectories=rep.n_traj)
         reports.append({
             "kappa": rep.kappa, "estimate": rep.estimate,
             "stderr": rep.stderr, "lower_bound": rep.lower_bound,
@@ -236,9 +254,11 @@ def _run_sigma_exit(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         })
     storage.write_json(out / "sigma_exit.json",
                        {"schema_version": 1, "reports": reports})
+    return work
 
 
-def _run_couplings(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def _run_couplings(cfg: ExperimentConfig, out: Path,
+                   workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
     eta0 = Configuration(np.asarray(cfg.budget("initial"), dtype=np.int64))
     site = int(cfg.budget("site"))
@@ -256,6 +276,7 @@ def _run_couplings(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "order_violations": rep.order_violations,
         "bound_ok_at_3_sigma": rep.bound_ok(),
     })
+    return WorkCounts(trajectories=rep.n_traj)
 
 
 _DISPATCH = {
@@ -278,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    _DISPATCH[cfg.experiment](cfg, out, workers)
+    work = _DISPATCH[cfg.experiment](cfg, out, workers)
     results = {}
     for path in sorted(out.iterdir()):
         if path.name == "manifest.json" or not path.is_file():
@@ -296,6 +317,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
         "results_hash": storage.sha256_of_text(
             storage.canonical_json(results)),
         "wall_time_s": time.time() - started,
+        "telemetry": {"counters": asdict(work)},
     }
     storage.write_json(out / "manifest.json", manifest)
     return out

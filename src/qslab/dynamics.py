@@ -20,7 +20,7 @@ from scipy.stats import chi2 as chi2_dist
 
 from . import rng as rngmod
 from ._kernel import (STATUS_BUFFER_FULL, STATUS_CENSORED, STATUS_FROZEN,
-                      STATUS_HIT, run_killed)
+                      STATUS_HIT, _refresh_all, run_killed)
 from .estimators import SurvivalCurve
 from .measures import Marginal, ProductMeasure
 from .model import (BLOCKED, Configuration, JumpKernel, Lattice, Model,
@@ -72,6 +72,12 @@ class SimContext:
             self._btab = self.model.rates.b_table(cap)
             self._btab_cap = cap
         return self._btab
+
+    def immortal(self, occ: np.ndarray) -> bool:
+        """Whether a start can never enter the target: every jump conserves
+        the particle total, and the window never holds more than the total.
+        Without a target nothing is immortal."""
+        return self.target is not None and int(occ.sum()) <= self.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +140,23 @@ def _simulate(ctx: SimContext, occ: np.ndarray, t_max: float,
     """Run one trajectory to the target or to t_max; returns
     (status, time, times, srcs, dsts), the event arrays None unless recorded.
 
+    An immortal start (see `SimContext.immortal`) is not simulated: it is
+    censored at t_max with no events, `occ` and `gen` untouched, and frozen
+    when its total rate is 0, exactly as the kernel would report it.
+
     A full buffer resumes the kernel from an empty buffer of the same size
     whether or not events are recorded, so the resume points (where the
     kernel recomputes its rate total) depend only on the trajectory."""
     total = int(occ.sum())
     btab = ctx.btab(max(total, 1))
+    if ctx.immortal(occ):
+        rate = _refresh_all(occ, ctx.nbr, ctx.weights, btab,
+                            np.empty(occ.size))
+        status = STATUS_FROZEN if rate <= 1e-300 else STATUS_CENSORED
+        if record:
+            return (status, t_max, np.empty(0), np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.int64))
+        return status, t_max, None, None, None
     buf = buffers or _EventBuffers()
     chunks = []
     t = 0.0
@@ -168,7 +186,9 @@ def simulate_killed(initial: Configuration, model: Model,
 
     Entering the target stops the run (tau); otherwise the trajectory is
     censored at t_max.  A configuration with no active rate is reported
-    frozen and censored.  `reverse` simulates the adjoint kernel p*.
+    frozen and censored.  An immortal start (particle total at or below the
+    threshold) is censored at once, with no events.  `reverse` simulates the
+    adjoint kernel p*.
     """
     ctx = SimContext(model, target, reverse)
     occ = initial.occupancy.copy()
@@ -191,10 +211,40 @@ def simulate_killed(initial: Configuration, model: Model,
 # ---------------------------------------------------------------------------
 
 @dataclass
+class WorkCounts:
+    """Deterministic counts of the simulation work behind a result:
+    trajectories simulated, immortal starts skipped instead, and horizon
+    escalations of the occupation map."""
+
+    trajectories: int = 0
+    immortal_skipped: int = 0
+    escalations: int = 0
+
+    @classmethod
+    def of_starts(cls, immortal: np.ndarray) -> "WorkCounts":
+        skipped = int(np.count_nonzero(immortal))
+        return cls(immortal.size - skipped, skipped)
+
+    def __add__(self, other: "WorkCounts") -> "WorkCounts":
+        return WorkCounts(self.trajectories + other.trajectories,
+                          self.immortal_skipped + other.immortal_skipped,
+                          self.escalations + other.escalations)
+
+
+@dataclass
 class BatchResult:
+    """Outcome of a batch, one entry per trajectory in index order.
+
+    `immortal` marks the starts that can never enter the target (particle
+    total at or below the threshold; never set without a target).  They are
+    not simulated: each is censored at t_max with no events, its row of
+    `finals` is its initial state, not the state at t_max, and it is
+    `frozen` only when its total rate at t = 0 is 0."""
+
     taus: np.ndarray            # hit time, or t_max where censored
     hit: np.ndarray             # bool per trajectory
     frozen: np.ndarray
+    immortal: np.ndarray        # bool per trajectory
     t_max: float
     initials: np.ndarray | None = None
     events: list | None = None  # (times, srcs, dsts) triples when recorded
@@ -207,6 +257,13 @@ class BatchResult:
     @property
     def censored_fraction(self) -> float:
         return float(1.0 - self.hit.mean())
+
+    @property
+    def mortal_censored_fraction(self) -> float:
+        """Censored fraction among the starts that are not immortal (0 when
+        there is none): the part a longer horizon can still reduce."""
+        mortal = ~self.immortal
+        return float(1.0 - self.hit[mortal].mean()) if mortal.any() else 0.0
 
     def trajectory(self, i: int) -> Trajectory:
         if self.events is None or self.initials is None:
@@ -228,6 +285,7 @@ def _run_span(payload, lo, hi):
     taus = np.empty(n)
     hit = np.empty(n, dtype=bool)
     frozen = np.empty(n, dtype=bool)
+    immortal = np.empty(n, dtype=bool)
     init_out = final_out = None
     events = [] if record else None
     buffers = _EventBuffers()
@@ -242,6 +300,7 @@ def _run_span(payload, lo, hi):
             init_out = np.empty((n, occ.size), dtype=np.int64)
             final_out = np.empty((n, occ.size), dtype=np.int64)
         init_out[k] = occ
+        immortal[k] = ctx.immortal(occ)
         status, t, ev_t, ev_s, ev_d = _simulate(ctx, occ, t_max, gen, record,
                                                 buffers)
         final_out[k] = occ
@@ -250,7 +309,7 @@ def _run_span(payload, lo, hi):
         taus[k] = t if hit[k] else t_max
         if record:
             events.append((ev_t, ev_s, ev_d))
-    return taus, hit, frozen, init_out, events, final_out
+    return taus, hit, frozen, immortal, init_out, events, final_out
 
 
 def _span_worker(span):
@@ -267,7 +326,8 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
 
     Initial states come either from `provider(gen)` (drawn on the trajectory's
     own stream) or from a precomputed `initials` matrix.  Results depend only
-    on (seed, base_index), never on `workers`.
+    on (seed, base_index), never on `workers`.  Immortal starts are classified
+    at t = 0 and not simulated (see `BatchResult`).
 
     With `workers` > 1 the spans run in processes started by the "fork"
     method, which inherit the payload (a provider may be a closure that
@@ -294,12 +354,14 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     taus = np.concatenate([p[0] for p in parts])
     hit = np.concatenate([p[1] for p in parts])
     frozen = np.concatenate([p[2] for p in parts])
-    initials_out = np.vstack([p[3] for p in parts])
+    immortal = np.concatenate([p[3] for p in parts])
+    initials_out = np.vstack([p[4] for p in parts])
     events = None
     if record_events:
-        events = [ev for p in parts for ev in p[4]]
-    finals = np.vstack([p[5] for p in parts])
-    return BatchResult(taus, hit, frozen, t_max, initials_out, events, finals)
+        events = [ev for p in parts for ev in p[5]]
+    finals = np.vstack([p[6] for p in parts])
+    return BatchResult(taus, hit, frozen, immortal, t_max, initials_out,
+                       events, finals)
 
 
 def measure_provider(measure: ProductMeasure, lattice: Lattice):
@@ -343,6 +405,7 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
         censored_fraction=batch.censored_fraction,
         taus=batch.taus,
         hit=batch.hit,
+        immortal=batch.immortal,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng as rngmod
-from .dynamics import BatchResult, measure_provider, run_batch
+from .dynamics import BatchResult, WorkCounts, measure_provider, run_batch
 from .measures import (ProductMeasure, WeightedEnsemble, systematic_resample)
 from .model import Model, TargetSet
 
@@ -65,6 +65,7 @@ class PhiStats:
     ess: float
     t_max_used: float
     n_particles: int
+    work: WorkCounts
     probes: dict[float, float] = field(default_factory=dict)
 
 
@@ -75,35 +76,46 @@ class PhiIterationLog:
     def e_tau_sequence(self) -> np.ndarray:
         return np.array([r.e_tau for r in self.rows])
 
+    def work(self) -> WorkCounts:
+        return sum((r.work for r in self.rows), WorkCounts())
+
 
 def _simulate_to_hits(model: Model, target: TargetSet, initials, provider,
                       n_traj: int, t_max: float, seed: int, base_index: int,
-                      workers: int, max_escalations: int) -> BatchResult:
+                      workers: int, max_escalations: int
+                      ) -> tuple[BatchResult, WorkCounts]:
     """Run the batch, doubling the horizon (and re-running on the same
-    streams, which extends the censored trajectories consistently) while the
-    censored fraction exceeds the documented limit.
+    streams, which extends the censored trajectories consistently) while more
+    than the documented limit of the mortal starts is censored; returns the
+    last batch and the work of every batch run.
 
-    On a finite lattice part of the base measure may carry too few particles
-    to ever reach the target; that mass stays censored at every horizon, so
-    escalation also stops once the fraction no longer improves."""
+    Immortal starts stay censored at every horizon, so they take no part in
+    the decision; with no mortal start there is nothing to wait for.  A
+    mortal start may still be unable to reach the window (a blocked box
+    whose drift points away from it), so escalation also stops once the
+    mortal censored fraction no longer improves."""
     horizon = t_max
     batch = run_batch(model, target, n_traj, horizon, seed,
                       provider=provider, initials=initials,
                       record_events=True, workers=workers,
                       base_index=base_index)
+    work = WorkCounts.of_starts(batch.immortal)
     for _ in range(max_escalations):
-        if batch.censored_fraction <= CENSOR_FRACTION_LIMIT:
+        if batch.mortal_censored_fraction <= CENSOR_FRACTION_LIMIT:
             break
         horizon *= ESCALATION_FACTOR
         longer = run_batch(model, target, n_traj, horizon, seed,
                            provider=provider, initials=initials,
                            record_events=True, workers=workers,
                            base_index=base_index)
-        improved = batch.censored_fraction - longer.censored_fraction
+        work += WorkCounts.of_starts(longer.immortal) + WorkCounts(
+            escalations=1)
+        improved = (batch.mortal_censored_fraction
+                    - longer.mortal_censored_fraction)
         batch = longer
-        if improved < 0.1 * batch.censored_fraction:
+        if improved < 0.1 * batch.mortal_censored_fraction:
             break
-    return batch
+    return batch, work
 
 
 def _harvest(batch: BatchResult, iteration: int,
@@ -144,7 +156,7 @@ def _power_log_weight(n: int):
     return logw
 
 
-def _batch_stats(batch: BatchResult, ess: float,
+def _batch_stats(batch: BatchResult, work: WorkCounts, ess: float,
                  probe_times: Sequence[float],
                  n_particles: int) -> PhiStats:
     taus = batch.taus[batch.hit]
@@ -155,7 +167,7 @@ def _batch_stats(batch: BatchResult, ess: float,
         alive = (batch.taus > s) | ~batch.hit
         probes[float(s)] = float(alive.mean())
     return PhiStats(e_tau, se, batch.censored_fraction, ess,
-                    batch.t_max, n_particles, probes)
+                    batch.t_max, n_particles, work, probes)
 
 
 def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
@@ -174,9 +186,10 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
         draw = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration)
         idx = systematic_resample(input_ensemble.weights, n_particles, draw)
         initials = input_ensemble.occupancies[idx]
-    batch = _simulate_to_hits(model, target, initials, provider, n_particles,
-                              t_max, seed, iteration * n_particles, workers,
-                              max_escalations)
+    batch, work = _simulate_to_hits(model, target, initials, provider,
+                                    n_particles, t_max, seed,
+                                    iteration * n_particles, workers,
+                                    max_escalations)
     pool = _harvest(batch, iteration, _duration_log_weight)
     pool_ensemble = pool.ensemble()
     reduce_gen = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration + 1)
@@ -184,7 +197,7 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
     resampled = WeightedEnsemble(pool.occupancies[keep],
                                  np.ones(n_particles),
                                  pool.censor_fraction)
-    stats = _batch_stats(batch, pool_ensemble.effective_sample_size(),
+    stats = _batch_stats(batch, work, pool_ensemble.effective_sample_size(),
                          probe_times, n_particles)
     return resampled, stats
 
@@ -224,13 +237,13 @@ def phi_direct(model: Model, target: TargetSet, measure: ProductMeasure,
     each survivor-set sojourn enters with the power-integral weight."""
     if n < 1:
         raise ValueError("iterate order must be >= 1")
-    batch = _simulate_to_hits(model, target, None,
-                              measure_provider(measure, model.lattice),
-                              n_traj, t_max, seed, base_index, workers,
-                              max_escalations)
+    batch, work = _simulate_to_hits(model, target, None,
+                                    measure_provider(measure, model.lattice),
+                                    n_traj, t_max, seed, base_index, workers,
+                                    max_escalations)
     pool = _harvest(batch, n, _power_log_weight(n))
     ens = pool.ensemble()
-    stats = _batch_stats(batch, ens.effective_sample_size(), (), n_traj)
+    stats = _batch_stats(batch, work, ens.effective_sample_size(), (), n_traj)
     return ens, stats
 
 

@@ -37,9 +37,12 @@ def _manifest(out):
     ("survival", {"t_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
                   "n_traj": 400, "t_max": 20.0}),
     ("phi-direct", {"order": 2, "n_traj": 100, "t_max": 30.0}),
+    ("phi-iterate", {"iterations": 2, "n_particles": 100, "t_max": 30.0}),
+    ("domination", {"iterations": 2, "n_particles": 100, "t_max": 30.0}),
 ])
 def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
                                        budgets):
+    """Equal results_hash and equal work counters at 1 and 2 workers."""
     config = _write(tmp_path, "cfg", dict(TOY, experiment=experiment,
                                           seed=5, budgets=budgets))
     outs = []
@@ -48,8 +51,13 @@ def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
         assert cli.main(["run", "--config", config, "--out", str(out),
                          "--workers", str(workers)]) == cli.EXIT_OK
         outs.append(out)
-    hashes = [_manifest(out)["results_hash"] for out in outs]
-    assert hashes[0] == hashes[1]
+    manifests = [_manifest(out) for out in outs]
+    assert manifests[0]["results_hash"] == manifests[1]["results_hash"]
+    counters = [m["telemetry"]["counters"] for m in manifests]
+    assert counters[0] == counters[1]
+    assert counters[0]["trajectories"] > 0
+    # the toy's base law puts over half its mass on immortal starts
+    assert counters[0]["immortal_skipped"] > 0
     capsys.readouterr()
     assert cli.main(["compare", str(outs[0]), str(outs[1])]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)

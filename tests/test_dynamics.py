@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qslab import dynamics
 from qslab import rng as rngmod
 from qslab.dynamics import (CENSORED, HIT, SimContext, measure_provider,
                             run_batch, rw_hitting, rw_hitting_free,
                             rw_hitting_mc, second_class_escape, sigma_exit,
                             simulate_killed, stationarity_check,
                             supermultiplicativity_check, survival_curve)
-from qslab.measures import ProductMeasure
+from qslab.measures import ProductMeasure, _window_distribution
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet, jump_rate)
 from qslab.spectral import tasep_line_survival
@@ -146,6 +148,89 @@ class TestBatches:
             assert traj.states()[-1].sum() == traj.initial.sum()
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of the event kernel made through `dynamics`."""
+    calls = []
+    real = dynamics.run_killed
+
+    def counting(*args):
+        calls.append(args[8])  # the start time of the call
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "run_killed", counting)
+    return calls
+
+
+class TestImmortalStarts:
+    """A start whose particle total is at or below the threshold can never
+    reach the target; it is classified at t = 0 and never simulated."""
+
+    def test_skipped_without_kernel_call(self, toy, kernel_calls):
+        model, target, _ = toy
+        res = simulate_killed(Configuration([0, 1, 0]), model, target, 5.0,
+                              rngmod.stream(0, rngmod.TRAJECTORY, 2),
+                              record_trajectory=True)
+        assert res.status == CENSORED and res.tau == 5.0
+        assert not res.frozen  # one particle keeps a positive rate
+        assert res.trajectory.n_events == 0
+        assert kernel_calls == []
+
+    def test_batch_marks_immortal_starts(self, toy, kernel_calls):
+        model, target, _ = toy
+        initials = np.array([[0, 1, 0], [0, 0, 0], [1, 0, 0], [1, 1, 1],
+                             [0, 2, 0]])
+        batch = run_batch(model, target, 5, 5.0, seed=81, initials=initials,
+                          record_events=True)
+        assert batch.immortal.tolist() == [True, True, True, False, False]
+        assert batch.frozen.tolist()[:3] == [False, True, False]
+        assert not batch.hit[:3].any() and (batch.taus[:3] == 5.0).all()
+        assert all(batch.events[i][0].size == 0 for i in range(3))
+        assert np.array_equal(batch.finals[:3], initials[:3])
+        # only the two mortal starts reach the kernel, each from t = 0
+        assert kernel_calls.count(0.0) == 2
+
+    def test_unkilled_runs_never_skip(self, toy, kernel_calls):
+        model, _, _ = toy
+        initials = np.array([[0, 1, 0], [0, 0, 0]])
+        batch = run_batch(model, None, 2, 5.0, seed=83, initials=initials)
+        assert not batch.immortal.any()
+        assert kernel_calls == [0.0, 0.0]
+        assert batch.frozen.tolist() == [False, True]
+
+    def test_recorded_batch_matches_golden(self, toy):
+        """Skipping immortal starts leaves every other trajectory
+        bit-for-bit as before: the digest of the hit times, the hit flags
+        and the events of the mortal starts was taken before the skip
+        existed (when immortal starts still ran to t_max)."""
+        model, target, measure = toy
+        batch = run_batch(model, target, 500, 20.0, seed=31,
+                          provider=measure_provider(measure, model.lattice),
+                          record_events=True)
+        digest = hashlib.sha256()
+        digest.update(batch.taus.tobytes())
+        digest.update(batch.hit.tobytes())
+        for i in np.flatnonzero(~batch.immortal):
+            for arr in batch.events[i]:
+                digest.update(arr.tobytes())
+        assert digest.hexdigest() == ("2fbfedd3ebe8bf29d4430d778ea69487"
+                                      "a58d638801df1a61d41ded1b727d0fd8")
+        assert batch.immortal.sum() == 280
+        assert all(batch.events[i][0].size == 0
+                   for i in np.flatnonzero(batch.immortal))
+
+    def test_immortal_share_matches_product_law(self, toy):
+        model, target, measure = toy
+        n = 20_000
+        batch = run_batch(model, target, n, 1e-6, seed=85,
+                          provider=measure_provider(measure, model.lattice))
+        total_law = _window_distribution(measure.marginal,
+                                         model.lattice.num_sites)
+        p = total_law[:target.threshold + 1].sum()
+        assert abs(batch.immortal.mean() - p) <= 4 * math.sqrt(
+            p * (1 - p) / n)
+
+
 class TestReplayProperties:
     @settings(max_examples=25, deadline=None)
     @given(n_sites=st.integers(2, 5), torus=st.booleans(),
@@ -154,7 +239,10 @@ class TestReplayProperties:
     def test_states_finals_and_split_batches(self, n_sites, torus, exclusion,
                                              seed, threshold, data):
         """states() conserves the total and ends at the engine's final
-        occupancy; a batch equals its two halves run with base_index."""
+        occupancy; the window sum stays at or below the threshold until the
+        last event, passes it exactly when the trajectory hit, and never
+        passes it on a censored one; a batch equals its two halves run with
+        base_index."""
         lattice = Lattice((n_sites,), "torus" if torus else "blocked")
         rates = RateFunction.exclusion() if exclusion else G_LINEAR
         model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
@@ -171,6 +259,10 @@ class TestReplayProperties:
             states = whole.trajectory(i).states()
             assert (states.sum(axis=1) == initials[i].sum()).all()
             assert np.array_equal(states[-1], whole.finals[i])
+            if target is not None:
+                window = states[:, target.sites].sum(axis=1)
+                assert (window[:-1] <= threshold).all()
+                assert (window[-1] > threshold) == whole.hit[i]
         halves = [run_batch(model, target, 2, 3.0, seed,
                             initials=initials[lo:lo + 2],
                             record_events=True, base_index=lo)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from qslab import rng as rngmod
 from qslab.estimators import (EnsembleDistance, FitError, SurvivalCurve,
@@ -78,6 +79,24 @@ class TestExponentiality:
         assert rep.exponential_ok
         for row in rep.moments:
             assert row.ratio_ci[0] <= 1.0 <= row.ratio_ci[1]
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 900, 20_000])
+    def test_bootstrap_matches_one_resample_at_a_time(self, n):
+        """The blocked bootstrap gives the same interval endpoints, bit for
+        bit, as drawing and reducing one resample at a time (n = 100 and
+        20,000 split the resamples into several blocks)."""
+        taus = rngmod.stream(908, rngmod.SAMPLING, 0).exponential(2.0, n)
+        taus[:n // 10] = 0.0
+        rep = exponentiality_report(taus, 0.5, seed=909)
+        boot = rngmod.stream(909, rngmod.BOOTSTRAP, 2)
+        logt = np.log(np.clip(taus, 1e-300, None))
+        for row in rep.moments:
+            theo = math.lgamma(row.k + 1) - row.k * math.log(0.5)
+            ratios = [math.exp(float(logsumexp(
+                row.k * logt[boot.integers(0, n, n)]) - math.log(n)) - theo)
+                for _ in range(200)]
+            lo, hi = np.quantile(ratios, [0.0015, 0.9985])
+            assert row.ratio_ci == (float(lo), float(hi))
 
     def test_false_positive_rate_calibrated(self):
         gen = rngmod.stream(904, rngmod.SAMPLING, 0)

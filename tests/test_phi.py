@@ -137,6 +137,24 @@ class TestPhiDirect:
         gap = np.abs(direct.site_means() - applied.site_means())
         assert (gap <= 6 * se + 0.02).all()
 
+    def test_immortal_mass_does_not_escalate(self, toy):
+        """Over half of the toy's base law can never hit; escalation judges
+        only the mortal starts, whose tail beyond 30 is far below the limit,
+        so the horizon stays (it doubled to 60 while the immortal mass
+        counted).  A short horizon still escalates."""
+        model, target, measure = toy
+        _, stats = phi_direct(model, target, measure, 1, 400, 30.0, seed=227)
+        assert stats.t_max_used == 30.0
+        assert stats.work.escalations == 0
+        assert stats.censor_fraction > 0.5  # the immortal starts
+        assert stats.work.trajectories + stats.work.immortal_skipped == 400
+        _, stats = phi_direct(model, target, measure, 1, 400, 2.0, seed=227)
+        assert stats.t_max_used > 2.0
+        runs = 1 + stats.work.escalations
+        assert stats.t_max_used == 2.0 * 2 ** stats.work.escalations
+        assert stats.work.trajectories + stats.work.immortal_skipped \
+            == 400 * runs
+
     def test_matches_exact_iterates(self, toy, toy_spectral):
         from qslab.spectral import occupation_vectors
         model, target, measure = toy

@@ -58,7 +58,7 @@ def _run_survival(cfg: ExperimentConfig, out: Path,
     expo = exponentiality_report(curve.taus[curve.hit], fit.lambda_hat,
                                  seed=cfg.seed)
     storage.write_json(out / "exponentiality.json", expo.to_dict())
-    return WorkCounts.of_starts(curve.immortal)
+    return WorkCounts.of_starts(curve.immortal, curve.events)
 
 
 def _run_oracle_check(cfg: ExperimentConfig, out: Path,
@@ -88,7 +88,7 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
             "truncation_bound": float((1.0 - rho)
                                       ** (model.lattice.num_sites + 1)),
         })
-        return WorkCounts.of_starts(curve.immortal)
+        return WorkCounts.of_starts(curve.immortal, curve.events)
     # ring: canonical fixed-count chain against the closed-form mixture
     n_sites = model.lattice.num_sites
     n_particles = int(round(float(cfg.raw["rho"]) * n_sites))
@@ -246,7 +246,7 @@ def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
     for kappa in cfg.budget("kappas"):
         rep = sigma_exit(model, target, cfg.measure(), float(kappa),
                          int(cfg.budget("n_traj")), cfg.seed)
-        work += WorkCounts(trajectories=rep.n_traj)
+        work += WorkCounts(trajectories=rep.n_traj, events=rep.events)
         reports.append({
             "kappa": rep.kappa, "estimate": rep.estimate,
             "stderr": rep.stderr, "lower_bound": rep.lower_bound,
@@ -276,7 +276,7 @@ def _run_couplings(cfg: ExperimentConfig, out: Path,
         "order_violations": rep.order_violations,
         "bound_ok_at_3_sigma": rep.bound_ok(),
     })
-    return WorkCounts(trajectories=rep.n_traj)
+    return WorkCounts(trajectories=rep.n_traj, events=rep.events)
 
 
 _DISPATCH = {

@@ -1,16 +1,32 @@
 """Continuous-time simulation of the killed dynamics, hitting times, and the
 couplings (second-class particle, dominating free walk, tagged-exit bound).
 
+One lockstep event engine runs every Monte Carlo path: Gillespie's direct
+method applied to all trajectories of a batch at once, one event per numpy
+step.  The state is an (n_rows, n_sites) occupancy matrix.  Each step
+recomputes the rate w(y - x) b(occ_x, occ_y) of every jump from the rate
+table, so a b that depends on the destination needs no special case, and
+takes each row's total from a fresh cumulative sum: there is no running
+total, hence no drift and no resynchronization.  Each live row then draws
+its waiting time and its (site, offset) pick; rows that enter the target,
+pass the horizon or have no rate left retire.  Recorded events are gathered
+per step and split by row at the end, so there is no event buffer and no
+resume.  The couplings are short loops over the same primitives: the rate
+matrix (`_jump_rates`), the per-row draws (`_Draws`) and the
+categorical pick (`_categorical`).
+
 Every trajectory draws from its own counter-based stream keyed by
-(master seed, TRAJECTORY, index), so batches are reproducible bit-for-bit
-and independent of the worker count.
+(master seed, TRAJECTORY, index): first its initial state, when one is
+drawn, then blocks of uniforms holding exactly the values one-at-a-time
+draws would give.  So batches are reproducible bit for bit and do not
+depend on the worker count or on how the trajectories are split.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,8 +35,6 @@ from scipy.sparse.linalg import spsolve
 from scipy.stats import chi2 as chi2_dist
 
 from . import rng as rngmod
-from ._kernel import (STATUS_BUFFER_FULL, STATUS_CENSORED, STATUS_FROZEN,
-                      STATUS_HIT, _refresh_all, run_killed)
 from .estimators import SurvivalCurve
 from .measures import Marginal, ProductMeasure
 from .model import (BLOCKED, Configuration, JumpKernel, Lattice, Model,
@@ -32,27 +46,32 @@ CENSORED = "censored"
 
 _NO_TARGET_THRESHOLD = np.int64(2**62)
 
+# end status of an engine row
+_HIT, _CENSORED, _FROZEN = 1, 2, 3
+# a total rate at or below this counts as no rate: the row is frozen
+_FROZEN_RATE = 1e-300
+
 
 # ---------------------------------------------------------------------------
-# compiled simulation context
+# engine primitives
 # ---------------------------------------------------------------------------
 
 class SimContext:
-    """Precomputed tables binding a model (and optional target) for the event
-    loop: neighbor maps, kernel weights, the dense b table, window mask."""
+    """Tables binding a model (and optional target) for the engine: the
+    neighbor table, the kernel weight of every (site, offset) jump, the
+    b table and the window mask."""
 
     def __init__(self, model: Model, target: TargetSet | None,
                  reverse: bool = False):
         self.model = model
         self.target = target
-        self.reverse = reverse
         kernel = model.kernel.reversed() if reverse else model.kernel
-        self.kernel = kernel
         lattice = model.lattice
-        self.nbr = lattice.neighbor_table(kernel.offsets)
-        self.innbr = lattice.neighbor_table(-kernel.offsets)
-        self.weights = kernel.weights.astype(np.float64)
-        self.target_dep = model.rates.target_dependent
+        nbr = lattice.neighbor_table(kernel.offsets)
+        # a blocked jump points at site 0 with weight 0, so rates need no mask
+        self.nbr = np.maximum(nbr, 0)
+        self.weights = np.where(nbr >= 0, kernel.weights.astype(np.float64),
+                                0.0)
         self.in_window = np.zeros(lattice.num_sites, dtype=np.bool_)
         if target is not None:
             target.validate_on(lattice)
@@ -64,20 +83,172 @@ class SimContext:
         self._btab = None
 
     def btab(self, cap: int) -> np.ndarray:
-        """b(n, m) table covering occupancies up to cap (cached, grow-only)."""
+        """b(n, m) table covering occupancies up to cap (cached, grow-only);
+        its row n = 0 is zero, since an empty site has nothing to move."""
         hard = self.model.rates.max_site_occupancy
         if hard is not None:
             cap = hard
         if cap > self._btab_cap:
             self._btab = self.model.rates.b_table(cap)
+            self._btab[0] = 0.0
             self._btab_cap = cap
         return self._btab
 
-    def immortal(self, occ: np.ndarray) -> bool:
-        """Whether a start can never enter the target: every jump conserves
-        the particle total, and the window never holds more than the total.
-        Without a target nothing is immortal."""
-        return self.target is not None and int(occ.sum()) <= self.threshold
+    def immortal(self, occ: np.ndarray) -> np.ndarray:
+        """Per row of `occ`, whether the start can never enter the target:
+        every jump conserves the particle total, and the window never holds
+        more than the total.  Without a target nothing is immortal."""
+        if self.target is None:
+            return np.zeros(occ.shape[0], dtype=bool)
+        return occ.sum(axis=1) <= self.threshold
+
+
+class _Draws:
+    """Uniforms of per-row streams, drawn in blocks: row r reads exactly the
+    values that successive `gens[r].random()` calls would return."""
+
+    block = 64
+
+    def __init__(self, gens: Sequence[np.random.Generator]):
+        self.gens = gens
+        self.buf = np.empty((len(gens), self.block))
+        self.pos = np.full(len(gens), self.block)
+
+    def take(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
+        """The next k uniforms of each of `rows` (distinct row numbers),
+        shape (len(rows), k)."""
+        pos = self.pos[rows]
+        short = pos + k > self.block
+        for r, p in zip(rows[short], pos[short]):
+            left = self.block - p
+            self.buf[r, :left] = self.buf[r, p:]
+            self.buf[r, left:] = self.gens[r].random(p)
+            self.pos[r] = 0
+        if short.any():
+            pos = self.pos[rows]
+        self.pos[rows] = pos + k
+        return self.buf[rows[:, None], pos[:, None] + np.arange(k)]
+
+
+def _categorical(rates: np.ndarray, cum: np.ndarray, u: np.ndarray):
+    """Row-wise pick of the first category whose cumulative rate exceeds u
+    (float rounding that leaves u at or past the total falls back to the
+    last positive category); returns the picks and u minus the cumulative
+    rate before each pick, clipped at 0."""
+    n, m = rates.shape
+    k = (cum <= u[:, None]).sum(axis=1)
+    over = k == m
+    if over.any():
+        k[over] = m - 1 - np.argmax(rates[over, ::-1] > 0.0, axis=1)
+    rows = np.arange(n)
+    return k, np.maximum(u - (cum[rows, k] - rates[rows, k]), 0.0)
+
+
+def _draw_jumps(nbr: np.ndarray, rates: np.ndarray, site: np.ndarray,
+                cum: np.ndarray, u: np.ndarray):
+    """Jump of each row, picked with probability proportional to its rate:
+    `u` in [0, total) selects the source site, and what is left of it the
+    offset.  Returns (sources, destinations)."""
+    src, residual = _categorical(site, cum, u)
+    if rates.shape[2] == 1:
+        return src, nbr[src, 0]
+    at = rates[np.arange(src.size), src]
+    off, _ = _categorical(at, np.cumsum(at, axis=1), residual)
+    return src, nbr[src, off]
+
+
+def _jump_rates(occ: np.ndarray, nbr: np.ndarray, w: np.ndarray,
+                btab: np.ndarray) -> np.ndarray:
+    """Rate w(y - x) b(occ_x, occ_y) of every jump of every row of `occ`,
+    shape (rows, sites, offsets), for the tables of `SimContext` (0 where
+    the jump is blocked)."""
+    return w * btab[occ[:, :, None], occ[:, nbr]]
+
+
+def _site_rates(rates: np.ndarray):
+    """Per-site exit rates, their row-wise cumulative sums and totals."""
+    site = rates[:, :, 0] if rates.shape[2] == 1 else rates.sum(axis=2)
+    cum = np.cumsum(site, axis=1)
+    return site, cum, cum[:, -1]
+
+
+def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
+               t_max, status, clock, counts, frozen_rate, n_ev0):
+    """Lockstep engine: advance every row of `occ` (one trajectory per row,
+    all starting at time t0) until its window sum exceeds `threshold`, its
+    next event falls past `t_max`, or its total rate is at or below
+    `frozen_rate`.
+
+    `nbr` and `w` are `SimContext.nbr` and `SimContext.weights`, `btab` the
+    rate table and `draws` the rows' `_Draws` (two uniforms per event: the
+    waiting time, then the jump).  `occ` ends as the final occupancies;
+    `status`, `clock` and `counts` receive, per row, the end status, the end
+    time (the hit time; `t_max` when censored; the freezing time when
+    frozen) and the number of events.  When `log` is a list, each step
+    appends the (rows, times, sources, destinations) of its events.
+
+    Returns (0, clock, n_ev0 + events).  The benchmark's layer tracer
+    (bench/layertrace.py) reads this function by position: `occ`,
+    `threshold`, `t0` and `n_ev0` at 0, 7, 8 and 14, and a result of
+    (status, time, event count) with a scalar status."""
+    cap = btab.shape[0] - 1
+    live = np.arange(occ.shape[0])
+    x = occ.copy()
+    t = np.full(live.size, float(t0))
+    win = x[:, in_window].sum(axis=1)
+    end = np.where(win > threshold, _HIT, 0)
+    while True:
+        done = end > 0
+        if done.any():
+            rows, keep = live[done], ~done
+            occ[rows], status[rows] = x[done], end[done]
+            clock[rows] = np.where(end[done] == _CENSORED, t_max, t[done])
+            live, x, t, win, end = live[keep], x[keep], t[keep], win[keep], \
+                end[keep]
+        if live.size == 0:
+            return 0, clock, n_ev0 + int(counts.sum())
+        rates = _jump_rates(x, nbr, w, btab)
+        site, cum, total = _site_rates(rates)
+        end[total <= frozen_rate] = _FROZEN
+        if end.any():
+            continue
+        u = draws.take(live, 2)
+        t_next = t - np.log1p(-u[:, 0]) / total
+        censored = t_next > t_max
+        if censored.any():
+            end[censored] = _CENSORED
+            move = np.flatnonzero(~censored)
+        else:  # a slice spares copying the rate arrays
+            move = slice(None)
+        t[move] = t_next[move]
+        src, dst = _draw_jumps(nbr, rates[move], site[move], cum[move],
+                               u[move, 1] * total[move])
+        rows = np.arange(live.size)[move]
+        if (x[rows, dst] >= cap).any():
+            # the rate table certifies b rows up to its cap; exceeding it
+            # means the caller sized it below the particle total
+            raise RuntimeError("occupancy exceeded the rate-table cap")
+        x[rows, src] -= 1
+        x[rows, dst] += 1
+        win[rows] += in_window[dst].astype(np.int64) - in_window[src]
+        counts[live[rows]] += 1
+        if log is not None:
+            log.append((live[rows], t[rows], src, dst))
+        end[win > threshold] = _HIT
+
+
+def _engine_events(log: list, counts: np.ndarray) -> list:
+    """Per-row (times, sources, destinations) from an engine log, by a
+    stable sort on the row."""
+    if not log:
+        return [(np.empty(0), np.empty(0, dtype=np.int64),
+                 np.empty(0, dtype=np.int64))] * counts.size
+    rows, times, srcs, dsts = (np.concatenate(part) for part in zip(*log))
+    order = np.argsort(rows, kind="stable")
+    times, srcs, dsts = times[order], srcs[order], dsts[order]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return [(times[a:b], srcs[a:b], dsts[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -122,90 +293,6 @@ class HittingResult:
         return self.status == HIT
 
 
-class _EventBuffers:
-    """Reusable fixed-size event arrays shared across the trajectories of
-    one span."""
-
-    size = 2048
-
-    def __init__(self):
-        self.times = np.empty(self.size)
-        self.sources = np.empty(self.size, dtype=np.int64)
-        self.destinations = np.empty(self.size, dtype=np.int64)
-
-
-def _simulate(ctx: SimContext, occ: np.ndarray, t_max: float,
-              gen: np.random.Generator, record: bool,
-              buffers: _EventBuffers | None = None):
-    """Run one trajectory to the target or to t_max; returns
-    (status, time, times, srcs, dsts), the event arrays None unless recorded.
-
-    An immortal start (see `SimContext.immortal`) is not simulated: it is
-    censored at t_max with no events, `occ` and `gen` untouched, and frozen
-    when its total rate is 0, exactly as the kernel would report it.
-
-    A full buffer resumes the kernel from an empty buffer of the same size
-    whether or not events are recorded, so the resume points (where the
-    kernel recomputes its rate total) depend only on the trajectory."""
-    total = int(occ.sum())
-    btab = ctx.btab(max(total, 1))
-    if ctx.immortal(occ):
-        rate = _refresh_all(occ, ctx.nbr, ctx.weights, btab,
-                            np.empty(occ.size))
-        status = STATUS_FROZEN if rate <= 1e-300 else STATUS_CENSORED
-        if record:
-            return (status, t_max, np.empty(0), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64))
-        return status, t_max, None, None, None
-    buf = buffers or _EventBuffers()
-    chunks = []
-    t = 0.0
-    while True:
-        status, t, n_ev = run_killed(
-            occ, ctx.nbr, ctx.innbr, ctx.weights, btab, ctx.target_dep,
-            ctx.in_window, ctx.threshold, t, t_max, gen, buf.times,
-            buf.sources, buf.destinations, 0)
-        if record:
-            chunk = (buf.times[:n_ev], buf.sources[:n_ev],
-                     buf.destinations[:n_ev])
-            if status == STATUS_BUFFER_FULL:
-                chunk = tuple(arr.copy() for arr in chunk)
-            chunks.append(chunk)
-        if status != STATUS_BUFFER_FULL:
-            break
-    if record:  # concatenate copies, so the last chunk may be a buffer view
-        return (status, t, *(np.concatenate(parts) for parts in zip(*chunks)))
-    return status, t, None, None, None
-
-
-def simulate_killed(initial: Configuration, model: Model,
-                    target: TargetSet | None, t_max: float,
-                    rng: np.random.Generator, reverse: bool = False,
-                    record_trajectory: bool = False) -> HittingResult:
-    """Exact event-driven run of the killed process from one configuration.
-
-    Entering the target stops the run (tau); otherwise the trajectory is
-    censored at t_max.  A configuration with no active rate is reported
-    frozen and censored.  An immortal start (particle total at or below the
-    threshold) is censored at once, with no events.  `reverse` simulates the
-    adjoint kernel p*.
-    """
-    ctx = SimContext(model, target, reverse)
-    occ = initial.occupancy.copy()
-    status, t, ev_t, ev_s, ev_d = _simulate(ctx, occ, t_max, rng,
-                                            record_trajectory)
-    frozen = status == STATUS_FROZEN
-    if status == STATUS_HIT:
-        out_status, tau = HIT, t
-    else:
-        out_status, tau = CENSORED, t_max
-    traj = None
-    if record_trajectory:
-        traj = Trajectory(initial.occupancy.copy(), ev_t, ev_s, ev_d,
-                          tau, out_status, frozen)
-    return HittingResult(tau, out_status, frozen, traj)
-
-
 # ---------------------------------------------------------------------------
 # batches
 # ---------------------------------------------------------------------------
@@ -213,22 +300,24 @@ def simulate_killed(initial: Configuration, model: Model,
 @dataclass
 class WorkCounts:
     """Deterministic counts of the simulation work behind a result:
-    trajectories simulated, immortal starts skipped instead, and horizon
-    escalations of the occupation map."""
+    trajectories simulated, immortal starts skipped instead, horizon
+    escalations of the occupation map, and events simulated."""
 
     trajectories: int = 0
     immortal_skipped: int = 0
     escalations: int = 0
+    events: int = 0
 
     @classmethod
-    def of_starts(cls, immortal: np.ndarray) -> "WorkCounts":
+    def of_starts(cls, immortal: np.ndarray, events: int = 0) -> "WorkCounts":
         skipped = int(np.count_nonzero(immortal))
-        return cls(immortal.size - skipped, skipped)
+        return cls(immortal.size - skipped, skipped, 0, int(events))
 
     def __add__(self, other: "WorkCounts") -> "WorkCounts":
         return WorkCounts(self.trajectories + other.trajectories,
                           self.immortal_skipped + other.immortal_skipped,
-                          self.escalations + other.escalations)
+                          self.escalations + other.escalations,
+                          self.events + other.events)
 
 
 @dataclass
@@ -236,10 +325,12 @@ class BatchResult:
     """Outcome of a batch, one entry per trajectory in index order.
 
     `immortal` marks the starts that can never enter the target (particle
-    total at or below the threshold; never set without a target).  They are
-    not simulated: each is censored at t_max with no events, its row of
-    `finals` is its initial state, not the state at t_max, and it is
-    `frozen` only when its total rate at t = 0 is 0."""
+    total at or below the threshold; never set without a target).  They do
+    not enter the engine: each is censored at t_max with no events, its row
+    of `finals` is its initial state, not the state at t_max, and it is
+    `frozen` only when its total rate at t = 0 is 0.  `events` holds the
+    recorded (times, sources, destinations) per trajectory, `n_events` the
+    event counts whether recorded or not."""
 
     taus: np.ndarray            # hit time, or t_max where censored
     hit: np.ndarray             # bool per trajectory
@@ -249,6 +340,7 @@ class BatchResult:
     initials: np.ndarray | None = None
     events: list | None = None  # (times, srcs, dsts) triples when recorded
     finals: np.ndarray | None = None  # occupancy at the end of each run
+    n_events: np.ndarray | None = None  # events per trajectory
 
     @property
     def n(self) -> int:
@@ -265,6 +357,9 @@ class BatchResult:
         mortal = ~self.immortal
         return float(1.0 - self.hit[mortal].mean()) if mortal.any() else 0.0
 
+    def work(self) -> WorkCounts:
+        return WorkCounts.of_starts(self.immortal, int(self.n_events.sum()))
+
     def trajectory(self, i: int) -> Trajectory:
         if self.events is None or self.initials is None:
             raise ValueError("batch was run without event recording")
@@ -273,43 +368,103 @@ class BatchResult:
         return Trajectory(self.initials[i], ev_t, ev_s, ev_d,
                           float(self.taus[i]), status, bool(self.frozen[i]))
 
+    def extended(self, rows: np.ndarray, longer: "BatchResult"
+                 ) -> "BatchResult":
+        """This batch at the horizon of `longer`, a rerun of its `rows`
+        there.  Every other row must be a hit or an immortal start, whose
+        outcome no horizon changes beyond the censoring time, so the result
+        equals a rerun of the whole batch at that horizon."""
+        out = BatchResult(np.where(self.hit, self.taus, longer.t_max),
+                          self.hit.copy(), self.frozen.copy(), self.immortal,
+                          longer.t_max, self.initials,
+                          None if self.events is None else list(self.events),
+                          self.finals.copy(), self.n_events.copy())
+        for name in ("taus", "hit", "frozen", "finals", "n_events"):
+            getattr(out, name)[rows] = getattr(longer, name)
+        if out.events is not None:
+            for k, i in enumerate(rows):
+                out.events[i] = longer.events[k]
+        return out
+
+
+def _simulate(ctx: SimContext, occ: np.ndarray, gens, t_max: float,
+              record: bool) -> BatchResult:
+    """Run the rows of `occ` (one per stream in `gens`) to the target or to
+    t_max.  Immortal starts (see `SimContext.immortal`) stay out of the
+    engine: censored at t_max with no events, frozen when their total rate
+    at t = 0 is 0."""
+    n = occ.shape[0]
+    btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
+    immortal = ctx.immortal(occ)
+    finals = occ.copy()
+    status = np.full(n, _CENSORED)
+    clock = np.full(n, float(t_max))
+    counts = np.zeros(n, dtype=np.int64)
+    if immortal.any():
+        _, _, total = _site_rates(
+            _jump_rates(occ[immortal], ctx.nbr, ctx.weights, btab))
+        status[immortal] = np.where(total <= _FROZEN_RATE, _FROZEN, _CENSORED)
+    mortal = np.flatnonzero(~immortal)
+    log = [] if record else None
+    if mortal.size:
+        m_occ, m_status = occ[mortal], np.empty(mortal.size, dtype=np.int64)
+        m_clock = np.empty(mortal.size)
+        m_counts = np.zeros(mortal.size, dtype=np.int64)
+        run_killed(m_occ, ctx.nbr, ctx.weights, btab, ctx.in_window,
+                   _Draws([gens[i] for i in mortal]), log, ctx.threshold,
+                   0.0, t_max, m_status, m_clock, m_counts, _FROZEN_RATE, 0)
+        finals[mortal], status[mortal] = m_occ, m_status
+        clock[mortal], counts[mortal] = m_clock, m_counts
+    hit = status == _HIT
+    events = None
+    if record:
+        events = [(np.empty(0), np.empty(0, dtype=np.int64),
+                   np.empty(0, dtype=np.int64))] * n
+        for k, ev in zip(mortal, _engine_events(log, counts[mortal])):
+            events[k] = ev
+    return BatchResult(np.where(hit, clock, t_max), hit, status == _FROZEN,
+                       immortal, t_max, occ, events, finals, counts)
+
+
+def simulate_killed(initial: Configuration, model: Model,
+                    target: TargetSet | None, t_max: float,
+                    rng: np.random.Generator, reverse: bool = False,
+                    record_trajectory: bool = False) -> HittingResult:
+    """Exact event-driven run of the killed process from one configuration.
+
+    Entering the target stops the run (tau); otherwise the trajectory is
+    censored at t_max.  A configuration with no active rate is reported
+    frozen and censored.  An immortal start (particle total at or below the
+    threshold) is censored at once, with no events.  `reverse` simulates the
+    adjoint kernel p*.  `rng` is read in blocks, so its state afterwards is
+    not the state after the draws the run used.
+    """
+    ctx = SimContext(model, target, reverse)
+    occ = np.asarray(initial.occupancy, dtype=np.int64)[None, :].copy()
+    batch = _simulate(ctx, occ, [rng], t_max, record_trajectory)
+    status = HIT if batch.hit[0] else CENSORED
+    frozen = bool(batch.frozen[0])
+    traj = batch.trajectory(0) if record_trajectory else None
+    return HittingResult(float(batch.taus[0]), status, frozen, traj)
+
 
 _FORK_CTX = None  # payload inherited by forked workers
 
 
-def _run_span(payload, lo, hi):
-    (model, target, reverse, provider, initials, t_max, seed, base,
-     record) = payload
+def _run_span(payload, lo, hi) -> BatchResult:
+    (model, target, reverse, provider, initials, t_max, seed, base, record,
+     indices) = payload
     ctx = SimContext(model, target, reverse)
-    n = hi - lo
-    taus = np.empty(n)
-    hit = np.empty(n, dtype=bool)
-    frozen = np.empty(n, dtype=bool)
-    immortal = np.empty(n, dtype=bool)
-    init_out = final_out = None
-    events = [] if record else None
-    buffers = _EventBuffers()
-    for k in range(n):
-        i = lo + k
-        gen = rngmod.stream(seed, rngmod.TRAJECTORY, base + i)
-        if initials is not None:
-            occ = initials[i].copy()
-        else:
-            occ = np.asarray(provider(gen), dtype=np.int64).copy()
-        if init_out is None:
-            init_out = np.empty((n, occ.size), dtype=np.int64)
-            final_out = np.empty((n, occ.size), dtype=np.int64)
-        init_out[k] = occ
-        immortal[k] = ctx.immortal(occ)
-        status, t, ev_t, ev_s, ev_d = _simulate(ctx, occ, t_max, gen, record,
-                                                buffers)
-        final_out[k] = occ
-        hit[k] = status == STATUS_HIT
-        frozen[k] = status == STATUS_FROZEN
-        taus[k] = t if hit[k] else t_max
-        if record:
-            events.append((ev_t, ev_s, ev_d))
-    return taus, hit, frozen, immortal, init_out, events, final_out
+    idx = indices[lo:hi]
+    gens = [rngmod.stream(seed, rngmod.TRAJECTORY, base + int(i))
+            for i in idx]
+    if initials is not None:
+        occ = np.array(initials[idx], dtype=np.int64)
+    else:
+        occ = np.empty((idx.size, model.lattice.num_sites), dtype=np.int64)
+        for k, gen in enumerate(gens):
+            occ[k] = provider(gen)
+    return _simulate(ctx, occ, gens, t_max, record)
 
 
 def _span_worker(span):
@@ -321,13 +476,19 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
               provider: Callable[[np.random.Generator], np.ndarray] | None = None,
               initials: np.ndarray | None = None, reverse: bool = False,
               record_events: bool = False, workers: int = 1,
-              base_index: int = 0) -> BatchResult:
-    """Simulate n_traj independent killed trajectories.
+              base_index: int = 0,
+              indices: np.ndarray | None = None) -> BatchResult:
+    """Simulate n_traj independent killed trajectories on the lockstep
+    engine.
 
-    Initial states come either from `provider(gen)` (drawn on the trajectory's
-    own stream) or from a precomputed `initials` matrix.  Results depend only
-    on (seed, base_index), never on `workers`.  Immortal starts are classified
-    at t = 0 and not simulated (see `BatchResult`).
+    Trajectory i draws from stream base_index + i; its initial state comes
+    either from `provider(gen)` on that stream or from `initials[i]`.
+    `indices` (n_traj distinct trajectory numbers, default 0..n_traj-1)
+    picks which ones run, in that order.  A trajectory's outcome depends
+    only on its stream, its start and t_max, never on the other rows, on
+    `workers` or on the split, so a subset rerun at a longer horizon can be
+    spliced back by index (`BatchResult.extended`).  Immortal starts are
+    classified at t = 0 and not simulated (see `BatchResult`).
 
     With `workers` > 1 the spans run in processes started by the "fork"
     method, which inherit the payload (a provider may be a closure that
@@ -336,8 +497,12 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     """
     if (provider is None) == (initials is None):
         raise ValueError("exactly one of provider/initials must be given")
+    indices = np.arange(n_traj) if indices is None else \
+        np.asarray(indices, dtype=np.int64)
+    if indices.shape != (n_traj,):
+        raise ValueError("indices must hold n_traj trajectory numbers")
     payload = (model, target, reverse, provider, initials, t_max, seed,
-               base_index, record_events)
+               base_index, record_events, indices)
     if workers <= 1 or n_traj < 2 * workers:
         parts = [_run_span(payload, 0, n_traj)]
     else:
@@ -351,17 +516,16 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
                 parts = pool.map(_span_worker, spans)
         finally:
             _FORK_CTX = None
-    taus = np.concatenate([p[0] for p in parts])
-    hit = np.concatenate([p[1] for p in parts])
-    frozen = np.concatenate([p[2] for p in parts])
-    immortal = np.concatenate([p[3] for p in parts])
-    initials_out = np.vstack([p[4] for p in parts])
+
+    def joined(name):
+        return np.concatenate([getattr(p, name) for p in parts])
+
     events = None
     if record_events:
-        events = [ev for p in parts for ev in p[5]]
-    finals = np.vstack([p[6] for p in parts])
-    return BatchResult(taus, hit, frozen, immortal, t_max, initials_out,
-                       events, finals)
+        events = [ev for p in parts for ev in p.events]
+    return BatchResult(joined("taus"), joined("hit"), joined("frozen"),
+                       joined("immortal"), t_max, joined("initials"), events,
+                       joined("finals"), joined("n_events"))
 
 
 def measure_provider(measure: ProductMeasure, lattice: Lattice):
@@ -406,6 +570,7 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
         taus=batch.taus,
         hit=batch.hit,
         immortal=batch.immortal,
+        events=int(batch.n_events.sum()),
     )
 
 
@@ -620,6 +785,7 @@ class SecondClassReport:
     epsilon_bound: float        # paper's non-hitting probability 1 - h
     order_violations: int       # trajectories with tau_zeta > tau_eta
     n_traj: int
+    events: int = 0             # events simulated
 
     def bound_ok(self, n_sigma: float = 3.0) -> bool:
         ceiling = self.walk_hit_probability * self.survival_eta \
@@ -634,8 +800,10 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     the survival gap; the tagged particle rides its own kernel path with the
     attractiveness increment as clock, so it never perturbs the eta system.
 
-    The gap is compared against (walk hitting probability) * P(tau_eta > t),
-    with the walk solved exactly on the same lattice graph."""
+    All couplings advance in lockstep, one event per step; trajectory i
+    draws from stream (seed, TRAJECTORY, i).  The gap is compared against
+    (walk hitting probability) * P(tau_eta > t), with the walk solved
+    exactly on the same lattice graph."""
     if site in target.sites:
         raise ValueError("tagged start site must lie outside the window")
     if target.contains(eta0.occupancy):
@@ -647,80 +815,78 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1])
     btab = ctx.btab(int(eta0.occupancy.sum()) + 1)
-    lam_mask = ctx.in_window
+    lam = ctx.in_window.astype(np.int64)
     k_thr = int(target.threshold)
-    n_off = ctx.weights.size
+    draws = _Draws([rngmod.stream(seed, rngmod.TRAJECTORY, i)
+                    for i in range(n_traj)])
+    occ = np.tile(np.asarray(eta0.occupancy, dtype=np.int64), (n_traj, 1))
+    ws = occ @ lam                      # window sum of eta
+    X = np.full(n_traj, site)           # the tagged particle
+    t = np.zeros(n_traj)
     tau_eta = np.full(n_traj, np.inf)
-    tau_zeta = np.full(n_traj, np.inf)
-    violations = 0
-    for trj in range(n_traj):
-        gen = rngmod.stream(seed, rngmod.TRAJECTORY, trj)
-        occ = eta0.occupancy.copy()
-        ws = int(occ[target.sites].sum())
-        X = site
-        te = tz = np.inf
-        t = 0.0
-        if ws + (1 if lam_mask[X] else 0) > k_thr:
-            tz = 0.0
-        while t < horizon and not (te < np.inf):
-            site_rates = np.array([
-                _py_site_rate(occ, ctx.nbr, ctx.weights, btab, s)
-                for s in range(occ.size)])
-            eta_total = site_rates.sum()
-            # tagged-particle clock: the attractiveness increment per target
-            # (backward displacement by jumps into the tagged site is an
-            # excess sub-event of the ordinary jumps, handled below)
-            tag_rates = np.zeros(n_off)
-            if not (tz < np.inf):
-                nX = occ[X]
-                for o in range(n_off):
-                    y = ctx.nbr[X, o]
-                    if y >= 0:
-                        tag_rates[o] = ctx.weights[o] * (
-                            btab[nX + 1, occ[y]] - btab[nX, occ[y]])
-            total = eta_total + tag_rates.sum()
-            if total <= 0:
-                break
-            t += -math.log1p(-gen.random()) / total
-            if t >= horizon:
-                break
-            u = gen.random() * total
-            if u < eta_total:
-                # ordinary eta jump (shared by both systems)
-                i = _pick(site_rates, u)
-                res = max(0.0, u - site_rates[:i].sum())
-                rates_o = np.array([
-                    ctx.weights[o] * btab[occ[i], occ[ctx.nbr[i, o]]]
-                    if ctx.nbr[i, o] >= 0 else 0.0 for o in range(n_off)])
-                o = _pick(rates_o, res)
-                j = int(ctx.nbr[i, o])
-                occ[i] -= 1
-                occ[j] += 1
-                if lam_mask[i]:
-                    ws -= 1
-                if lam_mask[j]:
-                    ws += 1
-                if not (tz < np.inf) and ctx.target_dep and j == X:
-                    # excess part of jumps into the tagged site relocates the
-                    # discrepancy: zeta keeps its particle, eta catches up
-                    full = btab[occ[i] + 1, occ[X] - 1]
-                    excess = full - btab[occ[i] + 1, occ[X]]
-                    if excess > 0 and gen.random() * full < excess:
-                        X = i
-            else:
-                u -= eta_total
-                pick = _pick(tag_rates, u)
-                X = int(ctx.nbr[X, pick])  # tagged particle jumps
-            if ws > k_thr:
-                te = t
-                if not (tz < np.inf):
-                    tz = t
-            elif not (tz < np.inf) and ws + (1 if lam_mask[X] else 0) > k_thr:
-                tz = t
-        tau_eta[trj] = te
-        tau_zeta[trj] = tz
-        if tz > te:
-            violations += 1
+    tau_zeta = np.where(ws + lam[X] > k_thr, 0.0, np.inf)
+    events = 0
+    live = np.arange(n_traj)
+    while live.size:
+        x = occ[live]
+        rates = _jump_rates(x, ctx.nbr, ctx.weights, btab)
+        site_r, cum, eta_total = _site_rates(rates)
+        # tagged-particle clock: the attractiveness increment per target
+        # (backward displacement by jumps into the tagged site is an excess
+        # sub-event of the ordinary jumps, handled below)
+        tag = np.zeros((live.size, ctx.nbr.shape[1]))
+        free = np.flatnonzero(tau_zeta[live] == np.inf)
+        if free.size:
+            Xf = X[live[free]]
+            nX = x[free, Xf][:, None]
+            ny = x[free[:, None], ctx.nbr[Xf]]
+            tag[free] = ctx.weights[Xf] * (btab[nX + 1, ny] - btab[nX, ny])
+        total = eta_total + tag.sum(axis=1)
+        u = draws.take(live, 2)
+        with np.errstate(divide="ignore"):
+            t_next = t[live] - np.log1p(-u[:, 0]) / total
+        go = np.flatnonzero((total > 0) & (t_next < horizon))
+        live, t_next, u, total = live[go], t_next[go], u[go], total[go]
+        rates, site_r, cum, eta_total, tag = (
+            rates[go], site_r[go], cum[go], eta_total[go], tag[go])
+        t[live] = t_next
+        events += live.size
+        pick = u[:, 1] * total
+        eta = pick < eta_total
+        if eta.any():
+            # ordinary eta jump (shared by both systems)
+            rows = live[eta]
+            src, dst = _draw_jumps(ctx.nbr, rates[eta], site_r[eta], cum[eta],
+                                   pick[eta])
+            occ[rows, src] -= 1
+            occ[rows, dst] += 1
+            ws[rows] += lam[dst] - lam[src]
+            into = (tau_zeta[rows] == np.inf) & (dst == X[rows])
+            if model.rates.target_dependent and into.any():
+                # excess part of jumps into the tagged site relocates the
+                # discrepancy: zeta keeps its particle, eta catches up
+                r, s = rows[into], src[into]
+                n_src, n_X = occ[r, s] + 1, occ[r, X[r]]
+                full = btab[n_src, n_X - 1]
+                excess = full - btab[n_src, n_X]
+                pos = excess > 0
+                r, s, full, excess = r[pos], s[pos], full[pos], excess[pos]
+                moved = draws.take(r)[:, 0] * full < excess
+                X[r[moved]] = s[moved]
+        if not eta.all():
+            tagged = ~eta
+            rows = live[tagged]
+            residual = pick[tagged] - eta_total[tagged]
+            off, _ = _categorical(tag[tagged], np.cumsum(tag[tagged], axis=1),
+                                  residual)
+            X[rows] = ctx.nbr[X[rows], off]  # tagged particle jumps
+        entered = ws[live] > k_thr
+        zeta_free = tau_zeta[live] == np.inf
+        tau_eta[live[entered]] = t[live[entered]]
+        zeta_hit = zeta_free & (entered | (ws[live] + lam[X[live]] > k_thr))
+        tau_zeta[live[zeta_hit]] = t[live[zeta_hit]]
+        live = live[~entered]
+    violations = int(np.count_nonzero(tau_zeta > tau_eta))
     surv_eta = (tau_eta[None, :] > t_grid[:, None]).mean(axis=1)
     surv_zeta = (tau_zeta[None, :] > t_grid[:, None]).mean(axis=1)
     gap = surv_eta - surv_zeta
@@ -732,29 +898,7 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     return SecondClassReport(
         t_grid=t_grid, gap=gap, gap_stderr=gap_se, survival_eta=surv_eta,
         walk_hit_probability=h, epsilon_bound=1.0 - h,
-        order_violations=violations, n_traj=n_traj)
-
-
-def _py_site_rate(occ, nbr, w, btab, s) -> float:
-    n = occ[s]
-    if n == 0:
-        return 0.0
-    r = 0.0
-    for o in range(nbr.shape[1]):
-        j = nbr[s, o]
-        if j >= 0:
-            r += w[o] * btab[n, occ[j]]
-    return float(r)
-
-
-def _pick(rates: np.ndarray, u: float) -> int:
-    """Category of u under the cumulative rates; float-edge overshoot falls
-    back to the last positive-rate category."""
-    cums = np.cumsum(rates)
-    i = int(np.searchsorted(cums, u, side="right"))
-    if i >= rates.size or rates[i] <= 0.0:
-        i = int(np.flatnonzero(rates > 0)[-1])
-    return i
+        order_violations=violations, n_traj=n_traj, events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +913,7 @@ class SigmaExitReport:
     lower_bound: float
     deltas: np.ndarray
     n_traj: int
+    events: int = 0             # events simulated
 
     def passed(self, n_sigma: float = 3.0) -> bool:
         return self.estimate >= self.lower_bound - n_sigma * self.stderr
@@ -783,50 +928,47 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     delta_i = min(1, (Delta kappa)^{d_i} / d_i!) and d_i the kernel-graph
     distance to the window divided by the range, floored.  When a particle
     fires, the mover is uniform among the particles on the site, which keeps
-    every per-particle clock below the Lipschitz rate."""
+    every per-particle clock below the Lipschitz rate.  All trajectories
+    advance in lockstep; trajectory i draws its start and then its events
+    from stream (seed, TRAJECTORY, i)."""
     lattice = model.lattice
     ctx = SimContext(model, None)
     lam_sites = target.sites
     lam_mask = np.zeros(lattice.num_sites, dtype=bool)
     lam_mask[lam_sites] = True
-    survived = np.zeros(n_traj, dtype=bool)
-    for trj in range(n_traj):
-        gen = rngmod.stream(seed, rngmod.TRAJECTORY, trj)
-        occ = measure.sample_occupancies(lattice, gen, 1)[0]
-        btab = ctx.btab(max(int(occ.sum()), 1))
-        tagged = occ.copy()
-        tagged[lam_sites] = 0
-        t = 0.0
-        alive = True
-        while True:
-            site_rates = np.array([
-                _py_site_rate(occ, ctx.nbr, ctx.weights, btab, s)
-                for s in range(occ.size)])
-            total = site_rates.sum()
-            if total <= 0:
-                break
-            t += -math.log1p(-gen.random()) / total
-            if t > kappa:
-                break
-            u = gen.random() * total
-            i = _pick(site_rates, u)
-            res = max(0.0, u - site_rates[:i].sum())
-            rates_o = np.array([
-                ctx.weights[o] * btab[occ[i], occ[ctx.nbr[i, o]]]
-                if ctx.nbr[i, o] >= 0 else 0.0
-                for o in range(ctx.weights.size)])
-            o = _pick(rates_o, res)
-            j = int(ctx.nbr[i, o])
-            mover_tagged = gen.random() * occ[i] < tagged[i]
-            occ[i] -= 1
-            occ[j] += 1
-            if mover_tagged:
-                tagged[i] -= 1
-                if lam_mask[j]:
-                    alive = False
-                    break
-                tagged[j] += 1
-        survived[trj] = alive
+    gens = [rngmod.stream(seed, rngmod.TRAJECTORY, i) for i in range(n_traj)]
+    occ = np.empty((n_traj, lattice.num_sites), dtype=np.int64)
+    for i, gen in enumerate(gens):
+        occ[i] = measure.sample_occupancies(lattice, gen, 1)[0]
+    btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
+    tagged = occ.copy()
+    tagged[:, lam_sites] = 0
+    draws = _Draws(gens)
+    survived = np.ones(n_traj, dtype=bool)
+    t = np.zeros(n_traj)
+    events = 0
+    live = np.arange(n_traj)
+    while live.size:
+        rates = _jump_rates(occ[live], ctx.nbr, ctx.weights, btab)
+        site_r, cum, total = _site_rates(rates)
+        u = draws.take(live, 3)
+        with np.errstate(divide="ignore"):
+            t_next = t[live] - np.log1p(-u[:, 0]) / total
+        go = np.flatnonzero((total > 0) & (t_next <= kappa))
+        rows, t_next, u, total = live[go], t_next[go], u[go], total[go]
+        t[rows] = t_next
+        events += rows.size
+        src, dst = _draw_jumps(ctx.nbr, rates[go], site_r[go], cum[go],
+                               u[:, 1] * total)
+        mover_tagged = u[:, 2] * occ[rows, src] < tagged[rows, src]
+        occ[rows, src] -= 1
+        occ[rows, dst] += 1
+        tagged[rows[mover_tagged], src[mover_tagged]] -= 1
+        entered = mover_tagged & lam_mask[dst]
+        stays = mover_tagged & ~entered
+        tagged[rows[stays], dst[stays]] += 1
+        survived[rows[entered]] = False
+        live = rows[~entered]
     p = float(survived.mean())
     se = float(np.sqrt(max(p * (1 - p), 1e-300) / n_traj))
     dist = lattice.graph_distance(list(lam_sites), model.kernel.offsets)
@@ -847,7 +989,7 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     else:
         bound = float(np.exp(measure.rho
                              * np.log1p(-deltas[outside]).sum()))
-    return SigmaExitReport(kappa, p, se, bound, deltas, n_traj)
+    return SigmaExitReport(kappa, p, se, bound, deltas, n_traj, events)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ class SurvivalCurve:
     hit: np.ndarray | None = None
     immortal: np.ndarray | None = None
     log_estimate: np.ndarray | None = None
+    events: int = 0  # events simulated
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)

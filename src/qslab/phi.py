@@ -84,36 +84,39 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, provider,
                       n_traj: int, t_max: float, seed: int, base_index: int,
                       workers: int, max_escalations: int
                       ) -> tuple[BatchResult, WorkCounts]:
-    """Run the batch, doubling the horizon (and re-running on the same
-    streams, which extends the censored trajectories consistently) while more
-    than the documented limit of the mortal starts is censored; returns the
-    last batch and the work of every batch run.
+    """Run the batch, doubling the horizon while more than the documented
+    limit of the mortal starts is censored; returns the last batch and the
+    work of every run.
 
-    Immortal starts stay censored at every horizon, so they take no part in
-    the decision; with no mortal start there is nothing to wait for.  A
-    mortal start may still be unable to reach the window (a blocked box
-    whose drift points away from it), so escalation also stops once the
-    mortal censored fraction no longer improves."""
+    A trajectory owns its stream, so a hit keeps its hit time at any longer
+    horizon: each doubling reruns only the censored mortal starts, on their
+    own stream indices, and splices them back by index, which gives the
+    batch a rerun of every start would.  Immortal starts stay censored at
+    every horizon, so they take no part in the decision; with no mortal
+    start there is nothing to wait for.  A mortal start may still be unable
+    to reach the window (a blocked box whose drift points away from it), so
+    escalation also stops once the mortal censored fraction no longer
+    improves."""
     horizon = t_max
     batch = run_batch(model, target, n_traj, horizon, seed,
                       provider=provider, initials=initials,
                       record_events=True, workers=workers,
                       base_index=base_index)
-    work = WorkCounts.of_starts(batch.immortal)
+    work = batch.work()
     for _ in range(max_escalations):
         if batch.mortal_censored_fraction <= CENSOR_FRACTION_LIMIT:
             break
         horizon *= ESCALATION_FACTOR
-        longer = run_batch(model, target, n_traj, horizon, seed,
+        rerun = np.flatnonzero(~batch.hit & ~batch.immortal)
+        longer = run_batch(model, target, rerun.size, horizon, seed,
                            provider=provider, initials=initials,
                            record_events=True, workers=workers,
-                           base_index=base_index)
-        work += WorkCounts.of_starts(longer.immortal) + WorkCounts(
-            escalations=1)
-        improved = (batch.mortal_censored_fraction
-                    - longer.mortal_censored_fraction)
-        batch = longer
-        if improved < 0.1 * batch.mortal_censored_fraction:
+                           base_index=base_index, indices=rerun)
+        work += longer.work() + WorkCounts(escalations=1)
+        before = batch.mortal_censored_fraction
+        batch = batch.extended(rerun, longer)
+        if before - batch.mortal_censored_fraction \
+                < 0.1 * batch.mortal_censored_fraction:
             break
     return batch, work
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from qslab import rng as rngmod
 from qslab.measures import ProductMeasure
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet)
@@ -120,6 +121,20 @@ def ratio_site_means(batch, n_sites, weight_fn=None):
     resid = num - den[:, None] * est
     se = np.sqrt((resid**2).sum(axis=0)) / den.sum()
     return est, se
+
+
+def assert_same_batch(a, b):
+    """Two `BatchResult`s agree bit for bit, events included."""
+    for name in ("taus", "hit", "frozen", "immortal", "initials", "finals",
+                 "n_events"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.t_max == b.t_max
+    assert (a.events is None) == (b.events is None)
+    if a.events is not None:
+        assert len(a.events) == len(b.events)
+        for x, y in zip(a.events, b.events):
+            for u, v in zip(x, y):
+                assert np.array_equal(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +255,199 @@ def absorbing_core_bfs(kg):
                 reaches_dead[y] = True
                 frontier.append(int(y))
     return can_kill & ~reaches_dead
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the event engine and the couplings: one
+# trajectory at a time, one scalar draw at a time, every rate recomputed by
+# loops after each event; kept as independent oracles for the lockstep
+# versions in `dynamics`
+# ---------------------------------------------------------------------------
+
+def _jump_rates_loop(occ, nbr, weights, b, s):
+    """Rates of the jumps out of site s, one per offset (0 if blocked)."""
+    return [weights[o] * b(int(occ[s]), int(occ[nbr[s, o]]))
+            if occ[s] > 0 and nbr[s, o] >= 0 else 0.0
+            for o in range(nbr.shape[1])]
+
+
+def _site_rates_loop(occ, nbr, weights, b):
+    rates = []
+    for s in range(occ.size):
+        acc = 0.0
+        for r in _jump_rates_loop(occ, nbr, weights, b, s):
+            acc += r
+        rates.append(acc)
+    return rates
+
+
+def _total_loop(rates):
+    acc = 0.0
+    for r in rates:
+        acc += r
+    return acc
+
+
+def _pick_loop(rates, u):
+    """First category whose cumulative rate exceeds u, scanning in order;
+    float-edge overshoot falls back to the last positive-rate category.
+    Returns the pick and u minus the cumulative rate before it."""
+    acc, pick = 0.0, -1
+    for k, r in enumerate(rates):
+        if r > 0.0:
+            acc += r
+            pick = k
+            if u < acc:
+                break
+    return pick, max(u - (acc - rates[pick]), 0.0)
+
+
+def _jump_loop(occ, nbr, weights, b, site_rates, u):
+    """Source and destination picked by u in [0, total)."""
+    src, residual = _pick_loop(site_rates, u)
+    off, _ = _pick_loop(_jump_rates_loop(occ, nbr, weights, b, src),
+                        residual)
+    return src, int(nbr[src, off])
+
+
+def killed_loop(model, target, n_traj, t_max, seed, *, provider=None,
+                initials=None, base_index=0):
+    """Reference for `dynamics.run_batch` with recorded events: trajectory i
+    on stream (seed, TRAJECTORY, base_index + i) takes its start from
+    `provider` (or `initials[i]`), then per event one uniform for the
+    waiting time and one for the jump.  A start whose particle total is at
+    or below the threshold is immortal: censored at t_max with no events.
+    Returns (taus, hit, frozen, finals, events) with events a list of
+    (times, sources, destinations)."""
+    nbr = model.lattice.neighbor_table(model.kernel.offsets)
+    weights, b = model.kernel.weights, model.rates.b
+    thr = None if target is None else target.threshold
+    taus, hit, frozen, finals, events = [], [], [], [], []
+    for i in range(n_traj):
+        gen = rngmod.stream(seed, rngmod.TRAJECTORY, base_index + i)
+        occ = np.array(provider(gen) if initials is None else initials[i],
+                       dtype=np.int64)
+        t, ev, status = 0.0, [], None
+        while status is None:
+            site_rates = _site_rates_loop(occ, nbr, weights, b)
+            total = _total_loop(site_rates)
+            if thr is not None and occ.sum() <= thr:
+                status = "frozen" if total <= 1e-300 else "censored"
+            elif thr is not None and occ[target.sites].sum() > thr:
+                status = "hit"
+            elif total <= 1e-300:
+                status = "frozen"
+            else:
+                t_next = t - np.log1p(-gen.random()) / total
+                if t_next > t_max:
+                    status = "censored"
+                    break
+                t = t_next
+                src, dst = _jump_loop(occ, nbr, weights, b, site_rates,
+                                      gen.random() * total)
+                occ[src] -= 1
+                occ[dst] += 1
+                ev.append((t, src, dst))
+        taus.append(t if status == "hit" else t_max)
+        hit.append(status == "hit")
+        frozen.append(status == "frozen")
+        finals.append(occ)
+        events.append((np.array([e[0] for e in ev], dtype=np.float64),
+                       np.array([e[1] for e in ev], dtype=np.int64),
+                       np.array([e[2] for e in ev], dtype=np.int64)))
+    return (np.array(taus), np.array(hit), np.array(frozen),
+            np.array(finals).reshape(n_traj, -1), events)
+
+
+def second_class_loop(model, target, eta0, site, horizon, n_traj, seed):
+    """Reference for `dynamics.second_class_escape`: one coupling at a time
+    on stream (seed, TRAJECTORY, i).  Returns the hitting times (tau_eta,
+    tau_zeta)."""
+    nbr = model.lattice.neighbor_table(model.kernel.offsets)
+    weights, b = model.kernel.weights, model.rates.b
+    lam = np.zeros(model.lattice.num_sites, dtype=bool)
+    lam[target.sites] = True
+    k_thr = target.threshold
+    tau_eta, tau_zeta = np.full(n_traj, np.inf), np.full(n_traj, np.inf)
+    for trj in range(n_traj):
+        gen = rngmod.stream(seed, rngmod.TRAJECTORY, trj)
+        occ = np.array(eta0, dtype=np.int64)
+        ws, X, t, te, tz = int(occ[lam].sum()), site, 0.0, np.inf, np.inf
+        if ws + lam[X] > k_thr:
+            tz = 0.0
+        while t < horizon and te == np.inf:
+            site_rates = _site_rates_loop(occ, nbr, weights, b)
+            tag = [0.0] * nbr.shape[1]
+            if tz == np.inf:
+                for o in range(nbr.shape[1]):
+                    y = nbr[X, o]
+                    if y >= 0:
+                        tag[o] = weights[o] * (b(int(occ[X]) + 1, int(occ[y]))
+                                               - b(int(occ[X]), int(occ[y])))
+            eta_total = _total_loop(site_rates)
+            total = eta_total + _total_loop(tag)
+            if total <= 0:
+                break
+            t -= np.log1p(-gen.random()) / total
+            if t >= horizon:
+                break
+            u = gen.random() * total
+            if u < eta_total:
+                i, j = _jump_loop(occ, nbr, weights, b, site_rates, u)
+                occ[i] -= 1
+                occ[j] += 1
+                ws += int(lam[j]) - int(lam[i])
+                if tz == np.inf and model.rates.target_dependent and j == X:
+                    full = b(int(occ[i]) + 1, int(occ[X]) - 1)
+                    excess = full - b(int(occ[i]) + 1, int(occ[X]))
+                    if excess > 0 and gen.random() * full < excess:
+                        X = i
+            else:
+                o, _ = _pick_loop(tag, u - eta_total)
+                X = int(nbr[X, o])
+            if ws > k_thr:
+                te = t
+                if tz == np.inf:
+                    tz = t
+            elif tz == np.inf and ws + lam[X] > k_thr:
+                tz = t
+        tau_eta[trj], tau_zeta[trj] = te, tz
+    return tau_eta, tau_zeta
+
+
+def sigma_exit_loop(model, target, measure, kappa, n_traj, seed):
+    """Reference for the Monte Carlo part of `dynamics.sigma_exit`: one
+    trajectory at a time; returns whether each kept every particle that
+    started outside the window out of it up to kappa."""
+    lattice = model.lattice
+    nbr = lattice.neighbor_table(model.kernel.offsets)
+    weights, b = model.kernel.weights, model.rates.b
+    lam = np.zeros(lattice.num_sites, dtype=bool)
+    lam[target.sites] = True
+    survived = np.ones(n_traj, dtype=bool)
+    for trj in range(n_traj):
+        gen = rngmod.stream(seed, rngmod.TRAJECTORY, trj)
+        occ = np.array(measure.sample_occupancies(lattice, gen, 1)[0],
+                       dtype=np.int64)
+        tagged = np.where(lam, 0, occ)
+        t = 0.0
+        while True:
+            site_rates = _site_rates_loop(occ, nbr, weights, b)
+            total = _total_loop(site_rates)
+            if total <= 0:
+                break
+            t -= np.log1p(-gen.random()) / total
+            if t > kappa:
+                break
+            i, j = _jump_loop(occ, nbr, weights, b, site_rates,
+                              gen.random() * total)
+            mover_tagged = gen.random() * occ[i] < tagged[i]
+            occ[i] -= 1
+            occ[j] += 1
+            if mover_tagged:
+                tagged[i] -= 1
+                if lam[j]:
+                    survived[trj] = False
+                    break
+                tagged[j] += 1
+    return survived

@@ -56,6 +56,7 @@ def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
     counters = [m["telemetry"]["counters"] for m in manifests]
     assert counters[0] == counters[1]
     assert counters[0]["trajectories"] > 0
+    assert counters[0]["events"] > 0
     # the toy's base law puts over half its mass on immortal starts
     assert counters[0]["immortal_skipped"] > 0
     capsys.readouterr()

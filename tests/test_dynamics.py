@@ -18,6 +18,9 @@ from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet, jump_rate)
 from qslab.spectral import tasep_line_survival
 
+from conftest import (assert_same_batch, killed_loop, second_class_loop,
+                      sigma_exit_loop)
+
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
 
@@ -122,9 +125,8 @@ class TestBatches:
         assert (one.hit == two.hit).all()
 
     def test_recorded_long_trajectories_worker_invariant(self):
-        """Trajectories longer than the event buffer resume where their own
-        event count says, not where earlier trajectories of the span left
-        the buffer, so recorded batches do not depend on the worker count."""
+        """Recorded trajectories of thousands of events (many blocks of
+        draws each) do not depend on the worker count."""
         lattice = Lattice((6,), "torus")
         model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
                                           np.array([0.7, 0.3])), G_LINEAR)
@@ -150,15 +152,16 @@ class TestBatches:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts calls of the event kernel made through `dynamics`."""
+    """Records each call of the lockstep engine made through `dynamics`:
+    its start time and a copy of the starts of the rows it is given."""
     calls = []
     real = dynamics.run_killed
 
-    def counting(*args):
-        calls.append(args[8])  # the start time of the call
-        return real(*args)
+    def recording(occ, *args):
+        calls.append((args[7], occ.copy()))  # args[7] is t0
+        return real(occ, *args)
 
-    monkeypatch.setattr(dynamics, "run_killed", counting)
+    monkeypatch.setattr(dynamics, "run_killed", recording)
     return calls
 
 
@@ -187,15 +190,17 @@ class TestImmortalStarts:
         assert not batch.hit[:3].any() and (batch.taus[:3] == 5.0).all()
         assert all(batch.events[i][0].size == 0 for i in range(3))
         assert np.array_equal(batch.finals[:3], initials[:3])
-        # only the two mortal starts reach the kernel, each from t = 0
-        assert kernel_calls.count(0.0) == 2
+        # only the two mortal starts reach the engine, both from t = 0
+        assert [t0 for t0, _ in kernel_calls] == [0.0]
+        assert np.array_equal(kernel_calls[0][1], initials[3:])
 
     def test_unkilled_runs_never_skip(self, toy, kernel_calls):
         model, _, _ = toy
         initials = np.array([[0, 1, 0], [0, 0, 0]])
         batch = run_batch(model, None, 2, 5.0, seed=83, initials=initials)
         assert not batch.immortal.any()
-        assert kernel_calls == [0.0, 0.0]
+        assert [t0 for t0, _ in kernel_calls] == [0.0]
+        assert np.array_equal(kernel_calls[0][1], initials)
         assert batch.frozen.tolist() == [False, True]
 
     def test_recorded_batch_matches_golden(self, toy):
@@ -229,6 +234,139 @@ class TestImmortalStarts:
         p = total_law[:target.threshold + 1].sum()
         assert abs(batch.immortal.mean() - p) <= 4 * math.sqrt(
             p * (1 - p) / n)
+
+
+@pytest.fixture(scope="module")
+def misanthrope_ring():
+    """b(n, m) = n / (1 + m) depends on the destination; three offsets."""
+    lattice = Lattice((4,), "torus")
+    rates = RateFunction.misanthrope(lambda n, m: n / (1.0 + m),
+                                     lambda k: float(k))
+    model = Model(lattice, JumpKernel(np.array([[1], [-1], [2]]),
+                                      np.array([0.5, 0.3, 0.2])), rates)
+    return model, TargetSet(np.array([0]), 2), \
+        ProductMeasure.at_density(0.5, G_LINEAR)
+
+
+class TestEngineOracle:
+    """The lockstep engine against the one-trajectory scalar loop of
+    conftest.py: same streams, same draws, same float operations."""
+
+    @pytest.mark.parametrize("setup,n,t_max", [
+        ("tasep_line", 300, 6.0), ("toy", 400, 20.0),
+        ("misanthrope_ring", 200, 10.0)])
+    def test_events_bit_identical_to_scalar_loop(self, request, setup, n,
+                                                 t_max):
+        model, target, measure = request.getfixturevalue(setup)
+        prov = measure_provider(measure, model.lattice)
+        batch = run_batch(model, target, n, t_max, 19, provider=prov,
+                          record_events=True)
+        taus, hit, frozen, finals, events = killed_loop(
+            model, target, n, t_max, 19, provider=prov)
+        assert np.array_equal(batch.taus, taus)
+        assert np.array_equal(batch.hit, hit)
+        assert np.array_equal(batch.frozen, frozen)
+        assert np.array_equal(batch.finals, finals)
+        for mine, ref in zip(batch.events, events):
+            for x, y in zip(mine, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert hit.any() and (~hit).any()
+        assert np.array_equal(batch.n_events, [ev[0].size for ev in events])
+
+    def test_draws_match_scalar_draws(self):
+        """Blocks of uniforms hold what one-at-a-time draws would give,
+        whatever number each row takes per call."""
+        gens = [rngmod.stream(43, rngmod.TRAJECTORY, i) for i in range(3)]
+        draws = dynamics._Draws(gens)
+        got = [[] for _ in gens]
+        for step in range(200):
+            rows = np.array([r for r in range(3) if (step + r) % 4])
+            k = 1 + step % 3
+            for r, vals in zip(rows, draws.take(rows, k)):
+                got[r].extend(vals)
+        for i, vals in enumerate(got):
+            ref = rngmod.stream(43, rngmod.TRAJECTORY, i)
+            assert vals == [ref.random() for _ in vals]
+
+    def test_categorical_pick_and_float_edge(self):
+        rates = np.array([[1.0, 2.0, 0.0, 0.0]] * 4 + [[0.0, 1.0, 0.0, 0.0]])
+        cum = np.cumsum(rates, axis=1)
+        u = np.array([0.5, 1.0, 2.5, 3.0, 0.0])
+        pick, residual = dynamics._categorical(rates, cum, u)
+        # u at the total falls back to the last positive category, and a
+        # category of rate 0 is never picked
+        assert pick.tolist() == [0, 1, 1, 1, 1]
+        assert residual.tolist() == [0.5, 0.0, 1.5, 2.0, 0.0]
+
+    def test_unkilled_and_frozen_rows_match_scalar_loop(self, toy):
+        model, _, _ = toy
+        initials = np.array([[0, 0, 0], [2, 0, 1], [0, 3, 0], [1, 1, 1]])
+        batch = run_batch(model, None, 4, 4.0, 23, initials=initials,
+                          record_events=True)
+        taus, hit, frozen, finals, events = killed_loop(
+            model, None, 4, 4.0, 23, initials=initials)
+        assert frozen.tolist() == batch.frozen.tolist() == \
+            [True, False, False, False]
+        assert np.array_equal(batch.finals, finals)
+        for mine, ref in zip(batch.events, events):
+            for x, y in zip(mine, ref):
+                assert np.array_equal(x, y)
+
+    def test_events_counted_recorded_or_not(self, toy):
+        model, target, measure = toy
+        prov = measure_provider(measure, model.lattice)
+        rec, bare = (run_batch(model, target, 300, 20.0, 29, provider=prov,
+                               record_events=r) for r in (True, False))
+        assert bare.events is None
+        assert np.array_equal(rec.n_events, bare.n_events)
+        assert np.array_equal(rec.taus, bare.taus)
+        assert np.array_equal(rec.finals, bare.finals)
+        work = rec.work()
+        assert work.events == sum(ev[0].size for ev in rec.events) > 0
+        assert (rec.n_events[rec.immortal] == 0).all()
+        assert work.trajectories + work.immortal_skipped == 300
+
+
+class TestSplits:
+    """A trajectory depends only on its stream, its start and t_max."""
+
+    @pytest.mark.parametrize("setup", ["tasep_line", "toy"])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_batch_is_concatenation_of_base_index_spans(self, request, setup,
+                                                        record):
+        model, target, measure = request.getfixturevalue(setup)
+        prov = measure_provider(measure, model.lattice)
+        whole = run_batch(model, target, 240, 6.0, 37, provider=prov,
+                          record_events=record)
+        parts = [run_batch(model, target, hi - lo, 6.0, 37, provider=prov,
+                           record_events=record, base_index=lo)
+                 for lo, hi in ((0, 1), (1, 100), (100, 240))]
+        joined = dynamics.BatchResult(
+            *(np.concatenate([getattr(p, name) for p in parts])
+              for name in ("taus", "hit", "frozen", "immortal")),
+            6.0, np.vstack([p.initials for p in parts]),
+            [ev for p in parts for ev in p.events] if record else None,
+            np.vstack([p.finals for p in parts]),
+            np.concatenate([p.n_events for p in parts]))
+        assert_same_batch(whole, joined)
+
+    def test_indices_pick_rows_of_the_whole_batch(self, toy):
+        model, target, measure = toy
+        initials = measure.sample_occupancies(
+            model.lattice, rngmod.stream(3, rngmod.SAMPLING, 0), 200)
+        whole = run_batch(model, target, 200, 6.0, 41, initials=initials,
+                          record_events=True, base_index=7)
+        rows = np.array([150, 3, 77, 78, 199])
+        some = run_batch(model, target, rows.size, 6.0, 41,
+                         initials=initials, record_events=True,
+                         base_index=7, indices=rows)
+        assert np.array_equal(some.initials, initials[rows])
+        for name in ("taus", "hit", "frozen", "finals", "n_events"):
+            assert np.array_equal(getattr(some, name),
+                                  getattr(whole, name)[rows])
+        for k, i in enumerate(rows):
+            for x, y in zip(some.events[k], whole.events[i]):
+                assert np.array_equal(x, y)
 
 
 class TestReplayProperties:
@@ -401,6 +539,53 @@ class TestSecondClass:
             gaps.append(exact_survival(kg, e, [0.5, 1.0, 2.0]))
         exact_gap = gaps[0] - gaps[1]
         assert (np.abs(rep.gap - exact_gap) <= 3 * rep.gap_stderr + 1e-9).all()
+
+
+@pytest.mark.parametrize("setup,eta0,site", [
+    # exclusion: jumps into the tagged site carry the excess sub-event
+    ("excl_ring", [0, 0, 1, 0, 1, 1, 0, 1], 3),
+    ("toy", [1, 1, 0], 1),
+])
+def test_second_class_matches_scalar_loop(request, setup, eta0, site):
+    model, target = request.getfixturevalue(setup)[:2]
+    grid = [0.5, 1.0, 2.0, 4.0]
+    rep = second_class_escape(model, target, Configuration(eta0), site, grid,
+                              300, seed=59)
+    tau_eta, tau_zeta = second_class_loop(model, target, eta0, site, 4.0,
+                                          300, seed=59)
+    alive_eta = tau_eta[None, :] > np.array(grid)[:, None]
+    alive_zeta = tau_zeta[None, :] > np.array(grid)[:, None]
+    assert np.array_equal(rep.survival_eta, alive_eta.mean(axis=1))
+    assert np.array_equal(rep.gap, alive_eta.mean(axis=1)
+                          - alive_zeta.mean(axis=1))
+    assert rep.order_violations == np.count_nonzero(tau_zeta > tau_eta)
+    assert (rep.gap > 0).any()
+
+
+@pytest.mark.parametrize("setup", ["tasep_line", "toy"])
+def test_sigma_exit_matches_scalar_loop(request, setup):
+    model, target, measure = request.getfixturevalue(setup)
+    rep = sigma_exit(model, target, measure, 0.8, 200, seed=57)
+    survived = sigma_exit_loop(model, target, measure, 0.8, 200, seed=57)
+    assert rep.estimate == survived.mean()
+    assert 0 < rep.estimate < 1
+
+
+def test_couplings_repeat_at_fixed_seed(tasep_line):
+    """Both coupling loops read only their per-trajectory streams."""
+    model, target, measure = tasep_line
+    eta0 = Configuration((np.arange(65) % 2 == 0) & (np.arange(65) < 60))
+    reps = [second_class_escape(model, target, eta0, 61, [0.5, 1.0, 2.0],
+                                40, seed=67) for _ in range(2)]
+    for name in ("t_grid", "gap", "gap_stderr", "survival_eta"):
+        assert np.array_equal(getattr(reps[0], name), getattr(reps[1], name))
+    assert reps[0].order_violations == reps[1].order_violations
+    assert reps[0].events == reps[1].events > 0
+    sig = [sigma_exit(model, target, measure, 0.8, 60, seed=69)
+           for _ in range(2)]
+    assert sig[0].estimate == sig[1].estimate
+    assert np.array_equal(sig[0].deltas, sig[1].deltas)
+    assert sig[0].events == sig[1].events > 0
 
 
 class TestSigmaExit:

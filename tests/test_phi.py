@@ -8,11 +8,11 @@ from qslab.dynamics import measure_provider, run_batch
 from qslab.measures import WeightedEnsemble, domination_test, increasing_suite
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet)
-from qslab.phi import (PhiUndefinedError, SojournPool, cesaro_mixture,
-                       phi_apply, phi_direct, phi_iterate, tau_moment_ratio,
-                       _power_log_weight)
+from qslab.phi import (DEFAULT_ESCALATIONS, PhiUndefinedError, SojournPool,
+                       cesaro_mixture, phi_apply, phi_direct, phi_iterate,
+                       tau_moment_ratio, _power_log_weight, _simulate_to_hits)
 
-from conftest import ratio_site_means
+from conftest import assert_same_batch, ratio_site_means
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -150,10 +150,39 @@ class TestPhiDirect:
         assert stats.work.trajectories + stats.work.immortal_skipped == 400
         _, stats = phi_direct(model, target, measure, 1, 400, 2.0, seed=227)
         assert stats.t_max_used > 2.0
-        runs = 1 + stats.work.escalations
         assert stats.t_max_used == 2.0 * 2 ** stats.work.escalations
-        assert stats.work.trajectories + stats.work.immortal_skipped \
-            == 400 * runs
+        # the first run simulates the mortal starts and skips the immortal
+        # ones; each doubling reruns only the mortal starts still censored
+        prov = measure_provider(measure, model.lattice)
+        first = run_batch(model, target, 400, 2.0, 227, provider=prov)
+        expected = int(np.count_nonzero(~first.immortal))
+        for k in range(stats.work.escalations):
+            batch = run_batch(model, target, 400, 2.0 * 2 ** k, 227,
+                              provider=prov)
+            expected += int(np.count_nonzero(~batch.hit & ~batch.immortal))
+        assert stats.work.immortal_skipped == first.immortal.sum() == 217
+        assert stats.work.trajectories == expected == 309
+        assert stats.work.escalations == 4
+
+    @pytest.mark.parametrize("from_initials", [False, True])
+    def test_censored_rerun_equals_full_rerun(self, toy, from_initials):
+        """Splicing the reruns of the censored mortal starts into the batch
+        gives, bit for bit, the batch a rerun of every start would give."""
+        model, target, measure = toy
+        prov = measure_provider(measure, model.lattice)
+        initials = None
+        if from_initials:
+            initials = measure.sample_occupancies(
+                model.lattice, rngmod.stream(7, rngmod.SAMPLING, 0), 400)
+        batch, work = _simulate_to_hits(
+            model, target, initials, None if from_initials else prov, 400,
+            2.0, 227, 400 if from_initials else 0, 1, DEFAULT_ESCALATIONS)
+        assert work.escalations >= 3
+        full = run_batch(model, target, 400, batch.t_max, 227,
+                         provider=None if from_initials else prov,
+                         initials=initials, record_events=True,
+                         base_index=400 if from_initials else 0)
+        assert_same_batch(batch, full)
 
     def test_matches_exact_iterates(self, toy, toy_spectral):
         from qslab.spectral import occupation_vectors

@@ -16,10 +16,15 @@ matrix (`_jump_rates`), the per-row draws (`_Draws`) and the
 categorical pick (`_categorical`).
 
 Every trajectory draws from its own counter-based stream keyed by
-(master seed, TRAJECTORY, index): first its initial state, when one is
-drawn, then blocks of uniforms holding exactly the values one-at-a-time
-draws would give.  So batches are reproducible bit for bit and do not
-depend on the worker count or on how the trajectories are split.
+(master seed, TRAJECTORY, index).  Draws are addressed by word position in
+that stream (see `rng`): a start sampled from a product law is the inverse
+CDF of positions 0 .. num_sites - 1, and the events then read from
+position num_sites on (from 0 when the start is given).  `_Draws` holds
+each row's key and position and computes the uniforms of every row that
+runs short in one keyed block, with exactly the values one-at-a-time
+`random()` calls would give; no per-trajectory Generator exists.  So
+batches are reproducible bit for bit and do not depend on the worker count
+or on how the trajectories are split.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
@@ -104,29 +109,38 @@ class SimContext:
 
 
 class _Draws:
-    """Uniforms of per-row streams, drawn in blocks: row r reads exactly the
-    values that successive `gens[r].random()` calls would return."""
+    """Uniforms of keyed per-row streams, read in blocks: from absolute word
+    position `start[r]` on, row r reads exactly the values that successive
+    `random()` calls of its stream would return.  Each call refills every
+    row it finds short with one keyed block computation (`rng.uniforms`)."""
 
     block = 64
 
-    def __init__(self, gens: Sequence[np.random.Generator]):
-        self.gens = gens
-        self.buf = np.empty((len(gens), self.block))
-        self.pos = np.full(len(gens), self.block)
+    def __init__(self, key: np.ndarray, start):
+        """`key` holds the rows' stream keys (see `rng.keys`), `start` their
+        first word positions (one for all rows, or one per row)."""
+        n = key.shape[0]
+        self.key = key
+        self.buf = np.empty((n, self.block))
+        self.cur = np.full(n, self.block)           # cursor into buf
+        # absolute position of buf[:, 0]; an empty buffer ends at start
+        self.base = np.broadcast_to(np.asarray(start, dtype=np.int64),
+                                    (n,)) - self.block
 
     def take(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
         """The next k uniforms of each of `rows` (distinct row numbers),
         shape (len(rows), k)."""
-        pos = self.pos[rows]
-        short = pos + k > self.block
-        for r, p in zip(rows[short], pos[short]):
-            left = self.block - p
-            self.buf[r, :left] = self.buf[r, p:]
-            self.buf[r, left:] = self.gens[r].random(p)
-            self.pos[r] = 0
-        if short.any():
-            pos = self.pos[rows]
-        self.pos[rows] = pos + k
+        pos = self.cur[rows]
+        if (pos + k > self.block).any():
+            # a refill call has a fixed cost near that of filling some 40
+            # rows, so rows within a quarter block of running short join in
+            short = pos + k + self.block // 4 > self.block
+            r = rows[short]
+            self.base[r] += pos[short]
+            self.buf[r] = rngmod.uniforms(self.key[r], self.base[r],
+                                          self.block)
+            pos[short] = 0
+        self.cur[rows] = pos + k
         return self.buf[rows[:, None], pos[:, None] + np.arange(k)]
 
 
@@ -274,11 +288,36 @@ class Trajectory:
     def states(self) -> np.ndarray:
         """Visited states in order, the initial one first and the state
         entered by the last event last: shape (n_events + 1, n_sites)."""
-        rows = np.arange(1, self.times.size + 1)
-        deltas = np.zeros((rows.size + 1, self.initial.size), dtype=np.int64)
-        deltas[rows, self.destinations] += 1
-        deltas[rows, self.sources] -= 1
-        return self.initial + np.cumsum(deltas, axis=0)
+        return replay(self.initial[None, :], np.array([self.times.size]),
+                      self.sources, self.destinations)
+
+
+def replay(initials: np.ndarray, counts: np.ndarray, sources: np.ndarray,
+           destinations: np.ndarray) -> np.ndarray:
+    """States visited by trajectories laid end to end: for trajectory i,
+    its initial state `initials[i]` and then the state after each of its
+    `counts[i]` events, whose sources and destinations are the next
+    `counts[i]` entries of the concatenated event arrays.  Shape
+    (counts.sum() + len(counts), n_sites).
+
+    One cumulative sum runs over the whole concatenation in integers, and
+    each trajectory then subtracts what the ones before it carried in, so
+    every state is exact."""
+    counts = np.asarray(counts, dtype=np.int64)
+    heads = np.arange(counts.size) + np.cumsum(counts) - counts
+    deltas = np.zeros((counts.sum() + counts.size, initials.shape[1]),
+                      dtype=np.int64)
+    moves = np.ones(deltas.shape[0], dtype=bool)
+    moves[heads] = False
+    moves = np.flatnonzero(moves)
+    deltas[moves, destinations] += 1
+    deltas[moves, sources] -= 1
+    deltas[heads] = initials
+    states = np.cumsum(deltas, axis=0)
+    carried = np.zeros_like(initials, dtype=np.int64)
+    carried[1:] = states[heads[1:] - 1]
+    states -= np.repeat(carried, counts + 1, axis=0)
+    return states
 
 
 @dataclass
@@ -387,12 +426,12 @@ class BatchResult:
         return out
 
 
-def _simulate(ctx: SimContext, occ: np.ndarray, gens, t_max: float,
-              record: bool) -> BatchResult:
-    """Run the rows of `occ` (one per stream in `gens`) to the target or to
-    t_max.  Immortal starts (see `SimContext.immortal`) stay out of the
-    engine: censored at t_max with no events, frozen when their total rate
-    at t = 0 is 0."""
+def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
+              start: int, t_max: float, record: bool) -> BatchResult:
+    """Run the rows of `occ` to the target or to t_max; row r reads the
+    stream with key `key[r]` from word position `start` on.  Immortal starts (see `SimContext.immortal`) stay out of
+    the engine: censored at t_max with no events, frozen when their total
+    rate at t = 0 is 0."""
     n = occ.shape[0]
     btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
     immortal = ctx.immortal(occ)
@@ -411,7 +450,7 @@ def _simulate(ctx: SimContext, occ: np.ndarray, gens, t_max: float,
         m_clock = np.empty(mortal.size)
         m_counts = np.zeros(mortal.size, dtype=np.int64)
         run_killed(m_occ, ctx.nbr, ctx.weights, btab, ctx.in_window,
-                   _Draws([gens[i] for i in mortal]), log, ctx.threshold,
+                   _Draws(key[mortal], start), log, ctx.threshold,
                    0.0, t_max, m_status, m_clock, m_counts, _FROZEN_RATE, 0)
         finals[mortal], status[mortal] = m_occ, m_status
         clock[mortal], counts[mortal] = m_clock, m_counts
@@ -436,12 +475,14 @@ def simulate_killed(initial: Configuration, model: Model,
     censored at t_max.  A configuration with no active rate is reported
     frozen and censored.  An immortal start (particle total at or below the
     threshold) is censored at once, with no events.  `reverse` simulates the
-    adjoint kernel p*.  `rng` is read in blocks, so its state afterwards is
-    not the state after the draws the run used.
+    adjoint kernel p*.  `rng` must be a Philox generator (see
+    `rng.position`): the run reads the values its next `random()` calls
+    would return, by key and position, and leaves `rng` where it was.
     """
+    key, pos = rngmod.position(rng)
     ctx = SimContext(model, target, reverse)
     occ = np.asarray(initial.occupancy, dtype=np.int64)[None, :].copy()
-    batch = _simulate(ctx, occ, [rng], t_max, record_trajectory)
+    batch = _simulate(ctx, occ, key[None, :], pos, t_max, record_trajectory)
     status = HIT if batch.hit[0] else CENSORED
     frozen = bool(batch.frozen[0])
     traj = batch.trajectory(0) if record_trajectory else None
@@ -452,19 +493,17 @@ _FORK_CTX = None  # payload inherited by forked workers
 
 
 def _run_span(payload, lo, hi) -> BatchResult:
-    (model, target, reverse, provider, initials, t_max, seed, base, record,
+    (model, target, reverse, measure, initials, t_max, seed, base, record,
      indices) = payload
     ctx = SimContext(model, target, reverse)
     idx = indices[lo:hi]
-    gens = [rngmod.stream(seed, rngmod.TRAJECTORY, base + int(i))
-            for i in idx]
+    key = rngmod.keys(seed, rngmod.TRAJECTORY, base + idx)
     if initials is not None:
-        occ = np.array(initials[idx], dtype=np.int64)
+        occ, start = np.array(initials[idx], dtype=np.int64), 0
     else:
-        occ = np.empty((idx.size, model.lattice.num_sites), dtype=np.int64)
-        for k, gen in enumerate(gens):
-            occ[k] = provider(gen)
-    return _simulate(ctx, occ, gens, t_max, record)
+        start = model.lattice.num_sites
+        occ = measure.from_uniforms(rngmod.uniforms(key, 0, start))
+    return _simulate(ctx, occ, key, start, t_max, record)
 
 
 def _span_worker(span):
@@ -473,7 +512,7 @@ def _span_worker(span):
 
 def run_batch(model: Model, target: TargetSet | None, n_traj: int,
               t_max: float, seed: int, *,
-              provider: Callable[[np.random.Generator], np.ndarray] | None = None,
+              measure: ProductMeasure | None = None,
               initials: np.ndarray | None = None, reverse: bool = False,
               record_events: bool = False, workers: int = 1,
               base_index: int = 0,
@@ -481,8 +520,11 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     """Simulate n_traj independent killed trajectories on the lockstep
     engine.
 
-    Trajectory i draws from stream base_index + i; its initial state comes
-    either from `provider(gen)` on that stream or from `initials[i]`.
+    Trajectory i draws from stream (seed, TRAJECTORY, base_index + i).  Its
+    initial state is either `initials[i]`, and then its events read the
+    stream from position 0, or a sample of the product law `measure`: the
+    inverse CDF of the stream's first num_sites uniforms, and then its
+    events read from position num_sites on.
     `indices` (n_traj distinct trajectory numbers, default 0..n_traj-1)
     picks which ones run, in that order.  A trajectory's outcome depends
     only on its stream, its start and t_max, never on the other rows, on
@@ -491,17 +533,16 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     classified at t = 0 and not simulated (see `BatchResult`).
 
     With `workers` > 1 the spans run in processes started by the "fork"
-    method, which inherit the payload (a provider may be a closure that
-    cannot be pickled) instead of receiving it.  Fork exists on POSIX
-    systems only; elsewhere `workers` must stay 1.
+    method, which inherit the payload instead of receiving it.  Fork exists
+    on POSIX systems only; elsewhere `workers` must stay 1.
     """
-    if (provider is None) == (initials is None):
-        raise ValueError("exactly one of provider/initials must be given")
+    if (measure is None) == (initials is None):
+        raise ValueError("exactly one of measure/initials must be given")
     indices = np.arange(n_traj) if indices is None else \
         np.asarray(indices, dtype=np.int64)
     if indices.shape != (n_traj,):
         raise ValueError("indices must hold n_traj trajectory numbers")
-    payload = (model, target, reverse, provider, initials, t_max, seed,
+    payload = (model, target, reverse, measure, initials, t_max, seed,
                base_index, record_events, indices)
     if workers <= 1 or n_traj < 2 * workers:
         parts = [_run_span(payload, 0, n_traj)]
@@ -528,12 +569,6 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
                        joined("finals"), joined("n_events"))
 
 
-def measure_provider(measure: ProductMeasure, lattice: Lattice):
-    def provider(gen: np.random.Generator) -> np.ndarray:
-        return measure.sample_occupancies(lattice, gen, 1)[0]
-    return provider
-
-
 # ---------------------------------------------------------------------------
 # survival curves and supermultiplicativity
 # ---------------------------------------------------------------------------
@@ -541,7 +576,7 @@ def measure_provider(measure: ProductMeasure, lattice: Lattice):
 def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
                    n_traj: int, seed: int, *,
                    measure: ProductMeasure | None = None,
-                   provider=None, initials=None, t_max: float | None = None,
+                   initials=None, t_max: float | None = None,
                    reverse: bool = False, workers: int = 1) -> SurvivalCurve:
     """Empirical survival P(tau > t) on a time grid with binomial errors.
 
@@ -552,11 +587,9 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
     horizon = float(t_grid[-1]) if t_max is None else float(t_max)
     if horizon < t_grid[-1]:
         raise ValueError("t_max must cover the time grid")
-    if provider is None and initials is None:
-        provider = measure_provider(measure, model.lattice)
     batch = run_batch(model, target, n_traj, horizon, seed,
-                      provider=provider, initials=initials, reverse=reverse,
-                      workers=workers)
+                      measure=None if initials is not None else measure,
+                      initials=initials, reverse=reverse, workers=workers)
     alive = batch.taus[None, :] > t_grid[:, None]
     # censored trajectories carry tau = t_max and stay alive on the grid
     alive |= (~batch.hit)[None, :]
@@ -817,8 +850,8 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     btab = ctx.btab(int(eta0.occupancy.sum()) + 1)
     lam = ctx.in_window.astype(np.int64)
     k_thr = int(target.threshold)
-    draws = _Draws([rngmod.stream(seed, rngmod.TRAJECTORY, i)
-                    for i in range(n_traj)])
+    draws = _Draws(rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj)),
+                   0)
     occ = np.tile(np.asarray(eta0.occupancy, dtype=np.int64), (n_traj, 1))
     ws = occ @ lam                      # window sum of eta
     X = np.full(n_traj, site)           # the tagged particle
@@ -929,21 +962,20 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     distance to the window divided by the range, floored.  When a particle
     fires, the mover is uniform among the particles on the site, which keeps
     every per-particle clock below the Lipschitz rate.  All trajectories
-    advance in lockstep; trajectory i draws its start and then its events
-    from stream (seed, TRAJECTORY, i)."""
+    advance in lockstep; trajectory i draws its start (the inverse CDF of
+    the first num_sites uniforms) and then its events from stream (seed,
+    TRAJECTORY, i)."""
     lattice = model.lattice
     ctx = SimContext(model, None)
     lam_sites = target.sites
     lam_mask = np.zeros(lattice.num_sites, dtype=bool)
     lam_mask[lam_sites] = True
-    gens = [rngmod.stream(seed, rngmod.TRAJECTORY, i) for i in range(n_traj)]
-    occ = np.empty((n_traj, lattice.num_sites), dtype=np.int64)
-    for i, gen in enumerate(gens):
-        occ[i] = measure.sample_occupancies(lattice, gen, 1)[0]
+    key = rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj))
+    occ = measure.from_uniforms(rngmod.uniforms(key, 0, lattice.num_sites))
     btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
     tagged = occ.copy()
     tagged[:, lam_sites] = 0
-    draws = _Draws(gens)
+    draws = _Draws(key, lattice.num_sites)
     survived = np.ones(n_traj, dtype=bool)
     t = np.zeros(n_traj)
     events = 0
@@ -1016,8 +1048,7 @@ def stationarity_check(model: Model, measure: ProductMeasure, t: float,
     """Run the unkilled dynamics from the product law to time t and test the
     single-site occupancy against the marginal by chi-square with pooled
     bins; the threshold is the chi-square quantile at the n_sigma level."""
-    batch = run_batch(model, None, n_traj, t, seed,
-                      provider=measure_provider(measure, model.lattice),
+    batch = run_batch(model, None, n_traj, t, seed, measure=measure,
                       workers=workers)
     final = batch.finals[:, site]
     probs = measure.marginal.probabilities

@@ -183,9 +183,14 @@ class ProductMeasure:
     def sample_occupancies(self, lattice: Lattice, rng: np.random.Generator,
                            n: int = 1) -> np.ndarray:
         """n configurations as an int64 array (n, num_sites), inverse-CDF."""
-        cdf = self.marginal.cdf()
-        u = rng.random((n, lattice.num_sites))
-        return np.searchsorted(cdf, u, side="right").astype(np.int64)
+        return self.from_uniforms(rng.random((n, lattice.num_sites)))
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Occupancies of the uniforms `u` (any shape) by the inverse CDF of
+        the marginal, as int64: each row of a (n, num_sites) array of
+        uniforms is one configuration."""
+        return np.searchsorted(self.marginal.cdf(), u,
+                               side="right").astype(np.int64)
 
 
 def sample_product(measure: ProductMeasure, lattice: Lattice,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng as rngmod
-from .dynamics import BatchResult, WorkCounts, measure_provider, run_batch
+from .dynamics import BatchResult, WorkCounts, replay, run_batch
 from .measures import (ProductMeasure, WeightedEnsemble, systematic_resample)
 from .model import Model, TargetSet
 
@@ -80,7 +80,7 @@ class PhiIterationLog:
         return sum((r.work for r in self.rows), WorkCounts())
 
 
-def _simulate_to_hits(model: Model, target: TargetSet, initials, provider,
+def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
                       n_traj: int, t_max: float, seed: int, base_index: int,
                       workers: int, max_escalations: int
                       ) -> tuple[BatchResult, WorkCounts]:
@@ -99,7 +99,7 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, provider,
     improves."""
     horizon = t_max
     batch = run_batch(model, target, n_traj, horizon, seed,
-                      provider=provider, initials=initials,
+                      measure=measure, initials=initials,
                       record_events=True, workers=workers,
                       base_index=base_index)
     work = batch.work()
@@ -109,7 +109,7 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, provider,
         horizon *= ESCALATION_FACTOR
         rerun = np.flatnonzero(~batch.hit & ~batch.immortal)
         longer = run_batch(model, target, rerun.size, horizon, seed,
-                           provider=provider, initials=initials,
+                           measure=measure, initials=initials,
                            record_events=True, workers=workers,
                            base_index=base_index, indices=rerun)
         work += longer.work() + WorkCounts(escalations=1)
@@ -125,24 +125,30 @@ def _harvest(batch: BatchResult, iteration: int,
              sojourn_log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
              ) -> SojournPool:
     """Replay uncensored trajectories and weight every survivor-set sojourn;
-    censored trajectories are excluded and reported via the censor fraction."""
-    occs = []
-    logw = []
-    for i in np.flatnonzero(batch.hit):
-        traj = batch.trajectory(i)
-        if traj.n_events == 0:
-            continue  # started inside the target: tau = 0, no occupation
-        ends = traj.times
-        starts = np.concatenate([[0.0], ends[:-1]])
-        occs.append(traj.states()[:-1])
-        logw.append(sojourn_log_weight(starts, ends))
-    if not occs:
+    censored trajectories are excluded and reported via the censor fraction.
+
+    A hit with no event started inside the target (tau = 0, no occupation).
+    The others are replayed together: their events laid end to end give
+    every visited state in one pass (`replay`); the state entered by the
+    last event lies in the target and is dropped."""
+    used = np.flatnonzero(batch.hit & (batch.n_events > 0))
+    if used.size == 0:
         raise PhiUndefinedError(
             f"no usable trajectory: censored fraction "
             f"{batch.censored_fraction:.3f} at horizon {batch.t_max}; raise "
             "t_max or the trajectory budget")
-    return SojournPool(np.concatenate(occs), np.concatenate(logw), iteration,
-                       batch.n, batch.censored_fraction)
+    counts = batch.n_events[used]
+    ends, srcs, dsts = (np.concatenate(part) for part in
+                        zip(*(batch.events[i] for i in used)))
+    states = replay(batch.initials[used], counts, srcs, dsts)
+    last = np.cumsum(counts + 1) - 1
+    inside = np.ones(states.shape[0], dtype=bool)
+    inside[last] = False
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[np.cumsum(counts) - counts] = 0.0
+    return SojournPool(states[inside], sojourn_log_weight(starts, ends),
+                       iteration, batch.n, batch.censored_fraction)
 
 
 def _duration_log_weight(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -175,21 +181,21 @@ def _batch_stats(batch: BatchResult, work: WorkCounts, ess: float,
 
 def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
               target: TargetSet, n_particles: int, t_max: float, seed: int,
-              *, provider=None, iteration: int = 0,
+              *, measure: ProductMeasure | None = None, iteration: int = 0,
               probe_times: Sequence[float] = (), workers: int = 1,
               max_escalations: int = DEFAULT_ESCALATIONS
               ) -> tuple[WeightedEnsemble, PhiStats]:
-    """One application of the occupation map to a weighted ensemble (or to a
-    sampler for the base measure): harvest duration-weighted sojourns, then
+    """One application of the occupation map to a weighted ensemble (or to
+    the base product law `measure`): harvest duration-weighted sojourns, then
     reduce to n_particles equally weighted atoms by systematic resampling."""
-    if (input_ensemble is None) == (provider is None):
-        raise ValueError("pass exactly one of input_ensemble/provider")
+    if (input_ensemble is None) == (measure is None):
+        raise ValueError("pass exactly one of input_ensemble/measure")
     initials = None
     if input_ensemble is not None:
         draw = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration)
         idx = systematic_resample(input_ensemble.weights, n_particles, draw)
         initials = input_ensemble.occupancies[idx]
-    batch, work = _simulate_to_hits(model, target, initials, provider,
+    batch, work = _simulate_to_hits(model, target, initials, measure,
                                     n_particles, t_max, seed,
                                     iteration * n_particles, workers,
                                     max_escalations)
@@ -219,8 +225,8 @@ def phi_iterate(model: Model, target: TargetSet, measure: ProductMeasure,
         if it == 0:
             ens, stats = phi_apply(
                 None, model, target, n_particles, t_max, seed,
-                provider=measure_provider(measure, model.lattice),
-                iteration=it, probe_times=probe_times, workers=workers)
+                measure=measure, iteration=it, probe_times=probe_times,
+                workers=workers)
         else:
             ens, stats = phi_apply(
                 current, model, target, n_particles, t_max, seed,
@@ -240,9 +246,8 @@ def phi_direct(model: Model, target: TargetSet, measure: ProductMeasure,
     each survivor-set sojourn enters with the power-integral weight."""
     if n < 1:
         raise ValueError("iterate order must be >= 1")
-    batch, work = _simulate_to_hits(model, target, None,
-                                    measure_provider(measure, model.lattice),
-                                    n_traj, t_max, seed, base_index, workers,
+    batch, work = _simulate_to_hits(model, target, None, measure, n_traj,
+                                    t_max, seed, base_index, workers,
                                     max_escalations)
     pool = _harvest(batch, n, _power_log_weight(n))
     ens = pool.ensemble()

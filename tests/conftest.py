@@ -310,13 +310,14 @@ def _jump_loop(occ, nbr, weights, b, site_rates, u):
     return src, int(nbr[src, off])
 
 
-def killed_loop(model, target, n_traj, t_max, seed, *, provider=None,
+def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
                 initials=None, base_index=0):
     """Reference for `dynamics.run_batch` with recorded events: trajectory i
     on stream (seed, TRAJECTORY, base_index + i) takes its start from
-    `provider` (or `initials[i]`), then per event one uniform for the
-    waiting time and one for the jump.  A start whose particle total is at
-    or below the threshold is immortal: censored at t_max with no events.
+    `measure.sample_occupancies` on that stream (or `initials[i]`), then
+    per event one uniform for the waiting time and one for the jump.  A
+    start whose particle total is at or below the threshold is immortal:
+    censored at t_max with no events.
     Returns (taus, hit, frozen, finals, events) with events a list of
     (times, sources, destinations)."""
     nbr = model.lattice.neighbor_table(model.kernel.offsets)
@@ -325,8 +326,9 @@ def killed_loop(model, target, n_traj, t_max, seed, *, provider=None,
     taus, hit, frozen, finals, events = [], [], [], [], []
     for i in range(n_traj):
         gen = rngmod.stream(seed, rngmod.TRAJECTORY, base_index + i)
-        occ = np.array(provider(gen) if initials is None else initials[i],
-                       dtype=np.int64)
+        occ = np.array(
+            measure.sample_occupancies(model.lattice, gen, 1)[0]
+            if initials is None else initials[i], dtype=np.int64)
         t, ev, status = 0.0, [], None
         while status is None:
             site_rates = _site_rates_loop(occ, nbr, weights, b)
@@ -451,3 +453,31 @@ def sigma_exit_loop(model, target, measure, kappa, n_traj, seed):
                     break
                 tagged[j] += 1
     return survived
+
+
+def states_loop(initial, sources, destinations):
+    """Reference for `dynamics.replay` on one trajectory: its initial state
+    and then the state after each event, one event at a time."""
+    states = [np.array(initial, dtype=np.int64)]
+    for src, dst in zip(sources, destinations):
+        nxt = states[-1].copy()
+        nxt[src] -= 1
+        nxt[dst] += 1
+        states.append(nxt)
+    return np.array(states)
+
+
+def harvest_loop(batch, sojourn_log_weight):
+    """Reference for `phi._harvest`: each uncensored trajectory with an
+    event replayed on its own; returns the states and log-weights of its
+    sojourns before the hit, concatenated in trajectory order."""
+    occs, logw = [], []
+    for i in np.flatnonzero(batch.hit):
+        times, sources, destinations = batch.events[i]
+        if times.size == 0:
+            continue  # started inside the target: no occupation
+        occs.append(states_loop(batch.initials[i], sources,
+                                destinations)[:-1])
+        logw.append(sojourn_log_weight(
+            np.concatenate([[0.0], times[:-1]]), times))
+    return np.concatenate(occs), np.concatenate(logw)

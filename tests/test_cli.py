@@ -23,6 +23,38 @@ TASEP_RING = {"model": _model(6, "torus", [[1]], [1.0],
               "target": {"sites": [0], "threshold": 0}, "rho": 0.5}
 
 
+# totally asymmetric exclusion on a blocked 16-site line feeding the trap at
+# its right edge, started half filled with the tagged site 11 and the trap
+# empty for the couplings
+LINE = {"model": _model(16, "blocked", [[1]], [1.0], {"family": "exclusion"}),
+        "target": {"sites": [15], "threshold": 0}, "rho": 0.5}
+LINE_START = [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
+LINE_START[11] = LINE_START[15] = 0
+
+# results_hash of every Monte Carlo experiment kind at seed 13: how the
+# draws are computed may change, the random paths they give may not
+PINNED = [
+    (TOY, "survival", {"t_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
+                       "n_traj": 400, "t_max": 20.0},
+     "73c83cf3caec67b2ea933d638ac94876c966befc33f1de5c5b0688d6a209bb09"),
+    (TOY, "phi-direct", {"order": 2, "n_traj": 100, "t_max": 30.0},
+     "cd95895cea1e56a9d47fbb2d765ed86b87c968d83f38c4eb59e985983b2333e0"),
+    (TOY, "phi-iterate", {"iterations": 2, "n_particles": 100,
+                          "t_max": 30.0},
+     "9bc7913e0a7ca01876570484d713535c6bf4870856c43c258678227ceb4961ad"),
+    (TOY, "domination", {"iterations": 2, "n_particles": 100, "t_max": 30.0},
+     "2422f801307d71209047095799633e2832b0e98a0f54b7ae65996c6f9d38f744"),
+    (LINE, "oracle-check", {"t_grid": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
+                            "n_traj": 800},
+     "30d5e1b90d01ec6383ed0d5e4f8730f4a82dc50fa913c737c1acff461dea71a7"),
+    (LINE, "couplings", {"initial": LINE_START, "site": 11,
+                         "t_grid": [0.5, 1.0, 2.0], "n_traj": 50},
+     "59b550d806e445db51835b7b5d23cb334b26963e9095b3c5a13d7b35555a7988"),
+    (LINE, "sigma-exit", {"kappas": [0.5, 0.8], "n_traj": 60},
+     "d970c1dc06e811dc7a384a25090fbf532c3409a49c7d4571b501eac559740c69"),
+]
+
+
 def _write(tmp_path, name, cfg):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
@@ -63,6 +95,17 @@ def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
     assert cli.main(["compare", str(outs[0]), str(outs[1])]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["identical"] is True
+
+
+@pytest.mark.parametrize("base,experiment,budgets,digest", PINNED,
+                         ids=[case[1] for case in PINNED])
+def test_results_hash_is_pinned(tmp_path, base, experiment, budgets, digest):
+    config = _write(tmp_path, "cfg", dict(base, experiment=experiment,
+                                          seed=13, budgets=budgets))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) \
+        == cli.EXIT_OK
+    assert _manifest(out)["results_hash"] == digest
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from qslab import dynamics
 from qslab import rng as rngmod
-from qslab.dynamics import (CENSORED, HIT, SimContext, measure_provider,
-                            run_batch, rw_hitting, rw_hitting_free,
-                            rw_hitting_mc, second_class_escape, sigma_exit,
-                            simulate_killed, stationarity_check,
-                            supermultiplicativity_check, survival_curve)
+from qslab.dynamics import (CENSORED, HIT, SimContext, run_batch,
+                            rw_hitting, rw_hitting_free, rw_hitting_mc,
+                            second_class_escape, sigma_exit, simulate_killed,
+                            stationarity_check, supermultiplicativity_check,
+                            survival_curve)
 from qslab.measures import ProductMeasure, _window_distribution
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet, jump_rate)
 from qslab.spectral import tasep_line_survival
 
 from conftest import (assert_same_batch, killed_loop, second_class_loop,
-                      sigma_exit_loop)
+                      sigma_exit_loop, states_loop)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -77,13 +77,25 @@ class TestSimulateKilled:
         assert (a.trajectory.sources == b.trajectory.sources).all()
         assert (a.trajectory.destinations == b.trajectory.destinations).all()
 
+    def test_rng_must_be_a_philox_at_a_word_boundary(self, toy):
+        """The run reads its draws by the Philox key and word position, so
+        other generators and a pending half word are refused."""
+        model, target, _ = toy
+        start = Configuration([1, 1, 0])
+        with pytest.raises(TypeError, match="Philox"):
+            simulate_killed(start, model, target, 5.0,
+                            np.random.default_rng(0))
+        gen = rngmod.stream(0, rngmod.TRAJECTORY, 0)
+        gen.integers(0, 10, dtype=np.uint32)
+        with pytest.raises(TypeError, match="half a word"):
+            simulate_killed(start, model, target, 5.0, gen)
+
     def test_trajectory_replay_is_valid(self, toy):
         """Replay invariants: strictly increasing times, every event a
         positive-rate jump from the replayed state, no early target entry."""
         model, target, measure = toy
         batch = run_batch(model, target, 64, 40.0, seed=3,
-                          provider=measure_provider(measure, model.lattice),
-                          record_events=True)
+                          measure=measure, record_events=True)
         for i in range(batch.n):
             traj = batch.trajectory(i)
             assert (np.diff(traj.times) > 0).all()
@@ -116,10 +128,9 @@ class TestSimulateKilled:
 class TestBatches:
     def test_worker_count_invariance(self, toy):
         model, target, measure = toy
-        prov = measure_provider(measure, model.lattice)
-        one = run_batch(model, target, 200, 20.0, seed=9, provider=prov,
+        one = run_batch(model, target, 200, 20.0, seed=9, measure=measure,
                         workers=1)
-        two = run_batch(model, target, 200, 20.0, seed=9, provider=prov,
+        two = run_batch(model, target, 200, 20.0, seed=9, measure=measure,
                         workers=2)
         assert (one.taus == two.taus).all()
         assert (one.hit == two.hit).all()
@@ -143,8 +154,7 @@ class TestBatches:
     def test_conservation_on_torus(self, toy):
         model, target, measure = toy
         batch = run_batch(model, target, 128, 20.0, seed=11,
-                          provider=measure_provider(measure, model.lattice),
-                          record_events=True)
+                          measure=measure, record_events=True)
         for i in range(batch.n):
             traj = batch.trajectory(i)
             assert traj.states()[-1].sum() == traj.initial.sum()
@@ -210,8 +220,7 @@ class TestImmortalStarts:
         existed (when immortal starts still ran to t_max)."""
         model, target, measure = toy
         batch = run_batch(model, target, 500, 20.0, seed=31,
-                          provider=measure_provider(measure, model.lattice),
-                          record_events=True)
+                          measure=measure, record_events=True)
         digest = hashlib.sha256()
         digest.update(batch.taus.tobytes())
         digest.update(batch.hit.tobytes())
@@ -228,7 +237,7 @@ class TestImmortalStarts:
         model, target, measure = toy
         n = 20_000
         batch = run_batch(model, target, n, 1e-6, seed=85,
-                          provider=measure_provider(measure, model.lattice))
+                          measure=measure)
         total_law = _window_distribution(measure.marginal,
                                          model.lattice.num_sites)
         p = total_law[:target.threshold + 1].sum()
@@ -258,11 +267,10 @@ class TestEngineOracle:
     def test_events_bit_identical_to_scalar_loop(self, request, setup, n,
                                                  t_max):
         model, target, measure = request.getfixturevalue(setup)
-        prov = measure_provider(measure, model.lattice)
-        batch = run_batch(model, target, n, t_max, 19, provider=prov,
+        batch = run_batch(model, target, n, t_max, 19, measure=measure,
                           record_events=True)
         taus, hit, frozen, finals, events = killed_loop(
-            model, target, n, t_max, 19, provider=prov)
+            model, target, n, t_max, 19, measure=measure)
         assert np.array_equal(batch.taus, taus)
         assert np.array_equal(batch.hit, hit)
         assert np.array_equal(batch.frozen, frozen)
@@ -273,12 +281,47 @@ class TestEngineOracle:
         assert hit.any() and (~hit).any()
         assert np.array_equal(batch.n_events, [ev[0].size for ev in events])
 
+    @pytest.mark.parametrize("setup", ["toy", "tasep_line"])
+    def test_batched_starts_match_per_row_sampling(self, request, setup):
+        """A start is the inverse CDF of its stream's first num_sites
+        uniforms: what `sample_occupancies(lattice, stream, 1)` gives."""
+        model, target, measure = request.getfixturevalue(setup)
+        batch = run_batch(model, target, 120, 1.0, 53, measure=measure,
+                          base_index=7)
+        for i in range(batch.n):
+            gen = rngmod.stream(53, rngmod.TRAJECTORY, 7 + i)
+            assert np.array_equal(
+                batch.initials[i],
+                measure.sample_occupancies(model.lattice, gen, 1)[0])
+
+    @pytest.mark.parametrize("setup", ["toy", "tasep_line"])
+    def test_replay_of_a_batch_matches_per_trajectory_loop(self, request,
+                                                          setup):
+        """`replay` of a whole batch laid end to end (immortal and instant
+        starts with no event included) and `Trajectory.states` match the
+        one-event-at-a-time replay of each trajectory."""
+        model, target, measure = request.getfixturevalue(setup)
+        batch = run_batch(model, target, 200, 10.0, 59, measure=measure,
+                          record_events=True)
+        assert (batch.n_events == 0).any() and (batch.n_events > 1).any()
+        ref = [states_loop(batch.initials[i], *batch.events[i][1:])
+               for i in range(batch.n)]
+        srcs, dsts = (np.concatenate([ev[k] for ev in batch.events])
+                      for k in (1, 2))
+        got = dynamics.replay(batch.initials, batch.n_events, srcs, dsts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.vstack(ref))
+        for i in range(batch.n):
+            assert np.array_equal(batch.trajectory(i).states(), ref[i])
+
     def test_draws_match_scalar_draws(self):
-        """Blocks of uniforms hold what one-at-a-time draws would give,
+        """Keyed blocks of uniforms hold what one-at-a-time draws would give
+        from each row's start position on (one not a multiple of 4),
         whatever number each row takes per call."""
-        gens = [rngmod.stream(43, rngmod.TRAJECTORY, i) for i in range(3)]
-        draws = dynamics._Draws(gens)
-        got = [[] for _ in gens]
+        starts = np.array([0, 3, 6])
+        draws = dynamics._Draws(
+            rngmod.keys(43, rngmod.TRAJECTORY, np.arange(3)), starts)
+        got = [[] for _ in starts]
         for step in range(200):
             rows = np.array([r for r in range(3) if (step + r) % 4])
             k = 1 + step % 3
@@ -286,6 +329,7 @@ class TestEngineOracle:
                 got[r].extend(vals)
         for i, vals in enumerate(got):
             ref = rngmod.stream(43, rngmod.TRAJECTORY, i)
+            ref.random(starts[i])
             assert vals == [ref.random() for _ in vals]
 
     def test_categorical_pick_and_float_edge(self):
@@ -314,8 +358,7 @@ class TestEngineOracle:
 
     def test_events_counted_recorded_or_not(self, toy):
         model, target, measure = toy
-        prov = measure_provider(measure, model.lattice)
-        rec, bare = (run_batch(model, target, 300, 20.0, 29, provider=prov,
+        rec, bare = (run_batch(model, target, 300, 20.0, 29, measure=measure,
                                record_events=r) for r in (True, False))
         assert bare.events is None
         assert np.array_equal(rec.n_events, bare.n_events)
@@ -335,10 +378,9 @@ class TestSplits:
     def test_batch_is_concatenation_of_base_index_spans(self, request, setup,
                                                         record):
         model, target, measure = request.getfixturevalue(setup)
-        prov = measure_provider(measure, model.lattice)
-        whole = run_batch(model, target, 240, 6.0, 37, provider=prov,
+        whole = run_batch(model, target, 240, 6.0, 37, measure=measure,
                           record_events=record)
-        parts = [run_batch(model, target, hi - lo, 6.0, 37, provider=prov,
+        parts = [run_batch(model, target, hi - lo, 6.0, 37, measure=measure,
                            record_events=record, base_index=lo)
                  for lo, hi in ((0, 1), (1, 100), (100, 240))]
         joined = dynamics.BatchResult(

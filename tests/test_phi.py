@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qslab import rng as rngmod
-from qslab.dynamics import measure_provider, run_batch
+from qslab.dynamics import run_batch
 from qslab.measures import WeightedEnsemble, domination_test, increasing_suite
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet)
@@ -12,7 +12,7 @@ from qslab.phi import (DEFAULT_ESCALATIONS, PhiUndefinedError, SojournPool,
                        cesaro_mixture, phi_apply, phi_direct, phi_iterate,
                        tau_moment_ratio, _power_log_weight, _simulate_to_hits)
 
-from conftest import assert_same_batch, ratio_site_means
+from conftest import assert_same_batch, harvest_loop, ratio_site_means
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -111,6 +111,21 @@ class TestPhiApply:
             batch.taus[batch.hit].sum(), rel=1e-12)
         assert pool.censor_fraction == batch.censored_fraction
 
+    @pytest.mark.parametrize("setup", ["toy", "tasep_line"])
+    def test_batch_replay_matches_per_trajectory_loop(self, request, setup):
+        """The one batch-wide replay gives, bit for bit, the states and
+        weights of replaying each trajectory on its own."""
+        from qslab.phi import _duration_log_weight, _harvest
+        model, target, measure = request.getfixturevalue(setup)
+        batch = run_batch(model, target, 300, 20.0, 41, measure=measure,
+                          record_events=True)
+        assert (batch.hit & (batch.n_events > 0)).sum() > 50
+        for weight in (_duration_log_weight, _power_log_weight(3)):
+            pool = _harvest(batch, 0, weight)
+            occs, logw = harvest_loop(batch, weight)
+            assert np.array_equal(pool.occupancies, occs)
+            assert np.array_equal(pool.log_weights, logw)
+
 
 class TestPhiDirect:
     def test_power_weight_formula(self):
@@ -128,11 +143,9 @@ class TestPhiDirect:
         direct, _ = phi_direct(model, target, measure, 1, 25_000, 60.0,
                                seed=213)
         applied, _ = phi_apply(None, model, target, 25_000, 60.0, seed=457,
-                               provider=measure_provider(measure,
-                                                         model.lattice))
+                               measure=measure)
         batch = run_batch(model, target, 25_000, 60.0, seed=213,
-                          provider=measure_provider(measure, model.lattice),
-                          record_events=True)
+                          measure=measure, record_events=True)
         _, se = ratio_site_means(batch, model.lattice.num_sites)
         gap = np.abs(direct.site_means() - applied.site_means())
         assert (gap <= 6 * se + 0.02).all()
@@ -153,12 +166,11 @@ class TestPhiDirect:
         assert stats.t_max_used == 2.0 * 2 ** stats.work.escalations
         # the first run simulates the mortal starts and skips the immortal
         # ones; each doubling reruns only the mortal starts still censored
-        prov = measure_provider(measure, model.lattice)
-        first = run_batch(model, target, 400, 2.0, 227, provider=prov)
+        first = run_batch(model, target, 400, 2.0, 227, measure=measure)
         expected = int(np.count_nonzero(~first.immortal))
         for k in range(stats.work.escalations):
             batch = run_batch(model, target, 400, 2.0 * 2 ** k, 227,
-                              provider=prov)
+                              measure=measure)
             expected += int(np.count_nonzero(~batch.hit & ~batch.immortal))
         assert stats.work.immortal_skipped == first.immortal.sum() == 217
         assert stats.work.trajectories == expected == 309
@@ -169,17 +181,16 @@ class TestPhiDirect:
         """Splicing the reruns of the censored mortal starts into the batch
         gives, bit for bit, the batch a rerun of every start would give."""
         model, target, measure = toy
-        prov = measure_provider(measure, model.lattice)
         initials = None
         if from_initials:
             initials = measure.sample_occupancies(
                 model.lattice, rngmod.stream(7, rngmod.SAMPLING, 0), 400)
         batch, work = _simulate_to_hits(
-            model, target, initials, None if from_initials else prov, 400,
+            model, target, initials, None if from_initials else measure, 400,
             2.0, 227, 400 if from_initials else 0, 1, DEFAULT_ESCALATIONS)
         assert work.escalations >= 3
         full = run_batch(model, target, 400, batch.t_max, 227,
-                         provider=None if from_initials else prov,
+                         measure=None if from_initials else measure,
                          initials=initials, record_events=True,
                          base_index=400 if from_initials else 0)
         assert_same_batch(batch, full)
@@ -193,9 +204,7 @@ class TestPhiDirect:
         for n in (1, 2, 3):
             exact = exact_vs[n - 1] @ occ_states / exact_vs[n - 1].sum()
             batch = run_batch(model, target, 25_000, 60.0, seed=215 + n,
-                              provider=measure_provider(measure,
-                                                        model.lattice),
-                              record_events=True)
+                              measure=measure, record_events=True)
             est, se = ratio_site_means(batch, model.lattice.num_sites,
                                        weight_fn=lambda s, e, n=n:
                                        (e**n - s**n) / n)

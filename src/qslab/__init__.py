@@ -5,14 +5,13 @@ density-fluctuation event."""
 __version__ = "0.1.0"
 
 from .model import (Configuration, JumpKernel, Lattice, Model, RateFunction,
-                    TargetSet, apply_jump, in_target, jump_rate,
-                    validate_model)
+                    TargetSet, apply_jump, jump_rate, validate_model)
 from .measures import (Marginal, ProductMeasure, WeightedEnsemble,
-                       invert_density, partition_function, sample_product)
+                       invert_density, partition_function)
 
 __all__ = [
     "Configuration", "JumpKernel", "Lattice", "Model", "RateFunction",
-    "TargetSet", "apply_jump", "in_target", "jump_rate", "validate_model",
+    "TargetSet", "apply_jump", "jump_rate", "validate_model",
     "Marginal", "ProductMeasure", "WeightedEnsemble", "invert_density",
-    "partition_function", "sample_product", "__version__",
+    "partition_function", "__version__",
 ]

@@ -21,7 +21,7 @@ from .dynamics import (WorkCounts, second_class_escape, sigma_exit,
                        survival_curve)
 from .estimators import FitError, SurvivalCurve, exponentiality_report, fit_decay
 from .measures import DensityError, FugacityError, increasing_suite, domination_test
-from .model import Configuration, ModelError, TargetSet, validate_model
+from .model import Configuration, ModelError, validate_model
 from .phi import PhiUndefinedError, cesaro_mixture, phi_direct, phi_iterate
 from .spectral import (FixedTotal, MaxTotal, SiteCap, SolverError,
                        StateSpaceError, TasepCircleOracle, absorbing_core,

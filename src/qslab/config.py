@@ -116,8 +116,12 @@ class ExperimentConfig:
             if key in ("n_traj", "n_particles", "iterations", "order") \
                     and int(value) <= 0:
                 raise ConfigError(f"budget {key} must be positive")
-            if key in ("t_max", "kappa") and float(value) <= 0:
+            if key == "t_max" and float(value) <= 0:
                 raise ConfigError(f"budget {key} must be positive")
+            if key == "kappas" and not (isinstance(value, list) and all(
+                    isinstance(k, (int, float)) and k > 0 for k in value)):
+                raise ConfigError("budget kappas must be a list of positive "
+                                  f"times, got {value!r}")
         if "seed" in raw and not 0 <= int(raw["seed"]) < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         # object construction surfaces structural errors early

@@ -41,7 +41,7 @@ from scipy.stats import chi2 as chi2_dist
 
 from . import rng as rngmod
 from .estimators import SurvivalCurve
-from .measures import Marginal, ProductMeasure
+from .measures import ProductMeasure
 from .model import (BLOCKED, Configuration, JumpKernel, Lattice, Model,
                     TargetSet)
 from .spectral import uniformized_sum
@@ -66,12 +66,10 @@ class SimContext:
     neighbor table, the kernel weight of every (site, offset) jump, the
     b table and the window mask."""
 
-    def __init__(self, model: Model, target: TargetSet | None,
-                 reverse: bool = False):
+    def __init__(self, model: Model, target: TargetSet | None):
         self.model = model
         self.target = target
-        kernel = model.kernel.reversed() if reverse else model.kernel
-        lattice = model.lattice
+        kernel, lattice = model.kernel, model.lattice
         nbr = lattice.neighbor_table(kernel.offsets)
         # a blocked jump points at site 0 with weight 0, so rates need no mask
         self.nbr = np.maximum(nbr, 0)
@@ -320,18 +318,6 @@ def replay(initials: np.ndarray, counts: np.ndarray, sources: np.ndarray,
     return states
 
 
-@dataclass
-class HittingResult:
-    tau: float
-    status: str
-    frozen: bool = False
-    trajectory: Trajectory | None = None
-
-    @property
-    def hit(self) -> bool:
-        return self.status == HIT
-
-
 # ---------------------------------------------------------------------------
 # batches
 # ---------------------------------------------------------------------------
@@ -429,9 +415,9 @@ class BatchResult:
 def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
               start: int, t_max: float, record: bool) -> BatchResult:
     """Run the rows of `occ` to the target or to t_max; row r reads the
-    stream with key `key[r]` from word position `start` on.  Immortal starts (see `SimContext.immortal`) stay out of
-    the engine: censored at t_max with no events, frozen when their total
-    rate at t = 0 is 0."""
+    stream with key `key[r]` from word position `start` on.  Immortal
+    starts (see `SimContext.immortal`) stay out of the engine: censored at
+    t_max with no events, frozen when their total rate at t = 0 is 0."""
     n = occ.shape[0]
     btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
     immortal = ctx.immortal(occ)
@@ -465,41 +451,15 @@ def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
                        immortal, t_max, occ, events, finals, counts)
 
 
-def simulate_killed(initial: Configuration, model: Model,
-                    target: TargetSet | None, t_max: float,
-                    rng: np.random.Generator, reverse: bool = False,
-                    record_trajectory: bool = False) -> HittingResult:
-    """Exact event-driven run of the killed process from one configuration.
-
-    Entering the target stops the run (tau); otherwise the trajectory is
-    censored at t_max.  A configuration with no active rate is reported
-    frozen and censored.  An immortal start (particle total at or below the
-    threshold) is censored at once, with no events.  `reverse` simulates the
-    adjoint kernel p*.  `rng` must be a Philox generator (see
-    `rng.position`): the run reads the values its next `random()` calls
-    would return, by key and position, and leaves `rng` where it was.
-    """
-    key, pos = rngmod.position(rng)
-    ctx = SimContext(model, target, reverse)
-    occ = np.asarray(initial.occupancy, dtype=np.int64)[None, :].copy()
-    batch = _simulate(ctx, occ, key[None, :], pos, t_max, record_trajectory)
-    status = HIT if batch.hit[0] else CENSORED
-    frozen = bool(batch.frozen[0])
-    traj = batch.trajectory(0) if record_trajectory else None
-    return HittingResult(float(batch.taus[0]), status, frozen, traj)
-
-
 _FORK_CTX = None  # payload inherited by forked workers
 
 
 def _run_span(payload, lo, hi) -> BatchResult:
-    (model, target, reverse, measure, initials, t_max, seed, base, record,
-     indices) = payload
-    ctx = SimContext(model, target, reverse)
-    idx = indices[lo:hi]
-    key = rngmod.keys(seed, rngmod.TRAJECTORY, base + idx)
+    model, target, measure, initials, t_max, seed, record, indices = payload
+    ctx = SimContext(model, target)
+    key = rngmod.keys(seed, rngmod.TRAJECTORY, indices[lo:hi])
     if initials is not None:
-        occ, start = np.array(initials[idx], dtype=np.int64), 0
+        occ, start = np.array(initials[lo:hi], dtype=np.int64), 0
     else:
         start = model.lattice.num_sites
         occ = measure.from_uniforms(rngmod.uniforms(key, 0, start))
@@ -513,24 +473,24 @@ def _span_worker(span):
 def run_batch(model: Model, target: TargetSet | None, n_traj: int,
               t_max: float, seed: int, *,
               measure: ProductMeasure | None = None,
-              initials: np.ndarray | None = None, reverse: bool = False,
+              initials: np.ndarray | None = None,
               record_events: bool = False, workers: int = 1,
-              base_index: int = 0,
               indices: np.ndarray | None = None) -> BatchResult:
     """Simulate n_traj independent killed trajectories on the lockstep
     engine.
 
-    Trajectory i draws from stream (seed, TRAJECTORY, base_index + i).  Its
-    initial state is either `initials[i]`, and then its events read the
-    stream from position 0, or a sample of the product law `measure`: the
-    inverse CDF of the stream's first num_sites uniforms, and then its
-    events read from position num_sites on.
-    `indices` (n_traj distinct trajectory numbers, default 0..n_traj-1)
-    picks which ones run, in that order.  A trajectory's outcome depends
-    only on its stream, its start and t_max, never on the other rows, on
-    `workers` or on the split, so a subset rerun at a longer horizon can be
-    spliced back by index (`BatchResult.extended`).  Immortal starts are
-    classified at t = 0 and not simulated (see `BatchResult`).
+    Row r draws from stream (seed, TRAJECTORY, indices[r]); `indices` holds
+    n_traj distinct trajectory numbers and defaults to 0..n_traj-1.  Its
+    initial state is either `initials[r]` (`initials` holds exactly the
+    n_traj rows that run), and then its events read the stream from
+    position 0, or a sample of the product law `measure`: the inverse CDF
+    of the stream's first num_sites uniforms, and then its events read from
+    position num_sites on.  A trajectory's outcome depends only on its
+    stream, its start and t_max, never on the other rows, on `workers` or
+    on the split, so a subset rerun at a longer horizon can be spliced back
+    by row (`BatchResult.extended`).  Immortal starts are classified at
+    t = 0 and not simulated (see `BatchResult`).  The adjoint dynamics is
+    the batch of `model.reversed()`.
 
     With `workers` > 1 the spans run in processes started by the "fork"
     method, which inherit the payload instead of receiving it.  Fork exists
@@ -542,8 +502,11 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
         np.asarray(indices, dtype=np.int64)
     if indices.shape != (n_traj,):
         raise ValueError("indices must hold n_traj trajectory numbers")
-    payload = (model, target, reverse, measure, initials, t_max, seed,
-               base_index, record_events, indices)
+    if initials is not None and len(initials) != n_traj:
+        raise ValueError(f"initials must hold n_traj = {n_traj} rows, "
+                         f"got {len(initials)}")
+    payload = (model, target, measure, initials, t_max, seed, record_events,
+               indices)
     if workers <= 1 or n_traj < 2 * workers:
         parts = [_run_span(payload, 0, n_traj)]
     else:
@@ -577,7 +540,7 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
                    n_traj: int, seed: int, *,
                    measure: ProductMeasure | None = None,
                    initials=None, t_max: float | None = None,
-                   reverse: bool = False, workers: int = 1) -> SurvivalCurve:
+                   workers: int = 1) -> SurvivalCurve:
     """Empirical survival P(tau > t) on a time grid with binomial errors.
 
     Trajectories censored at t_max >= max(t_grid) count as alive at every
@@ -589,7 +552,7 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
         raise ValueError("t_max must cover the time grid")
     batch = run_batch(model, target, n_traj, horizon, seed,
                       measure=None if initials is not None else measure,
-                      initials=initials, reverse=reverse, workers=workers)
+                      initials=initials, workers=workers)
     alive = batch.taus[None, :] > t_grid[:, None]
     # censored trajectories carry tau = t_max and stay alive on the grid
     alive |= (~batch.hit)[None, :]
@@ -828,7 +791,7 @@ class SecondClassReport:
 
 def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
                         site: int, t_grid: Sequence[float], n_traj: int,
-                        seed: int, reverse: bool = False) -> SecondClassReport:
+                        seed: int) -> SecondClassReport:
     """Couple eta with zeta = eta + one tagged particle at `site` and estimate
     the survival gap; the tagged particle rides its own kernel path with the
     attractiveness increment as clock, so it never perturbs the eta system.
@@ -844,7 +807,7 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     if model.rates.max_site_occupancy is not None \
             and eta0.occupancy[site] >= model.rates.max_site_occupancy:
         raise ValueError("cannot add the tagged particle at a full site")
-    ctx = SimContext(model, target, reverse)
+    ctx = SimContext(model, target)
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1])
     btab = ctx.btab(int(eta0.occupancy.sum()) + 1)
@@ -926,8 +889,7 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     diff = (tau_eta[None, :] > t_grid[:, None]).astype(float) \
         - (tau_zeta[None, :] > t_grid[:, None])
     gap_se = diff.std(axis=1, ddof=1) / np.sqrt(n_traj)
-    kernel = model.kernel.reversed() if reverse else model.kernel
-    h = rw_hitting(model.lattice, kernel, site, target.sites)
+    h = rw_hitting(model.lattice, model.kernel, site, target.sites)
     return SecondClassReport(
         t_grid=t_grid, gap=gap, gap_stderr=gap_se, survival_eta=surv_eta,
         walk_hit_probability=h, epsilon_bound=1.0 - h,

@@ -1,15 +1,14 @@
-"""Statistical reduction: decay-rate fits, exponentiality diagnostics,
-ensemble distances.  Pure functions over immutable sample arrays."""
+"""Statistical reduction: survival curves, decay-rate fits and
+exponentiality diagnostics.  Pure functions over immutable sample arrays."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
 from . import rng as rngmod
@@ -75,12 +74,6 @@ class SurvivalCurve:
         se = self.stderr()
         return (np.clip(self.estimate - n_sigma * se, 0.0, 1.0),
                 np.clip(self.estimate + n_sigma * se, 0.0, 1.0))
-
-
-def synthetic_exponential_curve(c: float, lam: float,
-                                t: Sequence[float]) -> SurvivalCurve:
-    t = np.asarray(t, dtype=np.float64)
-    return SurvivalCurve.from_log(t, math.log(c) - lam * t)
 
 
 # ---------------------------------------------------------------------------
@@ -276,65 +269,3 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
         ks_threshold=float(threshold),
         atom_at_zero=float(np.mean(taus == 0.0)), n_samples=n)
 
-
-# ---------------------------------------------------------------------------
-# ensemble comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EnsembleDistance:
-    site_chi2: dict[int, float]
-    site_chi2_threshold: dict[int, float]
-    window_gap: float
-    window_gap_stderr: float
-    ks_tau: float | None = None
-
-    def within_null(self) -> bool:
-        return all(self.site_chi2[s] <= self.site_chi2_threshold[s]
-                   for s in self.site_chi2) \
-            and abs(self.window_gap) <= 3.0 * max(self.window_gap_stderr, 1e-300)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "site_chi2": {str(k): v for k, v in self.site_chi2.items()},
-            "site_chi2_threshold": {str(k): v for k, v in
-                                    self.site_chi2_threshold.items()},
-            "window_gap": self.window_gap,
-            "window_gap_stderr": self.window_gap_stderr,
-            "ks_tau": self.ks_tau,
-        }
-
-
-def ensemble_compare(ens_a, ens_b, sites: Sequence[int],
-                     n_max: int = 16, alpha: float = 1e-3) -> EnsembleDistance:
-    """Per-site occupancy histograms compared by chi-square with pooled bins,
-    plus the gap of the window-sum means with a joint standard error."""
-    site_chi2 = {}
-    site_thr = {}
-    na, nb = ens_a.effective_sample_size(), ens_b.effective_sample_size()
-    for s in sites:
-        ha = ens_a.site_histogram(s, n_max)
-        hb = ens_b.site_histogram(s, n_max)
-        pooled = (na * ha + nb * hb) / (na + nb)
-        keep = pooled * min(na, nb) >= 5.0
-        if keep.sum() < 2:
-            site_chi2[int(s)] = 0.0
-            site_thr[int(s)] = float("inf")
-            continue
-        rest_a = ha[~keep].sum()
-        rest_b = hb[~keep].sum()
-        pa = np.append(ha[keep], rest_a)
-        pb = np.append(hb[keep], rest_b)
-        pool = np.append(pooled[keep], (na * rest_a + nb * rest_b) / (na + nb))
-        nz = pool > 0
-        stat = float((((pa - pb) ** 2)[nz] / pool[nz]).sum()
-                     * (na * nb) / (na + nb))
-        dof = int(nz.sum()) - 1
-        site_chi2[int(s)] = stat
-        site_thr[int(s)] = float(chi2_dist.ppf(1 - alpha, max(dof, 1)))
-    sites_arr = np.asarray(sites, dtype=np.int64)
-    wa, sa = ens_a.expect_with_se(lambda x: x[:, sites_arr].sum(axis=1))
-    wb, sb = ens_b.expect_with_se(lambda x: x[:, sites_arr].sum(axis=1))
-    return EnsembleDistance(site_chi2, site_thr, wa - wb,
-                            math.hypot(sa, sb))

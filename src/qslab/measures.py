@@ -193,11 +193,6 @@ class ProductMeasure:
                                side="right").astype(np.int64)
 
 
-def sample_product(measure: ProductMeasure, lattice: Lattice,
-                   rng: np.random.Generator) -> Configuration:
-    return Configuration(measure.sample_occupancies(lattice, rng, 1)[0])
-
-
 def sample_uniform_fixed_count(lattice: Lattice, n_particles: int,
                                rng: np.random.Generator) -> Configuration:
     """Uniform exclusion configuration with exactly n_particles particles."""

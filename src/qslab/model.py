@@ -357,10 +357,6 @@ class Model:
 # elementary operations
 # ---------------------------------------------------------------------------
 
-def in_target(config: Configuration, target: TargetSet) -> bool:
-    return target.contains(config.occupancy)
-
-
 def apply_jump(config: Configuration, i: int, j: int,
                rates: RateFunction | None = None) -> Configuration:
     """Move one particle i -> j; total particle count is preserved."""

@@ -31,7 +31,7 @@ from .model import Model, TargetSet
 
 CENSOR_FRACTION_LIMIT = 0.01
 ESCALATION_FACTOR = 2.0
-DEFAULT_ESCALATIONS = 6
+MAX_ESCALATIONS = 6
 
 
 class PhiUndefinedError(RuntimeError):
@@ -81,37 +81,38 @@ class PhiIterationLog:
 
 
 def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
-                      n_traj: int, t_max: float, seed: int, base_index: int,
-                      workers: int, max_escalations: int
-                      ) -> tuple[BatchResult, WorkCounts]:
-    """Run the batch, doubling the horizon while more than the documented
-    limit of the mortal starts is censored; returns the last batch and the
-    work of every run.
+                      indices: np.ndarray, t_max: float, seed: int,
+                      workers: int) -> tuple[BatchResult, WorkCounts]:
+    """Run the batch whose row r runs on stream index `indices[r]`, doubling
+    the horizon (at most MAX_ESCALATIONS times) while more than the
+    documented limit of the mortal starts is censored; returns the last
+    batch and the work of every run.
 
     A trajectory owns its stream, so a hit keeps its hit time at any longer
     horizon: each doubling reruns only the censored mortal starts, on their
-    own stream indices, and splices them back by index, which gives the
-    batch a rerun of every start would.  Immortal starts stay censored at
+    own stream indices, and splices them back by row, which gives the batch
+    a rerun of every start would.  Immortal starts stay censored at
     every horizon, so they take no part in the decision; with no mortal
     start there is nothing to wait for.  A mortal start may still be unable
     to reach the window (a blocked box whose drift points away from it), so
     escalation also stops once the mortal censored fraction no longer
     improves."""
     horizon = t_max
-    batch = run_batch(model, target, n_traj, horizon, seed,
+    batch = run_batch(model, target, indices.size, horizon, seed,
                       measure=measure, initials=initials,
-                      record_events=True, workers=workers,
-                      base_index=base_index)
+                      record_events=True, workers=workers, indices=indices)
     work = batch.work()
-    for _ in range(max_escalations):
+    for _ in range(MAX_ESCALATIONS):
         if batch.mortal_censored_fraction <= CENSOR_FRACTION_LIMIT:
             break
         horizon *= ESCALATION_FACTOR
         rerun = np.flatnonzero(~batch.hit & ~batch.immortal)
         longer = run_batch(model, target, rerun.size, horizon, seed,
-                           measure=measure, initials=initials,
+                           measure=measure,
+                           initials=None if initials is None
+                           else initials[rerun],
                            record_events=True, workers=workers,
-                           base_index=base_index, indices=rerun)
+                           indices=indices[rerun])
         work += longer.work() + WorkCounts(escalations=1)
         before = batch.mortal_censored_fraction
         batch = batch.extended(rerun, longer)
@@ -182,8 +183,7 @@ def _batch_stats(batch: BatchResult, work: WorkCounts, ess: float,
 def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
               target: TargetSet, n_particles: int, t_max: float, seed: int,
               *, measure: ProductMeasure | None = None, iteration: int = 0,
-              probe_times: Sequence[float] = (), workers: int = 1,
-              max_escalations: int = DEFAULT_ESCALATIONS
+              probe_times: Sequence[float] = (), workers: int = 1
               ) -> tuple[WeightedEnsemble, PhiStats]:
     """One application of the occupation map to a weighted ensemble (or to
     the base product law `measure`): harvest duration-weighted sojourns, then
@@ -195,10 +195,9 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
         draw = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration)
         idx = systematic_resample(input_ensemble.weights, n_particles, draw)
         initials = input_ensemble.occupancies[idx]
+    indices = iteration * n_particles + np.arange(n_particles)
     batch, work = _simulate_to_hits(model, target, initials, measure,
-                                    n_particles, t_max, seed,
-                                    iteration * n_particles, workers,
-                                    max_escalations)
+                                    indices, t_max, seed, workers)
     pool = _harvest(batch, iteration, _duration_log_weight)
     pool_ensemble = pool.ensemble()
     reduce_gen = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration + 1)
@@ -239,16 +238,13 @@ def phi_iterate(model: Model, target: TargetSet, measure: ProductMeasure,
 
 def phi_direct(model: Model, target: TargetSet, measure: ProductMeasure,
                n: int, n_traj: int, t_max: float, seed: int, *,
-               workers: int = 1, base_index: int = 0,
-               max_escalations: int = DEFAULT_ESCALATIONS
-               ) -> tuple[WeightedEnsemble, PhiStats]:
+               workers: int = 1) -> tuple[WeightedEnsemble, PhiStats]:
     """Single-pass estimator of the n-th iterate from the base product law:
     each survivor-set sojourn enters with the power-integral weight."""
     if n < 1:
         raise ValueError("iterate order must be >= 1")
-    batch, work = _simulate_to_hits(model, target, None, measure, n_traj,
-                                    t_max, seed, base_index, workers,
-                                    max_escalations)
+    batch, work = _simulate_to_hits(model, target, None, measure,
+                                    np.arange(n_traj), t_max, seed, workers)
     pool = _harvest(batch, n, _power_log_weight(n))
     ens = pool.ensemble()
     stats = _batch_stats(batch, work, ens.effective_sample_size(), (), n_traj)
@@ -265,52 +261,3 @@ def cesaro_mixture(ensembles: Sequence[WeightedEnsemble]) -> WeightedEnsemble:
     frac = float(np.mean([e.censor_fraction for e in ensembles]))
     return WeightedEnsemble(occ, w, frac)
 
-
-# ---------------------------------------------------------------------------
-# moment ratios
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MomentRatio:
-    order: int
-    estimate: float
-    ci: tuple[float, float]
-    effective_samples: float
-    unstable: bool
-    n_excluded_censored: int
-
-
-def tau_moment_ratio(taus: np.ndarray, n: int, *, hit: np.ndarray | None = None,
-                     n_boot: int = 200, seed: int = 0,
-                     ess_floor: float = 20.0) -> MomentRatio:
-    """Estimate the hitting-time mean under the n-th iterate through the
-    moment-ratio identity E[tau^{n+1}] / ((n+1) E[tau^n]), in log space with
-    a bootstrap interval; censored samples are excluded with a count."""
-    if n < 1:
-        raise ValueError("moment-ratio order must be >= 1")
-    taus = np.asarray(taus, dtype=np.float64)
-    excluded = 0
-    if hit is not None:
-        excluded = int((~hit).sum())
-        taus = taus[np.asarray(hit, dtype=bool)]
-    if taus.size == 0:
-        raise PhiUndefinedError("no uncensored hitting times")
-    pos = taus[taus > 0]
-    if pos.size == 0:
-        raise PhiUndefinedError("all hitting times are zero")
-    logt = np.log(pos)
-
-    def log_ratio(lt: np.ndarray) -> float:
-        return float(logsumexp((n + 1) * lt) - logsumexp(n * lt)
-                     - math.log(n + 1))
-
-    est = math.exp(log_ratio(logt))
-    ess = float(math.exp(2 * logsumexp(n * logt) - logsumexp(2 * n * logt)))
-    boot = rngmod.stream(seed, rngmod.BOOTSTRAP, 3)
-    samples = np.empty(n_boot)
-    for b in range(n_boot):
-        samples[b] = math.exp(log_ratio(logt[boot.integers(0, logt.size,
-                                                           logt.size)]))
-    lo, hi = np.quantile(samples, [0.0015, 0.9985])
-    return MomentRatio(n, est, (float(lo), float(hi)), ess,
-                       ess < ess_floor, excluded)

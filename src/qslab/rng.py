@@ -132,20 +132,3 @@ def uniforms(key: np.ndarray, starts, count: int) -> np.ndarray:
         words = words[np.arange(n)[:, None], lane[:, None] + np.arange(count)]
     return (words >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
-
-def position(gen: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Key and word position of a Philox generator: `uniforms(key[None],
-    [pos], k)` gives the next k values its `random()` calls would return.
-    The generator itself is not advanced."""
-    state = gen.bit_generator.state
-    if state.get("bit_generator") != "Philox":
-        raise TypeError("keyed draws need a Philox generator, got "
-                        f"{state.get('bit_generator')}")
-    if state["has_uint32"]:
-        raise TypeError("the Philox generator holds half a word from a "
-                        "32-bit draw; its position is not a word boundary")
-    ctr = [int(c) for c in state["state"]["counter"]]
-    pos = 4 * (ctr[0] - 1) + int(state["buffer_pos"])
-    if any(ctr[1:]) or pos < 0:
-        raise ValueError(f"Philox counter {ctr} outside the supported range")
-    return state["state"]["key"].astype(np.uint64), pos

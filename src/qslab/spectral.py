@@ -13,7 +13,7 @@ reported truncation artifact instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -550,12 +550,6 @@ def exact_survival(kg: KilledGenerator, initial: np.ndarray,
     return out[0] if scalar else out
 
 
-def survival_monotone_in_time(kg: KilledGenerator, initial: np.ndarray,
-                              ts: Sequence[float]) -> bool:
-    vals = exact_survival(kg, initial, sorted(ts))
-    return bool(np.all(np.diff(vals) <= 1e-12))
-
-
 # ---------------------------------------------------------------------------
 # fixed point, sandwich, Rayleigh
 # ---------------------------------------------------------------------------
@@ -756,10 +750,6 @@ def tasep_line_survival(rho: float, t) -> np.ndarray | float:
     if not 0.0 < rho < 1.0:
         raise ValueError("density must lie in (0, 1)")
     return (1.0 - rho) * np.exp(-rho * np.asarray(t, dtype=np.float64))
-
-
-def tasep_line_decay_rate(rho: float) -> float:
-    return float(rho)
 
 
 @dataclass(frozen=True)

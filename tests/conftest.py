@@ -311,9 +311,9 @@ def _jump_loop(occ, nbr, weights, b, site_rates, u):
 
 
 def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
-                initials=None, base_index=0):
+                initials=None):
     """Reference for `dynamics.run_batch` with recorded events: trajectory i
-    on stream (seed, TRAJECTORY, base_index + i) takes its start from
+    on stream (seed, TRAJECTORY, i) takes its start from
     `measure.sample_occupancies` on that stream (or `initials[i]`), then
     per event one uniform for the waiting time and one for the jump.  A
     start whose particle total is at or below the threshold is immortal:
@@ -325,7 +325,7 @@ def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
     thr = None if target is None else target.threshold
     taus, hit, frozen, finals, events = [], [], [], [], []
     for i in range(n_traj):
-        gen = rngmod.stream(seed, rngmod.TRAJECTORY, base_index + i)
+        gen = rngmod.stream(seed, rngmod.TRAJECTORY, i)
         occ = np.array(
             measure.sample_occupancies(model.lattice, gen, 1)[0]
             if initials is None else initials[i], dtype=np.int64)

@@ -108,6 +108,32 @@ def test_results_hash_is_pinned(tmp_path, base, experiment, budgets, digest):
     assert _manifest(out)["results_hash"] == digest
 
 
+def test_nonpositive_kappas_exit_2(tmp_path, capsys):
+    # a tagged-exit time at or below 0 would report a floor above 1
+    config = _write(tmp_path, "cfg", dict(
+        LINE, experiment="sigma-exit", seed=13,
+        budgets={"kappas": [-0.5, 0.0], "n_traj": 60}))
+    assert cli.main(["run", "--config", config,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "kappas must be a list of positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectral_is_worker_count_invariant(tmp_path, capsys):
+    config = _write(tmp_path, "cfg", dict(
+        TOY, experiment="spectral", seed=1,
+        budgets={"state_space": {"kind": "max_total", "value": 20}}))
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert cli.main(["run", "--config", config, "--out", str(out),
+                         "--workers", str(workers)]) == cli.EXIT_OK
+    assert _manifest(outs[0])["results_hash"] \
+        == _manifest(outs[1])["results_hash"]
+    capsys.readouterr()
+    assert cli.main(["compare", str(outs[0]), str(outs[1])]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["identical"] is True
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG

@@ -1,0 +1,74 @@
+"""`ExperimentConfig` validation on its own: each malformed field is refused
+with the error type the command line maps to its exit code."""
+
+import copy
+
+import pytest
+
+from qslab.config import ConfigError, ExperimentConfig
+from qslab.model import ModelError
+
+BASE = {
+    "experiment": "survival",
+    "model": {"lattice": {"extent": [3], "boundary": "torus"},
+              "kernel": {"offsets": [[1], [-1]], "weights": [0.7, 0.3]},
+              "rates": {"family": "zero_range", "g": {"kind": "identity"}}},
+    "target": {"sites": [0], "threshold": 1},
+    "rho": 0.5,
+    "seed": 3,
+    "budgets": {"t_grid": [1.0, 2.0], "n_traj": 10, "t_max": 5.0},
+}
+
+
+def _with(path, value):
+    """BASE with the entry at `path` (a tuple of keys) set to `value`, or
+    removed when `value` is None."""
+    raw = copy.deepcopy(BASE)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return raw
+
+
+def test_base_config_is_valid():
+    cfg = ExperimentConfig.from_dict(BASE)
+    assert cfg.experiment == "survival" and cfg.seed == 3
+    assert cfg.model().lattice.num_sites == 3
+
+
+@pytest.mark.parametrize("path,value,match", [
+    (("experiment",), "warp-drive", "unknown experiment kind"),
+    (("model", "rates"), None, "missing model.rates"),
+    (("model", "kernel"), None, "missing model.kernel"),
+    (("budgets", "n_traj"), 0, "n_traj must be positive"),
+    (("budgets", "n_traj"), -4, "n_traj must be positive"),
+    (("budgets", "t_max"), 0.0, "t_max must be positive"),
+    (("budgets", "kappas"), [0.5, -0.5], "kappas"),
+    (("budgets", "kappas"), [0.5, "1"], "kappas"),
+    (("budgets", "kappas"), 0.5, "kappas"),
+    (("seed",), 2**64, "64 bits"),
+    (("model", "rates", "g"), {"kind": "cubic"}, "unknown g kind"),
+    (("model", "rates"), {"family": "teleport"}, "unknown rate family"),
+    (("model", "rates"), {"family": "misanthrope", "g": {"kind": "identity"},
+                          "b": {"kind": "sideways"}}, "unknown b kind"),
+], ids=["experiment", "no-rates", "no-kernel", "n_traj-zero",
+        "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
+        "kappas-scalar", "seed", "g-kind", "rate-family", "b-kind"])
+def test_malformed_field_is_a_config_error(path, value, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(_with(path, value))
+
+
+@pytest.mark.parametrize("sites", [[3], [-1], [0, 7]])
+def test_target_off_the_lattice_is_a_model_error(sites):
+    with pytest.raises(ModelError, match="outside the lattice"):
+        ExperimentConfig.from_dict(_with(("target", "sites"), sites))
+
+
+def test_largest_seed_is_accepted():
+    assert ExperimentConfig.from_dict(_with(("seed",), 2**64 - 1)).seed \
+        == 2**64 - 1

@@ -10,7 +10,7 @@ from qslab import dynamics
 from qslab import rng as rngmod
 from qslab.dynamics import (CENSORED, HIT, SimContext, run_batch,
                             rw_hitting, rw_hitting_free, rw_hitting_mc,
-                            second_class_escape, sigma_exit, simulate_killed,
+                            second_class_escape, sigma_exit,
                             stationarity_check, supermultiplicativity_check,
                             survival_curve)
 from qslab.measures import ProductMeasure, _window_distribution
@@ -32,18 +32,18 @@ def gamma_tail(k, t):
 class TestSimulateKilled:
     def test_initial_inside_target_is_instant(self, toy):
         model, target, _ = toy
-        res = simulate_killed(Configuration([2, 0, 0]), model, target, 10.0,
-                              rngmod.stream(0, rngmod.TRAJECTORY, 0),
-                              record_trajectory=True)
-        assert res.hit and res.tau == 0.0
-        assert res.trajectory.n_events == 0
+        batch = run_batch(model, target, 1, 10.0, 0,
+                          initials=np.array([[2, 0, 0]]), record_events=True)
+        assert batch.hit[0] and batch.taus[0] == 0.0
+        assert batch.trajectory(0).n_events == 0
 
     def test_empty_configuration_freezes(self, toy):
         model, target, _ = toy
-        res = simulate_killed(Configuration([0, 0, 0]), model, target, 5.0,
-                              rngmod.stream(0, rngmod.TRAJECTORY, 1))
-        assert res.status == CENSORED and res.frozen
-        assert res.tau == 5.0
+        res = run_batch(model, target, 1, 5.0, 0,
+                        initials=np.array([[0, 0, 0]]), indices=[1],
+                        record_events=True).trajectory(0)
+        assert res.terminal_status == CENSORED and res.frozen
+        assert res.terminal_time == 5.0
 
     def test_single_particle_gamma_hitting(self):
         # one particle three unobstructed hops from the trap: tau is a sum
@@ -69,26 +69,14 @@ class TestSimulateKilled:
         for _ in range(2):
             gen = rngmod.stream(123, rngmod.TRAJECTORY, 9)
             occ = measure.sample_occupancies(model.lattice, gen, 1)[0]
-            runs.append(simulate_killed(Configuration(occ), model, target,
-                                        40.0, gen, record_trajectory=True))
+            runs.append(run_batch(model, target, 1, 40.0, 123,
+                                  initials=occ[None], indices=[9],
+                                  record_events=True).trajectory(0))
         a, b = runs
-        assert a.tau == b.tau
-        assert (a.trajectory.times == b.trajectory.times).all()
-        assert (a.trajectory.sources == b.trajectory.sources).all()
-        assert (a.trajectory.destinations == b.trajectory.destinations).all()
-
-    def test_rng_must_be_a_philox_at_a_word_boundary(self, toy):
-        """The run reads its draws by the Philox key and word position, so
-        other generators and a pending half word are refused."""
-        model, target, _ = toy
-        start = Configuration([1, 1, 0])
-        with pytest.raises(TypeError, match="Philox"):
-            simulate_killed(start, model, target, 5.0,
-                            np.random.default_rng(0))
-        gen = rngmod.stream(0, rngmod.TRAJECTORY, 0)
-        gen.integers(0, 10, dtype=np.uint32)
-        with pytest.raises(TypeError, match="half a word"):
-            simulate_killed(start, model, target, 5.0, gen)
+        assert a.terminal_time == b.terminal_time
+        assert (a.times == b.times).all()
+        assert (a.sources == b.sources).all()
+        assert (a.destinations == b.destinations).all()
 
     def test_trajectory_replay_is_valid(self, toy):
         """Replay invariants: strictly increasing times, every event a
@@ -119,10 +107,10 @@ class TestSimulateKilled:
         model = Model(lattice, JumpKernel(np.array([[1]]), np.array([1.0])),
                       RateFunction.exclusion())
         target = TargetSet(np.array([4]), 0)
-        res = simulate_killed(Configuration([0, 0, 1, 0, 0]), model, target,
-                              10.0, rngmod.stream(5, rngmod.TRAJECTORY, 0),
-                              reverse=True)
-        assert res.status == CENSORED
+        res = run_batch(model.reversed(), target, 1, 10.0, 5,
+                        initials=np.array([[0, 0, 1, 0, 0]]),
+                        record_events=True).trajectory(0)
+        assert res.terminal_status == CENSORED
 
 
 class TestBatches:
@@ -150,6 +138,14 @@ class TestBatches:
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
         assert np.array_equal(one.finals, two.finals)
+
+    def test_initials_must_hold_n_traj_rows(self, toy):
+        model, target, _ = toy
+        initials = np.array([[1, 1, 0], [0, 2, 0], [1, 0, 1]])
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="initials"):
+                run_batch(model, target, n, 5.0, 3, initials=initials)
+        assert run_batch(model, target, 3, 5.0, 3, initials=initials).n == 3
 
     def test_conservation_on_torus(self, toy):
         model, target, measure = toy
@@ -181,12 +177,12 @@ class TestImmortalStarts:
 
     def test_skipped_without_kernel_call(self, toy, kernel_calls):
         model, target, _ = toy
-        res = simulate_killed(Configuration([0, 1, 0]), model, target, 5.0,
-                              rngmod.stream(0, rngmod.TRAJECTORY, 2),
-                              record_trajectory=True)
-        assert res.status == CENSORED and res.tau == 5.0
+        res = run_batch(model, target, 1, 5.0, 0,
+                        initials=np.array([[0, 1, 0]]), indices=[2],
+                        record_events=True).trajectory(0)
+        assert res.terminal_status == CENSORED and res.terminal_time == 5.0
         assert not res.frozen  # one particle keeps a positive rate
-        assert res.trajectory.n_events == 0
+        assert res.n_events == 0
         assert kernel_calls == []
 
     def test_batch_marks_immortal_starts(self, toy, kernel_calls):
@@ -287,7 +283,7 @@ class TestEngineOracle:
         uniforms: what `sample_occupancies(lattice, stream, 1)` gives."""
         model, target, measure = request.getfixturevalue(setup)
         batch = run_batch(model, target, 120, 1.0, 53, measure=measure,
-                          base_index=7)
+                          indices=7 + np.arange(120))
         for i in range(batch.n):
             gen = rngmod.stream(53, rngmod.TRAJECTORY, 7 + i)
             assert np.array_equal(
@@ -381,7 +377,8 @@ class TestSplits:
         whole = run_batch(model, target, 240, 6.0, 37, measure=measure,
                           record_events=record)
         parts = [run_batch(model, target, hi - lo, 6.0, 37, measure=measure,
-                           record_events=record, base_index=lo)
+                           record_events=record,
+                           indices=lo + np.arange(hi - lo))
                  for lo, hi in ((0, 1), (1, 100), (100, 240))]
         joined = dynamics.BatchResult(
             *(np.concatenate([getattr(p, name) for p in parts])
@@ -397,11 +394,11 @@ class TestSplits:
         initials = measure.sample_occupancies(
             model.lattice, rngmod.stream(3, rngmod.SAMPLING, 0), 200)
         whole = run_batch(model, target, 200, 6.0, 41, initials=initials,
-                          record_events=True, base_index=7)
+                          record_events=True, indices=7 + np.arange(200))
         rows = np.array([150, 3, 77, 78, 199])
         some = run_batch(model, target, rows.size, 6.0, 41,
-                         initials=initials, record_events=True,
-                         base_index=7, indices=rows)
+                         initials=initials[rows], record_events=True,
+                         indices=7 + rows)
         assert np.array_equal(some.initials, initials[rows])
         for name in ("taus", "hit", "frozen", "finals", "n_events"):
             assert np.array_equal(getattr(some, name),
@@ -421,8 +418,8 @@ class TestReplayProperties:
         """states() conserves the total and ends at the engine's final
         occupancy; the window sum stays at or below the threshold until the
         last event, passes it exactly when the trajectory hit, and never
-        passes it on a censored one; a batch equals its two halves run with
-        base_index."""
+        passes it on a censored one; a batch equals its two halves run on
+        their own stream indices."""
         lattice = Lattice((n_sites,), "torus" if torus else "blocked")
         rates = RateFunction.exclusion() if exclusion else G_LINEAR
         model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
@@ -445,7 +442,7 @@ class TestReplayProperties:
                 assert (window[-1] > threshold) == whole.hit[i]
         halves = [run_batch(model, target, 2, 3.0, seed,
                             initials=initials[lo:lo + 2],
-                            record_events=True, base_index=lo)
+                            record_events=True, indices=lo + np.arange(2))
                   for lo in (0, 2)]
         assert np.array_equal(whole.taus,
                               np.concatenate([h.taus for h in halves]))

@@ -6,17 +6,16 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from qslab import rng as rngmod
-from qslab.estimators import (EnsembleDistance, FitError, SurvivalCurve,
-                              ensemble_compare, exponentiality_report,
-                              fit_decay, synthetic_exponential_curve)
-from qslab.measures import ProductMeasure, WeightedEnsemble
+from qslab.estimators import (FitError, SurvivalCurve, exponentiality_report,
+                              fit_decay)
 from qslab.model import RateFunction, Lattice
 from qslab.spectral import tasep_line_survival
 
 
 class TestFitDecay:
     def test_noise_free_exponential_recovered_exactly(self):
-        curve = synthetic_exponential_curve(0.5, 0.5, np.linspace(0.5, 8, 16))
+        t = np.linspace(0.5, 8, 16)
+        curve = SurvivalCurve.from_log(t, math.log(0.5) - 0.5 * t)
         fit = fit_decay(curve)
         assert fit.lambda_hat == pytest.approx(0.5, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
@@ -36,7 +35,8 @@ class TestFitDecay:
         assert fit.lambda_hat == pytest.approx(1.0, abs=0.05)
 
     def test_insufficient_points_raises(self):
-        curve = synthetic_exponential_curve(1.0, 1.0, [1.0, 2.0, 3.0])
+        t = np.array([1.0, 2.0, 3.0])
+        curve = SurvivalCurve.from_log(t, -t)
         with pytest.raises(FitError):
             fit_decay(curve)
 
@@ -134,35 +134,3 @@ class TestExponentiality:
         integral, _ = quad(lambda s: tasep_line_survival(rho, s), 0, np.inf)
         assert integral == pytest.approx((1 - rho) / rho, abs=1e-6)
 
-
-class TestEnsembleCompare:
-    def test_self_distance_zero(self):
-        ens = WeightedEnsemble(np.array([[1, 0], [0, 2], [1, 1]]),
-                               np.array([1.0, 2.0, 0.5]))
-        dist = ensemble_compare(ens, ens, [0, 1])
-        assert all(v == 0 for v in dist.site_chi2.values())
-        assert dist.window_gap == 0
-
-    def test_independent_copies_within_null(self, toy):
-        model, _, measure = toy
-        occ_a = measure.sample_occupancies(
-            model.lattice, rngmod.stream(908, rngmod.SAMPLING, 0), 8000)
-        occ_b = measure.sample_occupancies(
-            model.lattice, rngmod.stream(909, rngmod.SAMPLING, 0), 8000)
-        dist = ensemble_compare(WeightedEnsemble.from_samples(occ_a),
-                                WeightedEnsemble.from_samples(occ_b),
-                                [0, 1, 2])
-        assert dist.within_null()
-
-    def test_detects_density_shift(self, toy):
-        model, _, measure = toy
-        shifted = ProductMeasure.at_density(0.9, model.rates)
-        occ_a = measure.sample_occupancies(
-            model.lattice, rngmod.stream(910, rngmod.SAMPLING, 0), 8000)
-        occ_b = shifted.sample_occupancies(
-            model.lattice, rngmod.stream(911, rngmod.SAMPLING, 0), 8000)
-        dist = ensemble_compare(WeightedEnsemble.from_samples(occ_a),
-                                WeightedEnsemble.from_samples(occ_b),
-                                [0, 1, 2])
-        assert not dist.within_null()
-        assert dist.window_gap < 0

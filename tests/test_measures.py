@@ -9,9 +9,9 @@ from qslab import rng as rngmod
 from qslab.measures import (DensityError, FugacityError, Marginal,
                             ProductMeasure, WeightedEnsemble, domination_test,
                             fkg_test, increasing_suite, invert_density,
-                            partition_function, sample_product,
-                            sample_uniform_fixed_count, size_bias_check,
-                            size_bias_enumerate, systematic_resample, upsilon)
+                            partition_function, sample_uniform_fixed_count,
+                            size_bias_check, size_bias_enumerate,
+                            systematic_resample, upsilon)
 from qslab.model import Configuration, JumpKernel, Lattice, RateFunction, TargetSet
 from qslab import storage
 
@@ -80,7 +80,8 @@ class TestSampling:
     def test_zero_density_gives_vacuum(self):
         lat = Lattice((50,), "torus")
         meas = ProductMeasure.at_density(0.0, G_LINEAR)
-        conf = sample_product(meas, lat, rngmod.stream(0, rngmod.SAMPLING, 0))
+        conf = Configuration(meas.sample_occupancies(
+            lat, rngmod.stream(0, rngmod.SAMPLING, 0), 1)[0])
         assert conf.total_particles == 0
 
     def test_exclusion_density_binomial_ci(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          ModelError, RateFunction, TargetSet, apply_jump,
-                         in_target, jump_rate, validate_model)
+                         jump_rate, validate_model)
 
 
 def tasep_kernel():
@@ -160,10 +160,11 @@ class TestConfigurationOps:
             assert config.occupancy.sum() == total
 
     def test_in_target_examples(self):
-        assert in_target(Configuration([1]), TargetSet(np.array([0]), 0))
+        assert TargetSet(np.array([0]), 0).contains(
+            Configuration([1]).occupancy)
         t = TargetSet(np.array([0, 1]), 3)
-        assert not in_target(Configuration([2, 1]), t)
-        assert in_target(Configuration([2, 2]), t)
+        assert not t.contains(Configuration([2, 1]).occupancy)
+        assert t.contains(Configuration([2, 2]).occupancy)
 
     def test_jump_rate_zero_range(self):
         lat = Lattice((2,), "blocked")

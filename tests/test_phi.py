@@ -8,9 +8,9 @@ from qslab.dynamics import run_batch
 from qslab.measures import WeightedEnsemble, domination_test, increasing_suite
 from qslab.model import (Configuration, JumpKernel, Lattice, Model,
                          RateFunction, TargetSet)
-from qslab.phi import (DEFAULT_ESCALATIONS, PhiUndefinedError, SojournPool,
-                       cesaro_mixture, phi_apply, phi_direct, phi_iterate,
-                       tau_moment_ratio, _power_log_weight, _simulate_to_hits)
+from qslab.phi import (PhiUndefinedError, SojournPool, cesaro_mixture,
+                       phi_apply, phi_direct, phi_iterate, _power_log_weight,
+                       _simulate_to_hits)
 
 from conftest import assert_same_batch, harvest_loop, ratio_site_means
 
@@ -74,8 +74,7 @@ class TestPhiApply:
         model, target, _ = toy
         dead = WeightedEnsemble(np.array([[0, 1, 0]]), np.array([1.0]))
         with pytest.raises(PhiUndefinedError):
-            phi_apply(dead, model, target, 64, 1.0, seed=207,
-                      max_escalations=1)
+            phi_apply(dead, model, target, 64, 1.0, seed=207)
 
     def test_uniform_time_sampling_is_the_wrong_estimator(self):
         """Regression guard for the tempting mistake: drawing one state at a
@@ -185,14 +184,15 @@ class TestPhiDirect:
         if from_initials:
             initials = measure.sample_occupancies(
                 model.lattice, rngmod.stream(7, rngmod.SAMPLING, 0), 400)
+        indices = (400 if from_initials else 0) + np.arange(400)
         batch, work = _simulate_to_hits(
-            model, target, initials, None if from_initials else measure, 400,
-            2.0, 227, 400 if from_initials else 0, 1, DEFAULT_ESCALATIONS)
+            model, target, initials, None if from_initials else measure,
+            indices, 2.0, 227, 1)
         assert work.escalations >= 3
         full = run_batch(model, target, 400, batch.t_max, 227,
                          measure=None if from_initials else measure,
                          initials=initials, record_events=True,
-                         base_index=400 if from_initials else 0)
+                         indices=indices)
         assert_same_batch(batch, full)
 
     def test_matches_exact_iterates(self, toy, toy_spectral):
@@ -272,27 +272,3 @@ class TestCesaro:
         mix = cesaro_mixture([a, b])
         assert mix.weights[0] == pytest.approx(mix.weights[1])
 
-
-class TestMomentRatio:
-    def test_exponential_samples_constant_ratio(self):
-        gen = rngmod.stream(223, rngmod.SAMPLING, 0)
-        taus = gen.exponential(1.0 / 2.0, 40_000)
-        for n in (1, 2, 3):
-            est = tau_moment_ratio(taus, n, seed=n)
-            assert est.ci[0] <= 0.5 <= est.ci[1]
-            assert est.estimate == pytest.approx(0.5, rel=0.1)
-            assert not est.unstable
-
-    def test_unstable_high_order_flagged(self):
-        gen = rngmod.stream(225, rngmod.SAMPLING, 0)
-        taus = gen.exponential(1.0, 60)
-        est = tau_moment_ratio(taus, 9, seed=3)
-        assert est.unstable
-
-    def test_censored_excluded_and_counted(self):
-        taus = np.array([1.0, 2.0, 5.0, 5.0])
-        hit = np.array([True, True, False, False])
-        est = tau_moment_ratio(taus, 1, hit=hit, seed=4, n_boot=50)
-        assert est.n_excluded_censored == 2
-        assert est.estimate == pytest.approx(
-            (1.0 + 4.0) / (2 * (1.0 + 2.0)))

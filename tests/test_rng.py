@@ -59,24 +59,6 @@ def test_rows_with_mixed_starts():
     assert np.array_equal(same, rngmod.uniforms(key, np.full(n, 7), 5))
 
 
-def test_position_of_a_stream_partway():
-    gen = rngmod.stream(8, rngmod.TRAJECTORY, 3)
-    for skip in (0, 1, 2, 3, 4, 7):
-        gen.random(skip)
-        key, pos = rngmod.position(gen)
-        ahead = rngmod.uniforms(key[None, :], pos, 6)[0]
-        assert np.array_equal(ahead, gen.random(6))
-
-
-def test_position_refuses_other_generators():
-    with pytest.raises(TypeError, match="Philox"):
-        rngmod.position(np.random.default_rng(0))
-    gen = rngmod.stream(0, rngmod.MISC, 0)
-    gen.random(dtype=np.float32)   # a 32-bit draw leaves half a word
-    with pytest.raises(TypeError, match="half a word"):
-        rngmod.position(gen)
-
-
 def test_key_ranges_are_checked():
     with pytest.raises(ValueError, match="index"):
         rngmod.keys(0, rngmod.TRAJECTORY, [LAST_INDEX + 1])

@@ -18,7 +18,6 @@ from qslab.spectral import (FixedTotal, KilledGenerator, MaxTotal, SiteCap,
                             occupation_vectors, principal_decay,
                             product_vector, qsd_fixed_point_check,
                             rayleigh_quotient, restrict_to_core,
-                            survival_monotone_in_time, tasep_line_decay_rate,
                             tasep_line_survival)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
@@ -254,9 +253,9 @@ class TestExactSurvival:
             pytest.approx(math.exp(-1.7), abs=1e-12)
 
     def test_monotone_in_time(self, toy_spectral):
-        assert survival_monotone_in_time(
-            toy_spectral["core"], toy_spectral["nu_core"],
-            np.linspace(0, 8, 17))
+        vals = exact_survival(toy_spectral["core"], toy_spectral["nu_core"],
+                              np.linspace(0, 8, 17))
+        assert np.all(np.diff(vals) <= 1e-12)
 
     def test_log_mode_matches_direct(self, toy_spectral):
         kg = toy_spectral["core"]
@@ -410,7 +409,6 @@ class TestLineOracle:
         assert tasep_line_survival(0.5, 2.0) == \
             pytest.approx(0.5 * math.exp(-1.0))
         assert tasep_line_survival(0.5, 200.0) < 1e-40
-        assert tasep_line_decay_rate(0.3) == 0.3
 
 
 class TestCircleOracle:

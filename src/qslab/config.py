@@ -30,6 +30,14 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
+def _number(value, kind, what: str):
+    """`kind(value)` (int or float), a ConfigError when it is no number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def g_from_spec(spec: dict):
     kind = _require(spec, "kind", "rates.g")
     if kind == "identity":
@@ -109,20 +117,21 @@ class ExperimentConfig:
         for key in ("lattice", "kernel", "rates"):
             _require(model_spec, key, "model")
         rho = raw.get("rho")
-        if rho is not None and not 0.0 <= float(rho):
+        if rho is not None and not 0.0 <= _number(rho, float, "density rho"):
             raise ConfigError(f"density must be nonnegative, got {rho}")
         budgets = raw.get("budgets", {})
         for key, value in budgets.items():
             if key in ("n_traj", "n_particles", "iterations", "order") \
-                    and int(value) <= 0:
+                    and _number(value, int, f"budget {key}") <= 0:
                 raise ConfigError(f"budget {key} must be positive")
-            if key == "t_max" and float(value) <= 0:
+            if key == "t_max" and _number(value, float, f"budget {key}") <= 0:
                 raise ConfigError(f"budget {key} must be positive")
             if key == "kappas" and not (isinstance(value, list) and all(
                     isinstance(k, (int, float)) and k > 0 for k in value)):
                 raise ConfigError("budget kappas must be a list of positive "
                                   f"times, got {value!r}")
-        if "seed" in raw and not 0 <= int(raw["seed"]) < 2**64:
+        if "seed" in raw and \
+                not 0 <= _number(raw["seed"], int, "seed") < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         # object construction surfaces structural errors early
         self.model()

@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import eig
 from scipy.sparse import csr_matrix
 from scipy.sparse import identity as sparse_identity
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
+                                 eigsh, splu)
+from scipy.sparse.linalg import norm as sparse_norm
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
@@ -29,7 +33,6 @@ from .measures import Marginal
 from .model import Configuration, Lattice, Model, TargetSet
 
 DEFAULT_STATE_LIMIT = 100_000
-EIGEN_TOL = 1e-12
 
 
 class StateSpaceError(ValueError):
@@ -262,7 +265,10 @@ class KilledGenerator:
     `killing` holds the total rate into the target per state; row sums equal
     minus the killing rate (strictly negative exactly where a jump into the
     target is possible).  `suppressed_rate` reports the total rate removed by
-    per-site caps (zero on canonical sectors): the cap-sensitivity handle."""
+    per-site caps (zero on canonical sectors): the cap-sensitivity handle.
+    `lu` factors -L once, on first use, for every solve with -L or its
+    transpose (the Perron vectors and the occupation map), so `matrix` must
+    not change after that."""
 
     space: StateSpace
     target: TargetSet
@@ -277,6 +283,21 @@ class KilledGenerator:
 
     def exit_rates(self) -> np.ndarray:
         return -np.asarray(self.matrix.diagonal())
+
+    @cached_property
+    def lu(self):
+        """SuperLU factorization of -L, or None when -L is singular: a
+        survivor class that is never killed makes it so, and SuperLU then
+        either refuses to factor or returns non-finite solves."""
+        try:
+            lu = splu((-self.matrix).tocsc())
+        except RuntimeError:
+            return None
+        ones = np.ones(self.dim)
+        if (np.isfinite(lu.solve(ones)).all()
+                and np.isfinite(lu.solve(ones, trans="T")).all()):
+            return lu
+        return None
 
 
 def build_killed_generator(space: StateSpace, model: Model,
@@ -389,70 +410,62 @@ class SpectralResult:
         }
 
 
-def _inverse_iteration(op_solve, mat, n, max_iter, tol):
-    x = np.full(n, 1.0 / math.sqrt(n))
-    prev_res = np.inf
-    stall = 0
-    nu = 0.0
-    res = np.inf
-    for _ in range(max_iter):
-        x = op_solve(x)
-        x /= np.linalg.norm(x)
-        mx = mat @ x
-        nu = float(x @ mx)
-        res = float(np.linalg.norm(mx - nu * x, np.inf))
-        if res <= tol:
-            return x, nu, res
-        # defective spectra decay like 1/k, geometric convergence does not:
-        # long runs of near-flat residuals are the stagnation signature
-        if res > 0.98 * prev_res:
-            stall += 1
-            if stall > 200:
-                break
-        else:
-            stall = 0
-        prev_res = res
-    return x, nu, res
+def _dominant_vector(solve: Callable[[np.ndarray], np.ndarray],
+                     n: int) -> np.ndarray:
+    """Unit eigenvector of the largest-magnitude eigenvalue of the operator
+    `solve` (an inverse), by Arnoldi from the all-ones vector.  Without a
+    converged Ritz pair the start vector comes back, for the Perron checks
+    to judge."""
+    op = LinearOperator((n, n), matvec=solve, dtype=np.float64)
+    try:
+        x = eigs(op, k=1, which="LM", tol=0, v0=np.ones(n))[1][:, 0].real
+    except ArpackNoConvergence:
+        x = np.ones(n)
+    return x / np.linalg.norm(x)
 
 
-def principal_decay(kg: KilledGenerator, tol: float = EIGEN_TOL,
-                    max_iter: int = 5000,
+def principal_decay(kg: KilledGenerator,
                     fit_times: Sequence[float] | None = None) -> SpectralResult:
     """Smallest decay rate of the killed generator with both Perron vectors.
 
-    Inverse power iteration on (sigma I - L) with sigma above the largest
-    row magnitude; stagnating residuals signal a defective spectrum (the
-    canonical ring is the canonical example) and the rate is then fitted on
-    the exact survival curve instead of forced out of the iteration.  One LU
-    factorization serves both vectors: the left one solves with its
-    transpose."""
+    The right and left vectors are the dominant eigenvectors of (-L)^{-1}
+    and its transpose, found by shift-invert Arnoldi (ARPACK) on the
+    generator's one cached factorization `kg.lu`; when -L is singular
+    (never-killed mass) the shift is sigma I - L instead, with sigma above
+    twice the largest exit rate.  Cores of at most two states, too small
+    for ARPACK, take a dense eigensolve.
+
+    The pair is a Perron pair only when both residuals, and the rounding
+    floor eps ||L||_inf, stay below 1e-10 |y^T x| (x, y the unit vectors:
+    the eigenvalue condition number times the residual), the two Rayleigh
+    quotients agree to 1e-8 and neither vector has mixed signs.  A
+    defective eigenvalue has y^T x = 0 however small its residuals (the
+    canonical totally asymmetric ring is the example); the rate is then
+    fitted on the exact survival curve instead."""
     L = kg.matrix.tocsc()
     n = kg.dim
     if n == 0:
         raise SolverError("empty surviving state space")
     n_scc = connected_components(kg.matrix, directed=True,
                                  connection="strong", return_labels=False)
-    if n == 1:
-        lam = -float(L[0, 0])
-        one = np.ones(1)
-        return SpectralResult(lam, one, one.copy(), 0.0, 0.0, False, 1)
-    # shift zero (plain inverse iteration on -L) converges at the spectral-gap
-    # ratio; it fails to factor exactly when never-absorbed mass makes L
-    # singular, where the conservative diagonal shift still applies
-    try:
-        lu = splu((-L).tocsc())
-        if not (np.isfinite(lu.solve(np.ones(n))).all()
-                and np.isfinite(lu.solve(np.ones(n), trans="T")).all()):
-            lu = None
-    except RuntimeError:
-        lu = None
-    if lu is None:
-        sigma = 1.0 + float(np.abs(L.diagonal()).max()) * 2.0
-        lu = splu((sigma * sparse_identity(n, format="csc")) - L)
-    right, nu_r, res_r = _inverse_iteration(lu.solve, L, n, max_iter, tol)
-    left, nu_l, res_l = _inverse_iteration(
-        lambda x: lu.solve(x, trans="T"), L.T, n, max_iter, tol)
-    ok = res_r <= 1e-10 and res_l <= 1e-10 and abs(nu_r - nu_l) <= 1e-8
+    if n <= 2:
+        values, lefts, rights = eig(L.toarray(), left=True)
+        top = int(np.argmax(values.real))
+        right, left = rights[:, top].real, lefts[:, top].real
+    else:
+        lu = kg.lu
+        if lu is None:
+            sigma = 1.0 + float(np.abs(L.diagonal()).max()) * 2.0
+            lu = splu((sigma * sparse_identity(n, format="csc")) - L)
+        right = _dominant_vector(lu.solve, n)
+        left = _dominant_vector(lambda x: lu.solve(x, trans="T"), n)
+    nu_r = float(right @ (L @ right))
+    nu_l = float(left @ (L.T @ left))
+    res_r = float(np.linalg.norm(L @ right - nu_r * right, np.inf))
+    res_l = float(np.linalg.norm(L.T @ left - nu_l * left, np.inf))
+    floor = np.finfo(np.float64).eps * float(sparse_norm(L, np.inf))
+    ok = (max(res_r, res_l, floor) <= 1e-10 * abs(float(left @ right))
+          and abs(nu_r - nu_l) <= 1e-8)
     if ok:
         lam = -0.5 * (nu_r + nu_l)
         if right.sum() < 0:
@@ -598,20 +611,20 @@ def restrict_to_core(kg: KilledGenerator,
 def occupation_vectors(kg: KilledGenerator, initial: np.ndarray,
                        n: int) -> list[np.ndarray]:
     """Unnormalized row vectors initial (-L)^{-k} for k = 1..n (transpose
-    solves); their sums are E[tau^k]/k! restricted to killed mass."""
-    A = (-kg.matrix).T.tocsc()
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:
-        raise SolverError(f"(-L) is singular: {exc}") from exc
+    solves on the cached `kg.lu`); their sums are E[tau^k]/k! restricted to
+    killed mass."""
+    lu = kg.lu
+    if lu is None:
+        raise SolverError("(-L) is singular (absorbing substructure in the "
+                          "survivor set)")
     out = []
     x = np.asarray(initial, dtype=np.float64)
     for _ in range(n):
-        x = lu.solve(x)
+        x = lu.solve(x, trans="T")
         if not np.isfinite(x).all():
             raise SolverError("(-L) solve produced non-finite values "
                               "(absorbing substructure in the survivor set)")
-        out.append(x.copy())
+        out.append(x)
     return out
 
 

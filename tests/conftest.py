@@ -6,9 +6,8 @@ from scipy.sparse import csr_matrix
 
 from qslab import rng as rngmod
 from qslab.measures import ProductMeasure
-from qslab.model import (Configuration, JumpKernel, Lattice, Model,
-                         RateFunction, TargetSet)
-from qslab.spectral import (FixedTotal, MaxTotal, SiteCap, absorbing_core,
+from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
+from qslab.spectral import (FixedTotal, MaxTotal, SiteCap,
                             build_killed_generator, enumerate_states,
                             principal_decay, product_vector, restrict_to_core)
 

@@ -51,13 +51,18 @@ def test_base_config_is_valid():
     (("budgets", "kappas"), [0.5, "1"], "kappas"),
     (("budgets", "kappas"), 0.5, "kappas"),
     (("seed",), 2**64, "64 bits"),
+    (("budgets", "n_traj"), "ten", "n_traj must be a number"),
+    (("budgets", "t_max"), [5.0], "t_max must be a number"),
+    (("rho",), "half", "rho must be a number"),
+    (("seed",), "three", "seed must be a number"),
     (("model", "rates", "g"), {"kind": "cubic"}, "unknown g kind"),
     (("model", "rates"), {"family": "teleport"}, "unknown rate family"),
     (("model", "rates"), {"family": "misanthrope", "g": {"kind": "identity"},
                           "b": {"kind": "sideways"}}, "unknown b kind"),
 ], ids=["experiment", "no-rates", "no-kernel", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
-        "kappas-scalar", "seed", "g-kind", "rate-family", "b-kind"])
+        "kappas-scalar", "seed", "n_traj-word", "t_max-list", "rho-word",
+        "seed-word", "g-kind", "rate-family", "b-kind"])
 def test_malformed_field_is_a_config_error(path, value, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(_with(path, value))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qslab import dynamics
 from qslab import rng as rngmod
-from qslab.dynamics import (CENSORED, HIT, SimContext, run_batch,
-                            rw_hitting, rw_hitting_free, rw_hitting_mc,
+from qslab.dynamics import (CENSORED, HIT, run_batch, rw_hitting,
+                            rw_hitting_free, rw_hitting_mc,
                             second_class_escape, sigma_exit,
                             stationarity_check, supermultiplicativity_check,
                             survival_curve)

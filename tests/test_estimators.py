@@ -8,7 +8,6 @@ from scipy.special import logsumexp
 from qslab import rng as rngmod
 from qslab.estimators import (FitError, SurvivalCurve, exponentiality_report,
                               fit_decay)
-from qslab.model import RateFunction, Lattice
 from qslab.spectral import tasep_line_survival
 
 

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used (stdlib `ast` only).
+"""Every module-level import of the package and of its tests is used
+(stdlib `ast` only).
 
 Names a module lists in `__all__` are re-exports and count as used;
 `from __future__` imports bind nothing.  String annotations are parsed, so
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qslab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qslab"
 
 
 def _bound_names(node):
@@ -77,7 +79,7 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == [("os", 2), ("e", 3)]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -12,7 +12,7 @@ from qslab.measures import (DensityError, FugacityError, Marginal,
                             partition_function, sample_uniform_fixed_count,
                             size_bias_check, size_bias_enumerate,
                             systematic_resample, upsilon)
-from qslab.model import Configuration, JumpKernel, Lattice, RateFunction, TargetSet
+from qslab.model import Configuration, Lattice, RateFunction
 from qslab import storage
 
 G_FLAT = RateFunction.zero_range(lambda k: 1.0 if k >= 1 else 0.0, g_sup=1.0)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslab.model import (Configuration, JumpKernel, Lattice, Model,
-                         ModelError, RateFunction, TargetSet, apply_jump,
-                         jump_rate, validate_model)
+from qslab.model import (Configuration, JumpKernel, Lattice, ModelError,
+                         RateFunction, TargetSet, apply_jump, jump_rate,
+                         validate_model)
 
 
 def tasep_kernel():

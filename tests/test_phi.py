@@ -6,9 +6,8 @@ import pytest
 from qslab import rng as rngmod
 from qslab.dynamics import run_batch
 from qslab.measures import WeightedEnsemble, domination_test, increasing_suite
-from qslab.model import (Configuration, JumpKernel, Lattice, Model,
-                         RateFunction, TargetSet)
-from qslab.phi import (PhiUndefinedError, SojournPool, cesaro_mixture,
+from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
+from qslab.phi import (PhiUndefinedError, cesaro_mixture,
                        phi_apply, phi_direct, phi_iterate, _power_log_weight,
                        _simulate_to_hits)
 

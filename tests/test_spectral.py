@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import splu
 
 from conftest import (absorbing_core_bfs, enumerate_reference,
                       killed_generator_loop)
 
+from qslab import spectral
 from qslab.estimators import SurvivalCurve, fit_decay
-from qslab.measures import Marginal, ProductMeasure
 from qslab.model import (JumpKernel, Lattice, Model, RateFunction, TargetSet)
 from qslab.spectral import (FixedTotal, KilledGenerator, MaxTotal, SiteCap,
                             SolverError, StateSpaceError, TasepCircleOracle,
@@ -21,6 +22,15 @@ from qslab.spectral import (FixedTotal, KilledGenerator, MaxTotal, SiteCap,
                             tasep_line_survival)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
+# principal decay rate of the asymmetric exclusion ring (window {0, 1},
+# threshold 1, MaxTotal(n)) by number of sites: the rates the benchmark's
+# exact workload pins
+PINNED_DECAY = {
+    8: 0.030032362581265425,
+    9: 0.022928781120672467,
+    11: 0.014604530929000398,
+    13: 0.010079494149085804,
+}
 
 
 def single_site_chain(rate: float) -> KilledGenerator:
@@ -34,6 +44,27 @@ def single_site_chain(rate: float) -> KilledGenerator:
     kg.matrix = csr_matrix(np.array([[-rate]]))
     kg.killing = np.array([rate])
     return kg
+
+
+def tasep_ring(n_sites: int, n_particles: int) -> KilledGenerator:
+    """Totally asymmetric exclusion ring with a fixed particle number and
+    the trap at the origin: a killed spectrum with one Jordan block."""
+    lat = Lattice((n_sites,), "torus")
+    model = Model(lat, JumpKernel(np.array([[1]]), np.array([1.0])),
+                  RateFunction.exclusion())
+    space = enumerate_states(lat, FixedTotal(n_particles), site_cap=1)
+    return build_killed_generator(space, model, TargetSet(np.array([0]), 0))
+
+
+def exclusion_ring_core(n_sites: int) -> KilledGenerator:
+    """The `excl_ring` model on n sites, MaxTotal(n), restricted to its
+    core."""
+    lat = Lattice((n_sites,), "torus")
+    model = Model(lat, JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3])),
+                  RateFunction.exclusion())
+    space = enumerate_states(lat, MaxTotal(n_sites), site_cap=1)
+    kg = build_killed_generator(space, model, TargetSet(np.array([0, 1]), 1))
+    return restrict_to_core(kg)
 
 
 class TestEnumeration:
@@ -239,6 +270,78 @@ class TestPrincipalDecay:
         res = principal_decay(kg)
         assert res.defective
         assert res.decay_rate == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("n_sites,n_particles", [
+        (3, 1), (4, 1), (4, 2), (6, 4), (12, 10), (14, 12), (16, 14)])
+    def test_jordan_block_rings_are_defective(self, n_sites, n_particles):
+        """Arnoldi finds an eigenvector of the Jordan block with a residual
+        at rounding level; the left and right ones are orthogonal, and that
+        is what marks the spectrum defective.  The fitted rate lies in the
+        window bias band [1 - (N - m - 1)/t_lo, 1] of the closed-form 1."""
+        res = principal_decay(tasep_ring(n_sites, n_particles))
+        assert res.defective
+        assert res.qsd is None and res.right_vector is None
+        bias = (n_sites - n_particles - 1) / res.fit_window[0]
+        assert 1.0 - bias - 1e-8 <= res.decay_rate <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("n_sites", sorted(PINNED_DECAY))
+    def test_exclusion_rings_match_pinned_rates(self, n_sites):
+        res = principal_decay(exclusion_ring_core(n_sites))
+        assert not res.defective
+        assert res.decay_rate == pytest.approx(PINNED_DECAY[n_sites],
+                                               rel=1e-9, abs=0)
+        assert res.right_residual <= 1e-10
+        assert res.left_residual <= 1e-10
+
+    def test_two_state_core(self):
+        """One particle on a blocked 3-site line, jumps +1 at 0.6 and +2 at
+        0.4, trap at the right end.  In enumeration order (the particle at
+        1, then at 0) L = [[-0.6, 0], [0.6, -1]], so the rate is 0.6, the
+        QSD sits next to the trap and the right vector is proportional to
+        (2, 3)."""
+        lat = Lattice((3,), "blocked")
+        model = Model(lat, JumpKernel(np.array([[1], [2]]),
+                                      np.array([0.6, 0.4])),
+                      RateFunction.exclusion())
+        space = enumerate_states(lat, FixedTotal(1), site_cap=1)
+        kg = build_killed_generator(space, model, TargetSet(np.array([2]), 0))
+        occ = space.occupancies[kg.ac_indices]
+        assert occ.tolist() == [[0, 1, 0], [1, 0, 0]]
+        res = principal_decay(kg)
+        assert not res.defective
+        assert res.decay_rate == pytest.approx(0.6, rel=1e-14)
+        assert res.qsd == pytest.approx([1.0, 0.0], abs=1e-14)
+        assert res.right_vector == pytest.approx(
+            np.array([2.0, 3.0]) / math.sqrt(13.0), rel=1e-14)
+
+    def test_never_killed_sectors_give_rate_zero(self, toy_spectral):
+        """Without the core restriction the survivor set keeps the sectors
+        of at most one particle, which are never killed: -L is singular,
+        the shifted factorization serves, and the rate is 0 with the QSD on
+        those sectors."""
+        kg = toy_spectral["kg"]
+        assert kg.lu is None
+        res = principal_decay(kg)
+        assert not res.defective
+        assert abs(res.decay_rate) <= 1e-12
+        assert max(res.right_residual, res.left_residual) <= 1e-10
+        totals = kg.space.occupancies[kg.ac_indices].sum(axis=1)
+        assert res.qsd[totals >= 2].sum() <= 1e-10
+
+    def test_one_factorization_serves_decay_and_fixed_point(
+            self, excl_ring, monkeypatch):
+        calls = []
+
+        def counting_splu(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", counting_splu)
+        core = restrict_to_core(excl_ring[4])
+        res = principal_decay(core)
+        chk = qsd_fixed_point_check(core, res.qsd)
+        assert len(calls) == 1
+        assert chk["l1_distance"] <= 1e-12
 
 
 class TestExactSurvival:

@@ -419,6 +419,10 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     # run
+    if args.workers < 1:
+        print(f"config invalid: --workers must be at least 1, got "
+              f"{args.workers}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         raw = storage.read_json(args.config)
         if args.seed is not None:

@@ -1,5 +1,7 @@
-"""Continuous-time simulation of the killed dynamics, hitting times, and the
-couplings (second-class particle, dominating free walk, tagged-exit bound).
+"""Continuous-time simulation of the killed dynamics: batches of hitting
+times and survival curves, the second-class-particle coupling with the
+exact hitting probability of its dominating free walk, and the tagged-exit
+bound.
 
 One lockstep event engine runs every Monte Carlo path: Gillespie's direct
 method applied to all trajectories of a batch at once, one event per numpy
@@ -37,17 +39,11 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
-from scipy.stats import chi2 as chi2_dist
 
 from . import rng as rngmod
 from .estimators import SurvivalCurve
 from .measures import ProductMeasure
-from .model import (BLOCKED, Configuration, JumpKernel, Lattice, Model,
-                    TargetSet)
-from .spectral import uniformized_sum
-
-HIT = "hit_target"
-CENSORED = "censored"
+from .model import Configuration, JumpKernel, Lattice, Model, TargetSet
 
 _NO_TARGET_THRESHOLD = np.int64(2**62)
 
@@ -264,31 +260,8 @@ def _engine_events(log: list, counts: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# event replay
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Trajectory:
-    """Piecewise-constant path: initial state plus the ordered event list."""
-
-    initial: np.ndarray
-    times: np.ndarray
-    sources: np.ndarray
-    destinations: np.ndarray
-    terminal_time: float
-    terminal_status: str
-    frozen: bool = False
-
-    @property
-    def n_events(self) -> int:
-        return self.times.size
-
-    def states(self) -> np.ndarray:
-        """Visited states in order, the initial one first and the state
-        entered by the last event last: shape (n_events + 1, n_sites)."""
-        return replay(self.initial[None, :], np.array([self.times.size]),
-                      self.sources, self.destinations)
-
 
 def replay(initials: np.ndarray, counts: np.ndarray, sources: np.ndarray,
            destinations: np.ndarray) -> np.ndarray:
@@ -384,14 +357,6 @@ class BatchResult:
 
     def work(self) -> WorkCounts:
         return WorkCounts.of_starts(self.immortal, int(self.n_events.sum()))
-
-    def trajectory(self, i: int) -> Trajectory:
-        if self.events is None or self.initials is None:
-            raise ValueError("batch was run without event recording")
-        ev_t, ev_s, ev_d = self.events[i]
-        status = HIT if self.hit[i] else CENSORED
-        return Trajectory(self.initials[i], ev_t, ev_s, ev_d,
-                          float(self.taus[i]), status, bool(self.frozen[i]))
 
     def extended(self, rows: np.ndarray, longer: "BatchResult"
                  ) -> "BatchResult":
@@ -533,7 +498,7 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
 
 
 # ---------------------------------------------------------------------------
-# survival curves and supermultiplicativity
+# survival curves
 # ---------------------------------------------------------------------------
 
 def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
@@ -570,67 +535,17 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
     )
 
 
-@dataclass
-class SupermultiplicativityReport:
-    s: float
-    t: float
-    p_s: float
-    p_t: float
-    p_st: float
-    slack: float          # p(s+t) - p(s) p(t)
-    slack_stderr: float
-    n_traj: int
-
-    def passed(self, n_sigma: float = 3.0) -> bool:
-        return self.slack >= -n_sigma * self.slack_stderr
-
-
-def supermultiplicativity_check(model: Model, target: TargetSet,
-                                measure: ProductMeasure, s: float, t: float,
-                                n_traj: int, seed: int,
-                                n_boot: int = 200,
-                                workers: int = 1) -> SupermultiplicativityReport:
-    """Monte Carlo check of P(tau > t+s) >= P(tau > t) P(tau > s) under the
-    stationary product law; the bootstrap spread of the slack sets the CI."""
-    curve = survival_curve(model, target, [s, t, s + t], n_traj, seed,
-                           measure=measure, workers=workers)
-    # censored trajectories survived past the horizon: alive at every probe
-    taus = np.where(curve.hit, curve.taus, np.inf)
-
-    def alive(x, arr):
-        return float(np.mean(arr > x))
-
-    def slack_of(arr):
-        return alive(s + t, arr) - alive(s, arr) * alive(t, arr)
-
-    boot_gen = rngmod.stream(seed, rngmod.BOOTSTRAP, 0)
-    slacks = np.empty(n_boot)
-    for b in range(n_boot):
-        slacks[b] = slack_of(taus[boot_gen.integers(0, n_traj, n_traj)])
-    return SupermultiplicativityReport(
-        s=s, t=t,
-        p_s=alive(s, taus), p_t=alive(t, taus), p_st=alive(s + t, taus),
-        slack=slack_of(taus),
-        slack_stderr=float(slacks.std(ddof=1)),
-        n_traj=n_traj,
-    )
-
-
 # ---------------------------------------------------------------------------
-# dominating free walk: hitting probabilities
+# dominating free walk: hitting probability
 # ---------------------------------------------------------------------------
-
-RENORMALIZE, IDLE, ESCAPE = "renormalize", "idle", "escape"
-
 
 def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
-                 absorb_sites: np.ndarray, off_box: str):
+                 absorb_sites: np.ndarray):
     """One-step matrix of a single walk among the non-absorbing sites, its
     one-step hit vector into the absorbing set, and the site -> row map.
 
-    `off_box` says what a blocked direction does: RENORMALIZE drops it and
-    rescales the open ones (a site with none open never moves), IDLE keeps
-    its mass as a self-loop, ESCAPE removes the walk (the mass leaves)."""
+    A blocked direction is dropped and the open ones are rescaled; a site
+    with none open never moves."""
     n = lattice.num_sites
     absorbing = np.zeros(n, dtype=bool)
     absorbing[absorb_sites] = True
@@ -640,131 +555,29 @@ def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
     nbr = lattice.neighbor_table(kernel.offsets)[keep]
     inside = nbr >= 0
     w = np.where(inside, kernel.weights, 0.0)
-    if off_box == RENORMALIZE:
-        norm = w.sum(axis=1, keepdims=True)
-    else:
-        norm = kernel.weights.sum()
+    norm = w.sum(axis=1, keepdims=True)
     prob = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0)
     into = inside & absorbing[nbr]
     hit = np.where(into, prob, 0.0).sum(axis=1)
     move = inside & ~into
     rows = np.broadcast_to(np.arange(keep.size)[:, None], nbr.shape)
-    rows, cols, vals = rows[move], pos[nbr[move]], prob[move]
-    if off_box == IDLE:
-        diag = np.arange(keep.size)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
-        vals = np.concatenate([vals, 1.0 - prob.sum(axis=1)])
-    P = csr_matrix((vals, (rows, cols)), shape=(keep.size, keep.size))
+    P = csr_matrix((prob[move], (rows[move], pos[nbr[move]])),
+                   shape=(keep.size, keep.size))
     return P, hit, pos
 
 
-def _ever_hits(lattice: Lattice, kernel: JumpKernel, start: int,
-               target_sites: np.ndarray, off_box: str) -> float:
-    """Probability that the jump chain from `start` ever enters the target
-    (one when it starts there)."""
-    P, hit, pos = _walk_matrix(lattice, kernel, target_sites, off_box)
+def rw_hitting(lattice: Lattice, kernel: JumpKernel, start: int,
+               target_sites: Sequence[int]) -> float:
+    """Probability that a single free walk started at `start` ever enters the
+    target window (one when it starts there).  Solved exactly on the given
+    lattice graph as (I - P) h = hit, with `_walk_matrix`'s blocked-edge
+    rule."""
+    target_sites = np.unique(np.asarray(target_sites, dtype=np.int64))
+    P, hit, pos = _walk_matrix(lattice, kernel, target_sites)
     if pos[start] < 0:
         return 1.0
     h = spsolve((identity(P.shape[0], format="csr") - P).tocsc(), hit)
     return float(np.clip(h[pos[start]], 0.0, 1.0))
-
-
-def rw_hitting(lattice: Lattice, kernel: JumpKernel, start: int,
-               target_sites: Sequence[int], horizon: float | None = None,
-               delta: float = 1.0, tol: float = 1e-12) -> float:
-    """Probability that a single free walk started at `start` ever enters the
-    target window (horizon=None), or does so within `horizon` when jumping at
-    Poisson rate `delta`.  Solved exactly on the given lattice graph."""
-    target_sites = np.unique(np.asarray(target_sites, dtype=np.int64))
-    if start in target_sites:
-        return 1.0
-    if horizon is None:
-        return _ever_hits(lattice, kernel, start, target_sites, RENORMALIZE)
-    # continuous time at jump rate delta: uniformize at delta, with blocked
-    # directions becoming self-loops (the walk waits through them)
-    Q, _, pos = _walk_matrix(lattice, kernel, target_sites, IDLE)
-    not_hit = uniformized_sum(Q.dot, np.ones(Q.shape[0]), delta * horizon,
-                              tol)[0]
-    return float(np.clip(1.0 - not_hit[pos[start]], 0.0, 1.0))
-
-
-def free_walk_box(kernel: JumpKernel, start_coord: Sequence[int],
-                  target_coords: Sequence[Sequence[int]], padding: int):
-    """Blocked box around start and target padded by `padding` sites per side;
-    returns (lattice, start_site, target_sites, offset_origin)."""
-    pts = np.vstack([np.atleast_2d(np.asarray(target_coords, dtype=np.int64)),
-                     np.asarray(start_coord, dtype=np.int64)])
-    lo = pts.min(axis=0) - padding
-    hi = pts.max(axis=0) + padding
-    extent = tuple(int(e) for e in (hi - lo + 1))
-    lattice = Lattice(extent, BLOCKED)
-    start = lattice.site(np.asarray(start_coord) - lo)
-    targets = [lattice.site(c - lo) for c in np.atleast_2d(target_coords)]
-    return lattice, start, np.array(targets), lo
-
-
-def rw_hitting_free(kernel: JumpKernel, start_coord: Sequence[int],
-                    target_coords: Sequence[Sequence[int]],
-                    padding: int | None = None, tol: float = 1e-10,
-                    max_padding: int = 256) -> float:
-    """Ever-hitting probability for the walk on the full integer lattice,
-    approximated on a padded blocked box where leaving the box counts as
-    escape.  The padding either is given explicitly or doubles until the
-    value moves less than tol (walks with a recurrent symmetrization may hit
-    the cap; the returned value is then a lower bound)."""
-    R = max(1, kernel.range)
-
-    def solve(pad):
-        lattice, start, targets, _ = free_walk_box(
-            kernel, start_coord, target_coords, pad)
-        return _ever_hits(lattice, kernel, start, targets, ESCAPE)
-
-    if padding is not None:
-        return solve(padding)
-    pad = 8 * R
-    prev = solve(pad)
-    while pad < max_padding:
-        pad *= 2
-        cur = solve(pad)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    return prev
-
-
-def rw_hitting_mc(kernel: JumpKernel, start_coord: Sequence[int],
-                  target_coords: Sequence[Sequence[int]], n_walks: int,
-                  seed: int, max_steps: int | None = None,
-                  padding: int = 16) -> tuple[float, float]:
-    """Monte Carlo estimate of the free-walk ever-hitting probability with
-    the same escape box as rw_hitting_free; returns (estimate, stderr)."""
-    lattice, start, targets, _ = free_walk_box(
-        kernel, start_coord, target_coords, padding)
-    nbr = lattice.neighbor_table(kernel.offsets)
-    target_mask = np.zeros(lattice.num_sites + 1, dtype=bool)
-    target_mask[targets] = True
-    gen = rngmod.stream(seed, rngmod.WALK, 0)
-    cdf = np.cumsum(kernel.weights / kernel.weights.sum())
-    pos = np.full(n_walks, start, dtype=np.int64)
-    active = np.ones(n_walks, dtype=bool)
-    hits = np.zeros(n_walks, dtype=bool)
-    steps = 0
-    limit = max_steps or 10_000
-    while active.any() and steps < limit:
-        idx = np.flatnonzero(active)
-        choice = np.searchsorted(cdf, gen.random(idx.size), side="right")
-        nxt = nbr[pos[idx], choice]
-        pos[idx] = nxt
-        escaped = nxt < 0
-        hit_now = np.zeros(idx.size, dtype=bool)
-        inside = ~escaped
-        hit_now[inside] = target_mask[nxt[inside]]
-        hits[idx[hit_now]] = True
-        active[idx[escaped | hit_now]] = False
-        steps += 1
-    p = float(hits.mean())
-    return p, float(np.sqrt(max(p * (1 - p), 1e-300) / n_walks))
 
 
 # ---------------------------------------------------------------------------
@@ -984,47 +797,3 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
         bound = float(np.exp(measure.rho
                              * np.log1p(-deltas[outside]).sum()))
     return SigmaExitReport(kappa, p, se, bound, deltas, n_traj, events)
-
-
-# ---------------------------------------------------------------------------
-# stationarity diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StationarityReport:
-    chi2: float
-    dof: int
-    threshold: float
-    counts: np.ndarray
-    expected: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.chi2 <= self.threshold
-
-
-def stationarity_check(model: Model, measure: ProductMeasure, t: float,
-                       n_traj: int, seed: int, site: int = 0,
-                       n_sigma: float = 4.0,
-                       workers: int = 1) -> StationarityReport:
-    """Run the unkilled dynamics from the product law to time t and test the
-    single-site occupancy against the marginal by chi-square with pooled
-    bins; the threshold is the chi-square quantile at the n_sigma level."""
-    batch = run_batch(model, None, n_traj, t, seed, measure=measure,
-                      workers=workers)
-    final = batch.finals[:, site]
-    probs = measure.marginal.probabilities
-    kmax = probs.size - 1
-    counts = np.bincount(np.minimum(final, kmax), minlength=kmax + 1).astype(float)
-    expected = probs * n_traj
-    # pool the tail so every expected count is at least 5
-    while expected.size > 2 and expected[-1] < 5.0:
-        expected[-2] += expected[-1]
-        counts[-2] += counts[-1]
-        expected = expected[:-1]
-        counts = counts[:-1]
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    dof = counts.size - 1
-    alpha = 2.0 * (1.0 - 0.5 * (1 + math.erf(n_sigma / math.sqrt(2))))
-    threshold = float(chi2_dist.ppf(1.0 - alpha, dof))
-    return StationarityReport(chi2, dof, threshold, counts, expected)

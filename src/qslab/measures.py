@@ -1,4 +1,5 @@
-"""One-site marginals, product measures, weighted ensembles and their checks.
+"""One-site marginals, product measures, weighted ensembles and the
+stochastic-domination suite.
 
 The marginal at fugacity gamma puts mass proportional to gamma^n / (g(1)...
 g(n)) on occupancy n; the exclusion family replaces the series by the exact
@@ -13,8 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (EXCLUSION, Configuration, JumpKernel, Lattice,
-                    RateFunction, TargetSet)
+from .model import EXCLUSION, JumpKernel, Lattice, RateFunction, TargetSet
 
 TAIL_TOL = 1e-12
 DENSITY_TOL = 1e-10
@@ -89,14 +89,6 @@ class Marginal:
     @property
     def mean(self) -> float:
         return float(np.arange(self.probabilities.size) @ self.probabilities)
-
-    def g_mean(self, g: Callable[[int], float]) -> float:
-        gv = np.array([g(n) for n in range(self.probabilities.size)])
-        return float(gv @ self.probabilities)
-
-    def moment(self, k: int) -> float:
-        return float(np.arange(self.probabilities.size, dtype=float) ** k
-                     @ self.probabilities)
 
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probabilities)
@@ -175,11 +167,6 @@ class ProductMeasure:
         gamma = invert_density(rho, rates)
         return ProductMeasure(rho, gamma, Marginal.from_rates(gamma, rates), rates)
 
-    @staticmethod
-    def at_fugacity(gamma: float, rates: RateFunction) -> "ProductMeasure":
-        marginal = Marginal.from_rates(gamma, rates)
-        return ProductMeasure(marginal.mean, gamma, marginal, rates)
-
     def sample_occupancies(self, lattice: Lattice, rng: np.random.Generator,
                            n: int = 1) -> np.ndarray:
         """n configurations as an int64 array (n, num_sites), inverse-CDF."""
@@ -191,16 +178,6 @@ class ProductMeasure:
         uniforms is one configuration."""
         return np.searchsorted(self.marginal.cdf(), u,
                                side="right").astype(np.int64)
-
-
-def sample_uniform_fixed_count(lattice: Lattice, n_particles: int,
-                               rng: np.random.Generator) -> Configuration:
-    """Uniform exclusion configuration with exactly n_particles particles."""
-    if not 0 <= n_particles <= lattice.num_sites:
-        raise ValueError("particle count outside [0, num_sites]")
-    occ = np.zeros(lattice.num_sites, dtype=np.int64)
-    occ[rng.choice(lattice.num_sites, size=n_particles, replace=False)] = 1
-    return Configuration(occ)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +214,6 @@ class WeightedEnsemble:
     def num_sites(self) -> int:
         return self.occupancies.shape[1]
 
-    def configurations(self):
-        for row in self.occupancies:
-            yield Configuration(row)
-
-    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Weighted mean of fn evaluated on the atom matrix."""
-        vals = np.asarray(fn(self.occupancies), dtype=np.float64)
-        return float(self.weights @ vals / self.normalization)
-
     def expect_with_se(self, fn) -> tuple[float, float]:
         vals = np.asarray(fn(self.occupancies), dtype=np.float64)
         wn = self.weights / self.normalization
@@ -256,19 +224,8 @@ class WeightedEnsemble:
     def site_means(self) -> np.ndarray:
         return self.weights @ self.occupancies / self.normalization
 
-    def site_histogram(self, site: int, n_max: int) -> np.ndarray:
-        """Weighted occupancy distribution at one site, truncated to n_max."""
-        occ = np.minimum(self.occupancies[:, site], n_max)
-        return np.bincount(occ, weights=self.weights, minlength=n_max + 1) \
-            / self.normalization
-
     def effective_sample_size(self) -> float:
         return float(self.normalization**2 / np.sum(self.weights**2))
-
-    @staticmethod
-    def from_samples(occupancies: np.ndarray) -> "WeightedEnsemble":
-        occ = np.atleast_2d(occupancies)
-        return WeightedEnsemble(occ, np.ones(occ.shape[0]))
 
 
 def systematic_resample(weights: np.ndarray, n: int,
@@ -282,121 +239,6 @@ def systematic_resample(weights: np.ndarray, n: int,
     cdf /= cdf[-1]
     pointers = (rng.random() + np.arange(n)) / n
     return np.searchsorted(cdf, pointers, side="right").astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# measure-level identity checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CovarianceEstimate:
-    covariance: float
-    stderr: float
-    n_samples: int
-
-    @property
-    def z(self) -> float:
-        return self.covariance / self.stderr if self.stderr > 0 else 0.0
-
-
-def fkg_test(measure: ProductMeasure, lattice: Lattice,
-             f_inc: Callable[[np.ndarray], np.ndarray],
-             g_inc: Callable[[np.ndarray], np.ndarray],
-             n_samples: int, rng: np.random.Generator,
-             batch: int = 200_000) -> CovarianceEstimate:
-    """Monte Carlo covariance of two increasing functions under the product
-    measure; FKG asserts it is nonnegative (callers test cov >= -3 sigma)."""
-    fs = []
-    gs = []
-    done = 0
-    while done < n_samples:
-        m = min(batch, n_samples - done)
-        x = measure.sample_occupancies(lattice, rng, m)
-        fs.append(np.asarray(f_inc(x), dtype=np.float64))
-        gs.append(np.asarray(g_inc(x), dtype=np.float64))
-        done += m
-    fv = np.concatenate(fs)
-    gv = np.concatenate(gs)
-    cov = float(np.mean(fv * gv) - fv.mean() * gv.mean())
-    centred = (fv - fv.mean()) * (gv - gv.mean())
-    se = float(centred.std(ddof=1) / np.sqrt(n_samples))
-    return CovarianceEstimate(cov, se, n_samples)
-
-
-@dataclass
-class SizeBiasReport:
-    lhs: float
-    rhs: float
-    diff_stderr: float
-    lipschitz_lhs: float      # E[eta_i * phi]
-    lipschitz_floor: float    # (gamma / Delta) E[phi o add-one]
-    lipschitz_stderr: float
-    n_samples: int
-
-    @property
-    def identity_z(self) -> float:
-        if self.diff_stderr == 0:
-            return 0.0
-        return (self.lhs - self.rhs) / self.diff_stderr
-
-
-def size_bias_check(measure: ProductMeasure, lattice: Lattice, site: int,
-                    phi: Callable[[np.ndarray], np.ndarray], n_samples: int,
-                    rng: np.random.Generator) -> SizeBiasReport:
-    """Estimate both sides of the one-site size-bias identity
-    E[g(eta_i) phi] = gamma E[phi(eta + delta_i)] on common samples, plus the
-    Lipschitz inequality E[eta_i phi] >= (gamma/Delta) E[phi(eta + delta_i)]
-    (meaningful for nonnegative phi)."""
-    g = measure.rates.g
-    gamma = measure.gamma
-    delta = measure.rates.delta()
-    x = measure.sample_occupancies(lattice, rng, n_samples)
-    gvals = np.array([g(k) for k in range(int(x[:, site].max()) + 1)])
-    lhs_samples = gvals[x[:, site]] * np.asarray(phi(x), dtype=np.float64)
-    x_plus = x.copy()
-    x_plus[:, site] += 1
-    rhs_samples = gamma * np.asarray(phi(x_plus), dtype=np.float64)
-    diff = lhs_samples - rhs_samples
-    lip_lhs = x[:, site] * np.asarray(phi(x), dtype=np.float64)
-    lip_rhs = (1.0 / delta) * rhs_samples
-    lip_diff = lip_lhs - lip_rhs
-    n = n_samples
-    return SizeBiasReport(
-        lhs=float(lhs_samples.mean()),
-        rhs=float(rhs_samples.mean()),
-        diff_stderr=float(diff.std(ddof=1) / np.sqrt(n)),
-        lipschitz_lhs=float(lip_lhs.mean()),
-        lipschitz_floor=float(lip_rhs.mean()),
-        lipschitz_stderr=float(lip_diff.std(ddof=1) / np.sqrt(n)),
-        n_samples=n,
-    )
-
-
-def size_bias_enumerate(measure: ProductMeasure, lattice: Lattice, site: int,
-                        phi: Callable[[np.ndarray], np.ndarray],
-                        support_cap: int | None = None) -> tuple[float, float]:
-    """Both sides of the size-bias identity by exact enumeration of the box.
-
-    phi must vanish when the occupancy at `site` exceeds the marginal
-    truncation minus one, otherwise the boundary term of the change of
-    variable is lost; callers choose phi accordingly.
-    """
-    probs = measure.marginal.probabilities
-    n_max = probs.size - 1
-    cap = n_max if support_cap is None else support_cap
-    grids = np.meshgrid(*[np.arange(cap + 1)] * lattice.num_sites,
-                        indexing="ij")
-    occ = np.stack([gr.ravel() for gr in grids], axis=1).astype(np.int64)
-    w = probs[occ].prod(axis=1)
-    w /= w.sum()
-    g = measure.rates.g
-    gvals = np.array([g(k) for k in range(cap + 2)])
-    phi_v = np.asarray(phi(occ), dtype=np.float64)
-    lhs = float(w @ (gvals[occ[:, site]] * phi_v))
-    occ_plus = occ.copy()
-    occ_plus[:, site] += 1
-    rhs = float(measure.gamma * (w @ np.asarray(phi(occ_plus), dtype=np.float64)))
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,6 @@ class JumpKernel:
         offs = np.array(sorted(acc), dtype=np.int64)
         return JumpKernel(offs, np.array([acc[tuple(o)] for o in offs]))
 
-    def weight_of(self, displacement: Sequence[int]) -> float:
-        d = np.asarray(displacement, dtype=np.int64)
-        hit = np.all(self.offsets == d, axis=1)
-        return float(self.weights[hit].sum())
-
     def symmetrization_irreducible(self, lattice: Lattice) -> bool:
         """BFS over offsets and negated offsets reaches every torus residue."""
         probe = Lattice(lattice.extent, TORUS)
@@ -285,19 +280,14 @@ class RateFunction:
 # ---------------------------------------------------------------------------
 
 class Configuration:
-    """Occupancy vector with a cached particle count.  Single-owner mutable."""
+    """Occupancy vector.  Single-owner mutable."""
 
-    __slots__ = ("occupancy", "_total")
+    __slots__ = ("occupancy",)
 
     def __init__(self, occupancy):
         self.occupancy = np.asarray(occupancy, dtype=np.int64).copy()
         if (self.occupancy < 0).any():
             raise ModelError("negative occupancy")
-        self._total = int(self.occupancy.sum())
-
-    @property
-    def total_particles(self) -> int:
-        return self._total
 
     def copy(self) -> "Configuration":
         return Configuration(self.occupancy)

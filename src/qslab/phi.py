@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng as rngmod
 from .dynamics import BatchResult, WorkCounts, replay, run_batch
@@ -48,10 +47,6 @@ class SojournPool:
     n_trajectories: int
     censor_fraction: float
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.exp(logsumexp(self.log_weights)))
-
     def ensemble(self) -> WeightedEnsemble:
         w = np.exp(self.log_weights - self.log_weights.max())
         return WeightedEnsemble(self.occupancies, w, self.censor_fraction)
@@ -72,9 +67,6 @@ class PhiStats:
 @dataclass
 class PhiIterationLog:
     rows: list[PhiStats] = field(default_factory=list)
-
-    def e_tau_sequence(self) -> np.ndarray:
-        return np.array([r.e_tau for r in self.rows])
 
     def work(self) -> WorkCounts:
         return sum((r.work for r in self.rows), WorkCounts())

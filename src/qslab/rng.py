@@ -26,7 +26,6 @@ TRAJECTORY = 1
 RESAMPLE = 2
 BOOTSTRAP = 3
 SAMPLING = 4
-WALK = 5
 
 _INDEX_BITS = 48
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -30,7 +30,7 @@ from scipy.stats import poisson
 
 from .estimators import SurvivalCurve, fit_decay
 from .measures import Marginal
-from .model import Configuration, Lattice, Model, TargetSet
+from .model import Lattice, Model, TargetSet
 
 DEFAULT_STATE_LIMIT = 100_000
 
@@ -185,9 +185,6 @@ class StateSpace:
                 f"state {tuple(occ.tolist())} not in the space")
         return got
 
-    def configuration(self, i: int) -> Configuration:
-        return Configuration(self.occupancies[i])
-
     def site_means(self, weights: np.ndarray) -> np.ndarray:
         w = np.asarray(weights, dtype=np.float64)
         return w @ self.occupancies / w.sum()
@@ -280,9 +277,6 @@ class KilledGenerator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def exit_rates(self) -> np.ndarray:
-        return -np.asarray(self.matrix.diagonal())
 
     @cached_property
     def lu(self):

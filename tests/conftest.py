@@ -1,10 +1,13 @@
 """Shared fixtures: the small models every oracle-backed test runs against."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from qslab import rng as rngmod
+from qslab.dynamics import replay
 from qslab.measures import ProductMeasure
 from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
 from qslab.spectral import (FixedTotal, MaxTotal, SiteCap,
@@ -92,6 +95,38 @@ def excl_ring():
     return model, target, measure, space, kg
 
 
+@dataclass
+class Trajectory:
+    """One row of a batch run with `record_events=True`: its start, its
+    events and how it ended."""
+
+    initial: np.ndarray
+    times: np.ndarray
+    sources: np.ndarray
+    destinations: np.ndarray
+    terminal_time: float
+    hit: bool
+    frozen: bool
+
+    @property
+    def n_events(self) -> int:
+        return self.times.size
+
+    def states(self) -> np.ndarray:
+        """Visited states in order, the initial one first and the state
+        entered by the last event last: shape (n_events + 1, n_sites)."""
+        return replay(self.initial[None, :], np.array([self.times.size]),
+                      self.sources, self.destinations)
+
+
+def trajectory(batch, i: int) -> Trajectory:
+    """Row i of a recorded `BatchResult`."""
+    times, sources, destinations = batch.events[i]
+    return Trajectory(batch.initials[i], times, sources, destinations,
+                      float(batch.taus[i]), bool(batch.hit[i]),
+                      bool(batch.frozen[i]))
+
+
 def ratio_site_means(batch, n_sites, weight_fn=None):
     """Independent ratio-estimator oracle for occupation-map marginals.
 
@@ -100,7 +135,7 @@ def ratio_site_means(batch, n_sites, weight_fn=None):
     num = []
     den = []
     for i in np.flatnonzero(batch.hit):
-        traj = batch.trajectory(i)
+        traj = trajectory(batch, i)
         if traj.n_events == 0:
             continue
         ends = traj.times

@@ -129,6 +129,17 @@ def test_non_numeric_budget_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_nonpositive_workers_exit_2(tmp_path, capsys, workers):
+    config = _write(tmp_path, "cfg", dict(
+        TOY, experiment="survival", seed=13,
+        budgets={"t_grid": [1.0, 2.0], "n_traj": 10, "t_max": 5.0}))
+    assert cli.main(["run", "--config", config, "--workers", str(workers),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectral_is_worker_count_invariant(tmp_path, capsys):
     config = _write(tmp_path, "cfg", dict(
         TOY, experiment="spectral", seed=1,

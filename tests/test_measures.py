@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from qslab import rng as rngmod
 from qslab.measures import (DensityError, FugacityError, Marginal,
                             ProductMeasure, WeightedEnsemble, domination_test,
-                            fkg_test, increasing_suite, invert_density,
-                            partition_function, sample_uniform_fixed_count,
-                            size_bias_check, size_bias_enumerate,
-                            systematic_resample, upsilon)
+                            increasing_suite, invert_density,
+                            partition_function, systematic_resample, upsilon)
 from qslab.model import Configuration, Lattice, RateFunction
 from qslab import storage
 
@@ -73,7 +71,18 @@ class TestMarginal:
 
     def test_stationary_g_mean_is_fugacity(self):
         m = Marginal.from_rates(0.8, G_LINEAR)
-        assert m.g_mean(G_LINEAR.g) == pytest.approx(0.8, abs=1e-10)
+        gv = np.array([G_LINEAR.g(n) for n in range(m.probabilities.size)])
+        assert float(gv @ m.probabilities) == pytest.approx(0.8, abs=1e-10)
+
+    @pytest.mark.parametrize("rates,gamma", [(G_LINEAR, 0.8), (G_FLAT, 0.5)],
+                             ids=["g-linear", "g-one"])
+    def test_size_bias_balance_pointwise(self, rates, gamma):
+        """theta(n) g(n) = gamma theta(n - 1) at every n of the support."""
+        m = Marginal.from_rates(gamma, rates)
+        theta = m.probabilities
+        for n in range(1, theta.size):
+            assert theta[n] * rates.g(n) == pytest.approx(
+                gamma * theta[n - 1], rel=1e-12)
 
 
 class TestSampling:
@@ -82,7 +91,7 @@ class TestSampling:
         meas = ProductMeasure.at_density(0.0, G_LINEAR)
         conf = Configuration(meas.sample_occupancies(
             lat, rngmod.stream(0, rngmod.SAMPLING, 0), 1)[0])
-        assert conf.total_particles == 0
+        assert conf.occupancy.sum() == 0
 
     def test_exclusion_density_binomial_ci(self):
         lat = Lattice((100_000,), "torus")
@@ -104,109 +113,16 @@ class TestSampling:
         occ = meas.sample_occupancies(
             lat, rngmod.stream(3, rngmod.SAMPLING, 0)).astype(float)
         m = meas.marginal
-        var1 = m.moment(2) - m.mean**2
+
+        def moment(k):
+            return float(np.arange(m.probabilities.size, dtype=float) ** k
+                         @ m.probabilities)
+
+        var1 = moment(2) - m.mean**2
         assert abs(occ.mean() - m.mean) <= 4 * math.sqrt(var1 / occ.size)
-        var2 = m.moment(4) - m.moment(2) ** 2
-        assert abs((occ**2).mean() - m.moment(2)) <= \
+        var2 = moment(4) - moment(2) ** 2
+        assert abs((occ**2).mean() - moment(2)) <= \
             4 * math.sqrt(var2 / occ.size)
-
-    def test_fixed_count_sampler(self):
-        lat = Lattice((12,), "torus")
-        conf = sample_uniform_fixed_count(
-            lat, 5, rngmod.stream(4, rngmod.SAMPLING, 0))
-        assert conf.total_particles == 5
-        assert set(conf.occupancy.tolist()) <= {0, 1}
-
-
-class TestFkg:
-    def test_same_site_positive_variance(self):
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_density(0.7, G_LINEAR)
-        est = fkg_test(meas, lat, lambda x: x[:, 0], lambda x: x[:, 0],
-                       40_000, rngmod.stream(5, rngmod.SAMPLING, 0))
-        assert est.covariance > 0
-        assert est.z > 3
-
-    def test_disjoint_sites_independent(self):
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_density(0.7, G_LINEAR)
-        est = fkg_test(meas, lat, lambda x: x[:, 0], lambda x: x[:, 1],
-                       40_000, rngmod.stream(6, rngmod.SAMPLING, 0))
-        assert abs(est.covariance) <= 3 * est.stderr
-
-    def test_window_indicator_vs_member_site(self):
-        lat = Lattice((3,), "torus")
-        meas = ProductMeasure.at_density(0.6, G_LINEAR)
-        f = lambda x: (x[:, :2].sum(axis=1) >= 1).astype(float)
-        g = lambda x: x[:, 0].astype(float)
-        est = fkg_test(meas, lat, f, g, 60_000,
-                       rngmod.stream(7, rngmod.SAMPLING, 0))
-        # exact small-lattice enumeration oracle for the covariance
-        probs = meas.marginal.probabilities
-        n_max = probs.size - 1
-        grid = np.stack(np.meshgrid(*[np.arange(n_max + 1)] * 3,
-                                    indexing="ij"), axis=-1).reshape(-1, 3)
-        w = probs[grid].prod(axis=1)
-        w /= w.sum()
-        fv, gv = f(grid), g(grid)
-        exact = float(w @ (fv * gv) - (w @ fv) * (w @ gv))
-        assert exact > 0
-        assert est.covariance == pytest.approx(exact, abs=3 * est.stderr)
-        assert est.covariance >= -3 * est.stderr
-
-
-class TestSizeBias:
-    def test_constant_function_gives_fugacity(self):
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_density(1.0, G_FLAT)
-        rep = size_bias_check(meas, lat, 1, lambda x: np.ones(len(x)),
-                              50_000, rngmod.stream(8, rngmod.SAMPLING, 0))
-        assert rep.lhs == pytest.approx(meas.gamma, abs=4 * rep.diff_stderr + 5e-3)
-        assert rep.rhs == pytest.approx(meas.gamma)
-        assert abs(rep.identity_z) <= 3
-
-    def test_occupancy_window_value(self):
-        # geometric marginal at fugacity 1/2: both sides equal
-        # gamma (theta(0) + theta(1)) = 0.375 for the indicator of at most
-        # two particles at the biased site
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_fugacity(0.5, G_FLAT)
-        th = meas.marginal.probabilities
-        exact = meas.gamma * (th[0] + th[1])
-        assert exact == pytest.approx(0.375, abs=1e-12)
-        lhs, rhs = size_bias_enumerate(
-            meas, lat, 1, lambda x: (x[:, 1] <= 2).astype(float))
-        assert lhs == pytest.approx(0.375, abs=1e-12)
-        assert rhs == pytest.approx(0.375, abs=1e-12)
-
-    def test_independent_site_function(self):
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_density(0.9, G_LINEAR)
-        rep = size_bias_check(meas, lat, 0, lambda x: x[:, 2].astype(float),
-                              50_000, rngmod.stream(9, rngmod.SAMPLING, 0))
-        expected = meas.gamma * meas.rho
-        assert abs(rep.identity_z) <= 3
-        assert rep.rhs == pytest.approx(expected, rel=0.05)
-
-    def test_enumeration_exact_on_four_sites(self):
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_density(1.0, G_FLAT)
-        suite = [
-            lambda x: (x[:, 1] <= 1).astype(float),
-            lambda x: (x[:, 1] <= 2) * np.minimum(x[:, 2], 3).astype(float),
-            lambda x: (x.sum(axis=1) <= 2).astype(float),
-        ]
-        for phi in suite:
-            lhs, rhs = size_bias_enumerate(meas, lat, 1, phi)
-            assert abs(lhs - rhs) <= 1e-12
-
-    def test_lipschitz_floor_holds(self):
-        lat = Lattice((4,), "torus")
-        meas = ProductMeasure.at_density(0.8, G_LINEAR)
-        rep = size_bias_check(meas, lat, 1,
-                              lambda x: (x[:, 1] <= 2).astype(float),
-                              50_000, rngmod.stream(10, rngmod.SAMPLING, 0))
-        assert rep.lipschitz_lhs >= rep.lipschitz_floor - 3 * rep.lipschitz_stderr
 
 
 class TestEnsembles:
@@ -219,7 +135,7 @@ class TestEnsembles:
     def test_expectation_and_marginals(self):
         ens = WeightedEnsemble(np.array([[2, 0], [0, 1]]),
                                np.array([1.0, 3.0]))
-        assert ens.expect(lambda x: x[:, 0]) == pytest.approx(0.5)
+        assert ens.expect_with_se(lambda x: x[:, 0])[0] == pytest.approx(0.5)
         assert ens.site_means().tolist() == [0.5, 0.75]
 
     def test_systematic_resample_identity_on_equal_weights(self):
@@ -255,7 +171,7 @@ class TestDomination:
         model, target, measure = toy
         occ = measure.sample_occupancies(
             model.lattice, rngmod.stream(12, rngmod.SAMPLING, 0), 20_000)
-        ens = WeightedEnsemble.from_samples(occ)
+        ens = WeightedEnsemble(occ, np.ones(occ.shape[0]))
         suite = increasing_suite(measure, model.lattice, target, model.kernel)
         report = domination_test(ens, measure, suite)
         # equality case: stay within noise on BOTH sides

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from qslab import rng as rngmod
 from qslab.dynamics import run_batch
@@ -11,7 +12,8 @@ from qslab.phi import (PhiUndefinedError, cesaro_mixture,
                        phi_apply, phi_direct, phi_iterate, _power_log_weight,
                        _simulate_to_hits)
 
-from conftest import assert_same_batch, harvest_loop, ratio_site_means
+from conftest import (assert_same_batch, harvest_loop, ratio_site_means,
+                      trajectory)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -47,7 +49,9 @@ class TestPhiApply:
         ens = WeightedEnsemble(np.array([[3, 0]]), np.array([1.0]))
         out, stats = phi_apply(ens, model, target, 30_000, 80.0, seed=203)
         assert stats.e_tau == pytest.approx(11 / 6, abs=4 * stats.e_tau_stderr)
-        hist = out.site_histogram(1, 3)
+        hist = np.bincount(np.minimum(out.occupancies[:, 1], 3),
+                           weights=out.weights, minlength=4) \
+            / out.normalization
         exact = {0: 2 / 11, 1: 3 / 11, 2: 6 / 11}
         for occ, p in exact.items():
             se = math.sqrt(p * (1 - p) / out.n_atoms)
@@ -86,7 +90,7 @@ class TestPhiApply:
         naive = np.zeros(3)
         count = 0
         for i in np.flatnonzero(batch.hit):
-            traj = batch.trajectory(i)
+            traj = trajectory(batch, i)
             u = gen.random() * batch.taus[i]
             k = int(np.searchsorted(traj.times, u, side="right"))
             occ1 = 3 - k  # site-1 occupancy after k events is k... site0=3-k
@@ -105,7 +109,7 @@ class TestPhiApply:
                           record_events=True)
         from qslab.phi import _duration_log_weight, _harvest
         pool = _harvest(batch, 0, _duration_log_weight)
-        assert pool.total_weight == pytest.approx(
+        assert float(np.exp(logsumexp(pool.log_weights))) == pytest.approx(
             batch.taus[batch.hit].sum(), rel=1e-12)
         assert pool.censor_fraction == batch.censored_fraction
 
@@ -225,7 +229,7 @@ class TestPhiIterate:
         lam = toy_spectral["principal"].decay_rate
         ensembles, log = phi_iterate(model, target, measure, 5, 4000, 60.0,
                                      seed=219, probe_times=(2.0,))
-        seq = log.e_tau_sequence()
+        seq = np.array([r.e_tau for r in log.rows])
         assert abs(seq[-1] - 1 / lam) < abs(seq[0] - 1 / lam)
         assert seq[-1] == pytest.approx(1 / lam, rel=0.1)
         # survival probes drift toward the exponential limit

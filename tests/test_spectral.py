@@ -368,6 +368,18 @@ class TestExactSurvival:
         logs = exact_survival(kg, nu, ts, return_log=True)
         assert np.exp(logs) == pytest.approx(direct, rel=1e-10)
 
+    def test_supermultiplicative_from_product_law(self, toy_spectral):
+        """Exact twin of the paper's supermultiplicativity: started from the
+        product law on the survivor set, p(s + t) >= p(s) p(t)."""
+        kg = toy_spectral["kg"]
+        nu = toy_spectral["nu_full"][kg.ac_indices]
+        for s in (0.0, 0.5, 1.0, 2.0, 5.0):
+            for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+                p_s, p_t, p_st = exact_survival(kg, nu, [s, t, s + t])
+                assert p_st >= p_s * p_t, (s, t)
+        assert exact_survival(kg, nu, [1.0, 2.0, 3.0]) == pytest.approx(
+            [0.8009, 0.7347, 0.6898], abs=1e-4)
+
     def test_circle_two_method_agreement(self):
         lat = Lattice((6,), "torus")
         model = Model(lat, JumpKernel(np.array([[1]]), np.array([1.0])),
@@ -444,7 +456,7 @@ class TestRayleigh:
                           model.rates)
         kg_sym = build_killed_generator(space, sym_model, target)
         assert rep.trial_quotients[0] == pytest.approx(
-            kg_sym.exit_rates()[0])
+            -kg_sym.matrix.diagonal()[0])
         assert rep.eigen_residual <= 1e-10
 
     def test_classical_bound_on_asymmetric_ring(self, excl_ring):

@@ -223,8 +223,7 @@ def _run_domination(cfg: ExperimentConfig, out: Path,
     rows = []
     for label, ens in [(f"iterate_{i+1}", e) for i, e in enumerate(ensembles)] \
             + [("cesaro", cesaro_mixture(ensembles))]:
-        rep = domination_test(ens, measure, suite)
-        for row in rep.rows:
+        for row in domination_test(ens, measure, suite):
             rows.append({
                 "ensemble": label, "function": row.name,
                 "ensemble_mean": row.ensemble_mean,
@@ -383,8 +382,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--t-max", type=float, default=None)
-    p_run.add_argument("--n-traj", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="diff two run directories")
     p_cmp.add_argument("run_a")
@@ -427,10 +424,6 @@ def main(argv=None) -> int:
         raw = storage.read_json(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed
-        if args.t_max is not None:
-            raw.setdefault("budgets", {})["t_max"] = args.t_max
-        if args.n_traj is not None:
-            raw.setdefault("budgets", {})["n_traj"] = args.n_traj
         cfg = ExperimentConfig.from_dict(raw)
         cfg.seed  # force the seed requirement before any work
     except (ConfigError, FileNotFoundError) as exc:
@@ -441,6 +434,9 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     try:
         out = run_experiment(cfg, args.out, workers=args.workers)
+    except ConfigError as exc:  # a budget or field the experiment needs
+        print(f"config invalid: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ModelError, DensityError, FugacityError, StateSpaceError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

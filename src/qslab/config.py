@@ -7,14 +7,13 @@ built on demand so a loaded config round-trips byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .measures import ProductMeasure
 from .model import (EXCLUSION, MISANTHROPE, ZERO_RANGE, JumpKernel, Lattice,
-                    Model, RateFunction, TargetSet, g_capped, g_constant,
-                    g_from_table, g_identity)
+                    Model, ModelError, RateFunction, TargetSet, g_capped,
+                    g_constant, g_from_table, g_identity)
 
 EXPERIMENT_KINDS = ("survival", "phi-iterate", "phi-direct", "spectral",
                     "oracle-check", "domination", "sigma-exit", "couplings")
@@ -120,6 +119,8 @@ class ExperimentConfig:
         if rho is not None and not 0.0 <= _number(rho, float, "density rho"):
             raise ConfigError(f"density must be nonnegative, got {rho}")
         budgets = raw.get("budgets", {})
+        if not isinstance(budgets, dict):
+            raise ConfigError(f"budgets must be a mapping, got {budgets!r}")
         for key, value in budgets.items():
             if key in ("n_traj", "n_particles", "iterations", "order") \
                     and _number(value, int, f"budget {key}") <= 0:
@@ -130,13 +131,29 @@ class ExperimentConfig:
                     isinstance(k, (int, float)) and k > 0 for k in value)):
                 raise ConfigError("budget kappas must be a list of positive "
                                   f"times, got {value!r}")
+            # a time grid needs a point; probe times may be none
+            if key in ("t_grid", "probe_times") and not (
+                    isinstance(value, list) and (value or key != "t_grid")
+                    and all(isinstance(t, (int, float)) for t in value)):
+                raise ConfigError(f"budget {key} must be a list of times, "
+                                  f"got {value!r}")
+        if kind == "survival" and "t_grid" in budgets and "t_max" in budgets \
+                and float(budgets["t_max"]) < max(budgets["t_grid"]):
+            raise ConfigError("budget t_max must cover the time grid")
         if "seed" in raw and \
                 not 0 <= _number(raw["seed"], int, "seed") < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        # object construction surfaces structural errors early
-        self.model()
-        if "target" in raw:
-            self.target().validate_on(self.lattice())
+        # object construction surfaces structural errors early; a value of
+        # the wrong type or form is a config error, a well-formed model that
+        # breaks a rule a model error
+        try:
+            self.model()
+            if "target" in raw:
+                self.target().validate_on(self.lattice())
+        except (ConfigError, ModelError):
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed model or target: {exc}") from None
 
     # -- parsed views -------------------------------------------------------
 
@@ -174,8 +191,8 @@ class ExperimentConfig:
     def budgets(self) -> dict:
         return self.raw.get("budgets", {})
 
-    def budget(self, key: str, default: Any = None):
-        val = self.budgets.get(key, default)
+    def budget(self, key: str):
+        val = self.budgets.get(key)
         if val is None:
             raise ConfigError(f"budget {key} required for {self.experiment}")
         return val

@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from . import rng as rngmod
-from .estimators import SurvivalCurve
+from .estimators import CI_SIGMAS, SurvivalCurve
 from .measures import ProductMeasure
 from .model import Configuration, JumpKernel, Lattice, Model, TargetSet
 
@@ -71,27 +71,22 @@ class SimContext:
         self.nbr = np.maximum(nbr, 0)
         self.weights = np.where(nbr >= 0, kernel.weights.astype(np.float64),
                                 0.0)
-        self.in_window = np.zeros(lattice.num_sites, dtype=np.bool_)
         if target is not None:
             target.validate_on(lattice)
-            self.in_window[target.sites] = True
+            self.in_window = target.mask(lattice.num_sites)
             self.threshold = np.int64(target.threshold)
         else:
+            self.in_window = np.zeros(lattice.num_sites, dtype=bool)
             self.threshold = _NO_TARGET_THRESHOLD
-        self._btab_cap = -1
-        self._btab = None
 
     def btab(self, cap: int) -> np.ndarray:
-        """b(n, m) table covering occupancies up to cap (cached, grow-only);
-        its row n = 0 is zero, since an empty site has nothing to move."""
+        """b(n, m) table covering occupancies up to cap (up to the family's
+        hard per-site bound instead, when it has one); its row n = 0 is
+        zero, since an empty site has nothing to move."""
         hard = self.model.rates.max_site_occupancy
-        if hard is not None:
-            cap = hard
-        if cap > self._btab_cap:
-            self._btab = self.model.rates.b_table(cap)
-            self._btab[0] = 0.0
-            self._btab_cap = cap
-        return self._btab
+        tab = self.model.rates.b_table(cap if hard is None else hard)
+        tab[0] = 0.0
+        return tab
 
     def immortal(self, occ: np.ndarray) -> np.ndarray:
         """Per row of `occ`, whether the start can never enter the target:
@@ -341,10 +336,6 @@ class BatchResult:
     n_events: np.ndarray | None = None  # events per trajectory
 
     @property
-    def n(self) -> int:
-        return self.taus.size
-
-    @property
     def censored_fraction(self) -> float:
         return float(1.0 - self.hit.mean())
 
@@ -502,22 +493,21 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
 # ---------------------------------------------------------------------------
 
 def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
-                   n_traj: int, seed: int, *,
-                   measure: ProductMeasure | None = None,
-                   initials=None, t_max: float | None = None,
+                   n_traj: int, seed: int, *, measure: ProductMeasure,
+                   t_max: float | None = None,
                    workers: int = 1) -> SurvivalCurve:
-    """Empirical survival P(tau > t) on a time grid with binomial errors.
+    """Empirical survival P(tau > t) on a time grid with binomial errors,
+    from n_traj starts sampled from the product law `measure`.
 
-    Trajectories censored at t_max >= max(t_grid) count as alive at every
-    grid point, so censoring does not bias the curve, only the tail beyond
-    the grid."""
+    Trajectories censored at t_max >= max(t_grid) (max(t_grid) when not
+    given) count as alive at every grid point, so censoring does not bias
+    the curve, only the tail beyond the grid."""
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1]) if t_max is None else float(t_max)
     if horizon < t_grid[-1]:
         raise ValueError("t_max must cover the time grid")
-    batch = run_batch(model, target, n_traj, horizon, seed,
-                      measure=None if initials is not None else measure,
-                      initials=initials, workers=workers)
+    batch = run_batch(model, target, n_traj, horizon, seed, measure=measure,
+                      workers=workers)
     alive = batch.taus[None, :] > t_grid[:, None]
     # censored trajectories carry tau = t_max and stay alive on the grid
     alive |= (~batch.hit)[None, :]
@@ -596,9 +586,10 @@ class SecondClassReport:
     n_traj: int
     events: int = 0             # events simulated
 
-    def bound_ok(self, n_sigma: float = 3.0) -> bool:
+    def bound_ok(self) -> bool:
+        """Gap within CI_SIGMAS standard errors of the walk bound."""
         ceiling = self.walk_hit_probability * self.survival_eta \
-            + n_sigma * self.gap_stderr
+            + CI_SIGMAS * self.gap_stderr
         return bool(np.all(self.gap <= ceiling + 1e-12))
 
 
@@ -723,8 +714,9 @@ class SigmaExitReport:
     n_traj: int
     events: int = 0             # events simulated
 
-    def passed(self, n_sigma: float = 3.0) -> bool:
-        return self.estimate >= self.lower_bound - n_sigma * self.stderr
+    def passed(self) -> bool:
+        """Estimate within CI_SIGMAS standard errors of the floor or above."""
+        return self.estimate >= self.lower_bound - CI_SIGMAS * self.stderr
 
 
 def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
@@ -743,8 +735,7 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     lattice = model.lattice
     ctx = SimContext(model, None)
     lam_sites = target.sites
-    lam_mask = np.zeros(lattice.num_sites, dtype=bool)
-    lam_mask[lam_sites] = True
+    lam_mask = target.mask(lattice.num_sites)
     key = rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj))
     occ = measure.from_uniforms(rngmod.uniforms(key, 0, lattice.num_sites))
     btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))

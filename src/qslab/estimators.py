@@ -14,6 +14,12 @@ from scipy.stats import kstest
 from . import rng as rngmod
 
 REPORT_SCHEMA_VERSION = 1
+CI_SIGMAS = 3.0      # standard errors of bands and Monte Carlo bound checks
+N_ALIVE_FLOOR = 100  # alive trajectories a Monte Carlo fit point needs
+MIN_POINTS = 5       # usable grid points a decay fit needs
+N_BOOT = 200         # bootstrap resamples
+MAX_MOMENT = 4       # largest moment order of the exponentiality report
+KS_ALPHA = 0.05      # level of its Kolmogorov-Smirnov threshold
 # bootstrap draws held at once: 128 kB blocks keep the peak memory of one
 # resample at a time and run faster than larger ones (cache-resident)
 _BOOT_BLOCK = 1 << 14
@@ -70,10 +76,11 @@ class SurvivalCurve:
         p = self.estimate
         return np.sqrt(np.clip(p * (1 - p), 0.0, None) / self.n_total)
 
-    def ci(self, n_sigma: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+    def ci(self) -> tuple[np.ndarray, np.ndarray]:
+        """Band of CI_SIGMAS standard errors around the estimate."""
         se = self.stderr()
-        return (np.clip(self.estimate - n_sigma * se, 0.0, 1.0),
-                np.clip(self.estimate + n_sigma * se, 0.0, 1.0))
+        return (np.clip(self.estimate - CI_SIGMAS * se, 0.0, 1.0),
+                np.clip(self.estimate + CI_SIGMAS * se, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -115,31 +122,27 @@ def _wls_slope(t, y, w):
     return slope, inter, r2, ss_res / max(1, t.size - 2)
 
 
-def fit_decay(curve: SurvivalCurve, n_alive_floor: int = 100,
-              min_points: int = 5, window_start: float | None = None,
-              n_boot: int = 200, seed: int = 0) -> DecayFit:
+def fit_decay(curve: SurvivalCurve, seed: int = 0) -> DecayFit:
     """Weighted least squares of log P(tau > t) against t.
 
-    Usable points need positive survival and (for Monte Carlo curves) an
-    alive count at or above the floor.  Raises `FitError` when fewer than
-    `min_points` grid points are usable.  The window drops early points one
-    at a time and keeps the suffix with the smallest residual mean square,
-    which discards early-time polynomial corrections; `window_start`
-    overrides the automatic choice.  The standard error comes from bootstrap
-    resampling of the hitting times when they are available, else from the
-    WLS covariance.
+    Usable points need positive survival and (for Monte Carlo curves) at
+    least N_ALIVE_FLOOR trajectories alive.  Raises `FitError` when fewer
+    than MIN_POINTS grid points are usable.  The window drops early points
+    one at a time while MIN_POINTS remain and keeps the suffix with the
+    smallest residual mean square, which discards early-time polynomial
+    corrections.  The standard error is the spread of the slope over
+    N_BOOT bootstrap resamples of the hitting times when they are
+    available, else the WLS standard error.
     """
     log_p = curve.log_estimate
     usable = np.isfinite(log_p)
     if curve.n_alive is not None:
-        usable &= curve.n_alive >= n_alive_floor
-    if window_start is not None:
-        usable &= curve.t >= window_start
+        usable &= curve.n_alive >= N_ALIVE_FLOOR
     idx = np.flatnonzero(usable)
-    if idx.size < min_points:
+    if idx.size < MIN_POINTS:
         raise FitError(
-            f"only {idx.size} usable grid points (need {min_points}); "
-            "extend the grid, add trajectories, or lower the floor")
+            f"only {idx.size} usable grid points (need {MIN_POINTS}); "
+            "extend the grid or add trajectories")
     t = curve.t[idx]
     y = log_p[idx]
     if curve.n_total is not None and curve.n_alive is not None:
@@ -149,8 +152,7 @@ def fit_decay(curve: SurvivalCurve, n_alive_floor: int = 100,
         w = np.ones_like(t)
 
     best = None
-    last_start = idx.size - min_points if window_start is None else 0
-    for start in range(0, last_start + 1):
+    for start in range(0, idx.size - MIN_POINTS + 1):
         slope, inter, r2, rms = _wls_slope(t[start:], y[start:], w[start:])
         if best is None or rms < best[0]:
             best = (rms, start, slope, inter, r2)
@@ -163,7 +165,7 @@ def fit_decay(curve: SurvivalCurve, n_alive_floor: int = 100,
         hit = curve.hit if curve.hit is not None else np.ones_like(taus, bool)
         n = taus.size
         slopes = []
-        for _ in range(n_boot):
+        for _ in range(N_BOOT):
             pick = boot.integers(0, n, n)
             ts, hs = taus[pick], hit[pick]
             alive = (ts[None, :] > tw[:, None]) | (~hs)[None, :]
@@ -232,18 +234,19 @@ class ExponentialityReport:
 
 
 def exponentiality_report(taus: np.ndarray, lambda_hat: float,
-                          k_max: int = 4, alpha: float = 0.05,
-                          n_boot: int = 200, seed: int = 0) -> ExponentialityReport:
+                          n_boot: int = N_BOOT,
+                          seed: int = 0) -> ExponentialityReport:
     """Compare hitting-time samples against the exponential law of the fitted
-    rate: moment ratios E[tau^k] / (k! / lambda^k) with bootstrap CIs and the
-    Kolmogorov-Smirnov distance at a calibrated threshold (simple hypothesis:
-    lambda_hat is treated as given)."""
+    rate: moment ratios E[tau^k] / (k! / lambda^k) for k = 1 .. MAX_MOMENT
+    with ~3-sigma bands over `n_boot` bootstrap resamples, and the
+    Kolmogorov-Smirnov distance against its asymptotic critical value at
+    level KS_ALPHA (simple hypothesis: lambda_hat is treated as given)."""
     taus = np.asarray(taus, dtype=np.float64)
     n = taus.size
     boot = rngmod.stream(seed, rngmod.BOOTSTRAP, 2)
     moments = []
     logt = np.log(np.clip(taus, 1e-300, None))
-    for k in range(1, k_max + 1):
+    for k in range(1, MAX_MOMENT + 1):
         log_mk = float(logsumexp(k * logt) - math.log(n))
         theo = math.lgamma(k + 1) - k * math.log(lambda_hat)
         ratio = math.exp(log_mk - theo)
@@ -262,8 +265,7 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
         moments.append(MomentRow(k, math.exp(log_mk), math.exp(theo),
                                  ratio, (float(lo), float(hi))))
     ks = kstest(taus, "expon", args=(0.0, 1.0 / lambda_hat)).statistic
-    # asymptotic one-sample KS critical value at level alpha
-    threshold = math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+    threshold = math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0)) / math.sqrt(n)
     return ExponentialityReport(
         lambda_hat=lambda_hat, moments=moments, ks_statistic=float(ks),
         ks_threshold=float(threshold),

@@ -9,7 +9,7 @@ mean, which is strictly increasing on the fugacity domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .model import EXCLUSION, JumpKernel, Lattice, RateFunction, TargetSet
 
 TAIL_TOL = 1e-12
+MAX_TERMS = 200_000
 DENSITY_TOL = 1e-10
 BOUNDARY_MARGIN = 1e-6
 
@@ -29,10 +30,11 @@ class DensityError(ValueError):
     """Density not reachable inside the admissible fugacity domain."""
 
 
-def partition_function(gamma: float, g: Callable[[int], float],
-                       tol: float = TAIL_TOL, max_terms: int = 200_000):
+def partition_function(gamma: float, g: Callable[[int], float]):
     """Normalizer Z(gamma) = sum_n gamma^n / (g(1)...g(n)) with a certified
-    geometric tail bound; returns (Z, n_max, tail_bound)."""
+    geometric tail bound, summed until that bound is at most TAIL_TOL Z;
+    returns (Z, n_max, tail_bound).  Raises `FugacityError` when MAX_TERMS
+    terms do not get there."""
     if gamma < 0:
         raise FugacityError("fugacity must be nonnegative")
     if gamma == 0.0:
@@ -48,11 +50,11 @@ def partition_function(gamma: float, g: Callable[[int], float],
             ratio = gamma / gnext
             if ratio < 1.0:
                 tail = term * ratio / (1.0 - ratio)
-                if tail <= tol * z:
+                if tail <= TAIL_TOL * z:
                     return z, n, tail
-        if n >= max_terms:
+        if n >= MAX_TERMS:
             raise FugacityError(
-                f"partition series did not converge by n={max_terms}; "
+                f"partition series did not converge by n={MAX_TERMS}; "
                 f"gamma={gamma} is at or beyond sup g")
         n += 1
         term *= gamma / gnext
@@ -63,20 +65,16 @@ def partition_function(gamma: float, g: Callable[[int], float],
 class Marginal:
     """Truncated one-site occupancy law theta_gamma."""
 
-    gamma: float
     probabilities: np.ndarray
-    Z: float
-    n_max: int
     tail_mass_bound: float
 
     @staticmethod
-    def from_rates(gamma: float, rates: RateFunction,
-                   tol: float = TAIL_TOL) -> "Marginal":
+    def from_rates(gamma: float, rates: RateFunction) -> "Marginal":
         if rates.family == EXCLUSION:
             # Bernoulli marginal: theta(1)/theta(0) = gamma, support {0, 1}.
             p1 = gamma / (1.0 + gamma)
-            return Marginal(gamma, np.array([1.0 - p1, p1]), 1.0 + gamma, 1, 0.0)
-        z, n_max, tail = partition_function(gamma, rates.g, tol)
+            return Marginal(np.array([1.0 - p1, p1]), 0.0)
+        z, n_max, tail = partition_function(gamma, rates.g)
         probs = np.empty(n_max + 1)
         term = 1.0
         probs[0] = term
@@ -84,7 +82,7 @@ class Marginal:
             term *= gamma / rates.g(n)
             probs[n] = term
         probs /= z
-        return Marginal(gamma, probs, z, n_max, tail / z)
+        return Marginal(probs, tail / z)
 
     @property
     def mean(self) -> float:
@@ -107,9 +105,9 @@ def _fugacity_ceiling(rates: RateFunction) -> float | None:
     return (1.0 - BOUNDARY_MARGIN) * rates.g_sup
 
 
-def invert_density(rho: float, rates: RateFunction,
-                   tol: float = DENSITY_TOL) -> float:
-    """Fugacity gamma(rho) with marginal mean rho, by bisection.
+def invert_density(rho: float, rates: RateFunction) -> float:
+    """Fugacity gamma(rho) with marginal mean rho to DENSITY_TOL, by
+    bisection.
 
     Densities that would push the fugacity within a relative margin of
     sup g(k) (or of density 1 for exclusion) are refused.
@@ -126,7 +124,7 @@ def invert_density(rho: float, rates: RateFunction,
     hi = 0.5 if ceiling is None else min(0.5, ceiling)
     while True:
         try:
-            if upsilon(hi, rates) >= rho - tol:
+            if upsilon(hi, rates) >= rho - DENSITY_TOL:
                 break
         except FugacityError:
             # the series itself becomes infeasible this close to sup g
@@ -144,7 +142,7 @@ def invert_density(rho: float, rates: RateFunction,
     while hi - lo > 1e-15 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         val = upsilon(mid, rates)
-        if abs(val - rho) <= tol:
+        if abs(val - rho) <= DENSITY_TOL:
             return mid
         if val < rho:
             lo = mid
@@ -158,14 +156,12 @@ class ProductMeasure:
     """I.i.d.-site measure with marginal theta_{gamma(rho)}."""
 
     rho: float
-    gamma: float
     marginal: Marginal
-    rates: RateFunction
 
     @staticmethod
     def at_density(rho: float, rates: RateFunction) -> "ProductMeasure":
-        gamma = invert_density(rho, rates)
-        return ProductMeasure(rho, gamma, Marginal.from_rates(gamma, rates), rates)
+        return ProductMeasure(
+            rho, Marginal.from_rates(invert_density(rho, rates), rates))
 
     def sample_occupancies(self, lattice: Lattice, rng: np.random.Generator,
                            n: int = 1) -> np.ndarray:
@@ -266,14 +262,6 @@ class DominationRow:
         return (self.ensemble_mean - self.reference_mean) / self.ensemble_stderr
 
 
-@dataclass
-class DominationReport:
-    rows: list[DominationRow] = field(default_factory=list)
-
-    def passed(self, n_sigma: float = 3.0) -> bool:
-        return all(r.excess_sigmas <= n_sigma for r in self.rows)
-
-
 def _window_distribution(marginal: Marginal, n_sites: int) -> np.ndarray:
     """Exact law of the occupancy sum over n_sites i.i.d. marginals."""
     dist = np.array([1.0])
@@ -314,12 +302,14 @@ def increasing_suite(measure: ProductMeasure, lattice: Lattice,
 
 
 def domination_test(ensemble: WeightedEnsemble, measure: ProductMeasure,
-                    suite: Sequence[IncreasingFunction]) -> DominationReport:
-    """Check E_ensemble[phi] <= E_reference[phi] for every increasing witness;
-    the reference side is exact so only the ensemble noise enters."""
-    report = DominationReport()
+                    suite: Sequence[IncreasingFunction]) -> list[DominationRow]:
+    """Compare E_ensemble[phi] with E_reference[phi] for every increasing
+    witness, one row each; domination holds where `excess_sigmas` <= 0 up
+    to noise.  The reference side is exact so only the ensemble noise
+    enters."""
+    rows = []
     for item in suite:
         mean, se = ensemble.expect_with_se(item.fn)
-        report.rows.append(DominationRow(
-            item.name, mean, se, item.exact_reference_mean))
-    return report
+        rows.append(DominationRow(item.name, mean, se,
+                                  item.exact_reference_mean))
+    return rows

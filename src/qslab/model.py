@@ -10,7 +10,6 @@ simulated, it just loses the guarantees attached to that hypothesis.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -24,6 +23,8 @@ EXCLUSION = "exclusion"
 MISANTHROPE = "misanthrope"
 
 HYPOTHESIS_TOL = 1e-12
+# largest occupancy at which properties of b and g over N are scanned
+OCCUPANCY_CAP = 64
 
 
 class ModelError(ValueError):
@@ -61,24 +62,6 @@ class Lattice:
     def num_sites(self) -> int:
         return int(np.prod(self.extent))
 
-    def coords(self, site: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unravel_index(site, self.extent))
-
-    def site(self, coords: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(int(c) for c in coords), self.extent))
-
-    def shift(self, site: int, offset: Sequence[int]) -> int:
-        """Destination of `site + offset`, or -1 if blocked off the box."""
-        c = np.unravel_index(site, self.extent)
-        moved = [int(x) + int(o) for x, o in zip(c, offset)]
-        if self.boundary == TORUS:
-            moved = [m % e for m, e in zip(moved, self.extent)]
-        else:
-            for m, e in zip(moved, self.extent):
-                if m < 0 or m >= e:
-                    return -1
-        return int(np.ravel_multi_index(tuple(moved), self.extent))
-
     def neighbor_table(self, offsets: np.ndarray) -> np.ndarray:
         """int64[num_sites, n_offsets]; entry -1 where the jump is blocked."""
         n = self.num_sites
@@ -104,20 +87,18 @@ class Lattice:
         source set, following the given offsets (boundary-aware).  -1 where
         unreachable."""
         # BFS from the sources along reversed offsets gives, at each site x,
-        # the minimal jump count of a path x -> sources along the offsets.
+        # the minimal jump count of a path x -> sources along the offsets;
+        # each step advances the whole frontier through the neighbor table
+        back = self.neighbor_table(-np.atleast_2d(np.asarray(offsets)))
         dist = np.full(self.num_sites, -1, dtype=np.int64)
-        queue = deque()
-        for s in sources:
-            dist[s] = 0
-            queue.append(int(s))
-        rev = -np.asarray(offsets)
-        while queue:
-            x = queue.popleft()
-            for off in rev:
-                y = self.shift(x, off)
-                if y >= 0 and dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        frontier = np.unique(np.asarray(sources, dtype=np.int64))
+        dist[frontier] = 0
+        step = 0
+        while frontier.size:
+            step += 1
+            reached = np.unique(back[frontier])
+            frontier = reached[(reached >= 0) & (dist[reached] < 0)]
+            dist[frontier] = step
         return dist
 
 
@@ -218,34 +199,33 @@ class RateFunction:
     `family` picks the interpretation: zero_range uses b(n, m) = g(n),
     exclusion restricts occupancies to {0, 1}, misanthrope takes an explicit
     b.  `g_sup` is sup_k g(k) when finite (fugacity domain boundary), None
-    when g is unbounded.
+    when g is unbounded.  Properties of b and g over all of N (`delta`,
+    `validate_model`) are scanned on [0, OCCUPANCY_CAP], or [0, 1] for
+    exclusion.
     """
 
     family: str
     g: Callable[[int], float]
     b: Callable[[int, int], float]
     g_sup: float | None = None
-    occupancy_cap: int = 64
-    label: str = ""
 
     @staticmethod
-    def zero_range(g: Callable[[int], float], g_sup: float | None = None,
-                   occupancy_cap: int = 64, label: str = "") -> "RateFunction":
+    def zero_range(g: Callable[[int], float],
+                   g_sup: float | None = None) -> "RateFunction":
         def b(n: int, m: int) -> float:
             return g(n)
-        return RateFunction(ZERO_RANGE, g, b, g_sup, occupancy_cap, label)
+        return RateFunction(ZERO_RANGE, g, b, g_sup)
 
     @staticmethod
-    def exclusion(occupancy_cap: int = 64) -> "RateFunction":
+    def exclusion() -> "RateFunction":
         def b(n: int, m: int) -> float:
             return 1.0 if n >= 1 and m == 0 else 0.0
-        return RateFunction(EXCLUSION, g_constant, b, None, occupancy_cap, "exclusion")
+        return RateFunction(EXCLUSION, g_constant, b)
 
     @staticmethod
     def misanthrope(b: Callable[[int, int], float], g: Callable[[int], float],
-                    g_sup: float | None = None, occupancy_cap: int = 64,
-                    label: str = "") -> "RateFunction":
-        return RateFunction(MISANTHROPE, g, b, g_sup, occupancy_cap, label)
+                    g_sup: float | None = None) -> "RateFunction":
+        return RateFunction(MISANTHROPE, g, b, g_sup)
 
     @property
     def target_dependent(self) -> bool:
@@ -257,11 +237,10 @@ class RateFunction:
         """Hard per-site bound implied by the family (1 for exclusion)."""
         return 1 if self.family == EXCLUSION else None
 
-    def delta(self, cap: int | None = None) -> float:
-        """Lipschitz bound sup_n (b(n+1, 0) - b(n, 0)), scanned up to cap."""
-        cap = self.occupancy_cap if cap is None else cap
-        if self.family == EXCLUSION:
-            cap = 1
+    def delta(self) -> float:
+        """Lipschitz bound sup_n (b(n+1, 0) - b(n, 0)), scanned up to
+        OCCUPANCY_CAP (1 for exclusion)."""
+        cap = self.max_site_occupancy or OCCUPANCY_CAP
         return max(self.b(n + 1, 0) - self.b(n, 0) for n in range(cap))
 
     def b_table(self, cap: int) -> np.ndarray:
@@ -320,6 +299,12 @@ class TargetSet:
         if self.sites.min() < 0 or self.sites.max() >= lattice.num_sites:
             raise ModelError("target window outside the lattice")
 
+    def mask(self, n_sites: int) -> np.ndarray:
+        """Indicator of the window sites among `n_sites` sites."""
+        inside = np.zeros(n_sites, dtype=bool)
+        inside[self.sites] = True
+        return inside
+
     def window_sum(self, occupancy: np.ndarray) -> int:
         return int(np.asarray(occupancy)[self.sites].sum())
 
@@ -364,8 +349,9 @@ def jump_rate(config: Configuration, i: int, j: int, lattice: Lattice,
               kernel: JumpKernel, rates: RateFunction) -> float:
     """p(i, j) * b(eta(i), eta(j)); zero when j is not a kernel neighbor."""
     p = 0.0
-    for off, w in zip(kernel.offsets, kernel.weights):
-        if lattice.shift(i, off) == j:
+    for dest, w in zip(lattice.neighbor_table(kernel.offsets)[i],
+                       kernel.weights):
+        if dest == j:
             p += w
     if p == 0.0:
         return 0.0
@@ -395,9 +381,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -422,17 +405,15 @@ def _check_pairs(report, name, ranges, predicate):
     report.checks.append(Check(name, True))
 
 
-def validate_model(lattice: Lattice, kernel: JumpKernel, rates: RateFunction,
-                   occupancy_cap: int | None = None) -> ValidationReport:
+def validate_model(lattice: Lattice, kernel: JumpKernel,
+                   rates: RateFunction) -> ValidationReport:
     """Check every structural hypothesis and report pass/fail with witnesses.
 
     b and g are quantified over all of N in the definitions; they are scanned
-    here on [0, occupancy_cap] (1 for the exclusion family).
+    here on [0, OCCUPANCY_CAP] (1 for the exclusion family).
     """
     rep = ValidationReport()
-    cap = rates.occupancy_cap if occupancy_cap is None else occupancy_cap
-    if rates.family == EXCLUSION:
-        cap = 1
+    cap = rates.max_site_occupancy or OCCUPANCY_CAP
     b, g = rates.b, rates.g
 
     w = kernel.weights
@@ -471,7 +452,7 @@ def validate_model(lattice: Lattice, kernel: JumpKernel, rates: RateFunction,
             lambda n, m: abs(b(n, m - 1) * g(m)
                              - b(m, n - 1) * g(n)) <= HYPOTHESIS_TOL)
 
-    rep.delta = rates.delta(cap)
+    rep.delta = rates.delta()
     rep.checks.append(Check("delta_finite", math.isfinite(rep.delta),
                             f"delta = {rep.delta}"))
 

@@ -43,8 +43,6 @@ class SojournPool:
 
     occupancies: np.ndarray
     log_weights: np.ndarray
-    source_iteration: int
-    n_trajectories: int
     censor_fraction: float
 
     def ensemble(self) -> WeightedEnsemble:
@@ -114,7 +112,7 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
     return batch, work
 
 
-def _harvest(batch: BatchResult, iteration: int,
+def _harvest(batch: BatchResult,
              sojourn_log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
              ) -> SojournPool:
     """Replay uncensored trajectories and weight every survivor-set sojourn;
@@ -141,7 +139,7 @@ def _harvest(batch: BatchResult, iteration: int,
     starts[1:] = ends[:-1]
     starts[np.cumsum(counts) - counts] = 0.0
     return SojournPool(states[inside], sojourn_log_weight(starts, ends),
-                       iteration, batch.n, batch.censored_fraction)
+                       batch.censored_fraction)
 
 
 def _duration_log_weight(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -190,7 +188,7 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
     indices = iteration * n_particles + np.arange(n_particles)
     batch, work = _simulate_to_hits(model, target, initials, measure,
                                     indices, t_max, seed, workers)
-    pool = _harvest(batch, iteration, _duration_log_weight)
+    pool = _harvest(batch, _duration_log_weight)
     pool_ensemble = pool.ensemble()
     reduce_gen = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration + 1)
     keep = systematic_resample(pool_ensemble.weights, n_particles, reduce_gen)
@@ -237,7 +235,7 @@ def phi_direct(model: Model, target: TargetSet, measure: ProductMeasure,
         raise ValueError("iterate order must be >= 1")
     batch, work = _simulate_to_hits(model, target, None, measure,
                                     np.arange(n_traj), t_max, seed, workers)
-    pool = _harvest(batch, n, _power_log_weight(n))
+    pool = _harvest(batch, _power_log_weight(n))
     ens = pool.ensemble()
     stats = _batch_stats(batch, work, ens.effective_sample_size(), (), n_traj)
     return ens, stats

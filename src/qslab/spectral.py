@@ -33,6 +33,8 @@ from .measures import Marginal
 from .model import Lattice, Model, TargetSet
 
 DEFAULT_STATE_LIMIT = 100_000
+POISSON_TOL = 1e-12   # Poisson mass left out of each uniformized sum
+SANDWICH_TOL = 1e-10  # rounding slack of the hitting-time sandwich
 
 
 class StateSpaceError(ValueError):
@@ -185,10 +187,6 @@ class StateSpace:
                 f"state {tuple(occ.tolist())} not in the space")
         return got
 
-    def site_means(self, weights: np.ndarray) -> np.ndarray:
-        w = np.asarray(weights, dtype=np.float64)
-        return w @ self.occupancies / w.sum()
-
 
 def enumerate_states(lattice: Lattice, constraint, *,
                      site_cap: int | None = None,
@@ -325,8 +323,7 @@ def build_killed_generator(space: StateSpace, model: Model,
     occ = occ_all[ac_indices]
     n_ac, n_sites = occ.shape
     b_tab = model.rates.b_table(int(occ.max(initial=0)))
-    in_window = np.zeros(n_sites, dtype=bool)
-    in_window[target.sites] = True
+    in_window = target.mask(n_sites)
     window = occ[:, in_window].sum(axis=1)
     # rates per (state, site, offset) of the jumps the chain makes, of those
     # that kill, and of those the cap suppresses
@@ -418,8 +415,7 @@ def _dominant_vector(solve: Callable[[np.ndarray], np.ndarray],
     return x / np.linalg.norm(x)
 
 
-def principal_decay(kg: KilledGenerator,
-                    fit_times: Sequence[float] | None = None) -> SpectralResult:
+def principal_decay(kg: KilledGenerator) -> SpectralResult:
     """Smallest decay rate of the killed generator with both Perron vectors.
 
     The right and left vectors are the dominant eigenvectors of (-L)^{-1}
@@ -435,7 +431,8 @@ def principal_decay(kg: KilledGenerator,
     quotients agree to 1e-8 and neither vector has mixed signs.  A
     defective eigenvalue has y^T x = 0 however small its residuals (the
     canonical totally asymmetric ring is the example); the rate is then
-    fitted on the exact survival curve instead."""
+    fitted (`fit_decay`) on the exact log-survival from the uniform law at
+    the nine times linspace(500, 1000, 9) / max(1, largest exit rate)."""
     L = kg.matrix.tocsc()
     n = kg.dim
     if n == 0:
@@ -475,13 +472,11 @@ def principal_decay(kg: KilledGenerator,
     # defective or reducible: fit the decay of the exact survival curve; the
     # window sits far out because polynomial prefactors bias the local slope
     # by O(log t / t)
-    if fit_times is None:
-        unif = 1.0 / max(1.0, float(-L.diagonal().min()))
-        fit_times = np.linspace(500.0, 1000.0, 9) * unif
+    unif = 1.0 / max(1.0, float(-L.diagonal().min()))
+    fit_times = np.linspace(500.0, 1000.0, 9) * unif
     init = np.ones(n) / n
     logs = exact_survival(kg, init, fit_times, return_log=True)
-    curve = SurvivalCurve.from_log(np.asarray(fit_times), logs)
-    fit = fit_decay(curve, n_alive_floor=0, min_points=min(5, len(fit_times)))
+    fit = fit_decay(SurvivalCurve.from_log(fit_times, logs))
     return SpectralResult(fit.lambda_hat, None, None, res_r, res_l, True,
                           int(n_scc), fit_window=fit.window)
 
@@ -491,13 +486,14 @@ def principal_decay(kg: KilledGenerator,
 # ---------------------------------------------------------------------------
 
 def uniformized_sum(step: Callable[[np.ndarray], np.ndarray],
-                    v0: np.ndarray, lams: Sequence[float] | float,
-                    tol: float = 1e-12) -> list[np.ndarray]:
+                    v0: np.ndarray,
+                    lams: Sequence[float] | float) -> list[np.ndarray]:
     """Poisson-weighted sums  sum_k Poisson(k; lam) v_k  with v_{k+1} =
-    step(v_k), one per lam, each truncated at the (1 - tol) Poisson quantile
-    plus one (at k = 0 for lam = 0).  The v_k are computed once, up to the
-    largest truncation."""
-    pmfs = [poisson.pmf(np.arange(int(poisson.ppf(1.0 - tol, lam)) + 2), lam)
+    step(v_k), one per lam, each truncated at the (1 - POISSON_TOL) Poisson
+    quantile plus one (at k = 0 for lam = 0).  The v_k are computed once, up
+    to the largest truncation."""
+    pmfs = [poisson.pmf(np.arange(
+                int(poisson.ppf(1.0 - POISSON_TOL, lam)) + 2), lam)
             if lam > 0 else np.ones(1) for lam in np.atleast_1d(lams)]
     v = v0
     acc = [pmf[0] * v for pmf in pmfs]
@@ -510,8 +506,7 @@ def uniformized_sum(step: Callable[[np.ndarray], np.ndarray],
 
 
 def exact_survival(kg: KilledGenerator, initial: np.ndarray,
-                   ts: Sequence[float] | float, tol: float = 1e-12,
-                   return_log: bool = False):
+                   ts: Sequence[float] | float, return_log: bool = False):
     """Mass of the killed semigroup: initial^T exp(t L) 1.
 
     Direct uniformization (Poisson-weighted powers of the uniformized
@@ -531,7 +526,7 @@ def exact_survival(kg: KilledGenerator, initial: np.ndarray,
     QT = ((L / lam_u) + sparse_identity(kg.dim, format="csr")).T.tocsr()
 
     if not return_log:
-        mus = uniformized_sum(QT.dot, init, lam_u * times, tol)
+        mus = uniformized_sum(QT.dot, init, lam_u * times)
         out = np.array([float(mu.sum()) for mu in mus])
         return out[0] if scalar else out
 
@@ -546,7 +541,7 @@ def exact_survival(kg: KilledGenerator, initial: np.ndarray,
         t = times[j]
         while t_done < t:
             step = min(t - t_done, seg_budget / lam_u)
-            mu = uniformized_sum(QT.dot, mu, lam_u * step, tol)[0]
+            mu = uniformized_sum(QT.dot, mu, lam_u * step)[0]
             t_done += step
             norm = mu.sum()
             if norm <= 0:
@@ -650,9 +645,9 @@ class SandwichReport:
     entropy: float
     fg_mass: float
 
-    def holds(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(self.survival <= self.upper + tol)
-                    and np.all(self.survival >= self.lower - tol)
+    def holds(self) -> bool:
+        return bool(np.all(self.survival <= self.upper + SANDWICH_TOL)
+                    and np.all(self.survival >= self.lower - SANDWICH_TOL)
                     and self.fg_mass >= 1.0 - 1e-12)
 
 

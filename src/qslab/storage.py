@@ -80,11 +80,11 @@ def load_ensemble(path) -> WeightedEnsemble:
 # curves and logs
 # ---------------------------------------------------------------------------
 
-def survival_curve_csv(curve: SurvivalCurve, n_sigma: float = 3.0) -> str:
+def survival_curve_csv(curve: SurvivalCurve) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "estimate", "ci_lo", "ci_hi", "n_alive"])
-    lo, hi = curve.ci(n_sigma)
+    lo, hi = curve.ci()
     for k in range(curve.t.size):
         alive = "" if curve.n_alive is None else int(curve.n_alive[k])
         w.writerow([repr(float(curve.t[k])), repr(float(curve.estimate[k])),

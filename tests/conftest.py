@@ -1,5 +1,6 @@
 """Shared fixtures: the small models every oracle-backed test runs against."""
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ def toy():
     with threshold 1.  Small enough for exact sector enumeration."""
     lattice = Lattice((3,), "torus")
     kernel = JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3]))
-    rates = RateFunction.zero_range(g_linear, label="g(k)=k")
+    rates = RateFunction.zero_range(g_linear)
     model = Model(lattice, kernel, rates)
     target = TargetSet(np.array([0]), 1)
     measure = ProductMeasure.at_density(0.5, rates)
@@ -169,6 +170,31 @@ def assert_same_batch(a, b):
         for x, y in zip(a.events, b.events):
             for u, v in zip(x, y):
                 assert np.array_equal(u, v)
+
+
+def graph_distance_bfs(lattice, sources, offsets):
+    """Reference for `Lattice.graph_distance`: a queue BFS from the sources
+    along the negated offsets, moving one site at a time by its
+    coordinates (wrapped on the torus, dropped off a blocked box)."""
+    dist = np.full(lattice.num_sites, -1, dtype=np.int64)
+    queue = deque()
+    for s in sources:
+        dist[s] = 0
+        queue.append(int(s))
+    while queue:
+        x = queue.popleft()
+        for off in -np.asarray(offsets):
+            moved = [int(c) + int(o) for c, o in
+                     zip(np.unravel_index(x, lattice.extent), off)]
+            if lattice.boundary == "torus":
+                moved = [m % e for m, e in zip(moved, lattice.extent)]
+            elif any(m < 0 or m >= e for m, e in zip(moved, lattice.extent)):
+                continue
+            y = int(np.ravel_multi_index(tuple(moved), lattice.extent))
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 # ---------------------------------------------------------------------------

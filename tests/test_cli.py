@@ -129,6 +129,48 @@ def test_non_numeric_budget_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _replaced(base, path, value):
+    """A copy of `base` with the entry at `path` (a tuple of keys) set to
+    `value`, or removed when `value` is None."""
+    raw = json.loads(json.dumps(base))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return raw
+
+
+SURVIVAL = dict(TOY, experiment="survival", seed=13,
+                budgets={"t_grid": [1.0, 2.0], "n_traj": 10, "t_max": 5.0})
+
+
+@pytest.mark.parametrize("cfg", [
+    _replaced(SURVIVAL, ("budgets", "n_traj"), None),
+    _replaced(SURVIVAL, ("rho",), None),
+    _replaced(SURVIVAL, ("budgets", "t_max"), 1.5),
+    _replaced(dict(SURVIVAL, experiment="spectral"), ("budgets",),
+              {"state_space": {"kind": "bogus", "value": 3}}),
+    _replaced(SURVIVAL, ("model", "lattice", "extent"), 3),
+    _replaced(SURVIVAL, ("budgets",), [10, 5.0]),
+    _replaced(SURVIVAL, ("model", "kernel", "weights"), "ab"),
+    _replaced(SURVIVAL, ("target", "threshold"), "x"),
+    _replaced(SURVIVAL, ("budgets", "t_grid"), "abc"),
+    _replaced(SURVIVAL, ("budgets", "t_grid"), []),
+], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
+        "extent-scalar", "budgets-list", "weights-string", "threshold-word",
+        "t_grid-string", "t_grid-empty"])
+def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
+    """A fault found after the config parses exits 2 with a message, not a
+    traceback."""
+    config = _write(tmp_path, "cfg", cfg)
+    assert cli.main(["run", "--config", config,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config invalid: ")
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_nonpositive_workers_exit_2(tmp_path, capsys, workers):
     config = _write(tmp_path, "cfg", dict(

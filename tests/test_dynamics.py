@@ -82,7 +82,7 @@ class TestSimulateKilled:
         model, target, measure = toy
         batch = run_batch(model, target, 64, 40.0, seed=3,
                           measure=measure, record_events=True)
-        for i in range(batch.n):
+        for i in range(batch.taus.size):
             traj = trajectory(batch, i)
             assert (np.diff(traj.times) > 0).all()
             occ = Configuration(traj.initial)
@@ -143,13 +143,13 @@ class TestBatches:
         for n in (2, 4):
             with pytest.raises(ValueError, match="initials"):
                 run_batch(model, target, n, 5.0, 3, initials=initials)
-        assert run_batch(model, target, 3, 5.0, 3, initials=initials).n == 3
+        assert run_batch(model, target, 3, 5.0, 3, initials=initials).taus.size == 3
 
     def test_conservation_on_torus(self, toy):
         model, target, measure = toy
         batch = run_batch(model, target, 128, 20.0, seed=11,
                           measure=measure, record_events=True)
-        for i in range(batch.n):
+        for i in range(batch.taus.size):
             traj = trajectory(batch, i)
             assert traj.states()[-1].sum() == traj.initial.sum()
 
@@ -282,7 +282,7 @@ class TestEngineOracle:
         model, target, measure = request.getfixturevalue(setup)
         batch = run_batch(model, target, 120, 1.0, 53, measure=measure,
                           indices=7 + np.arange(120))
-        for i in range(batch.n):
+        for i in range(batch.taus.size):
             gen = rngmod.stream(53, rngmod.TRAJECTORY, 7 + i)
             assert np.array_equal(
                 batch.initials[i],
@@ -299,13 +299,13 @@ class TestEngineOracle:
                           record_events=True)
         assert (batch.n_events == 0).any() and (batch.n_events > 1).any()
         ref = [states_loop(batch.initials[i], *batch.events[i][1:])
-               for i in range(batch.n)]
+               for i in range(batch.taus.size)]
         srcs, dsts = (np.concatenate([ev[k] for ev in batch.events])
                       for k in (1, 2))
         got = dynamics.replay(batch.initials, batch.n_events, srcs, dsts)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.vstack(ref))
-        for i in range(batch.n):
+        for i in range(batch.taus.size):
             assert np.array_equal(trajectory(batch, i).states(), ref[i])
 
     def test_draws_match_scalar_draws(self):
@@ -430,7 +430,7 @@ class TestReplayProperties:
                      max_size=n_sites), min_size=4, max_size=4)))
         whole = run_batch(model, target, 4, 3.0, seed, initials=initials,
                           record_events=True)
-        for i in range(whole.n):
+        for i in range(whole.taus.size):
             states = trajectory(whole, i).states()
             assert (states.sum(axis=1) == initials[i].sum()).all()
             assert np.array_equal(states[-1], whole.finals[i])
@@ -554,8 +554,8 @@ class TestWalkHitting:
         lattice = Lattice((3, 3, 3), "blocked")
         kernel = JumpKernel(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                             np.array([0.5, 0.25, 0.25]))
-        start = lattice.site([0, 0, 0])
-        trap = lattice.site([2, 0, 0])
+        start = int(np.ravel_multi_index((0, 0, 0), lattice.extent))
+        trap = int(np.ravel_multi_index((2, 0, 0), lattice.extent))
         # only the double +x step reaches the trap: exactly 1/4
         assert rw_hitting(lattice, kernel, start, [trap]) == \
             pytest.approx(0.25, abs=1e-10)

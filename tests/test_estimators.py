@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from qslab import rng as rngmod
-from qslab.estimators import (FitError, SurvivalCurve, exponentiality_report,
-                              fit_decay)
+from qslab.estimators import (N_ALIVE_FLOOR, FitError, SurvivalCurve,
+                              exponentiality_report, fit_decay)
 from qslab.spectral import tasep_line_survival
 
 
@@ -40,18 +40,18 @@ class TestFitDecay:
             fit_decay(curve)
 
     def test_alive_floor_excludes_thin_tail(self):
-        # n_alive >= 50 holds while t <= ln(14) / 0.8 ~ 3.3: six grid points
-        # (0.5 .. 3.0) clear the floor, more than the default min_points,
-        # and the thin tail (3.5 .. 10) stays on the grid below it
+        # with n = 20 floors, n_alive clears the floor while p >= 1/20, i.e.
+        # t <= ln(14) / 0.8 ~ 3.3: six grid points (0.5 .. 3.0), more than
+        # MIN_POINTS, and the thin tail (3.5 .. 10) stays on the grid below
         t = np.linspace(0.5, 10, 20)
         p = 0.7 * np.exp(-0.8 * t)
-        n = 1000
+        n = 20 * N_ALIVE_FLOOR
         n_alive = (n * p).astype(int)
         curve = SurvivalCurve(t=t, estimate=p, n_alive=n_alive, n_total=n)
-        below = n_alive < 50
+        below = n_alive < N_ALIVE_FLOOR
         assert below.any()
-        fit = fit_decay(curve, n_alive_floor=50)
-        assert fit.n_alive_at_hi >= 50
+        fit = fit_decay(curve)
+        assert fit.n_alive_at_hi >= N_ALIVE_FLOOR
         assert fit.window[1] == t[~below][-1]
         assert fit.window[1] < t[below].min()
         assert fit.lambda_hat == pytest.approx(0.8, abs=1e-12)

@@ -31,7 +31,7 @@ class TestPartitionFunction:
 
     def test_fugacity_beyond_sup_g(self):
         with pytest.raises(FugacityError):
-            partition_function(1.5, G_FLAT.g, max_terms=5000)
+            partition_function(1.5, G_FLAT.g)
 
 
 class TestDensityInversion:
@@ -173,9 +173,9 @@ class TestDomination:
             model.lattice, rngmod.stream(12, rngmod.SAMPLING, 0), 20_000)
         ens = WeightedEnsemble(occ, np.ones(occ.shape[0]))
         suite = increasing_suite(measure, model.lattice, target, model.kernel)
-        report = domination_test(ens, measure, suite)
+        rows = domination_test(ens, measure, suite)
         # equality case: stay within noise on BOTH sides
-        assert all(abs(r.excess_sigmas) <= 4 for r in report.rows)
+        assert all(abs(r.excess_sigmas) <= 4 for r in rows)
 
     def test_conditioned_ensemble_dominated(self, toy):
         """Exact enumeration oracle: conditioning the product law on the
@@ -189,7 +189,7 @@ class TestDomination:
         alive = grid[:, target.sites].sum(axis=1) <= target.threshold
         ens = WeightedEnsemble(grid[alive], w[alive])
         suite = increasing_suite(measure, model.lattice, target, model.kernel)
-        report = domination_test(ens, measure, suite)
-        assert report.passed(n_sigma=0.0)  # exact: no slack needed
-        window = [r for r in report.rows if r.name == "window_sum"][0]
+        rows = domination_test(ens, measure, suite)
+        assert all(r.excess_sigmas <= 0 for r in rows)  # exact: no slack
+        window = [r for r in rows if r.name == "window_sum"][0]
         assert window.ensemble_mean < window.reference_mean

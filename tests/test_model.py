@@ -7,6 +7,8 @@ from qslab.model import (Configuration, JumpKernel, Lattice, ModelError,
                          RateFunction, TargetSet, apply_jump, jump_rate,
                          validate_model)
 
+from conftest import graph_distance_bfs
+
 
 def tasep_kernel():
     return JumpKernel(np.array([[1]]), np.array([1.0]))
@@ -14,26 +16,18 @@ def tasep_kernel():
 
 class TestLattice:
     def test_torus_wraps(self):
-        lat = Lattice((4,), "torus")
-        assert lat.shift(3, [1]) == 0
-        assert lat.shift(0, [-1]) == 3
+        nbr = Lattice((4,), "torus").neighbor_table(np.array([[1], [-1]]))
+        assert nbr[3, 0] == 0
+        assert nbr[0, 1] == 3
 
     def test_blocked_edge_has_no_destination(self):
-        lat = Lattice((4,), "blocked")
-        assert lat.shift(3, [1]) == -1
-        assert lat.shift(0, [-1]) == -1
-        assert lat.shift(2, [1]) == 3
+        nbr = Lattice((4,), "blocked").neighbor_table(np.array([[1], [-1]]))
+        assert nbr[3, 0] == -1
+        assert nbr[0, 1] == -1
+        assert nbr[2, 0] == 3
 
     def test_num_sites(self):
         assert Lattice((4, 3), "torus").num_sites == 12
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.tuples(st.integers(1, 5), st.integers(1, 5)),
-           st.integers(0, 24))
-    def test_site_coords_round_trip(self, extent, site):
-        lat = Lattice(extent, "torus")
-        site = site % lat.num_sites
-        assert lat.site(lat.coords(site)) == site
 
     def test_bad_extent_rejected(self):
         with pytest.raises(ModelError):
@@ -46,6 +40,15 @@ class TestLattice:
         # the +1 kernel cannot reach a window on the left
         dist_left = lat.graph_distance([0], np.array([[1]]))
         assert dist_left[0] == 0 and (dist_left[1:] == -1).all()
+
+    @pytest.mark.parametrize("boundary", ["blocked", "torus"])
+    @pytest.mark.parametrize("sources", [[0], [7, 20], [11, 12, 17]])
+    def test_graph_distance_matches_site_by_site_bfs(self, boundary,
+                                                     sources):
+        lat = Lattice((5, 6), boundary)
+        offsets = np.array([[1, 0], [0, 2]])
+        assert np.array_equal(lat.graph_distance(sources, offsets),
+                              graph_distance_bfs(lat, sources, offsets))
 
 
 class TestKernel:
@@ -106,7 +109,7 @@ class TestRates:
     def test_zero_range_hypotheses_pass(self):
         lat = Lattice((4,), "torus")
         rates = RateFunction.zero_range(lambda k: float(k))
-        rep = validate_model(lat, tasep_kernel(), rates, occupancy_cap=16)
+        rep = validate_model(lat, tasep_kernel(), rates)
         assert rep.ok
 
     def test_crowding_misanthrope_fails_state_free_condition(self):
@@ -115,8 +118,8 @@ class TestRates:
         rates = RateFunction.misanthrope(
             lambda n, m: n / (m + 1.0), lambda k: float(k))
         lat = Lattice((4,), "torus")
-        rep = validate_model(lat, tasep_kernel(), rates, occupancy_cap=8)
-        bad = {c.name for c in rep.failed()}
+        rep = validate_model(lat, tasep_kernel(), rates)
+        bad = {c.name for c in rep.checks if not c.passed}
         assert "b_antisymmetric_part_state_free" in bad
 
     def test_b_table_matches_callable(self):
@@ -139,7 +142,7 @@ class TestConfigurationOps:
 
     def test_apply_jump_wraps_on_torus(self):
         lat = Lattice((4,), "torus")
-        j = lat.shift(3, [1])
+        j = int(lat.neighbor_table(np.array([[1]]))[3, 0])
         out = apply_jump(Configuration([0, 0, 0, 1]), 3, j)
         assert out.occupancy.tolist() == [1, 0, 0, 0]
 

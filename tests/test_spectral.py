@@ -277,10 +277,17 @@ class TestPrincipalDecay:
         """Arnoldi finds an eigenvector of the Jordan block with a residual
         at rounding level; the left and right ones are orthogonal, and that
         is what marks the spectrum defective.  The fitted rate lies in the
-        window bias band [1 - (N - m - 1)/t_lo, 1] of the closed-form 1."""
-        res = principal_decay(tasep_ring(n_sites, n_particles))
+        window bias band [1 - (N - m - 1)/t_lo, 1] of the closed-form 1.
+        The fit runs on the fixed grid linspace(500, 1000, 9) / max(1,
+        largest exit rate) and its window ends on the last grid point."""
+        kg = tasep_ring(n_sites, n_particles)
+        res = principal_decay(kg)
         assert res.defective
         assert res.qsd is None and res.right_vector is None
+        unif = 1.0 / max(1.0, float(-kg.matrix.diagonal().min()))
+        grid = np.linspace(500.0, 1000.0, 9) * unif
+        assert res.fit_window[1] == 1000.0 * unif
+        assert res.fit_window[0] in grid.tolist()
         bias = (n_sites - n_particles - 1) / res.fit_window[0]
         assert 1.0 - bias - 1e-8 <= res.decay_rate <= 1.0 + 1e-8
 
@@ -439,7 +446,7 @@ class TestSandwich:
         rep = hitting_sandwich_check(kg, nu, f, g, res.decay_rate,
                                      [0.5, 1, 2, 4, 8])
         assert rep.fg_mass >= 1.0 - 1e-12
-        assert rep.holds(tol=1e-10)
+        assert rep.holds()
         assert (rep.survival <= np.exp(-res.decay_rate * rep.t_grid)
                 + 1e-12).all()
 

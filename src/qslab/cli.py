@@ -21,10 +21,10 @@ from .dynamics import (WorkCounts, second_class_escape, sigma_exit,
                        survival_curve)
 from .estimators import FitError, SurvivalCurve, exponentiality_report, fit_decay
 from .measures import DensityError, FugacityError, increasing_suite, domination_test
-from .model import Configuration, ModelError, validate_model
+from .model import ModelError, validate_model
 from .phi import PhiUndefinedError, cesaro_mixture, phi_direct, phi_iterate
-from .spectral import (FixedTotal, MaxTotal, SiteCap, SolverError,
-                       StateSpaceError, TasepCircleOracle, absorbing_core,
+from .spectral import (FixedTotal, SolverError, StateSpaceError,
+                       TasepCircleOracle, absorbing_core,
                        build_killed_generator, canonical_vector,
                        enumerate_states, exact_survival, hitting_sandwich_check,
                        normalize_density, principal_decay, product_vector,
@@ -146,22 +146,10 @@ def _run_phi_direct(cfg: ExperimentConfig, out: Path,
     return stats.work
 
 
-def _state_constraint(cfg: ExperimentConfig):
-    spec = cfg.budget("state_space")
-    kind, value = spec["kind"], int(spec["value"])
-    if kind == "fixed_total":
-        return FixedTotal(value)
-    if kind == "max_total":
-        return MaxTotal(value)
-    if kind == "site_cap":
-        return SiteCap(value)
-    raise ConfigError(f"unknown state space kind {kind!r}")
-
-
 def _run_spectral(cfg: ExperimentConfig, out: Path,
                   workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
-    space = enumerate_states(model.lattice, _state_constraint(cfg),
+    space = enumerate_states(model.lattice, cfg.state_constraint(),
                              site_cap=model.rates.max_site_occupancy)
     kg = build_killed_generator(space, model, target)
     storage.save_matrix(kg.matrix, out / "killed_generator.mtx")
@@ -259,11 +247,9 @@ def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
 def _run_couplings(cfg: ExperimentConfig, out: Path,
                    workers: int) -> WorkCounts:
     model, target = cfg.model(), cfg.target()
-    eta0 = Configuration(np.asarray(cfg.budget("initial"), dtype=np.int64))
-    site = int(cfg.budget("site"))
     rep = second_class_escape(
-        model, target, eta0, site, cfg.budget("t_grid"),
-        int(cfg.budget("n_traj")), cfg.seed)
+        model, target, cfg.budget("initial"), cfg.budget("site"),
+        cfg.budget("t_grid"), int(cfg.budget("n_traj")), cfg.seed)
     storage.write_json(out / "couplings.json", {
         "schema_version": 1,
         "t_grid": list(map(float, rep.t_grid)),

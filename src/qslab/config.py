@@ -14,9 +14,13 @@ from .measures import ProductMeasure
 from .model import (EXCLUSION, MISANTHROPE, ZERO_RANGE, JumpKernel, Lattice,
                     Model, ModelError, RateFunction, TargetSet, g_capped,
                     g_constant, g_from_table, g_identity)
+from .spectral import FixedTotal, MaxTotal, SiteCap
 
 EXPERIMENT_KINDS = ("survival", "phi-iterate", "phi-direct", "spectral",
                     "oracle-check", "domination", "sigma-exit", "couplings")
+# state-space constraint of a `spectral` run by its `kind` name
+STATE_SPACES = {"fixed_total": FixedTotal, "max_total": MaxTotal,
+                "site_cap": SiteCap}
 
 
 class ConfigError(ValueError):
@@ -35,6 +39,12 @@ def _number(value, kind, what: str):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _is_count(value) -> bool:
+    """Whether `value` is a nonnegative integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 def g_from_spec(spec: dict):
@@ -131,6 +141,16 @@ class ExperimentConfig:
                     isinstance(k, (int, float)) and k > 0 for k in value)):
                 raise ConfigError("budget kappas must be a list of positive "
                                   f"times, got {value!r}")
+            if key == "state_space" and not (
+                    isinstance(value, dict) and "value" in value
+                    and isinstance(value.get("kind"), str)
+                    and value["kind"] in STATE_SPACES
+                    and _number(value["value"], int,
+                                "budget state_space value") >= 0):
+                raise ConfigError(
+                    "budget state_space must be {\"kind\": one of "
+                    f"{sorted(STATE_SPACES)}, \"value\": a nonnegative "
+                    f"integer}}, got {value!r}")
             # a time grid needs a point; probe times may be none
             if key in ("t_grid", "probe_times") and not (
                     isinstance(value, list) and (value or key != "t_grid")
@@ -147,13 +167,23 @@ class ExperimentConfig:
         # the wrong type or form is a config error, a well-formed model that
         # breaks a rule a model error
         try:
-            self.model()
+            n_sites = self.model().lattice.num_sites
             if "target" in raw:
                 self.target().validate_on(self.lattice())
         except (ConfigError, ModelError):
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model or target: {exc}") from None
+        initial = budgets.get("initial")
+        if initial is not None and not (
+                isinstance(initial, list) and len(initial) == n_sites
+                and all(_is_count(n) for n in initial)):
+            raise ConfigError(f"budget initial must hold one nonnegative "
+                              f"integer per site ({n_sites}), got {initial!r}")
+        site = budgets.get("site")
+        if site is not None and not (_is_count(site) and site < n_sites):
+            raise ConfigError(f"budget site must be a site index below "
+                              f"{n_sites}, got {site!r}")
 
     # -- parsed views -------------------------------------------------------
 
@@ -171,6 +201,11 @@ class ExperimentConfig:
 
     def target(self) -> TargetSet:
         return target_from_dict(self.raw["target"])
+
+    def state_constraint(self):
+        """The `state_space` budget as a state-space constraint."""
+        spec = self.budget("state_space")
+        return STATE_SPACES[spec["kind"]](int(spec["value"]))
 
     def measure(self) -> ProductMeasure:
         if "rho" not in self.raw:

@@ -6,15 +6,16 @@ bound.
 One lockstep event engine runs every Monte Carlo path: Gillespie's direct
 method applied to all trajectories of a batch at once, one event per numpy
 step.  The state is an (n_rows, n_sites) occupancy matrix.  Each step
-recomputes the rate w(y - x) b(occ_x, occ_y) of every jump from the rate
-table, so a b that depends on the destination needs no special case, and
-takes each row's total from a fresh cumulative sum: there is no running
-total, hence no drift and no resynchronization.  Each live row then draws
-its waiting time and its (site, offset) pick; rows that enter the target,
-pass the horizon or have no rate left retire.  Recorded events are gathered
+recomputes the rate w(y - x) b(occ_x, occ_y) of every jump with
+`model.jump_rates` from the model's jump table and b table, the one rate
+rule the exact generator reads too, so a b that depends on the destination
+needs no special case, and takes each row's total from a fresh cumulative
+sum: there is no running total, hence no drift and no resynchronization.
+Each live row then draws its waiting time and its (site, offset) pick;
+rows that enter the target, pass the horizon or have no rate left retire.  Recorded events are gathered
 per step and split by row at the end, so there is no event buffer and no
 resume.  The couplings are short loops over the same primitives: the rate
-matrix (`_jump_rates`), the per-row draws (`_Draws`) and the
+matrix (`jump_rates`), the per-row draws (`_Draws`) and the
 categorical pick (`_categorical`).
 
 Every trajectory draws from its own counter-based stream keyed by
@@ -43,7 +44,7 @@ from scipy.sparse.linalg import spsolve
 from . import rng as rngmod
 from .estimators import CI_SIGMAS, SurvivalCurve
 from .measures import ProductMeasure
-from .model import Configuration, JumpKernel, Lattice, Model, TargetSet
+from .model import JumpKernel, Lattice, Model, TargetSet, jump_rates
 
 _NO_TARGET_THRESHOLD = np.int64(2**62)
 
@@ -59,18 +60,14 @@ _FROZEN_RATE = 1e-300
 
 class SimContext:
     """Tables binding a model (and optional target) for the engine: the
-    neighbor table, the kernel weight of every (site, offset) jump, the
-    b table and the window mask."""
+    model's jump table (`Model.jump_table`: destination and kernel weight
+    of every (site, offset) jump) and the window mask."""
 
     def __init__(self, model: Model, target: TargetSet | None):
         self.model = model
         self.target = target
-        kernel, lattice = model.kernel, model.lattice
-        nbr = lattice.neighbor_table(kernel.offsets)
-        # a blocked jump points at site 0 with weight 0, so rates need no mask
-        self.nbr = np.maximum(nbr, 0)
-        self.weights = np.where(nbr >= 0, kernel.weights.astype(np.float64),
-                                0.0)
+        lattice = model.lattice
+        self.nbr, self.weights = model.jump_table()
         if target is not None:
             target.validate_on(lattice)
             self.in_window = target.mask(lattice.num_sites)
@@ -78,15 +75,6 @@ class SimContext:
         else:
             self.in_window = np.zeros(lattice.num_sites, dtype=bool)
             self.threshold = _NO_TARGET_THRESHOLD
-
-    def btab(self, cap: int) -> np.ndarray:
-        """b(n, m) table covering occupancies up to cap (up to the family's
-        hard per-site bound instead, when it has one); its row n = 0 is
-        zero, since an empty site has nothing to move."""
-        hard = self.model.rates.max_site_occupancy
-        tab = self.model.rates.b_table(cap if hard is None else hard)
-        tab[0] = 0.0
-        return tab
 
     def immortal(self, occ: np.ndarray) -> np.ndarray:
         """Per row of `occ`, whether the start can never enter the target:
@@ -160,14 +148,6 @@ def _draw_jumps(nbr: np.ndarray, rates: np.ndarray, site: np.ndarray,
     return src, nbr[src, off]
 
 
-def _jump_rates(occ: np.ndarray, nbr: np.ndarray, w: np.ndarray,
-                btab: np.ndarray) -> np.ndarray:
-    """Rate w(y - x) b(occ_x, occ_y) of every jump of every row of `occ`,
-    shape (rows, sites, offsets), for the tables of `SimContext` (0 where
-    the jump is blocked)."""
-    return w * btab[occ[:, :, None], occ[:, nbr]]
-
-
 def _site_rates(rates: np.ndarray):
     """Per-site exit rates, their row-wise cumulative sums and totals."""
     site = rates[:, :, 0] if rates.shape[2] == 1 else rates.sum(axis=2)
@@ -182,9 +162,9 @@ def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
     next event falls past `t_max`, or its total rate is at or below
     `frozen_rate`.
 
-    `nbr` and `w` are `SimContext.nbr` and `SimContext.weights`, `btab` the
-    rate table and `draws` the rows' `_Draws` (two uniforms per event: the
-    waiting time, then the jump).  `occ` ends as the final occupancies;
+    `nbr` and `w` are the model's jump table (`Model.jump_table`), `btab`
+    its b table (`RateFunction.b_table`) and `draws` the rows' `_Draws` (two
+    uniforms per event: the waiting time, then the jump).  `occ` ends as the final occupancies;
     `status`, `clock` and `counts` receive, per row, the end status, the end
     time (the hit time; `t_max` when censored; the freezing time when
     frozen) and the number of events.  When `log` is a list, each step
@@ -210,7 +190,7 @@ def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
                 end[keep]
         if live.size == 0:
             return 0, clock, n_ev0 + int(counts.sum())
-        rates = _jump_rates(x, nbr, w, btab)
+        rates = jump_rates(x, nbr, w, btab)
         site, cum, total = _site_rates(rates)
         end[total <= frozen_rate] = _FROZEN
         if end.any():
@@ -375,7 +355,8 @@ def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
     starts (see `SimContext.immortal`) stay out of the engine: censored at
     t_max with no events, frozen when their total rate at t = 0 is 0."""
     n = occ.shape[0]
-    btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
+    btab = ctx.model.rates.b_table(
+        max(int(occ.sum(axis=1).max(initial=0)), 1))
     immortal = ctx.immortal(occ)
     finals = occ.copy()
     status = np.full(n, _CENSORED)
@@ -383,7 +364,7 @@ def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
     counts = np.zeros(n, dtype=np.int64)
     if immortal.any():
         _, _, total = _site_rates(
-            _jump_rates(occ[immortal], ctx.nbr, ctx.weights, btab))
+            jump_rates(occ[immortal], ctx.nbr, ctx.weights, btab))
         status[immortal] = np.where(total <= _FROZEN_RATE, _FROZEN, _CENSORED)
     mortal = np.flatnonzero(~immortal)
     log = [] if record else None
@@ -593,33 +574,38 @@ class SecondClassReport:
         return bool(np.all(self.gap <= ceiling + 1e-12))
 
 
-def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
+def second_class_escape(model: Model, target: TargetSet, eta0,
                         site: int, t_grid: Sequence[float], n_traj: int,
                         seed: int) -> SecondClassReport:
     """Couple eta with zeta = eta + one tagged particle at `site` and estimate
     the survival gap; the tagged particle rides its own kernel path with the
     attractiveness increment as clock, so it never perturbs the eta system.
+    `eta0` is the start of eta: one nonnegative occupancy per site.
 
     All couplings advance in lockstep, one event per step; trajectory i
     draws from stream (seed, TRAJECTORY, i).  The gap is compared against
     (walk hitting probability) * P(tau_eta > t), with the walk solved
     exactly on the same lattice graph."""
+    eta0 = np.asarray(eta0, dtype=np.int64)
+    if eta0.shape != (model.lattice.num_sites,) or (eta0 < 0).any():
+        raise ValueError("initial configuration needs one nonnegative "
+                         "occupancy per site")
     if site in target.sites:
         raise ValueError("tagged start site must lie outside the window")
-    if target.contains(eta0.occupancy):
+    if target.contains(eta0):
         raise ValueError("initial configuration already inside the target")
     if model.rates.max_site_occupancy is not None \
-            and eta0.occupancy[site] >= model.rates.max_site_occupancy:
+            and eta0[site] >= model.rates.max_site_occupancy:
         raise ValueError("cannot add the tagged particle at a full site")
     ctx = SimContext(model, target)
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1])
-    btab = ctx.btab(int(eta0.occupancy.sum()) + 1)
+    btab = model.rates.b_table(int(eta0.sum()) + 1)
     lam = ctx.in_window.astype(np.int64)
     k_thr = int(target.threshold)
     draws = _Draws(rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj)),
                    0)
-    occ = np.tile(np.asarray(eta0.occupancy, dtype=np.int64), (n_traj, 1))
+    occ = np.tile(eta0, (n_traj, 1))
     ws = occ @ lam                      # window sum of eta
     X = np.full(n_traj, site)           # the tagged particle
     t = np.zeros(n_traj)
@@ -629,7 +615,7 @@ def second_class_escape(model: Model, target: TargetSet, eta0: Configuration,
     live = np.arange(n_traj)
     while live.size:
         x = occ[live]
-        rates = _jump_rates(x, ctx.nbr, ctx.weights, btab)
+        rates = jump_rates(x, ctx.nbr, ctx.weights, btab)
         site_r, cum, eta_total = _site_rates(rates)
         # tagged-particle clock: the attractiveness increment per target
         # (backward displacement by jumps into the tagged site is an excess
@@ -733,12 +719,12 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     the first num_sites uniforms) and then its events from stream (seed,
     TRAJECTORY, i)."""
     lattice = model.lattice
-    ctx = SimContext(model, None)
+    nbr, w = model.jump_table()
     lam_sites = target.sites
     lam_mask = target.mask(lattice.num_sites)
     key = rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj))
     occ = measure.from_uniforms(rngmod.uniforms(key, 0, lattice.num_sites))
-    btab = ctx.btab(max(int(occ.sum(axis=1).max(initial=0)), 1))
+    btab = model.rates.b_table(max(int(occ.sum(axis=1).max(initial=0)), 1))
     tagged = occ.copy()
     tagged[:, lam_sites] = 0
     draws = _Draws(key, lattice.num_sites)
@@ -747,7 +733,7 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     events = 0
     live = np.arange(n_traj)
     while live.size:
-        rates = _jump_rates(occ[live], ctx.nbr, ctx.weights, btab)
+        rates = jump_rates(occ[live], nbr, w, btab)
         site_r, cum, total = _site_rates(rates)
         u = draws.take(live, 3)
         with np.errstate(divide="ignore"):
@@ -756,7 +742,7 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
         rows, t_next, u, total = live[go], t_next[go], u[go], total[go]
         t[rows] = t_next
         events += rows.size
-        src, dst = _draw_jumps(ctx.nbr, rates[go], site_r[go], cum[go],
+        src, dst = _draw_jumps(nbr, rates[go], site_r[go], cum[go],
                                u[:, 1] * total)
         mover_tagged = u[:, 2] * occ[rows, src] < tagged[rows, src]
         occ[rows, src] -= 1

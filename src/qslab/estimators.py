@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import kstest
+from scipy.special import expm1, logsumexp
 
 from . import rng as rngmod
 
@@ -264,7 +263,11 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
         lo, hi = np.quantile(ratios, [0.0015, 0.9985])  # ~3 sigma band
         moments.append(MomentRow(k, math.exp(log_mk), math.exp(theo),
                                  ratio, (float(lo), float(hi))))
-    ks = kstest(taus, "expon", args=(0.0, 1.0 / lambda_hat)).statistic
+    # the two-sided statistic against the CDF 1 - exp(-lambda t), with the
+    # arithmetic of scipy's kstest (which gives the same bits)
+    cdf = -expm1(-np.sort(taus) / (1.0 / lambda_hat))
+    ks = max((np.arange(1.0, n + 1) / n - cdf).max(),
+             (cdf - np.arange(0.0, n) / n).max())
     threshold = math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0)) / math.sqrt(n)
     return ExponentialityReport(
         lambda_hat=lambda_hat, moments=moments, ks_statistic=float(ks),

@@ -1,10 +1,18 @@
-"""Lattices, jump kernels, rate families, configurations and the target event.
+"""Lattices, jump kernels, rate families, the target event and the jump-rate
+rule.
 
 A model is the triple (lattice, kernel, rates); together with a TargetSet it
-fully determines the killed dynamics.  Structural hypotheses on the kernel
-and on the rate function are checked by `validate_model`, which returns a
-report rather than raising: a model that fails a hypothesis can still be
-simulated, it just loses the guarantees attached to that hypothesis.
+fully determines the killed dynamics.  A state is an int64 occupancy row
+(many states: a matrix with one row each).  A particle jumps from x to y at
+rate p(y - x) b(eta_x, eta_y); `jump_rates` evaluates that rule for every
+jump of every row from two tables, `Model.jump_table` (destination and
+kernel weight per (site, offset)) and `RateFunction.b_table` (b per
+occupancy pair).  It is the only copy of the rule: the Monte Carlo engine
+and the exact generator both read their rates from it.  Structural
+hypotheses on the kernel and on the rate function are checked by
+`validate_model`, which returns a report rather than raising: a model that
+fails a hypothesis can still be simulated, it just loses the guarantees
+attached to that hypothesis.
 """
 
 from __future__ import annotations
@@ -244,40 +252,24 @@ class RateFunction:
         return max(self.b(n + 1, 0) - self.b(n, 0) for n in range(cap))
 
     def b_table(self, cap: int) -> np.ndarray:
-        """Dense table b(n, m) for 0 <= n, m <= cap used by the event loop."""
+        """Dense table b(n, m) for 0 <= n, m <= cap (up to the family's hard
+        per-site bound instead, when it has one), as `jump_rates` reads it.
+        Its row n = 0 is zero, since an empty site has nothing to move."""
+        cap = cap if self.max_site_occupancy is None \
+            else self.max_site_occupancy
         tab = np.empty((cap + 1, cap + 1), dtype=np.float64)
         for n in range(cap + 1):
             for m in range(cap + 1):
                 tab[n, m] = self.b(n, m)
         if (tab < 0).any():
             raise ModelError("negative jump rate in b table")
+        tab[0] = 0.0
         return tab
 
 
 # ---------------------------------------------------------------------------
-# configuration and target set
+# target set and model
 # ---------------------------------------------------------------------------
-
-class Configuration:
-    """Occupancy vector.  Single-owner mutable."""
-
-    __slots__ = ("occupancy",)
-
-    def __init__(self, occupancy):
-        self.occupancy = np.asarray(occupancy, dtype=np.int64).copy()
-        if (self.occupancy < 0).any():
-            raise ModelError("negative occupancy")
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.occupancy)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Configuration) and np.array_equal(
-            self.occupancy, other.occupancy)
-
-    def __repr__(self) -> str:
-        return f"Configuration({self.occupancy.tolist()})"
-
 
 @dataclass(frozen=True)
 class TargetSet:
@@ -327,36 +319,25 @@ class Model:
     def reversed(self) -> "Model":
         return Model(self.lattice, self.kernel.reversed(), self.rates)
 
-
-# ---------------------------------------------------------------------------
-# elementary operations
-# ---------------------------------------------------------------------------
-
-def apply_jump(config: Configuration, i: int, j: int,
-               rates: RateFunction | None = None) -> Configuration:
-    """Move one particle i -> j; total particle count is preserved."""
-    occ = config.occupancy
-    assert occ[i] >= 1, "no particle to move at the source site"
-    if rates is not None and rates.family == EXCLUSION:
-        assert occ[j] == 0, "exclusion forbids jumps onto occupied sites"
-    out = config.copy()
-    out.occupancy[i] -= 1
-    out.occupancy[j] += 1
-    return out
+    def jump_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Destination and kernel weight of every (site, offset) jump, each
+        of shape (num_sites, n_offsets).  A blocked jump points at site 0
+        with weight 0, so `jump_rates` gives it rate 0 with no mask."""
+        if (self.kernel.weights < 0).any():
+            raise ModelError("negative kernel weight")
+        nbr = self.lattice.neighbor_table(self.kernel.offsets)
+        return (np.maximum(nbr, 0),
+                np.where(nbr >= 0, self.kernel.weights, 0.0))
 
 
-def jump_rate(config: Configuration, i: int, j: int, lattice: Lattice,
-              kernel: JumpKernel, rates: RateFunction) -> float:
-    """p(i, j) * b(eta(i), eta(j)); zero when j is not a kernel neighbor."""
-    p = 0.0
-    for dest, w in zip(lattice.neighbor_table(kernel.offsets)[i],
-                       kernel.weights):
-        if dest == j:
-            p += w
-    if p == 0.0:
-        return 0.0
-    occ = config.occupancy
-    return p * rates.b(int(occ[i]), int(occ[j]))
+def jump_rates(occ: np.ndarray, nbr: np.ndarray, w: np.ndarray,
+               btab: np.ndarray) -> np.ndarray:
+    """Rate w(y - x) b(occ_x, occ_y) of every jump of every row of `occ`,
+    shape (rows, sites, offsets), from `Model.jump_table` (`nbr`, `w`) and
+    `RateFunction.b_table` (`btab`, which must cover every occupancy of
+    `occ`).  It is 0 where the jump is blocked or the source site is
+    empty."""
+    return w * btab[occ[:, :, None], occ[:, nbr]]
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
                                  eigsh, splu)
 from scipy.sparse.linalg import norm as sparse_norm
-from scipy.special import gammaln, logsumexp
-from scipy.stats import poisson
+from scipy.special import gammaln, logsumexp, pdtr, pdtrik, xlogy
 
 from .estimators import SurvivalCurve, fit_decay
 from .measures import Marginal
-from .model import Lattice, Model, TargetSet
+from .model import Lattice, Model, TargetSet, jump_rates
 
 DEFAULT_STATE_LIMIT = 100_000
 POISSON_TOL = 1e-12   # Poisson mass left out of each uniformized sum
@@ -296,60 +295,51 @@ def build_killed_generator(space: StateSpace, model: Model,
                            target: TargetSet) -> KilledGenerator:
     """Assemble the sparse killed generator over the A^c states.
 
-    Each kernel offset is handled for all A^c states and sites at once:
-    rates from the b table, cap suppression, killing from the change of the
-    window sum, and the index of every moved state.  The diagonal, the
-    killing rates and the suppressed total are summed in (state, site,
-    offset) order."""
+    The rate of every (state, site, offset) jump comes from one
+    `jump_rates` call on the model's jump table and b table, the rule the
+    Monte Carlo engine reads too.  A jump onto a full site of a per-site cap
+    box is cut (its rate is reported, not made), one into the target kills,
+    and every other one moves the state; the moved states are ranked one
+    offset at a time, to bound the memory.  The diagonal, the killing rates
+    and the suppressed total are summed in (state, site, offset) order."""
     target.validate_on(space.lattice)
     occ_all = space.occupancies
     in_a = occ_all[:, target.sites].sum(axis=1) > target.threshold
     ac_indices = np.flatnonzero(~in_a)
     pos = -np.ones(space.size, dtype=np.int64)
     pos[ac_indices] = np.arange(ac_indices.size)
-    nbr = space.lattice.neighbor_table(model.kernel.offsets)
-    weights = model.kernel.weights
-    hard_cap = model.rates.max_site_occupancy
-    if isinstance(space.constraint, SiteCap):
-        site_cap = space.constraint.cap
-    else:
-        site_cap = None
-    if hard_cap is not None:
-        site_cap = hard_cap if site_cap is None else min(site_cap, hard_cap)
-    # grand-canonical truncation: the capped chain drops a jump onto a full
-    # site; its rate is accounted for sensitivity reporting
-    truncates = site_cap is not None and hard_cap is None
-
+    nbr, w = model.jump_table()
     occ = occ_all[ac_indices]
     n_ac, n_sites = occ.shape
-    b_tab = model.rates.b_table(int(occ.max(initial=0)))
+    hard_cap = model.rates.max_site_occupancy
+    if hard_cap is not None and occ.max(initial=0) > hard_cap:
+        raise StateSpaceError(f"the space holds occupancies above the rate "
+                              f"family's per-site bound {hard_cap}")
+    # rates per (state, site, offset) of the jumps the chain makes
+    made = jump_rates(occ, nbr, w,
+                      model.rates.b_table(int(occ.max(initial=0))))
+    # grand-canonical truncation: the capped chain drops a jump onto a full
+    # site; its rate is accounted for sensitivity reporting (a cap box holds
+    # the empty state, so `made` is never empty here)
+    suppressed = 0.0
+    if isinstance(space.constraint, SiteCap) and hard_cap is None:
+        over = occ[:, nbr] >= space.constraint.cap
+        # a running sum repeats the additions of a scalar loop, in its order
+        suppressed = float(np.cumsum(np.where(over, made, 0.0))[-1])
+        made[over] = 0.0
+    # an A^c state holds at most the threshold in the window, so a jump
+    # kills exactly when it carries a particle in while the window is full
     in_window = target.mask(n_sites)
-    window = occ[:, in_window].sum(axis=1)
-    # rates per (state, site, offset) of the jumps the chain makes, of those
-    # that kill, and of those the cap suppresses
-    made = np.zeros((n_ac, n_sites, weights.size))
-    kills = np.zeros_like(made)
-    cut = np.zeros_like(made)
+    full = occ[:, in_window].sum(axis=1) == target.threshold
+    dies = full[:, None, None] & in_window[nbr] & ~in_window[:, None]
+    kills = np.where(dies, made, 0.0)
     rows, cols, vals = [], [], []
-    for o, w in enumerate(weights):
-        dest = nbr[:, o]
-        blocked = dest < 0
-        dest = np.where(blocked, 0, dest)
-        dest_occ = occ[:, dest]
-        rate = w * b_tab[occ, dest_occ]
-        live = (rate > 0.0) & (occ > 0) & ~blocked
-        if truncates:
-            over = live & (dest_occ + 1 > site_cap)
-            cut[:, :, o] = np.where(over, rate, 0.0)
-            live &= ~over
-        dies = live & (window[:, None] - in_window + in_window[dest]
-                       > target.threshold)
-        made[:, :, o] = np.where(live, rate, 0.0)
-        kills[:, :, o] = np.where(dies, rate, 0.0)
-        row, site = np.nonzero(live & ~dies)
+    for o in range(nbr.shape[1]):
+        row, site = np.nonzero((made[:, :, o] > 0.0) & ~dies[:, :, o])
+        dest = nbr[site, o]
         moved = occ[row]
         moved[np.arange(row.size), site] -= 1
-        moved[np.arange(row.size), dest[site]] += 1
+        moved[np.arange(row.size), dest] += 1
         tgt = space._rank(moved)
         if (tgt < 0).any():
             bad = moved[np.argmax(tgt < 0)]
@@ -357,15 +347,13 @@ def build_killed_generator(space: StateSpace, model: Model,
                 f"state {tuple(bad.tolist())} not in the space")
         rows.append(row)
         cols.append(pos[tgt])
-        vals.append(rate[row, site])
+        vals.append(made[row, site, o])
     diag = np.zeros(n_ac)
     killing = np.zeros(n_ac)
     for made_k, kills_k in zip(made.reshape(n_ac, -1).T,
                                kills.reshape(n_ac, -1).T):
         diag -= made_k
         killing += kills_k
-    # a running sum repeats the additions of a scalar loop, in its order
-    suppressed = float(np.cumsum(cut.ravel())[-1]) if cut.size else 0.0
     diagonal = np.arange(n_ac)
     mat = csr_matrix((np.concatenate(vals + [diag]),
                       (np.concatenate(rows + [diagonal]),
@@ -485,6 +473,21 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
 # survival by uniformization
 # ---------------------------------------------------------------------------
 
+def _poisson_pmf(lam: float) -> np.ndarray:
+    """Poisson(lam) probabilities of 0 .. q + 1, q the (1 - POISSON_TOL)
+    quantile: the least k with P(N <= k) >= 1 - POISSON_TOL, found as the
+    ceiling of the inverse of `pdtr` stepped back by one where `pdtr`
+    already reaches the level there.  The arithmetic is that of scipy's
+    `poisson.pmf` and `poisson.ppf`, which give the same bits."""
+    level = 1.0 - POISSON_TOL
+    top = np.ceil(pdtrik(level, lam))
+    below = max(top - 1.0, 0.0)
+    if pdtr(below, lam) >= level:
+        top = below
+    k = np.arange(int(top) + 2)
+    return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
+
+
 def uniformized_sum(step: Callable[[np.ndarray], np.ndarray],
                     v0: np.ndarray,
                     lams: Sequence[float] | float) -> list[np.ndarray]:
@@ -492,9 +495,8 @@ def uniformized_sum(step: Callable[[np.ndarray], np.ndarray],
     step(v_k), one per lam, each truncated at the (1 - POISSON_TOL) Poisson
     quantile plus one (at k = 0 for lam = 0).  The v_k are computed once, up
     to the largest truncation."""
-    pmfs = [poisson.pmf(np.arange(
-                int(poisson.ppf(1.0 - POISSON_TOL, lam)) + 2), lam)
-            if lam > 0 else np.ones(1) for lam in np.atleast_1d(lams)]
+    pmfs = [_poisson_pmf(lam) if lam > 0 else np.ones(1)
+            for lam in np.atleast_1d(lams)]
     v = v0
     acc = [pmf[0] * v for pmf in pmfs]
     for k in range(1, max(pmf.size for pmf in pmfs)):

@@ -145,6 +145,9 @@ def _replaced(base, path, value):
 
 SURVIVAL = dict(TOY, experiment="survival", seed=13,
                 budgets={"t_grid": [1.0, 2.0], "n_traj": 10, "t_max": 5.0})
+COUPLINGS = dict(TOY, experiment="couplings", seed=13,
+                 budgets={"initial": [1, 1, 0], "site": 1, "t_grid": [1.0],
+                          "n_traj": 10})
 
 
 @pytest.mark.parametrize("cfg", [
@@ -159,9 +162,19 @@ SURVIVAL = dict(TOY, experiment="survival", seed=13,
     _replaced(SURVIVAL, ("target", "threshold"), "x"),
     _replaced(SURVIVAL, ("budgets", "t_grid"), "abc"),
     _replaced(SURVIVAL, ("budgets", "t_grid"), []),
+    _replaced(dict(SURVIVAL, experiment="spectral"), ("budgets",),
+              {"state_space": {"kind": "max_total"}}),
+    _replaced(dict(SURVIVAL, experiment="spectral"), ("budgets",),
+              {"state_space": "max_total"}),
+    _replaced(COUPLINGS, ("budgets", "site"), 7),
+    _replaced(COUPLINGS, ("budgets", "initial"), "abc"),
+    _replaced(COUPLINGS, ("budgets", "initial"), [1, 0]),
+    _replaced(COUPLINGS, ("budgets", "initial"), [1, -1, 0]),
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
-        "t_grid-string", "t_grid-empty"])
+        "t_grid-string", "t_grid-empty", "state-space-no-value",
+        "state-space-string", "site-off-lattice", "initial-string",
+        "initial-short", "initial-negative"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     """A fault found after the config parses exits 2 with a message, not a
     traceback."""

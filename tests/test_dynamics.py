@@ -12,12 +12,12 @@ from qslab import rng as rngmod
 from qslab.dynamics import (run_batch, rw_hitting, second_class_escape,
                             sigma_exit, survival_curve)
 from qslab.measures import ProductMeasure, _window_distribution
-from qslab.model import (Configuration, JumpKernel, Lattice, Model,
-                         RateFunction, TargetSet, jump_rate)
+from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
 from qslab.spectral import tasep_line_survival
 
-from conftest import (assert_same_batch, killed_loop, second_class_loop,
-                      sigma_exit_loop, states_loop, trajectory)
+from conftest import (_jump_rates_loop, assert_same_batch, killed_loop,
+                      second_class_loop, sigma_exit_loop, states_loop,
+                      trajectory)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -78,25 +78,28 @@ class TestSimulateKilled:
 
     def test_trajectory_replay_is_valid(self, toy):
         """Replay invariants: strictly increasing times, every event a
-        positive-rate jump from the replayed state, no early target entry."""
+        positive-rate jump from the replayed state (rates from the scalar
+        loop reference), no early target entry."""
         model, target, measure = toy
+        nbr = model.lattice.neighbor_table(model.kernel.offsets)
         batch = run_batch(model, target, 64, 40.0, seed=3,
                           measure=measure, record_events=True)
         for i in range(batch.taus.size):
             traj = trajectory(batch, i)
             assert (np.diff(traj.times) > 0).all()
-            occ = Configuration(traj.initial)
+            occ = traj.initial.copy()
             for k in range(traj.n_events):
-                assert not target.contains(occ.occupancy)
-                rate = jump_rate(occ, int(traj.sources[k]),
-                                 int(traj.destinations[k]), model.lattice,
-                                 model.kernel, model.rates)
-                assert rate > 0
-                occ.occupancy[traj.sources[k]] -= 1
-                occ.occupancy[traj.destinations[k]] += 1
+                assert not target.contains(occ)
+                src, dst = int(traj.sources[k]), int(traj.destinations[k])
+                rates = _jump_rates_loop(occ, nbr, model.kernel.weights,
+                                         model.rates.b, src)
+                assert sum(r for r, y in zip(rates, nbr[src])
+                           if y == dst) > 0
+                occ[src] -= 1
+                occ[dst] += 1
             if traj.hit:
-                assert target.contains(occ.occupancy)
-            assert occ.occupancy.sum() == traj.initial.sum()
+                assert target.contains(occ)
+            assert occ.sum() == traj.initial.sum()
 
     def test_reverse_uses_transposed_kernel(self):
         # a single particle left of a right-edge trap never hits under the
@@ -572,7 +575,7 @@ class TestSecondClass:
         model = Model(lattice, JumpKernel(np.array([[1]]), np.array([1.0])),
                       RateFunction.exclusion())
         target = TargetSet(np.array([8]), 0)
-        eta0 = Configuration([1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+        eta0 = [1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
         rep = second_class_escape(model, target, eta0, 10, [1.0, 2.0],
                                   1000, seed=61)
         assert rep.walk_hit_probability == pytest.approx(0.0)
@@ -582,17 +585,24 @@ class TestSecondClass:
 
     def test_gap_bounded_by_walk_hitting(self, toy):
         model, target, _ = toy
-        rep = second_class_escape(model, target, Configuration([1, 1, 0]), 1,
+        rep = second_class_escape(model, target, [1, 1, 0], 1,
                                   [0.5, 1.0, 2.0], 3000, seed=63)
         assert rep.order_violations == 0
         assert rep.bound_ok()
+
+    @pytest.mark.parametrize("eta0", [[1, -1, 0], [1, 0], [[1, 1, 0]]],
+                             ids=["negative", "short", "matrix"])
+    def test_start_needs_one_count_per_site(self, toy, eta0):
+        model, target, _ = toy
+        with pytest.raises(ValueError, match="one nonnegative occupancy"):
+            second_class_escape(model, target, eta0, 1, [1.0], 10, seed=1)
 
     def test_exact_gap_from_sector_pair(self, toy):
         """Coupling estimate against two exact semigroup computations."""
         from qslab.spectral import (FixedTotal, build_killed_generator,
                                     enumerate_states, exact_survival)
         model, target, _ = toy
-        rep = second_class_escape(model, target, Configuration([1, 1, 0]), 1,
+        rep = second_class_escape(model, target, [1, 1, 0], 1,
                                   [0.5, 1.0, 2.0], 6000, seed=65)
         gaps = []
         for m, occ0 in ((2, [1, 1, 0]), (3, [1, 2, 0])):
@@ -613,7 +623,7 @@ class TestSecondClass:
 def test_second_class_matches_scalar_loop(request, setup, eta0, site):
     model, target = request.getfixturevalue(setup)[:2]
     grid = [0.5, 1.0, 2.0, 4.0]
-    rep = second_class_escape(model, target, Configuration(eta0), site, grid,
+    rep = second_class_escape(model, target, eta0, site, grid,
                               300, seed=59)
     tau_eta, tau_zeta = second_class_loop(model, target, eta0, site, 4.0,
                                           300, seed=59)
@@ -638,7 +648,7 @@ def test_sigma_exit_matches_scalar_loop(request, setup):
 def test_couplings_repeat_at_fixed_seed(tasep_line):
     """Both coupling loops read only their per-trajectory streams."""
     model, target, measure = tasep_line
-    eta0 = Configuration((np.arange(65) % 2 == 0) & (np.arange(65) < 60))
+    eta0 = ((np.arange(65) % 2 == 0) & (np.arange(65) < 60)).astype(int)
     reps = [second_class_escape(model, target, eta0, 61, [0.5, 1.0, 2.0],
                                 40, seed=67) for _ in range(2)]
     for name in ("t_grid", "gap", "gap_stderr", "survival_eta"):

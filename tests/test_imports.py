@@ -1,5 +1,5 @@
 """Every module-level import of the package and of its tests is used
-(stdlib `ast` only).
+(stdlib `ast` only), and the command line does not load `scipy.stats`.
 
 Names a module lists in `__all__` are re-exports and count as used;
 `from __future__` imports bind nothing.  String annotations are parsed, so
@@ -7,6 +7,9 @@ a name used only in a quoted annotation counts as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,15 @@ def test_checker_flags_only_unused_names():
                          + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_does_not_load_scipy_stats():
+    """`scipy.stats` costs about half a second and 30 MB to import; the
+    package computes its Poisson weights and its Kolmogorov-Smirnov
+    statistic from `scipy.special` instead."""
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qslab.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert probe.stdout.strip() == "False"

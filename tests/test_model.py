@@ -3,15 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qslab.model import (Configuration, JumpKernel, Lattice, ModelError,
-                         RateFunction, TargetSet, apply_jump, jump_rate,
-                         validate_model)
+from qslab.model import (JumpKernel, Lattice, Model, ModelError,
+                         RateFunction, TargetSet, jump_rates, validate_model)
 
 from conftest import graph_distance_bfs
 
 
 def tasep_kernel():
     return JumpKernel(np.array([[1]]), np.array([1.0]))
+
+
+def rate_of(occ, i, j, lattice, kernel, rates):
+    """Rate of the jump i -> j of occupancy row `occ` under the model's one
+    rate rule, summed over the offsets that lead there."""
+    nbr, w = Model(lattice, kernel, rates).jump_table()
+    occ = np.asarray(occ, dtype=np.int64)[None]
+    per_offset = jump_rates(occ, nbr, w, rates.b_table(int(occ.max())))[0, i]
+    return float(per_offset[nbr[i] == j].sum())
 
 
 class TestLattice:
@@ -131,67 +139,85 @@ class TestRates:
 
 
 class TestConfigurationOps:
-    def test_apply_jump_moves_particle(self):
-        out = apply_jump(Configuration([2, 0]), 0, 1)
-        assert out.occupancy.tolist() == [1, 1]
-        assert out.occupancy.sum() == 2
-
-    def test_apply_jump_exclusion_blocked(self):
-        with pytest.raises(AssertionError):
-            apply_jump(Configuration([1, 1]), 0, 1, RateFunction.exclusion())
-
-    def test_apply_jump_wraps_on_torus(self):
-        lat = Lattice((4,), "torus")
-        j = int(lat.neighbor_table(np.array([[1]]))[3, 0])
-        out = apply_jump(Configuration([0, 0, 0, 1]), 3, j)
-        assert out.occupancy.tolist() == [1, 0, 0, 0]
+    """Occupancy rows: the target event and the jump-rate rule."""
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=3, max_size=6),
-           st.data())
-    def test_particle_conservation(self, occ, data):
-        config = Configuration(occ)
-        total = config.occupancy.sum()
-        for _ in range(5):
-            sources = np.flatnonzero(config.occupancy)
-            if sources.size == 0:
-                break
-            i = data.draw(st.sampled_from(list(sources)))
-            j = data.draw(st.integers(0, len(occ) - 1))
-            config = apply_jump(config, i, int(j))
-            assert config.occupancy.sum() == total
+           st.sampled_from(["zero_range", "exclusion"]),
+           st.sampled_from(["torus", "blocked"]))
+    def test_particle_conservation(self, occ, family, boundary):
+        """Every jump of positive rate leaves a particle to move and, under
+        exclusion, an empty destination: moving it keeps the occupancies
+        nonnegative (at most 1 under exclusion) and the total fixed."""
+        occ = np.array(occ, dtype=np.int64)
+        rates = RateFunction.exclusion() if family == "exclusion" \
+            else RateFunction.zero_range(lambda k: float(k))
+        if family == "exclusion":
+            occ = np.minimum(occ, 1)
+        model = Model(Lattice((occ.size,), boundary),
+                      JumpKernel(np.array([[1], [-2]]), np.array([0.6, 0.4])),
+                      rates)
+        nbr, w = model.jump_table()
+        r = jump_rates(occ[None], nbr, w, rates.b_table(max(occ.sum(), 1)))[0]
+        for i, o in zip(*np.nonzero(r > 0)):
+            moved = occ.copy()
+            moved[i] -= 1
+            moved[nbr[i, o]] += 1
+            assert moved.sum() == occ.sum()
+            assert moved.min() >= 0
+            assert family != "exclusion" or moved.max() <= 1
 
     def test_in_target_examples(self):
-        assert TargetSet(np.array([0]), 0).contains(
-            Configuration([1]).occupancy)
+        assert TargetSet(np.array([0]), 0).contains(np.array([1]))
         t = TargetSet(np.array([0, 1]), 3)
-        assert not t.contains(Configuration([2, 1]).occupancy)
-        assert t.contains(Configuration([2, 2]).occupancy)
+        assert not t.contains(np.array([2, 1]))
+        assert t.contains(np.array([2, 2]))
 
     def test_jump_rate_zero_range(self):
         lat = Lattice((2,), "blocked")
         rates = RateFunction.zero_range(lambda k: float(k))
-        r = jump_rate(Configuration([3, 0]), 0, 1, lat, tasep_kernel(), rates)
-        assert r == 3.0
+        assert rate_of([3, 0], 0, 1, lat, tasep_kernel(), rates) == 3.0
 
     def test_jump_rate_exclusion_occupied_target(self):
         lat = Lattice((2,), "blocked")
-        r = jump_rate(Configuration([1, 1]), 0, 1, lat, tasep_kernel(),
-                      RateFunction.exclusion())
-        assert r == 0.0
+        assert rate_of([1, 1], 0, 1, lat, tasep_kernel(),
+                       RateFunction.exclusion()) == 0.0
 
     def test_jump_rate_crowding_misanthrope(self):
         lat = Lattice((2,), "blocked")
         rates = RateFunction.misanthrope(
             lambda n, m: n / (m + 1.0), lambda k: float(k))
-        r = jump_rate(Configuration([2, 1]), 0, 1, lat, tasep_kernel(), rates)
-        assert r == pytest.approx(1.0)
+        assert rate_of([2, 1], 0, 1, lat, tasep_kernel(), rates) \
+            == pytest.approx(1.0)
 
     def test_jump_rate_out_of_range(self):
         lat = Lattice((4,), "blocked")
         rates = RateFunction.zero_range(lambda k: float(k))
-        assert jump_rate(Configuration([1, 0, 0, 0]), 0, 2, lat,
-                         tasep_kernel(), rates) == 0.0
+        assert rate_of([1, 0, 0, 0], 0, 2, lat, tasep_kernel(), rates) == 0.0
+
+    def test_blocked_jump_and_empty_site_have_rate_zero(self):
+        """A blocked jump points at site 0 with weight 0; the b table's row
+        n = 0 is zero even where b itself is not."""
+        model = Model(Lattice((3,), "blocked"),
+                      JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3])),
+                      RateFunction.misanthrope(lambda n, m: 1.0 + n,
+                                               lambda k: float(k)))
+        nbr, w = model.jump_table()
+        assert nbr.tolist() == [[1, 0], [2, 0], [0, 1]]
+        assert w.tolist() == [[0.7, 0.0], [0.7, 0.3], [0.0, 0.3]]
+        r = jump_rates(np.array([[2, 0, 1]]), nbr, w, model.rates.b_table(2))
+        assert r[0].tolist() == [[0.7 * 3.0, 0.0], [0.0, 0.0], [0.0, 0.6]]
+
+    def test_exclusion_table_sized_to_hard_cap(self):
+        assert RateFunction.exclusion().b_table(5).tolist() == [[0.0, 0.0],
+                                                                [1.0, 0.0]]
+
+    def test_negative_kernel_weight_refused(self):
+        model = Model(Lattice((3,), "torus"),
+                      JumpKernel(np.array([[1], [-1]]), np.array([1.5, -0.5])),
+                      RateFunction.exclusion())
+        with pytest.raises(ModelError, match="negative kernel weight"):
+            model.jump_table()
 
 
 class TestAttractiveness:

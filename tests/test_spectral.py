@@ -230,6 +230,15 @@ class TestKilledGenerator:
         assert np.allclose(kg.matrix.toarray(), dense, atol=1e-14)
         assert kg.suppressed_rate > 0
 
+    def test_space_above_the_family_bound_refused(self):
+        """An exclusion generator needs a space enumerated with site_cap=1."""
+        lat = Lattice((4,), "torus")
+        model = Model(lat, JumpKernel(np.array([[1]]), np.array([1.0])),
+                      RateFunction.exclusion())
+        with pytest.raises(StateSpaceError, match="per-site bound 1"):
+            build_killed_generator(enumerate_states(lat, MaxTotal(3)), model,
+                                   TargetSet(np.array([0]), 1))
+
     def test_sector_spaces_have_no_suppression(self, toy_spectral):
         assert toy_spectral["kg"].suppressed_rate == 0.0
 

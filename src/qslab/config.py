@@ -184,6 +184,25 @@ class ExperimentConfig:
         if site is not None and not (_is_count(site) and site < n_sites):
             raise ConfigError(f"budget site must be a site index below "
                               f"{n_sites}, got {site!r}")
+        # the coupled start: eta from `initial` outside the target, and the
+        # tagged particle added at `site`, outside the window, with room
+        if kind == "couplings" and initial is not None and site is not None \
+                and "target" in raw:
+            target = self.target()
+            cap = self.rates().max_site_occupancy
+            if site in target.sites:
+                raise ConfigError(f"budget site {site} lies inside the "
+                                  "target window; the tagged particle must "
+                                  "start outside it")
+            if target.contains(initial):
+                raise ConfigError("budget initial already lies inside the "
+                                  "target")
+            if cap is not None and max(initial) > cap:
+                raise ConfigError(f"budget initial puts more than {cap} "
+                                  "particle(s) on a site")
+            if cap is not None and initial[site] >= cap:
+                raise ConfigError(f"budget site {site} is full, so the "
+                                  "tagged particle cannot be added there")
 
     # -- parsed views -------------------------------------------------------
 

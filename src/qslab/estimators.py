@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expm1, logsumexp
+from scipy.special import expm1
 
 from . import rng as rngmod
 
@@ -19,8 +19,11 @@ MIN_POINTS = 5       # usable grid points a decay fit needs
 N_BOOT = 200         # bootstrap resamples
 MAX_MOMENT = 4       # largest moment order of the exponentiality report
 KS_ALPHA = 0.05      # level of its Kolmogorov-Smirnov threshold
-# bootstrap draws held at once: 128 kB blocks keep the peak memory of one
-# resample at a time and run faster than larger ones (cache-resident)
+# picks drawn at once by both bootstraps (`fit_decay`'s and
+# `exponentiality_report`'s): resamples of n picks come in blocks of
+# max(1, _BOOT_BLOCK // n), and an (r, n) draw equals r draws of n in turn,
+# so a block picks what one resample at a time picks; 128 kB of int64 picks
+# keep the peak memory near that of one resample and stay cache-resident
 _BOOT_BLOCK = 1 << 14
 
 
@@ -108,17 +111,23 @@ class DecayFit:
 
 
 def _wls_slope(t, y, w):
-    W = w.sum()
-    tbar = (w * t).sum() / W
-    ybar = (w * y).sum() / W
-    stt = (w * (t - tbar) ** 2).sum()
-    slope = (w * (t - tbar) * (y - ybar)).sum() / stt
+    """Weighted least-squares line through (t, y) along the last axis:
+    slope, intercept, R^2 and residual mean square, one per leading index
+    (arrays of shape y.shape[:-1], 0-d for one fit).  Row by row the
+    arithmetic is that of a 1-d fit, so a batch gives the same bits."""
+    W = w.sum(axis=-1, keepdims=True)
+    tbar = (w * t).sum(axis=-1, keepdims=True) / W
+    ybar = (w * y).sum(axis=-1, keepdims=True) / W
+    stt = (w * (t - tbar) ** 2).sum(axis=-1, keepdims=True)
+    slope = (w * (t - tbar) * (y - ybar)).sum(axis=-1, keepdims=True) / stt
     inter = ybar - slope * tbar
     resid = y - (inter + slope * t)
-    ss_res = (w * resid**2).sum()
-    ss_tot = (w * (y - ybar) ** 2).sum()
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, inter, r2, ss_res / max(1, t.size - 2)
+    ss_res = (w * resid**2).sum(axis=-1)
+    ss_tot = (w * (y - ybar) ** 2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot == 0, 1.0, 1.0 - ss_res / ss_tot)
+    return (slope[..., 0], inter[..., 0], r2,
+            ss_res / max(1, t.shape[-1] - 2))
 
 
 def fit_decay(curve: SurvivalCurve, seed: int = 0) -> DecayFit:
@@ -161,20 +170,30 @@ def fit_decay(curve: SurvivalCurve, seed: int = 0) -> DecayFit:
     if curve.taus is not None and curve.n_total:
         boot = rngmod.stream(seed, rngmod.BOOTSTRAP, 1)
         taus = curve.taus
-        hit = curve.hit if curve.hit is not None else np.ones_like(taus, bool)
-        n = taus.size
-        slopes = []
-        for _ in range(N_BOOT):
-            pick = boot.integers(0, n, n)
-            ts, hs = taus[pick], hit[pick]
-            alive = (ts[None, :] > tw[:, None]) | (~hs)[None, :]
-            pb = alive.mean(axis=1)
-            if (pb <= 0).any():
-                continue
-            sb, *_ = _wls_slope(tw, np.log(pb),
+        n, m = taus.size, tw.size
+        # sample i is alive at the first n_win[i] window times (all m when it
+        # did not hit), so a resample's alive counts are the reversed
+        # cumulative histogram of its picks' n_win
+        n_win = np.searchsorted(tw, taus, "left")
+        if curve.hit is not None:
+            n_win[~curve.hit] = m
+        rows = max(1, _BOOT_BLOCK // n)
+        counts = []
+        for drawn in range(0, N_BOOT, rows):
+            r = min(rows, N_BOOT - drawn)
+            picks = boot.integers(0, n, (r, n))
+            bins = n_win[picks] + (m + 1) * np.arange(r)[:, None]
+            hist = np.bincount(bins.ravel(), minlength=r * (m + 1))
+            # alive at window time j: the picks with n_win > j
+            tail = hist.reshape(r, m + 1)[:, :0:-1].cumsum(axis=1)
+            counts.append(tail[:, ::-1])
+        counts = np.concatenate(counts)
+        # a resample with no survivor at the last window time has no fit
+        pb = counts[counts[:, -1] > 0] / n
+        slopes, *_ = _wls_slope(tw, np.log(pb),
                                 n * pb / np.clip(1 - pb, 1e-12, None))
-            slopes.append(sb)
-        se = float(np.std(slopes, ddof=1)) if len(slopes) > 1 else float("nan")
+        se = float(np.std(slopes, ddof=1)) if slopes.size > 1 \
+            else float("nan")
     else:
         _, _, _, rms = _wls_slope(tw, yw, ww)
         W = ww.sum()
@@ -232,6 +251,20 @@ class ExponentialityReport:
         }
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) along the last axis, with the arithmetic of scipy's
+    `logsumexp` (1.17), so it gives the same bits: the count m of entries
+    equal to the maximum leaves the sum, which adds exp of the others
+    shifted by the maximum (zeros in place of the maxima, so the pairwise
+    summation adds in the same order)."""
+    a_max = a.max(axis=-1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+    shifted = np.exp(np.where(at_max, -np.inf, a) - a_max)
+    s = shifted.sum(axis=-1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
+
+
 def exponentiality_report(taus: np.ndarray, lambda_hat: float,
                           n_boot: int = N_BOOT,
                           seed: int = 0) -> ExponentialityReport:
@@ -239,25 +272,33 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
     rate: moment ratios E[tau^k] / (k! / lambda^k) for k = 1 .. MAX_MOMENT
     with ~3-sigma bands over `n_boot` bootstrap resamples, and the
     Kolmogorov-Smirnov distance against its asymptotic critical value at
-    level KS_ALPHA (simple hypothesis: lambda_hat is treated as given)."""
+    level KS_ALPHA (simple hypothesis: lambda_hat is treated as given).
+    Raises `FitError` without samples or with lambda_hat <= 0, which has no
+    exponential law."""
     taus = np.asarray(taus, dtype=np.float64)
     n = taus.size
+    if n == 0:
+        raise FitError("no hitting times to compare with an exponential law")
+    if not lambda_hat > 0:
+        raise FitError(f"fitted decay rate {lambda_hat!r} is not positive, "
+                       "so there is no exponential law to compare with; "
+                       "extend the grid or add trajectories")
     boot = rngmod.stream(seed, rngmod.BOOTSTRAP, 2)
     moments = []
     logt = np.log(np.clip(taus, 1e-300, None))
     for k in range(1, MAX_MOMENT + 1):
-        log_mk = float(logsumexp(k * logt) - math.log(n))
+        klogt = k * logt
+        log_mk = float(_logsumexp(klogt) - math.log(n))
         theo = math.lgamma(k + 1) - k * math.log(lambda_hat)
         ratio = math.exp(log_mk - theo)
-        # an (m, n) draw equals m draws of n in turn and a row-wise logsumexp
-        # equals the 1-d one, so blocks of resamples give the values of one
-        # resample at a time; math.exp, not np.exp (which can differ in the
-        # last bit), keeps the interval identical too
+        # a row-wise log-sum-exp equals the 1-d one, so blocks of resamples
+        # give the values of one resample at a time; math.exp, not np.exp
+        # (which can differ in the last bit), keeps the interval identical
         rows = max(1, _BOOT_BLOCK // n)
         log_sums = []
         for start in range(0, n_boot, rows):
             picks = boot.integers(0, n, (min(rows, n_boot - start), n))
-            log_sums += logsumexp(k * logt[picks], axis=1).tolist()
+            log_sums += _logsumexp(klogt[picks]).tolist()
         ratios = np.array([math.exp(v - math.log(n) - theo)
                            for v in log_sums])
         lo, hi = np.quantile(ratios, [0.0015, 0.9985])  # ~3 sigma band

@@ -52,7 +52,16 @@ PINNED = [
      "59b550d806e445db51835b7b5d23cb334b26963e9095b3c5a13d7b35555a7988"),
     (LINE, "sigma-exit", {"kappas": [0.5, 0.8], "n_traj": 60},
      "d970c1dc06e811dc7a384a25090fbf532c3409a49c7d4571b501eac559740c69"),
+    # half the line's starts hit at tau = 0, so both bootstraps resample an
+    # atom at zero
+    (LINE, "survival", {"t_grid": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
+                        "n_traj": 800},
+     "90d13c7d5b4714727207fc5e076f07ee5e165ec4a7f510a83e992459c404a62a"),
 ]
+# test ids: the experiment kind, prefixed by "line-" where the toy runs the
+# same kind
+PINNED_IDS = [("line-" if base is LINE and kind == "survival" else "") + kind
+              for base, kind, _, _ in PINNED]
 
 
 def _write(tmp_path, name, cfg):
@@ -98,7 +107,7 @@ def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
 
 
 @pytest.mark.parametrize("base,experiment,budgets,digest", PINNED,
-                         ids=[case[1] for case in PINNED])
+                         ids=PINNED_IDS)
 def test_results_hash_is_pinned(tmp_path, base, experiment, budgets, digest):
     config = _write(tmp_path, "cfg", dict(base, experiment=experiment,
                                           seed=13, budgets=budgets))
@@ -170,11 +179,18 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
     _replaced(COUPLINGS, ("budgets", "initial"), "abc"),
     _replaced(COUPLINGS, ("budgets", "initial"), [1, 0]),
     _replaced(COUPLINGS, ("budgets", "initial"), [1, -1, 0]),
+    _replaced(COUPLINGS, ("budgets", "site"), 0),
+    _replaced(COUPLINGS, ("budgets", "initial"), [2, 1, 0]),
+    _replaced(COUPLINGS, ("model", "rates"), {"family": "exclusion"}),
+    _replaced(_replaced(COUPLINGS, ("model", "rates"),
+                        {"family": "exclusion"}),
+              ("budgets", "initial"), [0, 0, 2]),
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
         "t_grid-string", "t_grid-empty", "state-space-no-value",
         "state-space-string", "site-off-lattice", "initial-string",
-        "initial-short", "initial-negative"])
+        "initial-short", "initial-negative", "site-in-window",
+        "initial-in-target", "site-full", "initial-over-cap"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     """A fault found after the config parses exits 2 with a message, not a
     traceback."""
@@ -182,6 +198,18 @@ def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     assert cli.main(["run", "--config", config,
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config invalid: ")
+
+
+def test_nonpositive_decay_rate_exits_4(tmp_path, capsys):
+    # the only starts that hit by 0.005 hit at tau = 0, so the curve is flat
+    # on the grid and the fitted rate (-0.0) has no exponential law
+    config = _write(tmp_path, "cfg", dict(
+        TOY, experiment="survival", seed=1,
+        budgets={"t_grid": [0.001, 0.002, 0.003, 0.004, 0.005],
+                 "n_traj": 120, "t_max": 20}))
+    assert cli.main(["run", "--config", config,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+    assert "is not positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", [0, -1])

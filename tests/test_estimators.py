@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from qslab import rng as rngmod
-from qslab.estimators import (N_ALIVE_FLOOR, FitError, SurvivalCurve,
-                              exponentiality_report, fit_decay)
+from qslab.estimators import (N_ALIVE_FLOOR, N_BOOT, FitError,
+                              SurvivalCurve, exponentiality_report, fit_decay)
 from qslab.spectral import tasep_line_survival
 
 
@@ -70,6 +70,41 @@ class TestFitDecay:
         fit = fit_decay(curve, seed=901)
         assert abs(fit.lambda_hat - lam) <= 2 * fit.stderr
 
+    @pytest.mark.parametrize("n", [7, 100, 900, 20_000])
+    def test_bootstrap_matches_one_resample_at_a_time(self, n):
+        """The blocked bootstrap gives the standard error, bit for bit, of
+        drawing and refitting one resample at a time (n = 100 and up split
+        the resamples into several blocks).  Sample 0 did not hit, and the
+        last grid time is the largest hitting time, so that sample alone is
+        alive there and about e^-1 of the resamples have no survivor and
+        are dropped; a tenth of the samples hit at tau = 0."""
+        taus = rngmod.stream(910, rngmod.SAMPLING, 0).exponential(2.0, n)
+        taus[1:1 + n // 10] = 0.0
+        hit = np.ones(n, dtype=bool)
+        hit[0] = False
+        t = np.linspace(0.1, taus[hit].max(), 8)
+        alive = (taus[None, :] > t[:, None]) | ~hit
+        curve = SurvivalCurve(t=t, estimate=alive.mean(axis=1), n_total=n,
+                              taus=taus, hit=hit)
+        fit = fit_decay(curve, seed=911)
+        tw = t[t >= fit.window[0]]
+        boot = rngmod.stream(911, rngmod.BOOTSTRAP, 1)
+        slopes = []
+        for _ in range(N_BOOT):
+            pick = boot.integers(0, n, n)
+            pb = ((taus[pick][None, :] > tw[:, None])
+                  | ~hit[pick]).mean(axis=1)
+            if (pb <= 0).any():
+                continue
+            w = n * pb / np.clip(1 - pb, 1e-12, None)
+            y = np.log(pb)
+            tbar = (w * tw).sum() / w.sum()
+            ybar = (w * y).sum() / w.sum()
+            slopes.append((w * (tw - tbar) * (y - ybar)).sum()
+                          / (w * (tw - tbar) ** 2).sum())
+        assert 1 < len(slopes) < N_BOOT
+        assert fit.stderr == float(np.std(slopes, ddof=1))
+
 
 class TestExponentiality:
     def test_exponential_samples_declared_exponential(self):
@@ -96,6 +131,13 @@ class TestExponentiality:
                 for _ in range(200)]
             lo, hi = np.quantile(ratios, [0.0015, 0.9985])
             assert row.ratio_ci == (float(lo), float(hi))
+
+    @pytest.mark.parametrize("taus,lambda_hat", [
+        (np.array([0.5, 1.0]), 0.0), (np.array([0.5, 1.0]), -0.0),
+        (np.array([0.5, 1.0]), -1.0), (np.array([]), 1.0)])
+    def test_no_exponential_law_raises(self, taus, lambda_hat):
+        with pytest.raises(FitError):
+            exponentiality_report(taus, lambda_hat)
 
     def test_false_positive_rate_calibrated(self):
         gen = rngmod.stream(904, rngmod.SAMPLING, 0)

@@ -125,6 +125,7 @@ class ExperimentConfig:
         model_spec = _require(raw, "model", "config")
         for key in ("lattice", "kernel", "rates"):
             _require(model_spec, key, "model")
+        _require(raw, "target", "config")  # every experiment kind reads it
         rho = raw.get("rho")
         if rho is not None and not 0.0 <= _number(rho, float, "density rho"):
             raise ConfigError(f"density must be nonnegative, got {rho}")
@@ -168,8 +169,7 @@ class ExperimentConfig:
         # breaks a rule a model error
         try:
             n_sites = self.model().lattice.num_sites
-            if "target" in raw:
-                self.target().validate_on(self.lattice())
+            self.target().validate_on(self.lattice())
         except (ConfigError, ModelError):
             raise
         except (TypeError, ValueError) as exc:
@@ -186,8 +186,7 @@ class ExperimentConfig:
                               f"{n_sites}, got {site!r}")
         # the coupled start: eta from `initial` outside the target, and the
         # tagged particle added at `site`, outside the window, with room
-        if kind == "couplings" and initial is not None and site is not None \
-                and "target" in raw:
+        if kind == "couplings" and initial is not None and site is not None:
             target = self.target()
             cap = self.rates().max_site_occupancy
             if site in target.sites:

@@ -251,6 +251,24 @@ def canonical_vector(space: StateSpace, g: Callable[[int], float]) -> np.ndarray
 # killed generator
 # ---------------------------------------------------------------------------
 
+def _m_matrix_lu(a):
+    """SuperLU factors of the CSC M-matrix `a` (off-diagonal entries <= 0, a
+    nonnegative diagonal that dominates its row).
+
+    Elimination on a nonsingular M-matrix needs no pivoting: each Schur
+    complement is again an M-matrix, so the diagonal pivots stay positive
+    and do not grow.  When the nonzero pattern is symmetric, SuperLU keeps
+    the diagonal pivots and orders by minimum degree on A + A^T, which
+    fills roughly half as much as COLAMD with partial pivoting on the
+    two-way generators; any other pattern is factored by plain `splu`.  An
+    exactly zero pivot raises RuntimeError either way."""
+    pattern = a != 0
+    if (pattern != pattern.T).nnz == 0:
+        return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    return splu(a)
+
+
 @dataclass
 class KilledGenerator:
     """Generator restricted to the complement of the target with killing.
@@ -262,7 +280,9 @@ class KilledGenerator:
     per-site caps (zero on canonical sectors): the cap-sensitivity handle.
     `lu` factors -L once, on first use, for every solve with -L or its
     transpose (the Perron vectors and the occupation map), so `matrix` must
-    not change after that."""
+    not change after that.  -L is an M-matrix (nonpositive off-diagonal,
+    row sums the killing rates), so it is factored with diagonal pivots
+    (`_m_matrix_lu`)."""
 
     space: StateSpace
     target: TargetSet
@@ -281,7 +301,7 @@ class KilledGenerator:
         survivor class that is never killed makes it so, and SuperLU then
         either refuses to factor or returns non-finite solves."""
         try:
-            lu = splu((-self.matrix).tocsc())
+            lu = _m_matrix_lu((-self.matrix).tocsc())
         except RuntimeError:
             return None
         ones = np.ones(self.dim)
@@ -408,10 +428,11 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
 
     The right and left vectors are the dominant eigenvectors of (-L)^{-1}
     and its transpose, found by shift-invert Arnoldi (ARPACK) on the
-    generator's one cached factorization `kg.lu`; when -L is singular
-    (never-killed mass) the shift is sigma I - L instead, with sigma above
-    twice the largest exit rate.  Cores of at most two states, too small
-    for ARPACK, take a dense eigensolve.
+    generator's one cached factorization `kg.lu` (diagonal pivots, see
+    `_m_matrix_lu`); when -L is singular (never-killed mass) the shift is
+    sigma I - L instead, with sigma above twice the largest exit rate,
+    factored by plain `splu` with partial pivoting.  Cores of at most two
+    states, too small for ARPACK, take a dense eigensolve.
 
     The pair is a Perron pair only when both residuals, and the rounding
     floor eps ||L||_inf, stay below 1e-10 |y^T x| (x, y the unit vectors:
@@ -434,6 +455,10 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     else:
         lu = kg.lu
         if lu is None:
+            # sigma I - L is an M-matrix too, but it keeps partial pivoting:
+            # -L then has a multiple zero eigenvalue (one per never-killed
+            # sector), and with diagonal pivots the Perron checks fail on
+            # the 3-site zero-range ring at MaxTotal(6), read as defective
             sigma = 1.0 + float(np.abs(L.diagonal()).max()) * 2.0
             lu = splu((sigma * sparse_identity(n, format="csc")) - L)
         right = _dominant_vector(lu.solve, n)
@@ -707,9 +732,12 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
     vectors live on the survivor states (implicitly zero on the target).
 
     The minimum is the bottom eigenvalue of the sparse S = D^(1/2) (-L)
-    D^(-1/2), D = diag(nu), found by shift-invert Lanczos about -1 (S is
-    positive semidefinite, so S + I factors) from a fixed start vector, so
-    that repeated calls return the same bits."""
+    D^(-1/2), D = diag(nu), found by shift-invert Lanczos about -1 from a
+    fixed start vector, so that repeated calls return the same bits.  S is
+    symmetric positive semidefinite with nonpositive off-diagonal entries,
+    so S + I is a nonsingular M-matrix with a symmetric pattern: it is
+    factored once with diagonal pivots (`_m_matrix_lu`) and the solves are
+    handed to Lanczos."""
     sym_model = Model(model.lattice, model.kernel.symmetrized_half(),
                       model.rates)
     kgs = build_killed_generator(space, sym_model, target)
@@ -730,8 +758,11 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
     if kgs.dim == 1:
         lam_s, resid = float(S[0, 0]), 0.0
     else:
+        lu = _m_matrix_lu(S + sparse_identity(kgs.dim, format="csc"))
+        shift_inverse = LinearOperator(S.shape, matvec=lu.solve,
+                                       dtype=np.float64)
         evals, evecs = eigsh(S, k=1, sigma=-1.0, which="LM", tol=0,
-                             v0=np.ones(kgs.dim))
+                             v0=np.ones(kgs.dim), OPinv=shift_inverse)
         lam_s = float(evals[0])
         v = evecs[:, 0]
         resid = float(np.linalg.norm(S @ v - lam_s * v, np.inf))

@@ -185,12 +185,14 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
     _replaced(_replaced(COUPLINGS, ("model", "rates"),
                         {"family": "exclusion"}),
               ("budgets", "initial"), [0, 0, 2]),
+    _replaced(SURVIVAL, ("target",), None),
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
         "t_grid-string", "t_grid-empty", "state-space-no-value",
         "state-space-string", "site-off-lattice", "initial-string",
         "initial-short", "initial-negative", "site-in-window",
-        "initial-in-target", "site-full", "initial-over-cap"])
+        "initial-in-target", "site-full", "initial-over-cap",
+        "target-missing"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     """A fault found after the config parses exits 2 with a message, not a
     traceback."""
@@ -257,6 +259,12 @@ def test_validate_accepts_valid_config(tmp_path, capsys):
                                           seed=1))
     assert cli.main(["validate", "--config", config]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_validate_without_target_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "cfg", _replaced(SURVIVAL, ("target",), None))
+    assert cli.main(["validate", "--config", config]) == cli.EXIT_CONFIG
+    assert "missing config.target" in capsys.readouterr().err
 
 
 def _run_spectral(tmp_path, base, state_space):

@@ -44,6 +44,7 @@ def test_base_config_is_valid():
     (("experiment",), "warp-drive", "unknown experiment kind"),
     (("model", "rates"), None, "missing model.rates"),
     (("model", "kernel"), None, "missing model.kernel"),
+    (("target",), None, "missing config.target"),
     (("budgets", "n_traj"), 0, "n_traj must be positive"),
     (("budgets", "n_traj"), -4, "n_traj must be positive"),
     (("budgets", "t_max"), 0.0, "t_max must be positive"),
@@ -59,7 +60,7 @@ def test_base_config_is_valid():
     (("model", "rates"), {"family": "teleport"}, "unknown rate family"),
     (("model", "rates"), {"family": "misanthrope", "g": {"kind": "identity"},
                           "b": {"kind": "sideways"}}, "unknown b kind"),
-], ids=["experiment", "no-rates", "no-kernel", "n_traj-zero",
+], ids=["experiment", "no-rates", "no-kernel", "no-target", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
         "kappas-scalar", "seed", "n_traj-word", "t_max-list", "rho-word",
         "seed-word", "g-kind", "rate-family", "b-kind"])

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestAgainstLoopReference:
         kg = reference_case[4]
         assert np.array_equal(absorbing_core(kg), absorbing_core_bfs(kg))
 
+    def test_negated_generator_has_m_matrix_signs(self, reference_case):
+        """-L has off-diagonal entries <= 0 and row sums equal to the
+        killing rates >= 0: the sign pattern that lets `kg.lu` factor with
+        diagonal pivots."""
+        kg = reference_case[4]
+        neg = (-kg.matrix).tocoo()
+        off = neg.row != neg.col
+        assert (neg.data[off] <= 0).all()
+        assert (kg.killing >= 0).all()
+        diag = neg.diagonal()
+        rows = np.asarray(neg.sum(axis=1)).ravel()
+        assert (np.abs(rows - kg.killing) <= 1e-12 * (1.0 + diag)).all()
+
 
 class TestKilledGenerator:
     def test_row_sums_equal_negative_killing(self, toy_spectral):
@@ -330,34 +344,70 @@ class TestPrincipalDecay:
         assert res.right_vector == pytest.approx(
             np.array([2.0, 3.0]) / math.sqrt(13.0), rel=1e-14)
 
-    def test_never_killed_sectors_give_rate_zero(self, toy_spectral):
+    def test_never_killed_sectors_give_rate_zero(self, toy_spectral, toy,
+                                                 excl_ring):
         """Without the core restriction the survivor set keeps the sectors
         of at most one particle, which are never killed: -L is singular,
-        the shifted factorization serves, and the rate is 0 with the QSD on
-        those sectors."""
-        kg = toy_spectral["kg"]
-        assert kg.lu is None
-        res = principal_decay(kg)
-        assert not res.defective
-        assert abs(res.decay_rate) <= 1e-12
-        assert max(res.right_residual, res.left_residual) <= 1e-10
-        totals = kg.space.occupancies[kg.ac_indices].sum(axis=1)
-        assert res.qsd[totals >= 2].sum() <= 1e-10
+        the diagonal pivots of `kg.lu` still meet a zero pivot, the shifted
+        factorization serves, and the rate is 0 with the QSD on those
+        sectors.  The toy at MaxTotal(20) and MaxTotal(6) and the exclusion
+        ring at MaxTotal(8); with diagonal pivots in the shifted
+        factorization the toy at MaxTotal(6) would read as defective."""
+        model, target, _ = toy
+        small = build_killed_generator(
+            enumerate_states(model.lattice, MaxTotal(6)), model, target)
+        for kg in (toy_spectral["kg"], small, excl_ring[4]):
+            assert kg.lu is None
+            res = principal_decay(kg)
+            assert not res.defective
+            assert abs(res.decay_rate) <= 1e-12
+            assert max(res.right_residual, res.left_residual) <= 1e-10
+            totals = kg.space.occupancies[kg.ac_indices].sum(axis=1)
+            assert res.qsd[totals >= 2].sum() <= 1e-10
 
     def test_one_factorization_serves_decay_and_fixed_point(
             self, excl_ring, monkeypatch):
         calls = []
 
-        def counting_splu(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
-            return splu(matrix, *args, **kwargs)
+        def counting(module):
+            def counting_splu(matrix, *args, **kwargs):
+                calls.append(module.__name__)
+                return splu(matrix, *args, **kwargs)
+            monkeypatch.setattr(module, "splu", counting_splu)
 
-        monkeypatch.setattr(spectral, "splu", counting_splu)
-        core = restrict_to_core(excl_ring[4])
+        counting(spectral)
+        # ARPACK's own factorization of A - sigma I, which a shift-inverse
+        # handed to it replaces
+        counting(importlib.import_module(
+            "scipy.sparse.linalg._eigen.arpack.arpack"))
+        model, target, measure, space, kg = excl_ring
+        core = restrict_to_core(kg)
         res = principal_decay(core)
         chk = qsd_fixed_point_check(core, res.qsd)
-        assert len(calls) == 1
+        assert calls == ["qslab.spectral"]
         assert chk["l1_distance"] <= 1e-12
+        nu_full = product_vector(space, measure.marginal)
+        calls.clear()
+        first = rayleigh_quotient(model, target, space, nu_full)
+        assert calls == ["qslab.spectral"]
+        second = rayleigh_quotient(model, target, space, nu_full)
+        assert (first.lambda_s, first.eigen_residual) \
+            == (second.lambda_s, second.eigen_residual)
+
+
+class TestMMatrixLu:
+    """`spectral._m_matrix_lu` orders by minimum degree with diagonal pivots
+    on a symmetric pattern and is plain `splu` on any other."""
+
+    def test_symmetric_pattern_fills_less(self, excl_ring):
+        a = (-restrict_to_core(excl_ring[4]).matrix).tocsc()
+        ours, plain = spectral._m_matrix_lu(a), splu(a)
+        assert ours.L.nnz + ours.U.nnz < plain.L.nnz + plain.U.nnz
+
+    def test_one_directional_pattern_takes_plain_splu(self, monkeypatch):
+        kept = principal_decay(tasep_ring(10, 5)).to_dict()
+        monkeypatch.setattr(spectral, "_m_matrix_lu", splu)
+        assert principal_decay(tasep_ring(10, 5)).to_dict() == kept
 
 
 class TestExactSurvival:

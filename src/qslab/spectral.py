@@ -297,18 +297,13 @@ class KilledGenerator:
 
     @cached_property
     def lu(self):
-        """SuperLU factorization of -L, or None when -L is singular: a
-        survivor class that is never killed makes it so, and SuperLU then
-        either refuses to factor or returns non-finite solves."""
-        try:
-            lu = _m_matrix_lu((-self.matrix).tocsc())
-        except RuntimeError:
+        """SuperLU factorization of -L, or None when -L is singular.  That
+        is a fact of the jump graph: -L is weakly chained diagonally
+        dominant, hence nonsingular, exactly when every state reaches
+        killing, that is when the generator is its own `absorbing_core`."""
+        if not absorbing_core(self).all():
             return None
-        ones = np.ones(self.dim)
-        if (np.isfinite(lu.solve(ones)).all()
-                and np.isfinite(lu.solve(ones, trans="T")).all()):
-            return lu
-        return None
+        return _m_matrix_lu((-self.matrix).tocsc())
 
 
 def build_killed_generator(space: StateSpace, model: Model,
@@ -441,7 +436,11 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     defective eigenvalue has y^T x = 0 however small its residuals (the
     canonical totally asymmetric ring is the example); the rate is then
     fitted (`fit_decay`) on the exact log-survival from the uniform law at
-    the nine times linspace(500, 1000, 9) / max(1, largest exit rate)."""
+    the nine times linspace(500, 1000, 9) / max(1, largest exit rate).  All
+    nine come from one log-mode sweep of `exact_survival`, as long as the
+    Poisson truncation of the last time (1,231 products with L^T on a ring
+    whose largest exit rate is at least 1), and the fit window is the
+    suffix of that grid with the smallest residual mean square."""
     L = kg.matrix.tocsc()
     n = kg.dim
     if n == 0:
@@ -498,84 +497,71 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
 # survival by uniformization
 # ---------------------------------------------------------------------------
 
-def _poisson_pmf(lam: float) -> np.ndarray:
-    """Poisson(lam) probabilities of 0 .. q + 1, q the (1 - POISSON_TOL)
+def _poisson_logpmf(lam: float) -> np.ndarray:
+    """Poisson(lam) log-probabilities of 0 .. q + 1, q the (1 - POISSON_TOL)
     quantile: the least k with P(N <= k) >= 1 - POISSON_TOL, found as the
     ceiling of the inverse of `pdtr` stepped back by one where `pdtr`
     already reaches the level there.  The arithmetic is that of scipy's
-    `poisson.pmf` and `poisson.ppf`, which give the same bits."""
+    `poisson.logpmf` and `poisson.ppf`, which give the same bits."""
     level = 1.0 - POISSON_TOL
     top = np.ceil(pdtrik(level, lam))
     below = max(top - 1.0, 0.0)
     if pdtr(below, lam) >= level:
         top = below
     k = np.arange(int(top) + 2)
-    return np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
-
-
-def uniformized_sum(step: Callable[[np.ndarray], np.ndarray],
-                    v0: np.ndarray,
-                    lams: Sequence[float] | float) -> list[np.ndarray]:
-    """Poisson-weighted sums  sum_k Poisson(k; lam) v_k  with v_{k+1} =
-    step(v_k), one per lam, each truncated at the (1 - POISSON_TOL) Poisson
-    quantile plus one (at k = 0 for lam = 0).  The v_k are computed once, up
-    to the largest truncation."""
-    pmfs = [_poisson_pmf(lam) if lam > 0 else np.ones(1)
-            for lam in np.atleast_1d(lams)]
-    v = v0
-    acc = [pmf[0] * v for pmf in pmfs]
-    for k in range(1, max(pmf.size for pmf in pmfs)):
-        v = step(v)
-        for j, pmf in enumerate(pmfs):
-            if k < pmf.size:
-                acc[j] = acc[j] + pmf[k] * v
-    return acc
+    return xlogy(k, lam) - gammaln(k + 1) - lam
 
 
 def exact_survival(kg: KilledGenerator, initial: np.ndarray,
                    ts: Sequence[float] | float, return_log: bool = False):
-    """Mass of the killed semigroup: initial^T exp(t L) 1.
+    """Mass of the killed semigroup: initial^T exp(t L) 1, for a nonnegative
+    initial vector of positive mass.
 
-    Direct uniformization (Poisson-weighted powers of the uniformized
-    matrix) for plain probabilities; for log-survival the propagation is cut
-    into segments with renormalization so the value stays representable far
-    beyond double underflow."""
+    Uniformization at the largest exit rate u: with Q = I + L/u and
+    m_k = initial^T Q^k 1, the mass at t is sum_k Poisson(k; u t) m_k,
+    truncated for each t at its own (1 - POISSON_TOL) Poisson quantile plus
+    one.  One sweep v_{k+1} = Q^T v_k up to the largest truncation keeps
+    only the scalars m_k: v is rescaled to unit mass at every step and
+    m_k is carried as the running product of the scales, or their running
+    log-sum with `return_log`.  Each time is then one dot product with its
+    Poisson weights, in plain mode sum_k p(k) m_k and in log mode
+    logsumexp_k(log p(k) + log m_k), so log-survival stays representable
+    far beyond double underflow.  Mass that vanishes exactly (Q nilpotent
+    on the states left) leaves m_k = 0 from there on."""
     scalar = np.isscalar(ts)
     times = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     init = np.asarray(initial, dtype=np.float64)
     if init.shape != (kg.dim,):
         raise ValueError("initial vector dimension mismatch")
+    if (init < 0).any():
+        raise ValueError("initial vector has negative entries")
+    mass = float(init.sum())
+    if mass <= 0:
+        raise SolverError("initial vector carries no mass")
     L = kg.matrix
     lam_u = float(-L.diagonal().min())
-    if lam_u <= 0:  # no exit rate anywhere: nothing ever dies
-        out = np.zeros(times.size) if return_log else np.ones(times.size) * init.sum()
-        return (out[0] if scalar else out)
-    QT = ((L / lam_u) + sparse_identity(kg.dim, format="csr")).T.tocsr()
-
-    if not return_log:
-        mus = uniformized_sum(QT.dot, init, lam_u * times)
-        out = np.array([float(mu.sum()) for mu in mus])
-        return out[0] if scalar else out
-
-    # log mode: propagate mu^T exp(segment L) with renormalization
-    order = np.argsort(times)
-    out = np.empty(times.size)
-    seg_budget = 64.0  # Poisson mean per segment
-    mu = init.copy()
-    log_norm = 0.0
-    t_done = 0.0
-    for j in order:
-        t = times[j]
-        while t_done < t:
-            step = min(t - t_done, seg_budget / lam_u)
-            mu = uniformized_sum(QT.dot, mu, lam_u * step)[0]
-            t_done += step
-            norm = mu.sum()
-            if norm <= 0:
-                raise SolverError("survival mass vanished during propagation")
-            log_norm += math.log(norm)
-            mu /= norm
-        out[j] = log_norm + math.log(max(mu.sum(), 1e-300))
+    # with no exit rate anywhere every weight sits at k = 0: no step is taken
+    log_weights = [_poisson_logpmf(lam) if lam > 0 else np.zeros(1)
+                   for lam in lam_u * times]
+    scales = np.zeros(max(w.size for w in log_weights))
+    scales[0] = mass
+    v = init / mass
+    if scales.size > 1:
+        QT = ((L / lam_u) + sparse_identity(kg.dim, format="csr")).T.tocsr()
+    for k in range(1, scales.size):
+        v = QT @ v
+        scales[k] = v.sum()
+        if scales[k] <= 0:
+            break
+        v /= scales[k]
+    if return_log:
+        with np.errstate(divide="ignore"):
+            log_mass = np.cumsum(np.log(scales))
+        out = np.array([logsumexp(w + log_mass[:w.size])
+                        for w in log_weights])
+    else:
+        masses = np.cumprod(scales)
+        out = np.array([np.exp(w) @ masses[:w.size] for w in log_weights])
     return out[0] if scalar else out
 
 
@@ -637,9 +623,6 @@ def occupation_vectors(kg: KilledGenerator, initial: np.ndarray,
     x = np.asarray(initial, dtype=np.float64)
     for _ in range(n):
         x = lu.solve(x, trans="T")
-        if not np.isfinite(x).all():
-            raise SolverError("(-L) solve produced non-finite values "
-                              "(absorbing substructure in the survivor set)")
         out.append(x)
     return out
 

@@ -21,6 +21,11 @@ TOY = {"model": _model(3, "torus", [[1], [-1]], [0.7, 0.3],
 TASEP_RING = {"model": _model(6, "torus", [[1]], [1.0],
                               {"family": "exclusion"}),
               "target": {"sites": [0], "threshold": 0}, "rho": 0.5}
+# the `excl_ring` fixture of conftest.py: a Perron pair, so the spectral run
+# reports the sandwich as well
+EXCL_RING = {"model": _model(8, "torus", [[1], [-1]], [0.7, 0.3],
+                             {"family": "exclusion"}),
+             "target": {"sites": [0, 1], "threshold": 1}, "rho": 0.5}
 
 
 # totally asymmetric exclusion on a blocked 16-site line feeding the trap at
@@ -225,10 +230,19 @@ def test_nonpositive_workers_exit_2(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
-def test_spectral_is_worker_count_invariant(tmp_path, capsys):
+@pytest.mark.parametrize("base,state_space", [
+    (TOY, {"kind": "max_total", "value": 20}),
+    (TASEP_RING, {"kind": "fixed_total", "value": 3}),
+    (EXCL_RING, {"kind": "max_total", "value": 8}),
+], ids=["toy", "tasep-ring", "exclusion-ring"])
+def test_spectral_is_worker_count_invariant(tmp_path, capsys, base,
+                                            state_space):
+    """Two runs of an exact kind give one results_hash, which the benchmark
+    requires of every repeat: on the toy, on a defective ring (a survival
+    fit) and on a ring with a Perron pair (the sandwich's survival)."""
     config = _write(tmp_path, "cfg", dict(
-        TOY, experiment="spectral", seed=1,
-        budgets={"state_space": {"kind": "max_total", "value": 20}}))
+        base, experiment="spectral", seed=1,
+        budgets={"state_space": state_space}))
     outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
     for workers, out in zip((1, 2), outs):
         assert cli.main(["run", "--config", config, "--out", str(out),

@@ -32,6 +32,21 @@ PINNED_DECAY = {
     11: 0.014604530929000398,
     13: 0.010079494149085804,
 }
+# fitted decay rate and fit window of the totally asymmetric exclusion ring
+# (`tasep_ring`) by (sites, particles), as computed by an independent,
+# segmented uniformization: how the exact survival is summed may move the
+# rate at rounding level, not the window.  The 16-site half-filled ring is
+# the benchmark's defective sector
+PINNED_DEFECTIVE = {
+    (3, 1): (0.9988531083100773, (750.0, 1000.0)),
+    (4, 1): (0.997706222761158, (750.0, 1000.0)),
+    (4, 2): (0.9977167522657346, (375.0, 500.0)),
+    (6, 4): (0.9977271910162337, (375.0, 500.0)),
+    (12, 10): (0.9977579391557637, (375.0, 500.0)),
+    (14, 12): (0.9977680034634037, (375.0, 500.0)),
+    (16, 14): (0.9977779773255756, (375.0, 500.0)),
+    (16, 8): (0.9408144075028257, (93.75, 125.0)),
+}
 
 
 def single_site_chain(rate: float) -> KilledGenerator:
@@ -294,15 +309,16 @@ class TestPrincipalDecay:
         assert res.defective
         assert res.decay_rate == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("n_sites,n_particles", [
-        (3, 1), (4, 1), (4, 2), (6, 4), (12, 10), (14, 12), (16, 14)])
+    @pytest.mark.parametrize("n_sites,n_particles", sorted(PINNED_DEFECTIVE))
     def test_jordan_block_rings_are_defective(self, n_sites, n_particles):
         """Arnoldi finds an eigenvector of the Jordan block with a residual
         at rounding level; the left and right ones are orthogonal, and that
         is what marks the spectrum defective.  The fitted rate lies in the
         window bias band [1 - (N - m - 1)/t_lo, 1] of the closed-form 1.
         The fit runs on the fixed grid linspace(500, 1000, 9) / max(1,
-        largest exit rate) and its window ends on the last grid point."""
+        largest exit rate) and its window ends on the last grid point.  The
+        rate stays within 1e-12 of its pinned value and the window is the
+        pinned one."""
         kg = tasep_ring(n_sites, n_particles)
         res = principal_decay(kg)
         assert res.defective
@@ -313,6 +329,9 @@ class TestPrincipalDecay:
         assert res.fit_window[0] in grid.tolist()
         bias = (n_sites - n_particles - 1) / res.fit_window[0]
         assert 1.0 - bias - 1e-8 <= res.decay_rate <= 1.0 + 1e-8
+        rate, window = PINNED_DEFECTIVE[n_sites, n_particles]
+        assert res.decay_rate == pytest.approx(rate, rel=1e-12, abs=0)
+        assert res.fit_window == window
 
     @pytest.mark.parametrize("n_sites", sorted(PINNED_DECAY))
     def test_exclusion_rings_match_pinned_rates(self, n_sites):
@@ -348,7 +367,7 @@ class TestPrincipalDecay:
                                                  excl_ring):
         """Without the core restriction the survivor set keeps the sectors
         of at most one particle, which are never killed: -L is singular,
-        the diagonal pivots of `kg.lu` still meet a zero pivot, the shifted
+        so `kg.lu` is None (the generator is not its own core), the shifted
         factorization serves, and the rate is 0 with the QSD on those
         sectors.  The toy at MaxTotal(20) and MaxTotal(6) and the exclusion
         ring at MaxTotal(8); with diagonal pivots in the shifted
@@ -446,6 +465,37 @@ class TestExactSurvival:
         assert exact_survival(kg, nu, [1.0, 2.0, 3.0]) == pytest.approx(
             [0.8009, 0.7347, 0.6898], abs=1e-4)
 
+    def test_log_mode_far_past_underflow(self):
+        """Against closed forms where plain survival underflows to 0: the
+        two-state core of `test_two_state_core` from the uniform law,
+        log S(t) = log(1.25 e^{-0.6 t} - 0.25 e^{-t}), and a single state
+        killed at rate 1.7, where the uniformized mass is exactly 0 after
+        one step and log S(t) = -1.7 t."""
+        lat = Lattice((3,), "blocked")
+        model = Model(lat, JumpKernel(np.array([[1], [2]]),
+                                      np.array([0.6, 0.4])),
+                      RateFunction.exclusion())
+        space = enumerate_states(lat, FixedTotal(1), site_cap=1)
+        kg = build_killed_generator(space, model, TargetSet(np.array([2]), 0))
+        ts = np.array([1500.0, 2000.0])
+        uniform = np.full(2, 0.5)
+        assert (exact_survival(kg, uniform, ts) == 0.0).all()
+        closed = math.log(1.25) - 0.6 * ts + np.log1p(-0.2 * np.exp(-0.4 * ts))
+        assert exact_survival(kg, uniform, ts, return_log=True) \
+            == pytest.approx(closed, rel=0, abs=1e-9)
+        assert exact_survival(single_site_chain(1.7), np.ones(1), 1000.0,
+                              return_log=True) \
+            == pytest.approx(-1700.0, rel=1e-14)
+
+    def test_initial_must_be_a_measure(self, toy_spectral):
+        kg = toy_spectral["core"]
+        with pytest.raises(SolverError, match="no mass"):
+            exact_survival(kg, np.zeros(kg.dim), 1.0)
+        signed = np.ones(kg.dim)
+        signed[0] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            exact_survival(kg, signed, 1.0, return_log=True)
+
     def test_circle_two_method_agreement(self):
         lat = Lattice((6,), "torus")
         model = Model(lat, JumpKernel(np.array([[1]]), np.array([1.0])),
@@ -479,9 +529,17 @@ class TestQsdFixedPoint:
         assert chk["l1_distance"] == pytest.approx(0.0)
 
     def test_dead_sector_solve_reported(self, toy_spectral):
-        with pytest.raises(SolverError):
-            occupation_vectors(toy_spectral["kg"],
-                               np.ones(toy_spectral["kg"].dim), 1)
+        """A generator with never-killed states is refused, also where no
+        pivot of -L is exactly zero: the one particle of the 8-site
+        zero-range ring with window {0} and threshold 1 is never killed."""
+        lat = Lattice((8,), "torus")
+        model = Model(lat, JumpKernel(np.array([[1], [-1]]),
+                                      np.array([0.7, 0.3])), G_LINEAR)
+        lone = build_killed_generator(enumerate_states(lat, FixedTotal(1)),
+                                      model, TargetSet(np.array([0]), 1))
+        for kg in (toy_spectral["kg"], lone):
+            with pytest.raises(SolverError):
+                occupation_vectors(kg, np.ones(kg.dim) / kg.dim, 1)
 
 
 class TestSandwich:

@@ -438,9 +438,10 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     fitted (`fit_decay`) on the exact log-survival from the uniform law at
     the nine times linspace(500, 1000, 9) / max(1, largest exit rate).  All
     nine come from one log-mode sweep of `exact_survival`, as long as the
-    Poisson truncation of the last time (1,231 products with L^T on a ring
-    whose largest exit rate is at least 1), and the fit window is the
-    suffix of that grid with the smallest residual mean square."""
+    Poisson truncation of the last time (1,231 products with the
+    uniformized matrix when the largest exit rate is at least 1, so that
+    the last Poisson mean is 1000), and the fit window is the suffix of
+    that grid with the smallest residual mean square."""
     L = kg.matrix.tocsc()
     n = kg.dim
     if n == 0:

@@ -280,9 +280,11 @@ class KilledGenerator:
     per-site caps (zero on canonical sectors): the cap-sensitivity handle.
     `lu` factors -L once, on first use, for every solve with -L or its
     transpose (the Perron vectors and the occupation map), so `matrix` must
-    not change after that.  -L is an M-matrix (nonpositive off-diagonal,
-    row sums the killing rates), so it is factored with diagonal pivots
-    (`_m_matrix_lu`)."""
+    not change after that; it also checks the one precondition of those
+    solves, that the generator is its own `absorbing_core` (as
+    `restrict_to_core` returns it).  -L is an M-matrix (nonpositive
+    off-diagonal, row sums the killing rates), so it is factored with
+    diagonal pivots (`_m_matrix_lu`)."""
 
     space: StateSpace
     target: TargetSet
@@ -297,12 +299,18 @@ class KilledGenerator:
 
     @cached_property
     def lu(self):
-        """SuperLU factorization of -L, or None when -L is singular.  That
-        is a fact of the jump graph: -L is weakly chained diagonally
+        """SuperLU factorization of -L.  -L is weakly chained diagonally
         dominant, hence nonsingular, exactly when every state reaches
-        killing, that is when the generator is its own `absorbing_core`."""
-        if not absorbing_core(self).all():
-            return None
+        killing, that is when the generator is its own `absorbing_core`;
+        any other generator raises SolverError with the number of states
+        outside the core and the occupancy of the first of them."""
+        core = absorbing_core(self)
+        if not core.all():
+            outside = np.flatnonzero(~core)
+            first = self.space.occupancies[self.ac_indices[outside[0]]]
+            raise SolverError(
+                f"{outside.size} survivor states are not killed almost "
+                f"surely, e.g. {tuple(first.tolist())}")
         return _m_matrix_lu((-self.matrix).tocsc())
 
 
@@ -421,13 +429,12 @@ def _dominant_vector(solve: Callable[[np.ndarray], np.ndarray],
 def principal_decay(kg: KilledGenerator) -> SpectralResult:
     """Smallest decay rate of the killed generator with both Perron vectors.
 
-    The right and left vectors are the dominant eigenvectors of (-L)^{-1}
-    and its transpose, found by shift-invert Arnoldi (ARPACK) on the
-    generator's one cached factorization `kg.lu` (diagonal pivots, see
-    `_m_matrix_lu`); when -L is singular (never-killed mass) the shift is
-    sigma I - L instead, with sigma above twice the largest exit rate,
-    factored by plain `splu` with partial pivoting.  Cores of at most two
-    states, too small for ARPACK, take a dense eigensolve.
+    `kg` must be its own `absorbing_core`: `kg.lu` is read first, on every
+    path, and raises SolverError otherwise.  The right and left vectors are
+    the dominant eigenvectors of (-L)^{-1} and its transpose, found by
+    shift-invert Arnoldi (ARPACK) on that one cached factorization
+    (diagonal pivots, see `_m_matrix_lu`).  Cores of at most two states,
+    too small for ARPACK, take a dense eigensolve.
 
     The pair is a Perron pair only when both residuals, and the rounding
     floor eps ||L||_inf, stay below 1e-10 |y^T x| (x, y the unit vectors:
@@ -442,10 +449,11 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     uniformized matrix when the largest exit rate is at least 1, so that
     the last Poisson mean is 1000), and the fit window is the suffix of
     that grid with the smallest residual mean square."""
-    L = kg.matrix.tocsc()
     n = kg.dim
     if n == 0:
         raise SolverError("empty surviving state space")
+    lu = kg.lu
+    L = kg.matrix.tocsc()
     n_scc = connected_components(kg.matrix, directed=True,
                                  connection="strong", return_labels=False)
     if n <= 2:
@@ -453,14 +461,6 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
         top = int(np.argmax(values.real))
         right, left = rights[:, top].real, lefts[:, top].real
     else:
-        lu = kg.lu
-        if lu is None:
-            # sigma I - L is an M-matrix too, but it keeps partial pivoting:
-            # -L then has a multiple zero eigenvalue (one per never-killed
-            # sector), and with diagonal pivots the Perron checks fail on
-            # the 3-site zero-range ring at MaxTotal(6), read as defective
-            sigma = 1.0 + float(np.abs(L.diagonal()).max()) * 2.0
-            lu = splu((sigma * sparse_identity(n, format="csc")) - L)
         right = _dominant_vector(lu.solve, n)
         left = _dominant_vector(lambda x: lu.solve(x, trans="T"), n)
     nu_r = float(right @ (L @ right))
@@ -614,12 +614,9 @@ def restrict_to_core(kg: KilledGenerator,
 def occupation_vectors(kg: KilledGenerator, initial: np.ndarray,
                        n: int) -> list[np.ndarray]:
     """Unnormalized row vectors initial (-L)^{-k} for k = 1..n (transpose
-    solves on the cached `kg.lu`); their sums are E[tau^k]/k! restricted to
-    killed mass."""
+    solves on the cached `kg.lu`); their sums are E[tau^k]/k!.  `kg` must be
+    its own `absorbing_core`, or `kg.lu` raises SolverError."""
     lu = kg.lu
-    if lu is None:
-        raise SolverError("(-L) is singular (absorbing substructure in the "
-                          "survivor set)")
     out = []
     x = np.asarray(initial, dtype=np.float64)
     for _ in range(n):
@@ -697,7 +694,6 @@ def normalize_density(vector: np.ndarray, nu_ac: np.ndarray) -> np.ndarray:
 class RayleighReport:
     lambda_s: float
     eigen_residual: float
-    trial_quotients: list[float]
     lambda_asymmetric: float | None = None
 
     @property
@@ -709,11 +705,11 @@ class RayleighReport:
 
 def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
                       nu_full: np.ndarray,
-                      trial_vectors: Sequence[np.ndarray] = (),
                       lambda_asymmetric: float | None = None) -> RayleighReport:
-    """Dirichlet quotients -<f, L f>_nu / <f, f>_nu for the symmetrized-half
-    kernel, with the exact minimum from the symmetric eigenproblem; trial
-    vectors live on the survivor states (implicitly zero on the target).
+    """Least Dirichlet quotient -<f, L f>_nu / <f, f>_nu of the
+    symmetrized-half kernel over the functions f on the `absorbing_core` of
+    its killed generator (f is zero on the target and on the states that are
+    never killed, whose quotient would be a rounding-level 0).
 
     The minimum is the bottom eigenvalue of the sparse S = D^(1/2) (-L)
     D^(-1/2), D = diag(nu), found by shift-invert Lanczos about -1 from a
@@ -724,13 +720,12 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
     handed to Lanczos."""
     sym_model = Model(model.lattice, model.kernel.symmetrized_half(),
                       model.rates)
-    kgs = build_killed_generator(space, sym_model, target)
+    kgs = restrict_to_core(build_killed_generator(space, sym_model, target))
     nu = np.asarray(nu_full, dtype=np.float64)[kgs.ac_indices]
     if (nu <= 0).any():
-        raise SolverError("symmetrized quotient needs positive nu on A^c")
-    L = kgs.matrix
+        raise SolverError("symmetrized quotient needs nu > 0 on the core")
     d = np.sqrt(nu)
-    neg = (-L).tocoo()
+    neg = (-kgs.matrix).tocoo()
     S = csr_matrix(((d[neg.row] * neg.data) / d[neg.col], (neg.row, neg.col)),
                    shape=neg.shape)
     asym = float(abs(S - S.T).max())
@@ -750,13 +745,7 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
         lam_s = float(evals[0])
         v = evecs[:, 0]
         resid = float(np.linalg.norm(S @ v - lam_s * v, np.inf))
-    quotients = []
-    for trial in trial_vectors:
-        fvec = np.asarray(trial, dtype=np.float64)
-        num = -float((nu * fvec) @ (L @ fvec))
-        den = float(nu @ fvec**2)
-        quotients.append(num / den)
-    return RayleighReport(lam_s, resid, quotients, lambda_asymmetric)
+    return RayleighReport(lam_s, resid, lambda_asymmetric)
 
 
 # ---------------------------------------------------------------------------

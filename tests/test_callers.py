@@ -53,8 +53,6 @@ ALLOWED_PARAMETERS = {
         "the refusal guard of the enumeration, to be raised per sector",
     "estimators.exponentiality_report(n_boot)":
         "the KS calibration test runs 200 replicas at 10 resamples",
-    "spectral.rayleigh_quotient(trial_vectors)":
-        "variational check of lambda_s and a report candidate",
 }
 
 

@@ -312,6 +312,15 @@ def test_spectral_reports_defective_skip(tmp_path):
     assert all("defective" in why for why in rep["skipped"].values())
 
 
+def test_spectral_rayleigh_runs_on_the_core(tmp_path):
+    # on every survivor state the never-killed sectors of at most one
+    # particle would hold lambda_s at a rounding-level 0
+    rep = _spectral_report(tmp_path, EXCL_RING,
+                           {"kind": "max_total", "value": 8})
+    assert rep["rayleigh"]["lambda_s"] > 0.01
+    assert rep["rayleigh"]["classical_bound_margin"] > 0
+
+
 def test_spectral_over_state_limit_exits_3(tmp_path):
     # 3^12 = 531,441 capped states, past the enumeration limit
     ring = dict(TOY, model=_model(12, "torus", [[1], [-1]], [0.7, 0.3],

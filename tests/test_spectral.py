@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 
@@ -363,26 +364,50 @@ class TestPrincipalDecay:
         assert res.right_vector == pytest.approx(
             np.array([2.0, 3.0]) / math.sqrt(13.0), rel=1e-14)
 
-    def test_never_killed_sectors_give_rate_zero(self, toy_spectral, toy,
-                                                 excl_ring):
-        """Without the core restriction the survivor set keeps the sectors
-        of at most one particle, which are never killed: -L is singular,
-        so `kg.lu` is None (the generator is not its own core), the shifted
-        factorization serves, and the rate is 0 with the QSD on those
-        sectors.  The toy at MaxTotal(20) and MaxTotal(6) and the exclusion
-        ring at MaxTotal(8); with diagonal pivots in the shifted
-        factorization the toy at MaxTotal(6) would read as defective."""
+    def test_never_killed_states_are_refused(self, toy_spectral, toy,
+                                             excl_ring):
+        """The exact solves take only a generator that is its own core.
+        Without the core restriction the survivor set keeps the sectors of
+        at most `threshold` particles, which are never killed, and
+        `principal_decay` and `occupation_vectors` raise SolverError naming
+        how many states lie outside the core and one of them.  The cases:
+        the toy at MaxTotal(20) and MaxTotal(6), the exclusion ring at
+        MaxTotal(8), the 6-site rings at MaxTotal(1), which hold only
+        never-killed states, and the 8-site zero-range ring at
+        FixedTotal(1), where no pivot of -L is exactly zero."""
         model, target, _ = toy
-        small = build_killed_generator(
-            enumerate_states(model.lattice, MaxTotal(6)), model, target)
-        for kg in (toy_spectral["kg"], small, excl_ring[4]):
-            assert kg.lu is None
-            res = principal_decay(kg)
-            assert not res.defective
-            assert abs(res.decay_rate) <= 1e-12
-            assert max(res.right_residual, res.left_residual) <= 1e-10
-            totals = kg.space.occupancies[kg.ac_indices].sum(axis=1)
-            assert res.qsd[totals >= 2].sum() <= 1e-10
+        two_way = JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3]))
+        window = TargetSet(np.array([0]), 1)
+        cases = [
+            toy_spectral["kg"],
+            build_killed_generator(
+                enumerate_states(model.lattice, MaxTotal(6)), model, target),
+            excl_ring[4],
+        ]
+        for rates in (G_LINEAR, RateFunction.exclusion()):
+            lat = Lattice((6,), "torus")
+            space = enumerate_states(lat, MaxTotal(1),
+                                     site_cap=rates.max_site_occupancy)
+            cases.append(build_killed_generator(
+                space, Model(lat, two_way, rates), window))
+        lat = Lattice((8,), "torus")
+        cases.append(build_killed_generator(
+            enumerate_states(lat, FixedTotal(1)),
+            Model(lat, two_way, G_LINEAR), window))
+        for kg in cases:
+            n_out = int((~absorbing_core(kg)).sum())
+            assert n_out > 0
+            for solve in (lambda: principal_decay(kg),
+                          lambda: occupation_vectors(
+                              kg, np.ones(kg.dim) / kg.dim, 1)):
+                with pytest.raises(SolverError) as err:
+                    solve()
+                count, example = str(err.value).split(
+                    " survivor states are not killed almost surely, e.g. ")
+                assert int(count) == n_out
+                occ = np.array(ast.literal_eval(example))
+                assert occ.sum() <= kg.target.threshold
+                assert kg.space.index_of(occ) in kg.ac_indices
 
     def test_one_factorization_serves_decay_and_fixed_point(
             self, excl_ring, monkeypatch):
@@ -528,19 +553,6 @@ class TestQsdFixedPoint:
         chk = qsd_fixed_point_check(kg, np.ones(1))
         assert chk["l1_distance"] == pytest.approx(0.0)
 
-    def test_dead_sector_solve_reported(self, toy_spectral):
-        """A generator with never-killed states is refused, also where no
-        pivot of -L is exactly zero: the one particle of the 8-site
-        zero-range ring with window {0} and threshold 1 is never killed."""
-        lat = Lattice((8,), "torus")
-        model = Model(lat, JumpKernel(np.array([[1], [-1]]),
-                                      np.array([0.7, 0.3])), G_LINEAR)
-        lone = build_killed_generator(enumerate_states(lat, FixedTotal(1)),
-                                      model, TargetSet(np.array([0]), 1))
-        for kg in (toy_spectral["kg"], lone):
-            with pytest.raises(SolverError):
-                occupation_vectors(kg, np.ones(kg.dim) / kg.dim, 1)
-
 
 class TestSandwich:
     def test_single_state_equality(self):
@@ -568,40 +580,76 @@ class TestSandwich:
                 + 1e-12).all()
 
 
+def symmetrized_core(model, target, space) -> KilledGenerator:
+    """The killed generator of the symmetrized-half kernel on its core: the
+    chain whose Dirichlet quotients `rayleigh_quotient` minimizes."""
+    sym = Model(model.lattice, model.kernel.symmetrized_half(), model.rates)
+    return restrict_to_core(build_killed_generator(space, sym, target))
+
+
+def dirichlet_quotient(kgs: KilledGenerator, nu_full: np.ndarray,
+                       f: np.ndarray) -> float:
+    """-<f, L f>_nu / <f, f>_nu for f on the states of `kgs`."""
+    nu = nu_full[kgs.ac_indices]
+    return -float((nu * f) @ (kgs.matrix @ f)) / float(nu @ f**2)
+
+
 class TestRayleigh:
     def test_trial_indicator_gives_exit_rate(self, toy_qsd_sector, toy):
         model, target, _ = toy
-        space, kg, _ = toy_qsd_sector
+        space, _, _ = toy_qsd_sector
         nu_full = canonical_vector(space, model.rates.g)
-        trial = np.zeros(kg.dim)
+        rep = rayleigh_quotient(model, target, space, nu_full)
+        kgs = symmetrized_core(model, target, space)
+        trial = np.zeros(kgs.dim)
         trial[0] = 1.0
-        rep = rayleigh_quotient(model, target, space, nu_full, [trial])
-        sym_model = Model(model.lattice, model.kernel.symmetrized_half(),
-                          model.rates)
-        kg_sym = build_killed_generator(space, sym_model, target)
-        assert rep.trial_quotients[0] == pytest.approx(
-            -kg_sym.matrix.diagonal()[0])
+        quotient = dirichlet_quotient(kgs, nu_full, trial)
+        assert quotient == pytest.approx(-kgs.matrix.diagonal()[0])
+        assert quotient >= rep.lambda_s
         assert rep.eigen_residual <= 1e-10
 
     def test_classical_bound_on_asymmetric_ring(self, excl_ring):
+        """The symmetrized chain on its core: the never-killed sectors of at
+        most one particle would give a rounding-level 0 (about -4e-16)."""
         model, target, measure, space, kg = excl_ring
         core = restrict_to_core(kg)
         res = principal_decay(core)
         nu_full = product_vector(space, measure.marginal)
         rep = rayleigh_quotient(model, target, space, nu_full,
                                 lambda_asymmetric=res.decay_rate)
-        assert rep.classical_bound_margin is not None
-        assert rep.classical_bound_margin >= -1e-12
+        assert rep.lambda_s == pytest.approx(0.024409620960173406, rel=1e-9)
+        assert rep.classical_bound_margin > 0
+
+    def test_classical_bound_on_toy_core(self, toy_spectral, toy):
+        """The toy at MaxTotal(20) under its canonical weights: lambda_s
+        would be -8.9e-16 on every survivor state."""
+        model, target, _ = toy
+        space = toy_spectral["space"]
+        rep = rayleigh_quotient(
+            model, target, space, canonical_vector(space, model.rates.g),
+            lambda_asymmetric=toy_spectral["principal"].decay_rate)
+        assert rep.lambda_s == pytest.approx(0.21922359359558508, rel=1e-9)
+        assert rep.classical_bound_margin == pytest.approx(
+            0.011470314404189, rel=1e-9)
 
     def test_quotient_minimum_attained(self, excl_ring):
-        model, target, measure, space, kg = excl_ring
+        """lambda_s lies below the quotient of random functions and is the
+        quotient of the bottom eigenvector of the dense D^(1/2) (-L)
+        D^(-1/2)."""
+        model, target, measure, space, _ = excl_ring
         nu_full = product_vector(space, measure.marginal)
         rep = rayleigh_quotient(model, target, space, nu_full)
+        kgs = symmetrized_core(model, target, space)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            trial = rng.random(kg.dim)
-            r2 = rayleigh_quotient(model, target, space, nu_full, [trial])
-            assert r2.trial_quotients[0] >= rep.lambda_s - 1e-12
+            trial = rng.random(kgs.dim)
+            assert dirichlet_quotient(kgs, nu_full, trial) \
+                >= rep.lambda_s - 1e-12
+        d = np.sqrt(nu_full[kgs.ac_indices])
+        dense = -d[:, None] * kgs.matrix.toarray() / d[None, :]
+        bottom = np.linalg.eigh(0.5 * (dense + dense.T))[1][:, 0]
+        assert dirichlet_quotient(kgs, nu_full, bottom / d) \
+            == pytest.approx(rep.lambda_s, rel=1e-9)
 
     def test_repeat_calls_are_bit_identical(self, excl_ring):
         model, target, measure, space, _ = excl_ring
@@ -619,11 +667,13 @@ class TestRayleigh:
         model = Model(lattice, JumpKernel(np.array([[1]]), np.array([1.0])),
                       RateFunction.exclusion())
         space = enumerate_states(lattice, FixedTotal(1), site_cap=1)
-        rep = rayleigh_quotient(model, TargetSet(np.array([1]), 0), space,
-                                np.ones(space.size), [np.ones(1)])
+        target = TargetSet(np.array([1]), 0)
+        nu_full = np.ones(space.size)
+        rep = rayleigh_quotient(model, target, space, nu_full)
         assert rep.lambda_s == 0.5
         assert rep.eigen_residual == 0.0
-        assert rep.trial_quotients == [0.5]
+        kgs = symmetrized_core(model, target, space)
+        assert dirichlet_quotient(kgs, nu_full, np.ones(1)) == 0.5
 
     def test_non_reversible_measure_raises(self, excl_ring):
         model, target, _, space, _ = excl_ring

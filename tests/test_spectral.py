@@ -84,6 +84,52 @@ def exclusion_ring_core(n_sites: int) -> KilledGenerator:
     return restrict_to_core(kg)
 
 
+@pytest.fixture(scope="module")
+def never_killed(toy_spectral, toy, excl_ring):
+    """Generators that keep states outside their absorbing core: the toy at
+    MaxTotal(20) and MaxTotal(6), the exclusion ring at MaxTotal(8), the
+    6-site zero-range and exclusion rings at MaxTotal(1), which hold only
+    never-killed states, and the 8-site zero-range ring at FixedTotal(1),
+    where no pivot of -L is exactly zero (window {0}, threshold 1 on the
+    rings)."""
+    model, target, _ = toy
+    two_way = JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3]))
+    window = TargetSet(np.array([0]), 1)
+    cases = [
+        toy_spectral["kg"],
+        build_killed_generator(
+            enumerate_states(model.lattice, MaxTotal(6)), model, target),
+        excl_ring[4],
+    ]
+    for rates in (G_LINEAR, RateFunction.exclusion()):
+        lat = Lattice((6,), "torus")
+        space = enumerate_states(lat, MaxTotal(1),
+                                 site_cap=rates.max_site_occupancy)
+        cases.append(build_killed_generator(
+            space, Model(lat, two_way, rates), window))
+    lat = Lattice((8,), "torus")
+    cases.append(build_killed_generator(
+        enumerate_states(lat, FixedTotal(1)),
+        Model(lat, two_way, G_LINEAR), window))
+    return cases
+
+
+def assert_refused(kg: KilledGenerator, solve) -> None:
+    """`solve` raises SolverError with the number of states outside the core
+    of `kg` and one never-killed survivor state: at most `threshold`
+    particles."""
+    n_out = int((~absorbing_core(kg)).sum())
+    assert n_out > 0
+    with pytest.raises(SolverError) as err:
+        solve()
+    count, example = str(err.value).split(
+        " survivor states are not killed almost surely, e.g. ")
+    assert int(count) == n_out
+    occ = np.array(ast.literal_eval(example))
+    assert occ.sum() <= kg.target.threshold
+    assert kg.space.index_of(occ) in kg.ac_indices
+
+
 class TestEnumeration:
     def test_exclusion_counts(self):
         lat = Lattice((4,), "torus")
@@ -364,50 +410,25 @@ class TestPrincipalDecay:
         assert res.right_vector == pytest.approx(
             np.array([2.0, 3.0]) / math.sqrt(13.0), rel=1e-14)
 
-    def test_never_killed_states_are_refused(self, toy_spectral, toy,
-                                             excl_ring):
-        """The exact solves take only a generator that is its own core.
-        Without the core restriction the survivor set keeps the sectors of
-        at most `threshold` particles, which are never killed, and
-        `principal_decay` and `occupation_vectors` raise SolverError naming
-        how many states lie outside the core and one of them.  The cases:
-        the toy at MaxTotal(20) and MaxTotal(6), the exclusion ring at
-        MaxTotal(8), the 6-site rings at MaxTotal(1), which hold only
-        never-killed states, and the 8-site zero-range ring at
-        FixedTotal(1), where no pivot of -L is exactly zero."""
-        model, target, _ = toy
-        two_way = JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3]))
-        window = TargetSet(np.array([0]), 1)
-        cases = [
-            toy_spectral["kg"],
-            build_killed_generator(
-                enumerate_states(model.lattice, MaxTotal(6)), model, target),
-            excl_ring[4],
-        ]
-        for rates in (G_LINEAR, RateFunction.exclusion()):
-            lat = Lattice((6,), "torus")
-            space = enumerate_states(lat, MaxTotal(1),
-                                     site_cap=rates.max_site_occupancy)
-            cases.append(build_killed_generator(
-                space, Model(lat, two_way, rates), window))
-        lat = Lattice((8,), "torus")
-        cases.append(build_killed_generator(
-            enumerate_states(lat, FixedTotal(1)),
-            Model(lat, two_way, G_LINEAR), window))
-        for kg in cases:
-            n_out = int((~absorbing_core(kg)).sum())
-            assert n_out > 0
-            for solve in (lambda: principal_decay(kg),
-                          lambda: occupation_vectors(
-                              kg, np.ones(kg.dim) / kg.dim, 1)):
-                with pytest.raises(SolverError) as err:
-                    solve()
-                count, example = str(err.value).split(
-                    " survivor states are not killed almost surely, e.g. ")
-                assert int(count) == n_out
-                occ = np.array(ast.literal_eval(example))
-                assert occ.sum() <= kg.target.threshold
-                assert kg.space.index_of(occ) in kg.ac_indices
+    def test_never_killed_sectors_give_rate_zero(self, never_killed):
+        """Without the core restriction the survivor set keeps the sectors
+        of at most `threshold` particles.  They are never killed: their
+        block of L has no killing and no jump out of it, so its rows sum to
+        zero and 0 is an eigenvalue of L.  The exact solves take only a
+        generator that is its own core, so `principal_decay` raises
+        SolverError naming how many states lie outside the core and one of
+        them instead of returning that rate."""
+        for kg in never_killed:
+            totals = kg.space.occupancies[kg.ac_indices].sum(axis=1)
+            small = totals <= kg.target.threshold
+            assert small.any()
+            assert (kg.killing[small] == 0).all()
+            block = kg.matrix[small]
+            assert block[:, ~small].count_nonzero() == 0
+            row_sums = block[:, small] @ np.ones(small.sum())
+            assert np.abs(row_sums).max() \
+                <= 1e-12 * np.abs(block.diagonal()).max()
+            assert_refused(kg, lambda: principal_decay(kg))
 
     def test_one_factorization_serves_decay_and_fixed_point(
             self, excl_ring, monkeypatch):
@@ -552,6 +573,11 @@ class TestQsdFixedPoint:
         kg = single_site_chain(3.0)
         chk = qsd_fixed_point_check(kg, np.ones(1))
         assert chk["l1_distance"] == pytest.approx(0.0)
+
+    def test_dead_sector_solve_reported(self, never_killed):
+        for kg in never_killed:
+            assert_refused(kg, lambda: occupation_vectors(
+                kg, np.ones(kg.dim) / kg.dim, 1))
 
 
 class TestSandwich:

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__, storage
 from .config import ConfigError, ExperimentConfig
-from .dynamics import (WorkCounts, second_class_escape, sigma_exit,
-                       survival_curve)
+from .dynamics import WORK, second_class_escape, sigma_exit, survival_curve
 from .estimators import FitError, SurvivalCurve, exponentiality_report, fit_decay
 from .measures import DensityError, FugacityError, increasing_suite, domination_test
 from .model import ModelError, validate_model
@@ -39,12 +38,12 @@ EXIT_COMPARE = 5
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatchers (each writes its result files into `out` and returns
-# the simulation work it did)
+# experiment dispatchers (each writes its result files into `out`; the
+# simulation work they do adds to `dynamics.WORK`)
 # ---------------------------------------------------------------------------
 
 def _run_survival(cfg: ExperimentConfig, out: Path,
-                  workers: int) -> WorkCounts:
+                  workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     curve = survival_curve(
         model, target, cfg.budget("t_grid"), int(cfg.budget("n_traj")),
@@ -58,11 +57,10 @@ def _run_survival(cfg: ExperimentConfig, out: Path,
     expo = exponentiality_report(curve.taus[curve.hit], fit.lambda_hat,
                                  seed=cfg.seed)
     storage.write_json(out / "exponentiality.json", expo.to_dict())
-    return WorkCounts.of_starts(curve.immortal, curve.events)
 
 
 def _run_oracle_check(cfg: ExperimentConfig, out: Path,
-                      workers: int) -> WorkCounts:
+                      workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     t_grid = np.asarray(cfg.budget("t_grid"), dtype=np.float64)
     if model.lattice.boundary == "blocked":
@@ -88,7 +86,7 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
             "truncation_bound": float((1.0 - rho)
                                       ** (model.lattice.num_sites + 1)),
         })
-        return WorkCounts.of_starts(curve.immortal, curve.events)
+        return
     # ring: canonical fixed-count chain against the closed-form mixture
     n_sites = model.lattice.num_sites
     n_particles = int(round(float(cfg.raw["rho"]) * n_sites))
@@ -109,11 +107,10 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
         "lambda_ring": oracle.decay_rate,
         "half_line_rate_for_same_density": float(cfg.raw["rho"]),
     })
-    return WorkCounts()
 
 
 def _run_phi_iterate(cfg: ExperimentConfig, out: Path,
-                     workers: int) -> WorkCounts:
+                     workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     ensembles, log = phi_iterate(
         model, target, cfg.measure(), int(cfg.budget("iterations")),
@@ -126,11 +123,10 @@ def _run_phi_iterate(cfg: ExperimentConfig, out: Path,
         "e_tau_path": [r.e_tau for r in log.rows],
         "censor_path": [r.censor_fraction for r in log.rows],
     })
-    return log.work()
 
 
 def _run_phi_direct(cfg: ExperimentConfig, out: Path,
-                    workers: int) -> WorkCounts:
+                    workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     ens, stats = phi_direct(
         model, target, cfg.measure(), int(cfg.budget("order")),
@@ -143,11 +139,10 @@ def _run_phi_direct(cfg: ExperimentConfig, out: Path,
         "censored_fraction": stats.censor_fraction,
         "effective_sample_size": stats.ess,
     })
-    return stats.work
 
 
 def _run_spectral(cfg: ExperimentConfig, out: Path,
-                  workers: int) -> WorkCounts:
+                  workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     space = enumerate_states(model.lattice, cfg.state_constraint(),
                              site_cap=model.rates.max_site_occupancy)
@@ -196,11 +191,10 @@ def _run_spectral(cfg: ExperimentConfig, out: Path,
     if skipped:
         report["skipped"] = skipped
     storage.write_json(out / "spectral.json", report)
-    return WorkCounts()
 
 
 def _run_domination(cfg: ExperimentConfig, out: Path,
-                    workers: int) -> WorkCounts:
+                    workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     measure = cfg.measure()
     ensembles, log = phi_iterate(
@@ -222,18 +216,15 @@ def _run_domination(cfg: ExperimentConfig, out: Path,
     storage.write_json(out / "domination.json", {
         "schema_version": 1, "rows": rows, "worst_excess_sigmas": worst,
         "passed_at_3_sigma": bool(worst <= 3.0)})
-    return log.work()
 
 
 def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
-                    workers: int) -> WorkCounts:
-    model, target = cfg.model(), cfg.target()
+                    workers: int) -> None:
+    model, target, measure = cfg.model(), cfg.target(), cfg.measure()
     reports = []
-    work = WorkCounts()
     for kappa in cfg.budget("kappas"):
-        rep = sigma_exit(model, target, cfg.measure(), float(kappa),
+        rep = sigma_exit(model, target, measure, float(kappa),
                          int(cfg.budget("n_traj")), cfg.seed)
-        work += WorkCounts(trajectories=rep.n_traj, events=rep.events)
         reports.append({
             "kappa": rep.kappa, "estimate": rep.estimate,
             "stderr": rep.stderr, "lower_bound": rep.lower_bound,
@@ -241,11 +232,10 @@ def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
         })
     storage.write_json(out / "sigma_exit.json",
                        {"schema_version": 1, "reports": reports})
-    return work
 
 
 def _run_couplings(cfg: ExperimentConfig, out: Path,
-                   workers: int) -> WorkCounts:
+                   workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     rep = second_class_escape(
         model, target, cfg.budget("initial"), cfg.budget("site"),
@@ -261,7 +251,6 @@ def _run_couplings(cfg: ExperimentConfig, out: Path,
         "order_violations": rep.order_violations,
         "bound_ok_at_3_sigma": rep.bound_ok(),
     })
-    return WorkCounts(trajectories=rep.n_traj, events=rep.events)
 
 
 _DISPATCH = {
@@ -284,7 +273,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    work = _DISPATCH[cfg.experiment](cfg, out, workers)
+    before = asdict(WORK)
+    _DISPATCH[cfg.experiment](cfg, out, workers)
+    counters = {k: v - before[k] for k, v in asdict(WORK).items()}
     results = {}
     for path in sorted(out.iterdir()):
         if path.name == "manifest.json" or not path.is_file():
@@ -302,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
         "results_hash": storage.sha256_of_text(
             storage.canonical_json(results)),
         "wall_time_s": time.time() - started,
-        "telemetry": {"counters": asdict(work)},
+        "telemetry": {"counters": counters},
     }
     storage.write_json(out / "manifest.json", manifest)
     return out

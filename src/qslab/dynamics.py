@@ -272,25 +272,19 @@ def replay(initials: np.ndarray, counts: np.ndarray, sources: np.ndarray,
 
 @dataclass
 class WorkCounts:
-    """Deterministic counts of the simulation work behind a result:
-    trajectories simulated, immortal starts skipped instead, horizon
-    escalations of the occupation map, and events simulated."""
+    """Deterministic counts of simulation work: trajectories simulated,
+    immortal starts skipped instead, horizon escalations of the occupation
+    map, and events simulated.  `WORK` is the running total of the process:
+    the code that does the work adds to it, in the parent process when
+    spans run in workers, and a run reports the difference across it."""
 
     trajectories: int = 0
     immortal_skipped: int = 0
     escalations: int = 0
     events: int = 0
 
-    @classmethod
-    def of_starts(cls, immortal: np.ndarray, events: int = 0) -> "WorkCounts":
-        skipped = int(np.count_nonzero(immortal))
-        return cls(immortal.size - skipped, skipped, 0, int(events))
 
-    def __add__(self, other: "WorkCounts") -> "WorkCounts":
-        return WorkCounts(self.trajectories + other.trajectories,
-                          self.immortal_skipped + other.immortal_skipped,
-                          self.escalations + other.escalations,
-                          self.events + other.events)
+WORK = WorkCounts()
 
 
 @dataclass
@@ -303,7 +297,8 @@ class BatchResult:
     of `finals` is its initial state, not the state at t_max, and it is
     `frozen` only when its total rate at t = 0 is 0.  `events` holds the
     recorded (times, sources, destinations) per trajectory, `n_events` the
-    event counts whether recorded or not."""
+    event counts whether recorded or not.  The batch's work is not a field:
+    `run_batch` adds it to `WORK`."""
 
     taus: np.ndarray            # hit time, or t_max where censored
     hit: np.ndarray             # bool per trajectory
@@ -325,9 +320,6 @@ class BatchResult:
         there is none): the part a longer horizon can still reduce."""
         mortal = ~self.immortal
         return float(1.0 - self.hit[mortal].mean()) if mortal.any() else 0.0
-
-    def work(self) -> WorkCounts:
-        return WorkCounts.of_starts(self.immortal, int(self.n_events.sum()))
 
     def extended(self, rows: np.ndarray, longer: "BatchResult"
                  ) -> "BatchResult":
@@ -431,7 +423,9 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
 
     With `workers` > 1 the spans run in processes started by the "fork"
     method, which inherit the payload instead of receiving it.  Fork exists
-    on POSIX systems only; elsewhere `workers` must stay 1.
+    on POSIX systems only; elsewhere `workers` must stay 1.  The joined
+    batch's trajectories, immortal skips and events are added to `WORK`
+    here, in the parent, so the tally does not depend on `workers`.
     """
     if (measure is None) == (initials is None):
         raise ValueError("exactly one of measure/initials must be given")
@@ -461,12 +455,17 @@ def run_batch(model: Model, target: TargetSet | None, n_traj: int,
     def joined(name):
         return np.concatenate([getattr(p, name) for p in parts])
 
+    immortal, n_events = joined("immortal"), joined("n_events")
+    skipped = int(np.count_nonzero(immortal))
+    WORK.trajectories += n_traj - skipped
+    WORK.immortal_skipped += skipped
+    WORK.events += int(n_events.sum())
     events = None
     if record_events:
         events = [ev for p in parts for ev in p.events]
     return BatchResult(joined("taus"), joined("hit"), joined("frozen"),
-                       joined("immortal"), t_max, joined("initials"), events,
-                       joined("finals"), joined("n_events"))
+                       immortal, t_max, joined("initials"), events,
+                       joined("finals"), n_events)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +500,6 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
         censored_fraction=batch.censored_fraction,
         taus=batch.taus,
         hit=batch.hit,
-        immortal=batch.immortal,
-        events=int(batch.n_events.sum()),
     )
 
 
@@ -565,7 +562,6 @@ class SecondClassReport:
     epsilon_bound: float        # paper's non-hitting probability 1 - h
     order_violations: int       # trajectories with tau_zeta > tau_eta
     n_traj: int
-    events: int = 0             # events simulated
 
     def bound_ok(self) -> bool:
         """Gap within CI_SIGMAS standard errors of the walk bound."""
@@ -680,10 +676,12 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
         - (tau_zeta[None, :] > t_grid[:, None])
     gap_se = diff.std(axis=1, ddof=1) / np.sqrt(n_traj)
     h = rw_hitting(model.lattice, model.kernel, site, target.sites)
+    WORK.trajectories += n_traj
+    WORK.events += events
     return SecondClassReport(
         t_grid=t_grid, gap=gap, gap_stderr=gap_se, survival_eta=surv_eta,
         walk_hit_probability=h, epsilon_bound=1.0 - h,
-        order_violations=violations, n_traj=n_traj, events=events)
+        order_violations=violations, n_traj=n_traj)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +695,6 @@ class SigmaExitReport:
     stderr: float
     lower_bound: float
     deltas: np.ndarray
-    n_traj: int
-    events: int = 0             # events simulated
 
     def passed(self) -> bool:
         """Estimate within CI_SIGMAS standard errors of the floor or above."""
@@ -753,6 +749,8 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
         tagged[rows[stays], dst[stays]] += 1
         survived[rows[entered]] = False
         live = rows[~entered]
+    WORK.trajectories += n_traj
+    WORK.events += events
     p = float(survived.mean())
     se = float(np.sqrt(max(p * (1 - p), 1e-300) / n_traj))
     dist = lattice.graph_distance(list(lam_sites), model.kernel.offsets)
@@ -773,4 +771,4 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     else:
         bound = float(np.exp(measure.rho
                              * np.log1p(-deltas[outside]).sum()))
-    return SigmaExitReport(kappa, p, se, bound, deltas, n_traj, events)
+    return SigmaExitReport(kappa, p, se, bound, deltas)

@@ -37,9 +37,8 @@ class FitError(ValueError):
 
 @dataclass
 class SurvivalCurve:
-    """P(tau > t) on a grid.  Monte Carlo curves carry counts, the raw
-    hitting times and which starts were immortal (could never hit);
-    synthetic/oracle curves may carry log-survival directly
+    """P(tau > t) on a grid.  Monte Carlo curves carry counts and the raw
+    hitting times; synthetic/oracle curves may carry log-survival directly
     (needed far in the tail where the probability underflows)."""
 
     t: np.ndarray
@@ -49,9 +48,7 @@ class SurvivalCurve:
     censored_fraction: float = 0.0
     taus: np.ndarray | None = None
     hit: np.ndarray | None = None
-    immortal: np.ndarray | None = None
     log_estimate: np.ndarray | None = None
-    events: int = 0  # events simulated
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.float64)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .dynamics import BatchResult, WorkCounts, replay, run_batch
+from .dynamics import WORK, BatchResult, replay, run_batch
 from .measures import (ProductMeasure, WeightedEnsemble, systematic_resample)
 from .model import Model, TargetSet
 
@@ -57,8 +57,6 @@ class PhiStats:
     censor_fraction: float
     ess: float
     t_max_used: float
-    n_particles: int
-    work: WorkCounts
     probes: dict[float, float] = field(default_factory=dict)
 
 
@@ -66,17 +64,15 @@ class PhiStats:
 class PhiIterationLog:
     rows: list[PhiStats] = field(default_factory=list)
 
-    def work(self) -> WorkCounts:
-        return sum((r.work for r in self.rows), WorkCounts())
-
 
 def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
                       indices: np.ndarray, t_max: float, seed: int,
-                      workers: int) -> tuple[BatchResult, WorkCounts]:
+                      workers: int) -> BatchResult:
     """Run the batch whose row r runs on stream index `indices[r]`, doubling
     the horizon (at most MAX_ESCALATIONS times) while more than the
     documented limit of the mortal starts is censored; returns the last
-    batch and the work of every run.
+    batch.  Each doubling adds one escalation to `WORK`, and each run adds
+    its own trajectories and events there.
 
     A trajectory owns its stream, so a hit keeps its hit time at any longer
     horizon: each doubling reruns only the censored mortal starts, on their
@@ -91,7 +87,6 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
     batch = run_batch(model, target, indices.size, horizon, seed,
                       measure=measure, initials=initials,
                       record_events=True, workers=workers, indices=indices)
-    work = batch.work()
     for _ in range(MAX_ESCALATIONS):
         if batch.mortal_censored_fraction <= CENSOR_FRACTION_LIMIT:
             break
@@ -103,13 +98,13 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
                            else initials[rerun],
                            record_events=True, workers=workers,
                            indices=indices[rerun])
-        work += longer.work() + WorkCounts(escalations=1)
+        WORK.escalations += 1
         before = batch.mortal_censored_fraction
         batch = batch.extended(rerun, longer)
         if before - batch.mortal_censored_fraction \
                 < 0.1 * batch.mortal_censored_fraction:
             break
-    return batch, work
+    return batch
 
 
 def _harvest(batch: BatchResult,
@@ -156,9 +151,8 @@ def _power_log_weight(n: int):
     return logw
 
 
-def _batch_stats(batch: BatchResult, work: WorkCounts, ess: float,
-                 probe_times: Sequence[float],
-                 n_particles: int) -> PhiStats:
+def _batch_stats(batch: BatchResult, ess: float,
+                 probe_times: Sequence[float]) -> PhiStats:
     taus = batch.taus[batch.hit]
     e_tau = float(taus.mean()) if taus.size else float("nan")
     se = float(taus.std(ddof=1) / math.sqrt(taus.size)) if taus.size > 1 else 0.0
@@ -167,7 +161,7 @@ def _batch_stats(batch: BatchResult, work: WorkCounts, ess: float,
         alive = (batch.taus > s) | ~batch.hit
         probes[float(s)] = float(alive.mean())
     return PhiStats(e_tau, se, batch.censored_fraction, ess,
-                    batch.t_max, n_particles, work, probes)
+                    batch.t_max, probes)
 
 
 def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
@@ -186,8 +180,8 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
         idx = systematic_resample(input_ensemble.weights, n_particles, draw)
         initials = input_ensemble.occupancies[idx]
     indices = iteration * n_particles + np.arange(n_particles)
-    batch, work = _simulate_to_hits(model, target, initials, measure,
-                                    indices, t_max, seed, workers)
+    batch = _simulate_to_hits(model, target, initials, measure, indices,
+                              t_max, seed, workers)
     pool = _harvest(batch, _duration_log_weight)
     pool_ensemble = pool.ensemble()
     reduce_gen = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration + 1)
@@ -195,8 +189,8 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
     resampled = WeightedEnsemble(pool.occupancies[keep],
                                  np.ones(n_particles),
                                  pool.censor_fraction)
-    stats = _batch_stats(batch, work, pool_ensemble.effective_sample_size(),
-                         probe_times, n_particles)
+    stats = _batch_stats(batch, pool_ensemble.effective_sample_size(),
+                         probe_times)
     return resampled, stats
 
 
@@ -211,15 +205,10 @@ def phi_iterate(model: Model, target: TargetSet, measure: ProductMeasure,
     ensembles: list[WeightedEnsemble] = []
     current: WeightedEnsemble | None = None
     for it in range(n_iterations):
-        if it == 0:
-            ens, stats = phi_apply(
-                None, model, target, n_particles, t_max, seed,
-                measure=measure, iteration=it, probe_times=probe_times,
-                workers=workers)
-        else:
-            ens, stats = phi_apply(
-                current, model, target, n_particles, t_max, seed,
-                iteration=it, probe_times=probe_times, workers=workers)
+        ens, stats = phi_apply(
+            current, model, target, n_particles, t_max, seed,
+            measure=measure if current is None else None, iteration=it,
+            probe_times=probe_times, workers=workers)
         ensembles.append(ens)
         log.rows.append(stats)
         current = ens
@@ -233,11 +222,11 @@ def phi_direct(model: Model, target: TargetSet, measure: ProductMeasure,
     each survivor-set sojourn enters with the power-integral weight."""
     if n < 1:
         raise ValueError("iterate order must be >= 1")
-    batch, work = _simulate_to_hits(model, target, None, measure,
-                                    np.arange(n_traj), t_max, seed, workers)
+    batch = _simulate_to_hits(model, target, None, measure,
+                              np.arange(n_traj), t_max, seed, workers)
     pool = _harvest(batch, _power_log_weight(n))
     ens = pool.ensemble()
-    stats = _batch_stats(batch, work, ens.effective_sample_size(), (), n_traj)
+    stats = _batch_stats(batch, ens.effective_sample_size(), ())
     return ens, stats
 
 

@@ -1,14 +1,14 @@
 """Shared fixtures: the small models every oracle-backed test runs against."""
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from qslab import rng as rngmod
-from qslab.dynamics import replay
+from qslab.dynamics import WORK, WorkCounts, replay
 from qslab.measures import ProductMeasure
 from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
 from qslab.spectral import (FixedTotal, MaxTotal, SiteCap,
@@ -156,6 +156,15 @@ def ratio_site_means(batch, n_sites, weight_fn=None):
     resid = num - den[:, None] * est
     se = np.sqrt((resid**2).sum(axis=0)) / den.sum()
     return est, se
+
+
+def work_of(call):
+    """The result of `call()` and the simulation work it added to
+    `dynamics.WORK`."""
+    before = asdict(WORK)
+    result = call()
+    return result, WorkCounts(**{k: v - before[k]
+                                 for k, v in asdict(WORK).items()})
 
 
 def assert_same_batch(a, b):

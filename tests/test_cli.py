@@ -5,6 +5,8 @@ import json
 import pytest
 
 from qslab import cli
+from qslab.config import ExperimentConfig
+from qslab.dynamics import run_batch
 
 
 def _model(extent, boundary, offsets, weights, rates):
@@ -109,6 +111,24 @@ def test_run_is_worker_count_invariant(tmp_path, capsys, experiment,
     assert cli.main(["compare", str(outs[0]), str(outs[1])]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["identical"] is True
+
+
+def test_counters_do_not_leak_between_runs(tmp_path):
+    """A manifest counts the work of its own run only: a batch simulated
+    between two equal runs shows in neither."""
+    raw = dict(TOY, experiment="survival", seed=5, budgets=PINNED[0][2])
+    config = _write(tmp_path, "cfg", raw)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    assert cli.main(["run", "--config", config, "--out", str(outs[0])]) \
+        == cli.EXIT_OK
+    cfg = ExperimentConfig.from_dict(raw)
+    run_batch(cfg.model(), cfg.target(), 300, 10.0, 7, measure=cfg.measure())
+    assert cli.main(["run", "--config", config, "--out", str(outs[1])]) \
+        == cli.EXIT_OK
+    counters = [_manifest(out)["telemetry"]["counters"] for out in outs]
+    assert counters[0] == counters[1]
+    assert counters[0]["trajectories"] + counters[0]["immortal_skipped"] \
+        == 400
 
 
 @pytest.mark.parametrize("base,experiment,budgets,digest", PINNED,

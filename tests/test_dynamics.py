@@ -17,7 +17,7 @@ from qslab.spectral import tasep_line_survival
 
 from conftest import (_jump_rates_loop, assert_same_batch, killed_loop,
                       second_class_loop, sigma_exit_loop, states_loop,
-                      trajectory)
+                      trajectory, work_of)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -355,13 +355,15 @@ class TestEngineOracle:
 
     def test_events_counted_recorded_or_not(self, toy):
         model, target, measure = toy
-        rec, bare = (run_batch(model, target, 300, 20.0, 29, measure=measure,
-                               record_events=r) for r in (True, False))
+        (rec, work), (bare, bare_work) = (work_of(
+            lambda r=r: run_batch(model, target, 300, 20.0, 29,
+                                  measure=measure, record_events=r))
+            for r in (True, False))
         assert bare.events is None
         assert np.array_equal(rec.n_events, bare.n_events)
         assert np.array_equal(rec.taus, bare.taus)
         assert np.array_equal(rec.finals, bare.finals)
-        work = rec.work()
+        assert work == bare_work
         assert work.events == sum(ev[0].size for ev in rec.events) > 0
         assert (rec.n_events[rec.immortal] == 0).all()
         assert work.trajectories + work.immortal_skipped == 300
@@ -649,17 +651,19 @@ def test_couplings_repeat_at_fixed_seed(tasep_line):
     """Both coupling loops read only their per-trajectory streams."""
     model, target, measure = tasep_line
     eta0 = ((np.arange(65) % 2 == 0) & (np.arange(65) < 60)).astype(int)
-    reps = [second_class_escape(model, target, eta0, 61, [0.5, 1.0, 2.0],
-                                40, seed=67) for _ in range(2)]
+    reps, works = zip(*(work_of(
+        lambda: second_class_escape(model, target, eta0, 61, [0.5, 1.0, 2.0],
+                                    40, seed=67)) for _ in range(2)))
     for name in ("t_grid", "gap", "gap_stderr", "survival_eta"):
         assert np.array_equal(getattr(reps[0], name), getattr(reps[1], name))
     assert reps[0].order_violations == reps[1].order_violations
-    assert reps[0].events == reps[1].events > 0
-    sig = [sigma_exit(model, target, measure, 0.8, 60, seed=69)
-           for _ in range(2)]
+    assert works[0].events == works[1].events > 0
+    sig, works = zip(*(work_of(
+        lambda: sigma_exit(model, target, measure, 0.8, 60, seed=69))
+        for _ in range(2)))
     assert sig[0].estimate == sig[1].estimate
     assert np.array_equal(sig[0].deltas, sig[1].deltas)
-    assert sig[0].events == sig[1].events > 0
+    assert works[0].events == works[1].events > 0
 
 
 class TestSigmaExit:

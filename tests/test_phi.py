@@ -13,7 +13,7 @@ from qslab.phi import (PhiUndefinedError, cesaro_mixture,
                        _simulate_to_hits)
 
 from conftest import (assert_same_batch, harvest_loop, ratio_site_means,
-                      trajectory)
+                      trajectory, work_of)
 
 G_LINEAR = RateFunction.zero_range(lambda k: float(k))
 
@@ -158,25 +158,27 @@ class TestPhiDirect:
         so the horizon stays (it doubled to 60 while the immortal mass
         counted).  A short horizon still escalates."""
         model, target, measure = toy
-        _, stats = phi_direct(model, target, measure, 1, 400, 30.0, seed=227)
+        (_, stats), work = work_of(lambda: phi_direct(
+            model, target, measure, 1, 400, 30.0, seed=227))
         assert stats.t_max_used == 30.0
-        assert stats.work.escalations == 0
+        assert work.escalations == 0
         assert stats.censor_fraction > 0.5  # the immortal starts
-        assert stats.work.trajectories + stats.work.immortal_skipped == 400
-        _, stats = phi_direct(model, target, measure, 1, 400, 2.0, seed=227)
+        assert work.trajectories + work.immortal_skipped == 400
+        (_, stats), work = work_of(lambda: phi_direct(
+            model, target, measure, 1, 400, 2.0, seed=227))
         assert stats.t_max_used > 2.0
-        assert stats.t_max_used == 2.0 * 2 ** stats.work.escalations
+        assert stats.t_max_used == 2.0 * 2 ** work.escalations
         # the first run simulates the mortal starts and skips the immortal
         # ones; each doubling reruns only the mortal starts still censored
         first = run_batch(model, target, 400, 2.0, 227, measure=measure)
         expected = int(np.count_nonzero(~first.immortal))
-        for k in range(stats.work.escalations):
+        for k in range(work.escalations):
             batch = run_batch(model, target, 400, 2.0 * 2 ** k, 227,
                               measure=measure)
             expected += int(np.count_nonzero(~batch.hit & ~batch.immortal))
-        assert stats.work.immortal_skipped == first.immortal.sum() == 217
-        assert stats.work.trajectories == expected == 309
-        assert stats.work.escalations == 4
+        assert work.immortal_skipped == first.immortal.sum() == 217
+        assert work.trajectories == expected == 309
+        assert work.escalations == 4
 
     @pytest.mark.parametrize("from_initials", [False, True])
     def test_censored_rerun_equals_full_rerun(self, toy, from_initials):
@@ -188,10 +190,15 @@ class TestPhiDirect:
             initials = measure.sample_occupancies(
                 model.lattice, rngmod.stream(7, rngmod.SAMPLING, 0), 400)
         indices = (400 if from_initials else 0) + np.arange(400)
-        batch, work = _simulate_to_hits(
+        batch, work = work_of(lambda: _simulate_to_hits(
             model, target, initials, None if from_initials else measure,
-            indices, 2.0, 227, 1)
-        assert work.escalations >= 3
+            indices, 2.0, 227, 1))
+        # 183 mortal starts, then 126 reruns from the product law or 119
+        # from the sampled initials
+        assert work.immortal_skipped == 217
+        assert work.trajectories == (302 if from_initials else 309)
+        assert work.escalations == 4
+        assert batch.t_max == 2.0 * 2 ** 4
         full = run_batch(model, target, 400, batch.t_max, 227,
                          measure=None if from_initials else measure,
                          initials=initials, record_events=True,

@@ -61,13 +61,13 @@ def _run_survival(cfg: ExperimentConfig, out: Path,
 
 def _run_oracle_check(cfg: ExperimentConfig, out: Path,
                       workers: int) -> None:
-    model, target = cfg.model(), cfg.target()
+    model, target, measure = cfg.model(), cfg.target(), cfg.measure()
+    rho = measure.rho
     t_grid = np.asarray(cfg.budget("t_grid"), dtype=np.float64)
     if model.lattice.boundary == "blocked":
-        rho = float(cfg.raw["rho"])
         curve = survival_curve(model, target, t_grid,
                                int(cfg.budget("n_traj")), cfg.seed,
-                               measure=cfg.measure(), workers=workers)
+                               measure=measure, workers=workers)
         oracle = tasep_line_survival(rho, t_grid)
         rows = ["t,estimate,oracle,abs_err,three_sigma"]
         se = curve.stderr()
@@ -89,8 +89,12 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
         return
     # ring: canonical fixed-count chain against the closed-form mixture
     n_sites = model.lattice.num_sites
-    n_particles = int(round(float(cfg.raw["rho"]) * n_sites))
-    oracle = TasepCircleOracle(n_sites, n_particles)
+    n_particles = int(round(rho * n_sites))
+    try:
+        oracle = TasepCircleOracle(n_sites, n_particles)
+    except ValueError as exc:
+        raise ConfigError(f"density rho = {rho} on the {n_sites}-site ring: "
+                          f"{exc}") from None
     space = enumerate_states(model.lattice, FixedTotal(n_particles),
                              site_cap=1)
     kg = build_killed_generator(space, model, target)
@@ -105,7 +109,7 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
         "max_two_method_gap": float(np.abs(exact - closed).max()),
         "lambda_ring_fit": fit.lambda_hat,
         "lambda_ring": oracle.decay_rate,
-        "half_line_rate_for_same_density": float(cfg.raw["rho"]),
+        "half_line_rate_for_same_density": rho,
     })
 
 
@@ -152,8 +156,7 @@ def _run_spectral(cfg: ExperimentConfig, out: Path,
     kgc = restrict_to_core(kg, core_mask)
     res = principal_decay(kgc)
     report = {"schema_version": 1, "states": space.size, "surviving": kg.dim,
-              "core": int(core_mask.sum()),
-              "suppressed_rate": kg.suppressed_rate}
+              "core": int(core_mask.sum())}
     report["principal"] = res.to_dict()
     skipped = {}
     if res.qsd is None:

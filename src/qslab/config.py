@@ -14,13 +14,12 @@ from .measures import ProductMeasure
 from .model import (EXCLUSION, MISANTHROPE, ZERO_RANGE, JumpKernel, Lattice,
                     Model, ModelError, RateFunction, TargetSet, g_capped,
                     g_constant, g_from_table, g_identity)
-from .spectral import FixedTotal, MaxTotal, SiteCap
+from .spectral import FixedTotal, MaxTotal
 
 EXPERIMENT_KINDS = ("survival", "phi-iterate", "phi-direct", "spectral",
                     "oracle-check", "domination", "sigma-exit", "couplings")
 # state-space constraint of a `spectral` run by its `kind` name
-STATE_SPACES = {"fixed_total": FixedTotal, "max_total": MaxTotal,
-                "site_cap": SiteCap}
+STATE_SPACES = {"fixed_total": FixedTotal, "max_total": MaxTotal}
 
 
 class ConfigError(ValueError):
@@ -45,6 +44,11 @@ def _is_count(value) -> bool:
     """Whether `value` is a nonnegative integer (a bool is not)."""
     return isinstance(value, int) and not isinstance(value, bool) \
         and value >= 0
+
+
+def _is_time(value) -> bool:
+    """Whether `value` is a real number (a bool is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def g_from_spec(spec: dict):
@@ -133,21 +137,23 @@ class ExperimentConfig:
         if not isinstance(budgets, dict):
             raise ConfigError(f"budgets must be a mapping, got {budgets!r}")
         for key, value in budgets.items():
-            if key in ("n_traj", "n_particles", "iterations", "order") \
-                    and _number(value, int, f"budget {key}") <= 0:
-                raise ConfigError(f"budget {key} must be positive")
+            if key in ("n_traj", "n_particles", "iterations", "order"):
+                if _number(value, int, f"budget {key}") <= 0:
+                    raise ConfigError(f"budget {key} must be positive")
+                if not _is_count(value):
+                    raise ConfigError(f"budget {key} must be an integer, "
+                                      f"got {value!r}")
             if key == "t_max" and _number(value, float, f"budget {key}") <= 0:
                 raise ConfigError(f"budget {key} must be positive")
             if key == "kappas" and not (isinstance(value, list) and all(
-                    isinstance(k, (int, float)) and k > 0 for k in value)):
+                    _is_time(k) and k > 0 for k in value)):
                 raise ConfigError("budget kappas must be a list of positive "
                                   f"times, got {value!r}")
             if key == "state_space" and not (
-                    isinstance(value, dict) and "value" in value
+                    isinstance(value, dict)
                     and isinstance(value.get("kind"), str)
                     and value["kind"] in STATE_SPACES
-                    and _number(value["value"], int,
-                                "budget state_space value") >= 0):
+                    and _is_count(value.get("value"))):
                 raise ConfigError(
                     "budget state_space must be {\"kind\": one of "
                     f"{sorted(STATE_SPACES)}, \"value\": a nonnegative "
@@ -155,7 +161,7 @@ class ExperimentConfig:
             # a time grid needs a point; probe times may be none
             if key in ("t_grid", "probe_times") and not (
                     isinstance(value, list) and (value or key != "t_grid")
-                    and all(isinstance(t, (int, float)) for t in value)):
+                    and all(_is_time(t) for t in value)):
                 raise ConfigError(f"budget {key} must be a list of times, "
                                   f"got {value!r}")
         if kind == "survival" and "t_grid" in budgets and "t_max" in budgets \
@@ -223,7 +229,7 @@ class ExperimentConfig:
     def state_constraint(self):
         """The `state_space` budget as a state-space constraint."""
         spec = self.budget("state_space")
-        return STATE_SPACES[spec["kind"]](int(spec["value"]))
+        return STATE_SPACES[spec["kind"]](spec["value"])
 
     def measure(self) -> ProductMeasure:
         if "rho" not in self.raw:

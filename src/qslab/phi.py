@@ -38,19 +38,6 @@ class PhiUndefinedError(RuntimeError):
 
 
 @dataclass
-class SojournPool:
-    """Harvested (state, log-weight) pairs from killed trajectories."""
-
-    occupancies: np.ndarray
-    log_weights: np.ndarray
-    censor_fraction: float
-
-    def ensemble(self) -> WeightedEnsemble:
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return WeightedEnsemble(self.occupancies, w, self.censor_fraction)
-
-
-@dataclass
 class PhiStats:
     e_tau: float
     e_tau_stderr: float
@@ -109,9 +96,10 @@ def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
 
 def _harvest(batch: BatchResult,
              sojourn_log_weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
-             ) -> SojournPool:
+             ) -> WeightedEnsemble:
     """Replay uncensored trajectories and weight every survivor-set sojourn;
     censored trajectories are excluded and reported via the censor fraction.
+    The log-weights are shifted so that the largest weight is 1.
 
     A hit with no event started inside the target (tau = 0, no occupation).
     The others are replayed together: their events laid end to end give
@@ -133,8 +121,9 @@ def _harvest(batch: BatchResult,
     starts = np.empty_like(ends)
     starts[1:] = ends[:-1]
     starts[np.cumsum(counts) - counts] = 0.0
-    return SojournPool(states[inside], sojourn_log_weight(starts, ends),
-                       batch.censored_fraction)
+    logw = sojourn_log_weight(starts, ends)
+    return WeightedEnsemble(states[inside], np.exp(logw - logw.max()),
+                            batch.censored_fraction)
 
 
 def _duration_log_weight(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -183,14 +172,11 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
     batch = _simulate_to_hits(model, target, initials, measure, indices,
                               t_max, seed, workers)
     pool = _harvest(batch, _duration_log_weight)
-    pool_ensemble = pool.ensemble()
     reduce_gen = rngmod.stream(seed, rngmod.RESAMPLE, 2 * iteration + 1)
-    keep = systematic_resample(pool_ensemble.weights, n_particles, reduce_gen)
+    keep = systematic_resample(pool.weights, n_particles, reduce_gen)
     resampled = WeightedEnsemble(pool.occupancies[keep],
-                                 np.ones(n_particles),
-                                 pool.censor_fraction)
-    stats = _batch_stats(batch, pool_ensemble.effective_sample_size(),
-                         probe_times)
+                                 np.ones(n_particles), pool.censor_fraction)
+    stats = _batch_stats(batch, pool.effective_sample_size(), probe_times)
     return resampled, stats
 
 
@@ -224,8 +210,7 @@ def phi_direct(model: Model, target: TargetSet, measure: ProductMeasure,
         raise ValueError("iterate order must be >= 1")
     batch = _simulate_to_hits(model, target, None, measure,
                               np.arange(n_traj), t_max, seed, workers)
-    pool = _harvest(batch, _power_log_weight(n))
-    ens = pool.ensemble()
+    ens = _harvest(batch, _power_log_weight(n))
     stats = _batch_stats(batch, ens.effective_sample_size(), ())
     return ens, stats
 

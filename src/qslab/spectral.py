@@ -3,11 +3,11 @@ generators, principal decay rates and quasi-stationary vectors, survival by
 uniformization, the hitting-time sandwich, Dirichlet quotients, and the
 closed-form totally-asymmetric exclusion oracles.
 
-State spaces on the torus split into conserved particle-number sectors.
-Fixed-total (canonical) sectors and their unions are exactly closed under
-the dynamics and keep the truncated stationary vectors exactly invariant;
-per-site-cap (grand-canonical) boxes suppress over-cap jumps and carry a
-reported truncation artifact instead.
+The dynamics conserve the particle number, so a state space is a run of
+particle-number sectors: one canonical sector (`FixedTotal`) or every
+sector up to a total (`MaxTotal`).  Such a space is exactly closed under the
+dynamics, so the killed generator needs no truncation and the canonical
+stationary vectors stay exactly invariant.
 """
 
 from __future__ import annotations
@@ -49,21 +49,20 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SiteCap:
-    """Grand-canonical box: every site occupancy at most cap."""
-    cap: int
-
-
-@dataclass(frozen=True)
 class FixedTotal:
     """Canonical sector: exactly `total` particles (closed on the torus)."""
     total: int
+
+    @property
+    def lowest(self) -> int:
+        return self.total
 
 
 @dataclass(frozen=True)
 class MaxTotal:
     """Union of canonical sectors with at most `total` particles."""
     total: int
+    lowest = 0
 
 
 def _composition_counts(n_sites: int, total: int, cap: int) -> np.ndarray:
@@ -79,16 +78,9 @@ def _composition_counts(n_sites: int, total: int, cap: int) -> np.ndarray:
 
 
 def count_states(n_sites: int, constraint, site_cap: int | None) -> int:
-    if isinstance(constraint, SiteCap):
-        cap = constraint.cap if site_cap is None else min(constraint.cap, site_cap)
-        return (cap + 1) ** n_sites
-    if isinstance(constraint, (FixedTotal, MaxTotal)):
-        cap = constraint.total if site_cap is None else site_cap
-        top = _composition_counts(n_sites, constraint.total, cap)[n_sites]
-        if isinstance(constraint, FixedTotal):
-            return int(top[-1])
-        return int(top.sum())
-    raise StateSpaceError(f"unknown constraint {constraint!r}")
+    cap = constraint.total if site_cap is None else site_cap
+    top = _composition_counts(n_sites, constraint.total, cap)[n_sites]
+    return int(top[constraint.lowest:].sum())
 
 
 def _enumerate_fixed(n_sites: int, total: int, cap: int) -> np.ndarray:
@@ -118,9 +110,10 @@ def _enumerate_fixed(n_sites: int, total: int, cap: int) -> np.ndarray:
 class StateSpace:
     """Exhaustive, duplicate-free enumeration with a bijective index map.
 
-    A state's index is its position in the enumeration order, computed from
-    the state itself: the mixed-radix value for SiteCap boxes; for sector
-    spaces, the size of the lower sectors plus, per site, the number of
+    The space is the run of particle-number sectors from the constraint's
+    `lowest` total to its `total`, each in lexicographic order.  A state's
+    index is its position in that order, computed from the state itself:
+    the size of the lower sectors of the run plus, per site, the number of
     sector states that agree before that site and hold less on it."""
 
     def __init__(self, lattice: Lattice, occupancies: np.ndarray, constraint):
@@ -131,21 +124,15 @@ class StateSpace:
         # the enumeration holds every state under its per-site cap, so its
         # largest occupancy is that cap (or the total, which binds first)
         self._cap = int(occupancies.max(initial=0))
-        if isinstance(constraint, SiteCap):
-            self._radix = (self._cap + 1) ** np.arange(n_sites - 1, -1, -1)
-        else:
-            counts = _composition_counts(n_sites, constraint.total, self._cap)
-            # prefix sums over the particle number, reduced mod 2^64: a rank
-            # is a sum of differences of these, each at most the state count,
-            # so the wrapped uint64 arithmetic returns it exactly
-            self._below = (np.cumsum(counts, axis=1) % 2**64).astype(np.uint64)
-            # states of the space with fewer particles: none for FixedTotal
-            self._sector_start = np.zeros(constraint.total + 1, dtype=np.uint64)
-            if isinstance(constraint, FixedTotal):
-                self._min_total = constraint.total
-            else:
-                self._min_total = 0
-                self._sector_start[1:] = self._below[n_sites, :-1]
+        counts = _composition_counts(n_sites, constraint.total, self._cap)
+        # prefix sums over the particle number, reduced mod 2^64: a rank is a
+        # sum of differences of these, each at most the state count, so the
+        # wrapped uint64 arithmetic returns it exactly
+        self._below = (np.cumsum(counts, axis=1) % 2**64).astype(np.uint64)
+        # states of the space with fewer particles than each total
+        fewer = np.zeros(constraint.total + 1, dtype=np.uint64)
+        fewer[1:] = self._below[n_sites, :-1]
+        self._sector_start = fewer - fewer[constraint.lowest]
         if not np.array_equal(self._rank(occupancies), np.arange(self.size)):
             raise StateSpaceError(
                 "occupancies are not the enumeration of the constraint")
@@ -162,10 +149,9 @@ class StateSpace:
         """Indices of the rows of `occ` in the space, -1 for absent ones."""
         occ = np.asarray(occ, dtype=np.int64)
         valid = ((occ >= 0) & (occ <= self._cap)).all(axis=1)
-        if isinstance(self.constraint, SiteCap):
-            return np.where(valid, occ @ self._radix, -1)
         totals = occ.sum(axis=1)
-        valid &= (totals >= self._min_total) & (totals <= self.constraint.total)
+        valid &= ((totals >= self.constraint.lowest)
+                  & (totals <= self.constraint.total))
         occ = np.where(valid[:, None], occ, 0)
         totals = occ.sum(axis=1)
         # particles at and after each site, and the number of sites after it
@@ -190,7 +176,8 @@ class StateSpace:
 def enumerate_states(lattice: Lattice, constraint, *,
                      site_cap: int | None = None,
                      limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
-    """Enumerate configurations lexicographically under the constraint.
+    """Enumerate the sectors from `constraint.lowest` to `constraint.total`
+    particles, in increasing total and each lexicographically.
 
     The predicted count is computed first; enumeration is refused when it
     exceeds the limit.  `site_cap` adds a per-site bound on top of the
@@ -200,20 +187,9 @@ def enumerate_states(lattice: Lattice, constraint, *,
     if predicted > limit:
         raise StateSpaceError(
             f"state space would hold {predicted} states (limit {limit})")
-    if isinstance(constraint, SiteCap):
-        cap = constraint.cap if site_cap is None else min(constraint.cap, site_cap)
-        grids = np.meshgrid(*[np.arange(cap + 1)] * n_sites, indexing="ij")
-        occ = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    elif isinstance(constraint, FixedTotal):
-        cap = constraint.total if site_cap is None else site_cap
-        occ = _enumerate_fixed(n_sites, constraint.total, cap)
-    elif isinstance(constraint, MaxTotal):
-        cap = constraint.total if site_cap is None else site_cap
-        parts = [_enumerate_fixed(n_sites, m, min(cap, m))
-                 for m in range(constraint.total + 1)]
-        occ = np.vstack([p for p in parts if p.size])
-    else:
-        raise StateSpaceError(f"unknown constraint {constraint!r}")
+    cap = constraint.total if site_cap is None else site_cap
+    occ = np.vstack([_enumerate_fixed(n_sites, m, min(cap, m))
+                     for m in range(constraint.lowest, constraint.total + 1)])
     return StateSpace(lattice, occ, constraint)
 
 
@@ -276,22 +252,21 @@ class KilledGenerator:
     `matrix` rows/cols index A^c states (`ac_indices` maps into the space);
     `killing` holds the total rate into the target per state; row sums equal
     minus the killing rate (strictly negative exactly where a jump into the
-    target is possible).  `suppressed_rate` reports the total rate removed by
-    per-site caps (zero on canonical sectors): the cap-sensitivity handle.
-    `lu` factors -L once, on first use, for every solve with -L or its
-    transpose (the Perron vectors and the occupation map), so `matrix` must
-    not change after that; it also checks the one precondition of those
-    solves, that the generator is its own `absorbing_core` (as
-    `restrict_to_core` returns it).  -L is an M-matrix (nonpositive
-    off-diagonal, row sums the killing rates), so it is factored with
-    diagonal pivots (`_m_matrix_lu`)."""
+    target is possible).  The space is a run of particle-number sectors, so
+    every jump that does not kill stays in it: no rate is cut.  `lu`
+    factors -L once, on first use, for every solve with -L or its transpose
+    (the Perron vectors and the occupation map), so `matrix` must not
+    change after that; it also checks the one precondition of those solves,
+    that the generator is its own `absorbing_core` (as `restrict_to_core`
+    returns it).  -L is an M-matrix (nonpositive off-diagonal, row sums the
+    killing rates), so it is factored with diagonal pivots
+    (`_m_matrix_lu`)."""
 
     space: StateSpace
     target: TargetSet
     matrix: csr_matrix
     killing: np.ndarray
     ac_indices: np.ndarray
-    suppressed_rate: float
 
     @property
     def dim(self) -> int:
@@ -320,11 +295,12 @@ def build_killed_generator(space: StateSpace, model: Model,
 
     The rate of every (state, site, offset) jump comes from one
     `jump_rates` call on the model's jump table and b table, the rule the
-    Monte Carlo engine reads too.  A jump onto a full site of a per-site cap
-    box is cut (its rate is reported, not made), one into the target kills,
-    and every other one moves the state; the moved states are ranked one
-    offset at a time, to bound the memory.  The diagonal, the killing rates
-    and the suppressed total are summed in (state, site, offset) order."""
+    Monte Carlo engine reads too.  A jump into the target kills and every
+    other one moves the state within its sector, which the space holds
+    unless its per-site cap is below the rate family's (StateSpaceError);
+    the moved states are ranked one offset at a time, to bound the memory.
+    The diagonal and the killing rates are summed in (state, site, offset)
+    order."""
     target.validate_on(space.lattice)
     occ_all = space.occupancies
     in_a = occ_all[:, target.sites].sum(axis=1) > target.threshold
@@ -341,15 +317,6 @@ def build_killed_generator(space: StateSpace, model: Model,
     # rates per (state, site, offset) of the jumps the chain makes
     made = jump_rates(occ, nbr, w,
                       model.rates.b_table(int(occ.max(initial=0))))
-    # grand-canonical truncation: the capped chain drops a jump onto a full
-    # site; its rate is accounted for sensitivity reporting (a cap box holds
-    # the empty state, so `made` is never empty here)
-    suppressed = 0.0
-    if isinstance(space.constraint, SiteCap) and hard_cap is None:
-        over = occ[:, nbr] >= space.constraint.cap
-        # a running sum repeats the additions of a scalar loop, in its order
-        suppressed = float(np.cumsum(np.where(over, made, 0.0))[-1])
-        made[over] = 0.0
     # an A^c state holds at most the threshold in the window, so a jump
     # kills exactly when it carries a particle in while the window is full
     in_window = target.mask(n_sites)
@@ -382,8 +349,7 @@ def build_killed_generator(space: StateSpace, model: Model,
                       (np.concatenate(rows + [diagonal]),
                        np.concatenate(cols + [diagonal]))),
                      shape=(n_ac, n_ac))
-    return KilledGenerator(space, target, mat, killing, ac_indices,
-                           suppressed)
+    return KilledGenerator(space, target, mat, killing, ac_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +574,7 @@ def restrict_to_core(kg: KilledGenerator,
     idx = np.flatnonzero(core)
     sub = kg.matrix[idx][:, idx].tocsr()
     return KilledGenerator(kg.space, kg.target, sub, kg.killing[idx],
-                           kg.ac_indices[idx], kg.suppressed_rate)
+                           kg.ac_indices[idx])
 
 
 def occupation_vectors(kg: KilledGenerator, initial: np.ndarray,
@@ -770,7 +736,8 @@ class TasepCircleOracle:
 
     def __post_init__(self):
         if not 1 <= self.n_particles < self.n_sites:
-            raise ValueError("particle count must lie in [1, N-1]")
+            raise ValueError(f"particle count {self.n_particles} must lie "
+                             f"in [1, {self.n_sites - 1}]")
 
     def chi(self, occupancy: np.ndarray) -> int:
         """Empty gap behind the origin: least k >= 0 with eta(-k) = 1."""

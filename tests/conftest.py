@@ -11,9 +11,9 @@ from qslab import rng as rngmod
 from qslab.dynamics import WORK, WorkCounts, replay
 from qslab.measures import ProductMeasure
 from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
-from qslab.spectral import (FixedTotal, MaxTotal, SiteCap,
-                            build_killed_generator, enumerate_states,
-                            principal_decay, product_vector, restrict_to_core)
+from qslab.spectral import (FixedTotal, MaxTotal, build_killed_generator,
+                            enumerate_states, principal_decay, product_vector,
+                            restrict_to_core)
 
 
 def g_linear(k: int) -> float:
@@ -235,23 +235,17 @@ def enumerate_fixed_recursive(n_sites, total, cap):
 
 def enumerate_reference(n_sites, constraint, site_cap=None):
     """Occupancies of `enumerate_states` built from the recursion above."""
-    if isinstance(constraint, SiteCap):
-        cap = constraint.cap if site_cap is None else min(constraint.cap,
-                                                          site_cap)
-        grids = np.meshgrid(*[np.arange(cap + 1)] * n_sites, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     cap = constraint.total if site_cap is None else site_cap
-    if isinstance(constraint, FixedTotal):
-        return enumerate_fixed_recursive(n_sites, constraint.total, cap)
-    parts = [enumerate_fixed_recursive(n_sites, m, min(cap, m))
-             for m in range(constraint.total + 1)]
-    return np.vstack([p for p in parts if p.size])
+    totals = ([constraint.total] if isinstance(constraint, FixedTotal)
+              else range(constraint.total + 1))
+    return np.vstack([enumerate_fixed_recursive(n_sites, m, min(cap, m))
+                      for m in totals])
 
 
 def killed_generator_loop(space, model, target):
     """Killed generator by a loop over states, occupied sites and offsets,
     locating each moved state through a dict of the enumeration.  Returns
-    (matrix, killing, ac_indices, suppressed_rate)."""
+    (matrix, killing, ac_indices)."""
     index = {tuple(row): i for i, row in enumerate(space.occupancies)}
     occ_all = space.occupancies
     in_a = occ_all[:, target.sites].sum(axis=1) > target.threshold
@@ -260,15 +254,9 @@ def killed_generator_loop(space, model, target):
     pos[ac_indices] = np.arange(ac_indices.size)
     nbr = space.lattice.neighbor_table(model.kernel.offsets)
     b = model.rates.b
-    hard_cap = model.rates.max_site_occupancy
-    site_cap = (space.constraint.cap if isinstance(space.constraint, SiteCap)
-                else None)
-    if hard_cap is not None:
-        site_cap = hard_cap if site_cap is None else min(site_cap, hard_cap)
     rows, cols, vals = [], [], []
     diag = np.zeros(ac_indices.size)
     killing = np.zeros(ac_indices.size)
-    suppressed = 0.0
     for row, si in enumerate(ac_indices):
         occ = occ_all[si]
         for i in np.flatnonzero(occ):
@@ -278,10 +266,6 @@ def killed_generator_loop(space, model, target):
                     continue
                 rate = w * b(int(occ[i]), int(occ[j]))
                 if rate <= 0.0:
-                    continue
-                if site_cap is not None and occ[j] + 1 > site_cap \
-                        and hard_cap is None:
-                    suppressed += rate
                     continue
                 new = occ.copy()
                 new[i] -= 1
@@ -299,7 +283,7 @@ def killed_generator_loop(space, model, target):
     vals.extend(diag)
     mat = csr_matrix((vals, (rows, cols)),
                      shape=(ac_indices.size, ac_indices.size))
-    return mat, killing, ac_indices, suppressed
+    return mat, killing, ac_indices
 
 
 def absorbing_core_bfs(kg):

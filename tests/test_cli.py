@@ -211,13 +211,16 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
                         {"family": "exclusion"}),
               ("budgets", "initial"), [0, 0, 2]),
     _replaced(SURVIVAL, ("target",), None),
+    _replaced(dict(SURVIVAL, experiment="oracle-check"), ("rho",), None),
+    _replaced(dict(LINE, experiment="oracle-check", seed=13,
+                   budgets=SURVIVAL["budgets"]), ("rho",), None),
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
         "t_grid-string", "t_grid-empty", "state-space-no-value",
         "state-space-string", "site-off-lattice", "initial-string",
         "initial-short", "initial-negative", "site-in-window",
         "initial-in-target", "site-full", "initial-over-cap",
-        "target-missing"])
+        "target-missing", "oracle-ring-no-rho", "oracle-line-no-rho"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     """A fault found after the config parses exits 2 with a message, not a
     traceback."""
@@ -342,12 +345,22 @@ def test_spectral_rayleigh_runs_on_the_core(tmp_path):
 
 
 def test_spectral_over_state_limit_exits_3(tmp_path):
-    # 3^12 = 531,441 capped states, past the enumeration limit
+    # binom(24, 12) = 2,704,156 states of at most 12 particles on 12 sites,
+    # past the enumeration limit
     ring = dict(TOY, model=_model(12, "torus", [[1], [-1]], [0.7, 0.3],
                                   {"family": "zero_range",
                                    "g": {"kind": "identity"}}))
-    assert _run_spectral(tmp_path, ring, {"kind": "site_cap", "value": 2}) \
+    assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 12}) \
         == cli.EXIT_MODEL
+
+
+def test_spectral_site_cap_space_exits_2(tmp_path, capsys):
+    """A state space is a run of particle-number sectors; the per-site cap
+    box is no kind of space."""
+    assert _run_spectral(tmp_path, TOY, {"kind": "site_cap", "value": 2}) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "fixed_total" in err and "max_total" in err
 
 
 def test_spectral_with_empty_core_exits_4(tmp_path):
@@ -365,3 +378,17 @@ def test_compare_without_manifests_exits_5(tmp_path):
     (tmp_path / "b").mkdir()
     assert cli.main(["compare", str(tmp_path / "a"),
                      str(tmp_path / "b")]) == cli.EXIT_COMPARE
+
+
+@pytest.mark.parametrize("rho,count", [(0.01, 0), (0.99, 6)])
+def test_oracle_check_ring_without_room_exits_2(tmp_path, capsys, rho,
+                                                count):
+    """round(rho N) particles on the N-ring must leave the trap something
+    to hit and a hole to reach it through."""
+    config = _write(tmp_path, "cfg", dict(
+        TASEP_RING, experiment="oracle-check", seed=13, rho=rho,
+        budgets={"t_grid": [0.5, 1.0]}))
+    assert cli.main(["run", "--config", config,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert f"particle count {count} must lie in [1, 5]" \
+        in capsys.readouterr().err

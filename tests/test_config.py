@@ -53,6 +53,12 @@ def test_base_config_is_valid():
     (("budgets", "kappas"), 0.5, "kappas"),
     (("seed",), 2**64, "64 bits"),
     (("budgets", "n_traj"), "ten", "n_traj must be a number"),
+    (("budgets", "n_traj"), True, "n_traj must be an integer"),
+    (("budgets", "n_traj"), 10.5, "n_traj must be an integer"),
+    (("budgets", "kappas"), [True], "kappas"),
+    (("budgets", "t_grid"), [True, 2.0], "t_grid must be a list of times"),
+    (("budgets", "state_space"), {"kind": "max_total", "value": 2.7},
+     "state_space must be"),
     (("budgets", "t_max"), [5.0], "t_max must be a number"),
     (("rho",), "half", "rho must be a number"),
     (("seed",), "three", "seed must be a number"),
@@ -62,7 +68,9 @@ def test_base_config_is_valid():
                           "b": {"kind": "sideways"}}, "unknown b kind"),
 ], ids=["experiment", "no-rates", "no-kernel", "no-target", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
-        "kappas-scalar", "seed", "n_traj-word", "t_max-list", "rho-word",
+        "kappas-scalar", "seed", "n_traj-word", "n_traj-bool",
+        "n_traj-fraction", "kappas-bool", "t_grid-bool",
+        "state_space-fraction", "t_max-list", "rho-word",
         "seed-word", "g-kind", "rate-family", "b-kind"])
 def test_malformed_field_is_a_config_error(path, value, match):
     with pytest.raises(ConfigError, match=match):

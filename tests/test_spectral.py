@@ -13,10 +13,10 @@ from conftest import (absorbing_core_bfs, enumerate_reference,
 from qslab import spectral
 from qslab.estimators import SurvivalCurve, fit_decay
 from qslab.model import (JumpKernel, Lattice, Model, RateFunction, TargetSet)
-from qslab.spectral import (FixedTotal, KilledGenerator, MaxTotal, SiteCap,
-                            SolverError, StateSpaceError, TasepCircleOracle,
-                            absorbing_core, build_killed_generator,
-                            canonical_vector, enumerate_states, exact_survival,
+from qslab.spectral import (FixedTotal, KilledGenerator, MaxTotal, SolverError,
+                            StateSpaceError, TasepCircleOracle, absorbing_core,
+                            build_killed_generator, canonical_vector,
+                            enumerate_states, exact_survival,
                             hitting_sandwich_check, normalize_density,
                             occupation_vectors, principal_decay,
                             product_vector, qsd_fixed_point_check,
@@ -138,13 +138,15 @@ class TestEnumeration:
         assert enumerate_states(lat6, FixedTotal(3), site_cap=1).size == 20
 
     def test_capped_grand_canonical_count(self):
+        """The sectors 0..4 of two sites capped at 2 fill the 3 x 3 box."""
         lat = Lattice((2,), "torus")
-        assert enumerate_states(lat, SiteCap(2)).size == 9
+        assert enumerate_states(lat, MaxTotal(4), site_cap=2).size == 9
 
     def test_refusal_reports_count(self):
+        # binom(16, 8) states of at most 8 particles on 8 sites
         lat = Lattice((8,), "torus")
-        with pytest.raises(StateSpaceError, match="6561"):
-            enumerate_states(lat, SiteCap(2), limit=1000)
+        with pytest.raises(StateSpaceError, match="12870"):
+            enumerate_states(lat, MaxTotal(8), limit=1000)
 
     def test_index_round_trip(self):
         lat = Lattice((3,), "torus")
@@ -161,8 +163,9 @@ class TestEnumeration:
 
 def _reference_cases():
     """(model, target, constraint, site_cap) spanning the assembly paths:
-    sector unions, cap suppression, exclusion, target-dependent b, blocked
-    boundary, two dimensions and a long sparse lattice."""
+    sector unions, one sector with several particles per site, exclusion,
+    target-dependent b, blocked boundary, two dimensions and a long sparse
+    lattice."""
     two_way = JumpKernel(np.array([[1], [-1]]), np.array([0.7, 0.3]))
 
     def ring(n):
@@ -176,9 +179,9 @@ def _reference_cases():
     return {
         "toy-max-total-20": (Model(ring(3), two_way, G_LINEAR),
                              TargetSet(np.array([0]), 1), MaxTotal(20), None),
-        "zero-range-site-cap-2": (Model(ring(5), two_way, G_LINEAR),
-                                  TargetSet(np.array([0, 1]), 2), SiteCap(2),
-                                  None),
+        "zero-range-fixed-total-5": (Model(ring(5), two_way, G_LINEAR),
+                                     TargetSet(np.array([0, 1]), 2),
+                                     FixedTotal(5), None),
         "exclusion-ring-fixed-total": (
             Model(ring(8), two_way, RateFunction.exclusion()),
             TargetSet(np.array([0, 1]), 1), FixedTotal(4), 1),
@@ -226,27 +229,27 @@ class TestAgainstLoopReference:
         top = space.occupancies.max()
         absent = [np.full(space.n_sites, top + 1),
                   np.r_[-1, np.ones(space.n_sites - 1, dtype=np.int64)],
-                  np.zeros(space.n_sites + 1, dtype=np.int64)]
-        if not isinstance(space.constraint, SiteCap):
-            absent.append(np.r_[space.constraint.total + 1,
-                                np.zeros(space.n_sites - 1, dtype=np.int64)])
+                  np.zeros(space.n_sites + 1, dtype=np.int64),
+                  np.r_[space.constraint.total + 1,
+                        np.zeros(space.n_sites - 1, dtype=np.int64)]]
+        if space.constraint.lowest > 0:
+            # one particle short of the run, on a site that holds some
+            short = space.occupancies[-1].copy()
+            short[np.argmax(short)] -= 1
+            absent.append(short)
         for occ in absent:
             with pytest.raises(StateSpaceError):
                 space.index_of(occ)
 
     def test_generator_matches_loop(self, reference_case):
         model, target, _, space, kg = reference_case
-        mat, killing, ac_indices, suppressed = killed_generator_loop(
-            space, model, target)
+        mat, killing, ac_indices = killed_generator_loop(space, model, target)
         assert np.array_equal(kg.ac_indices, ac_indices)
         assert np.array_equal(kg.matrix.indptr, mat.indptr)
         assert np.array_equal(kg.matrix.indices, mat.indices)
         ulp = np.spacing(np.maximum(np.abs(kg.matrix.data), np.abs(mat.data)))
         assert (np.abs(kg.matrix.data - mat.data) <= ulp).all()
         assert np.array_equal(kg.killing, killing)
-        assert kg.suppressed_rate == suppressed
-        if isinstance(space.constraint, SiteCap):
-            assert suppressed > 0
 
     def test_core_matches_bfs(self, reference_case):
         kg = reference_case[4]
@@ -278,33 +281,36 @@ class TestKilledGenerator:
         assert (off.data >= 0).all()
 
     def test_hand_built_two_site_chain(self):
-        """Capped two-site chain cross-checked against a hand enumeration."""
+        """Two-site chain on the sectors 0..3 cross-checked against a hand
+        enumeration."""
         lat = Lattice((2,), "torus")
         model = Model(lat, JumpKernel(np.array([[1]]), np.array([1.0])),
                       G_LINEAR)
         target = TargetSet(np.array([0]), 1)
-        space = enumerate_states(lat, SiteCap(2))
+        space = enumerate_states(lat, MaxTotal(3))
         kg = build_killed_generator(space, model, target)
-        # survivors: eta(0) <= 1, states ordered (0,0),(0,1),(0,2),(1,0),(1,1),(1,2)
+        # survivors: eta(0) <= 1, in sector-major lexicographic order
         # jumps 0->1 and 1->0 both exist on the 2-torus via the +1 offset
         states = [tuple(s) for s in space.occupancies[kg.ac_indices]]
+        assert states == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3),
+                          (1, 2)]
         idx = {s: i for i, s in enumerate(states)}
-        dense = np.zeros((6, 6))
+        dense = np.zeros((7, 7))
 
         def add(a, b, r):
             dense[idx[a], idx[b]] += r
             dense[idx[a], idx[a]] -= r
 
         add((0, 1), (1, 0), 1.0)
-        add((0, 2), (1, 1), 2.0)
         add((1, 0), (0, 1), 1.0)
+        add((0, 2), (1, 1), 2.0)
         add((1, 1), (0, 2), 1.0)
-        # (1,1): jump 1<-... the move 1->0 would make eta(0)=2: killed
+        add((0, 3), (1, 2), 3.0)
+        add((1, 2), (0, 3), 1.0)
+        # the move 1->0 from (1,1) and from (1,2) makes eta(0)=2: killed
         dense[idx[(1, 1)], idx[(1, 1)]] -= 1.0
-        # (1,2): 0->1 suppressed by the cap; 1->0 kills
         dense[idx[(1, 2)], idx[(1, 2)]] -= 2.0
         assert np.allclose(kg.matrix.toarray(), dense, atol=1e-14)
-        assert kg.suppressed_rate > 0
 
     def test_space_above_the_family_bound_refused(self):
         """An exclusion generator needs a space enumerated with site_cap=1."""
@@ -316,7 +322,13 @@ class TestKilledGenerator:
                                    TargetSet(np.array([0]), 1))
 
     def test_sector_spaces_have_no_suppression(self, toy_spectral):
-        assert toy_spectral["kg"].suppressed_rate == 0.0
+        """A toy site holding k particles sends one out at rate g(k) = k
+        (kernel weights 0.7 + 0.3), and no jump is cut from a run of
+        sectors, so each exit rate is the particle number."""
+        kg, space = toy_spectral["kg"], toy_spectral["space"]
+        exits = -kg.matrix.diagonal()
+        assert np.allclose(exits, space.occupancies[kg.ac_indices].sum(axis=1),
+                           rtol=1e-14, atol=0)
 
     def test_stationary_vector_invariant_on_sector(self, toy):
         """Unkilled sector generator kills the canonical stationary vector."""

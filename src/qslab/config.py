@@ -105,8 +105,11 @@ def kernel_from_dict(spec: dict) -> JumpKernel:
 
 
 def target_from_dict(spec: dict) -> TargetSet:
-    return TargetSet(np.asarray(_require(spec, "sites", "target")),
-                     int(_require(spec, "threshold", "target")))
+    threshold = _require(spec, "threshold", "target")
+    if not _is_count(threshold):
+        raise ConfigError(f"target threshold must be a nonnegative integer, "
+                          f"got {threshold!r}")
+    return TargetSet(np.asarray(_require(spec, "sites", "target")), threshold)
 
 
 @dataclass
@@ -131,8 +134,12 @@ class ExperimentConfig:
             _require(model_spec, key, "model")
         _require(raw, "target", "config")  # every experiment kind reads it
         rho = raw.get("rho")
-        if rho is not None and not 0.0 <= _number(rho, float, "density rho"):
-            raise ConfigError(f"density must be nonnegative, got {rho}")
+        if rho is not None:
+            if not _is_time(rho):
+                raise ConfigError(f"density rho must be a number, "
+                                  f"got {rho!r}")
+            if not 0.0 <= rho:
+                raise ConfigError(f"density must be nonnegative, got {rho}")
         budgets = raw.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ConfigError(f"budgets must be a mapping, got {budgets!r}")
@@ -143,8 +150,12 @@ class ExperimentConfig:
                 if not _is_count(value):
                     raise ConfigError(f"budget {key} must be an integer, "
                                       f"got {value!r}")
-            if key == "t_max" and _number(value, float, f"budget {key}") <= 0:
-                raise ConfigError(f"budget {key} must be positive")
+            if key == "t_max":
+                if not _is_time(value):
+                    raise ConfigError(f"budget {key} must be a number, "
+                                      f"got {value!r}")
+                if not value > 0:
+                    raise ConfigError(f"budget {key} must be positive")
             if key == "kappas" and not (isinstance(value, list) and all(
                     _is_time(k) and k > 0 for k in value)):
                 raise ConfigError("budget kappas must be a list of positive "
@@ -167,9 +178,15 @@ class ExperimentConfig:
         if kind == "survival" and "t_grid" in budgets and "t_max" in budgets \
                 and float(budgets["t_max"]) < max(budgets["t_grid"]):
             raise ConfigError("budget t_max must cover the time grid")
-        if "seed" in raw and \
-                not 0 <= _number(raw["seed"], int, "seed") < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
+        if "seed" in raw:
+            seed = raw["seed"]
+            if not _is_time(seed):
+                raise ConfigError(f"seed must be a number, got {seed!r}")
+            if not _is_count(seed):
+                raise ConfigError(f"seed must be a nonnegative integer, "
+                                  f"got {seed!r}")
+            if seed >= 2**64:
+                raise ConfigError("seed must fit in 64 bits")
         # object construction surfaces structural errors early; a value of
         # the wrong type or form is a config error, a well-formed model that
         # breaks a rule a model error

@@ -22,8 +22,10 @@ KS_ALPHA = 0.05      # level of its Kolmogorov-Smirnov threshold
 # picks drawn at once by both bootstraps (`fit_decay`'s and
 # `exponentiality_report`'s): resamples of n picks come in blocks of
 # max(1, _BOOT_BLOCK // n), and an (r, n) draw equals r draws of n in turn,
-# so a block picks what one resample at a time picks; 128 kB of int64 picks
-# keep the peak memory near that of one resample and stay cache-resident
+# so a block picks what one resample at a time picks; the picks are uint32,
+# which numpy draws by the same bounded 32-bit path as int64 picks below
+# 2^32 (so the same values), and 64 kB of them keep the peak memory near
+# that of one resample and stay cache-resident
 _BOOT_BLOCK = 1 << 14
 
 
@@ -178,7 +180,7 @@ def fit_decay(curve: SurvivalCurve, seed: int = 0) -> DecayFit:
         counts = []
         for drawn in range(0, N_BOOT, rows):
             r = min(rows, N_BOOT - drawn)
-            picks = boot.integers(0, n, (r, n))
+            picks = boot.integers(0, n, (r, n), dtype=np.uint32)
             bins = n_win[picks] + (m + 1) * np.arange(r)[:, None]
             hist = np.bincount(bins.ravel(), minlength=r * (m + 1))
             # alive at window time j: the picks with n_win > j
@@ -248,18 +250,27 @@ class ExponentialityReport:
         }
 
 
-def _logsumexp(a):
-    """log(sum(exp(a))) along the last axis, with the arithmetic of scipy's
-    `logsumexp` (1.17), so it gives the same bits: the count m of entries
-    equal to the maximum leaves the sum, which adds exp of the others
-    shifted by the maximum (zeros in place of the maxima, so the pairwise
-    summation adds in the same order)."""
-    a_max = a.max(axis=-1, keepdims=True)
-    at_max = a == a_max
-    m = at_max.sum(axis=-1, keepdims=True, dtype=np.float64)
-    shifted = np.exp(np.where(at_max, -np.inf, a) - a_max)
-    s = shifted.sum(axis=-1, keepdims=True)
-    return (np.log1p(s / m) + np.log(m) + a_max)[..., 0]
+def _resampled_logsumexp(a, picks, shifted_by):
+    """log(sum(exp(a[picks]))) per row of `picks`, with the arithmetic of
+    scipy's `logsumexp` (1.17), so it gives the same bits: the count m of
+    entries equal to the row maximum leaves the sum, which adds exp of the
+    others shifted by the maximum (zeros in place of the maxima, so the
+    pairwise summation adds in the same order).  Each exp is taken once per
+    distinct maximum rather than once per pick: `shifted_by` maps a maximum
+    to exp of `a` shifted by it (zero at and above the maximum, which no
+    row with that maximum picks), and a row gathers its values from there.
+    Hitting times at zero sit far below any maximum, and an exp that
+    underflows costs many times a normal one."""
+    vals = a[picks]
+    a_max = vals.max(axis=-1)
+    m = (vals == a_max[:, None]).sum(axis=-1, dtype=np.float64)
+    tops, which = np.unique(a_max, return_inverse=True)
+    for top in tops.tolist():
+        if top not in shifted_by:
+            shifted_by[top] = np.exp(np.where(a < top, a, -np.inf) - top)
+    table = np.concatenate([shifted_by[top] for top in tops.tolist()])
+    s = table.take(picks + (which * a.size)[:, None]).sum(axis=-1)
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def exponentiality_report(taus: np.ndarray, lambda_hat: float,
@@ -285,7 +296,10 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
     logt = np.log(np.clip(taus, 1e-300, None))
     for k in range(1, MAX_MOMENT + 1):
         klogt = k * logt
-        log_mk = float(_logsumexp(klogt) - math.log(n))
+        # the full sample is one row, the picks of every sample
+        shifted_by = {}
+        log_mk = float(_resampled_logsumexp(
+            klogt, np.arange(n)[None, :], shifted_by)[0] - math.log(n))
         theo = math.lgamma(k + 1) - k * math.log(lambda_hat)
         ratio = math.exp(log_mk - theo)
         # a row-wise log-sum-exp equals the 1-d one, so blocks of resamples
@@ -294,8 +308,10 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
         rows = max(1, _BOOT_BLOCK // n)
         log_sums = []
         for start in range(0, n_boot, rows):
-            picks = boot.integers(0, n, (min(rows, n_boot - start), n))
-            log_sums += _logsumexp(klogt[picks]).tolist()
+            picks = boot.integers(0, n, (min(rows, n_boot - start), n),
+                                  dtype=np.uint32)
+            log_sums += _resampled_logsumexp(klogt, picks,
+                                             shifted_by).tolist()
         ratios = np.array([math.exp(v - math.log(n) - theo)
                            for v in log_sums])
         lo, hi = np.quantile(ratios, [0.0015, 0.9985])  # ~3 sigma band

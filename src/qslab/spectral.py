@@ -114,7 +114,11 @@ class StateSpace:
     `lowest` total to its `total`, each in lexicographic order.  A state's
     index is its position in that order, computed from the state itself:
     the size of the lower sectors of the run plus, per site, the number of
-    sector states that agree before that site and hold less on it."""
+    sector states that agree before that site and hold less on it.  Each
+    such number is a difference of two prefix counts read at the particles
+    at and after the site and at those after it; the sum over the sites
+    telescopes, so a rank is one read per site of a flat term table of
+    n_sites x (total + 1) entries, built once."""
 
     def __init__(self, lattice: Lattice, occupancies: np.ndarray, constraint):
         self.lattice = lattice
@@ -128,11 +132,20 @@ class StateSpace:
         # prefix sums over the particle number, reduced mod 2^64: a rank is a
         # sum of differences of these, each at most the state count, so the
         # wrapped uint64 arithmetic returns it exactly
-        self._below = (np.cumsum(counts, axis=1) % 2**64).astype(np.uint64)
-        # states of the space with fewer particles than each total
+        below = (np.cumsum(counts, axis=1) % 2**64).astype(np.uint64)
+        # a site with j sites after it, `at` particles from it on and `past`
+        # after it adds below[j, at] - below[j, past].  `past` is `at` of the
+        # next site (0 after the last), so the sum over the sites telescopes
+        # to one read per site of term[j] = below[j] - below[j + 1]; the
+        # first site's row (j = n_sites - 1, where `at` is the total) also
+        # adds the states of the lower sectors of the run and takes
+        # below[0, 0] for the last site's `past`
         fewer = np.zeros(constraint.total + 1, dtype=np.uint64)
-        fewer[1:] = self._below[n_sites, :-1]
-        self._sector_start = fewer - fewer[constraint.lowest]
+        fewer[1:] = below[n_sites, :-1]
+        terms = below[:n_sites].copy()
+        terms[:-1] -= below[1:n_sites]
+        terms[-1] += fewer - fewer[constraint.lowest] - below[0, 0]
+        self._terms = terms.ravel()
         if not np.array_equal(self._rank(occupancies), np.arange(self.size)):
             raise StateSpaceError(
                 "occupancies are not the enumeration of the constraint")
@@ -148,19 +161,18 @@ class StateSpace:
     def _rank(self, occ: np.ndarray) -> np.ndarray:
         """Indices of the rows of `occ` in the space, -1 for absent ones."""
         occ = np.asarray(occ, dtype=np.int64)
-        valid = ((occ >= 0) & (occ <= self._cap)).all(axis=1)
-        totals = occ.sum(axis=1)
-        valid &= ((totals >= self.constraint.lowest)
-                  & (totals <= self.constraint.total))
-        occ = np.where(valid[:, None], occ, 0)
-        totals = occ.sum(axis=1)
-        # particles at and after each site, and the number of sites after it
-        left = totals[:, None] - np.cumsum(occ, axis=1) + occ
-        after = np.arange(self.n_sites - 1, -1, -1)
-        below = self._below
-        rank = self._sector_start[totals] + (
-            below[after, left] - below[after, left - occ]).sum(
-                axis=1, dtype=np.uint64)
+        # the sites last to first, so column j has j sites after it and
+        # holds the particles at and after its site
+        at = np.cumsum(occ[:, ::-1], axis=1)
+        totals = at[:, -1]
+        valid = ((totals >= self.constraint.lowest)
+                 & (totals <= self.constraint.total))
+        if not 0 <= occ.min(initial=0) <= occ.max(initial=0) <= self._cap:
+            valid &= ((occ >= 0) & (occ <= self._cap)).all(axis=1)
+        # an absent row may point outside the table: a clipped read keeps it
+        # in bounds, and -1 replaces its rank
+        at += np.arange(self.n_sites) * (self.constraint.total + 1)
+        rank = self._terms.take(at, mode="clip").sum(axis=1, dtype=np.uint64)
         return np.where(valid, rank.view(np.int64), -1)
 
     def index_of(self, occupancy) -> int:

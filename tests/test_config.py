@@ -62,6 +62,13 @@ def test_base_config_is_valid():
     (("budgets", "t_max"), [5.0], "t_max must be a number"),
     (("rho",), "half", "rho must be a number"),
     (("seed",), "three", "seed must be a number"),
+    (("rho",), True, "rho must be a number"),
+    (("seed",), True, "seed must be a number"),
+    (("seed",), 1.5, "seed must be a nonnegative integer"),
+    (("seed",), -1, "seed must be a nonnegative integer"),
+    (("target", "threshold"), 1.5, "threshold must be a nonnegative integer"),
+    (("target", "threshold"), True, "threshold must be a nonnegative integer"),
+    (("budgets", "t_max"), True, "t_max must be a number"),
     (("model", "rates", "g"), {"kind": "cubic"}, "unknown g kind"),
     (("model", "rates"), {"family": "teleport"}, "unknown rate family"),
     (("model", "rates"), {"family": "misanthrope", "g": {"kind": "identity"},
@@ -71,7 +78,9 @@ def test_base_config_is_valid():
         "kappas-scalar", "seed", "n_traj-word", "n_traj-bool",
         "n_traj-fraction", "kappas-bool", "t_grid-bool",
         "state_space-fraction", "t_max-list", "rho-word",
-        "seed-word", "g-kind", "rate-family", "b-kind"])
+        "seed-word", "rho-bool", "seed-bool", "seed-fraction",
+        "seed-negative", "threshold-fraction", "threshold-bool", "t_max-bool",
+        "g-kind", "rate-family", "b-kind"])
 def test_malformed_field_is_a_config_error(path, value, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(_with(path, value))

@@ -142,6 +142,19 @@ class TestEnumeration:
         lat = Lattice((2,), "torus")
         assert enumerate_states(lat, MaxTotal(4), site_cap=2).size == 9
 
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_many_particles_on_few_sites(self, n_sites):
+        """A space the state limit admits ranks in memory of the order of
+        its sites times its particles: 50,000 uncapped particles on one or
+        two sites."""
+        total = 50_000
+        space = enumerate_states(Lattice((n_sites,), "torus"),
+                                 FixedTotal(total))
+        assert space.size == total * (n_sites - 1) + 1
+        last = (total,) if n_sites == 1 else (total, 0)
+        assert space.index_of(last) == space.size - 1
+        assert space._rank(np.array([last]) + 1).tolist() == [-1]
+
     def test_refusal_reports_count(self):
         # binom(16, 8) states of at most 8 particles on 8 sites
         lat = Lattice((8,), "torus")
@@ -240,6 +253,32 @@ class TestAgainstLoopReference:
         for occ in absent:
             with pytest.raises(StateSpaceError):
                 space.index_of(occ)
+
+    def test_rank_of_a_mixed_batch(self, reference_case):
+        """One `_rank` call on the enumeration shuffled among rows with a
+        -1, rows above the cap and rows of a total outside the run gives
+        each row its index, -1 for the absent ones."""
+        space = reference_case[3]
+        rng = np.random.default_rng(11)
+        occ = space.occupancies
+        negative = occ[rng.integers(0, space.size, 50)].copy()
+        negative[np.arange(50), rng.integers(0, space.n_sites, 50)] = -1
+        over_cap = occ[rng.integers(0, space.size, 50)].copy()
+        over_cap[np.arange(50), rng.integers(0, space.n_sites, 50)] = \
+            space.occupancies.max() + 1
+        wrong_total = occ[rng.integers(0, space.size, 50)].copy()
+        wrong_total[:, 0] += space.constraint.total + 1
+        if space.constraint.lowest > 0:
+            # one particle short of the run, on a site that holds some
+            short = occ[rng.integers(0, space.size, 50)].copy()
+            short[np.arange(50), np.argmax(short, axis=1)] -= 1
+            wrong_total = np.vstack([wrong_total, short])
+        batch = np.vstack([occ, negative, over_cap, wrong_total])
+        rng.shuffle(batch)
+        index = {tuple(row): i for i, row in enumerate(occ.tolist())}
+        expected = [index.get(tuple(row), -1) for row in batch.tolist()]
+        assert space._rank(batch).tolist() == expected
+        assert expected.count(-1) == batch.shape[0] - space.size
 
     def test_generator_matches_loop(self, reference_case):
         model, target, _, space, kg = reference_case

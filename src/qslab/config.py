@@ -175,6 +175,12 @@ class ExperimentConfig:
                     and all(_is_time(t) for t in value)):
                 raise ConfigError(f"budget {key} must be a list of times, "
                                   f"got {value!r}")
+        # the gap's standard error is a sample deviation (ddof=1), which
+        # one coupling leaves undefined
+        if kind == "couplings" and budgets.get("n_traj", 2) < 2:
+            raise ConfigError("budget n_traj must be at least 2 for "
+                              "couplings: the gap's standard error needs "
+                              "two couplings")
         if kind == "survival" and "t_grid" in budgets and "t_max" in budgets \
                 and float(budgets["t_max"]) < max(budgets["t_grid"]):
             raise ConfigError("budget t_max must cover the time grid")

@@ -3,20 +3,23 @@ times and survival curves, the second-class-particle coupling with the
 exact hitting probability of its dominating free walk, and the tagged-exit
 bound.
 
-One lockstep event engine runs every Monte Carlo path: Gillespie's direct
-method applied to all trajectories of a batch at once, one event per numpy
-step.  The state is an (n_rows, n_sites) occupancy matrix.  Each step
-recomputes the rate w(y - x) b(occ_x, occ_y) of every jump with
-`model.jump_rates` from the model's jump table and b table, the one rate
-rule the exact generator reads too, so a b that depends on the destination
-needs no special case, and takes each row's total from a fresh cumulative
-sum: there is no running total, hence no drift and no resynchronization.
-Each live row then draws its waiting time and its (site, offset) pick;
-rows that enter the target, pass the horizon or have no rate left retire.  Recorded events are gathered
-per step and split by row at the end, so there is no event buffer and no
-resume.  The couplings are short loops over the same primitives: the rate
-matrix (`jump_rates`), the per-row draws (`_Draws`) and the
-categorical pick (`_categorical`).
+One lockstep event engine, `_Lockstep`, runs every Monte Carlo path:
+Gillespie's direct method applied to all trajectories of a batch at once,
+one event per numpy step.  The state is an (n_rows, n_sites) occupancy
+matrix.  Each step recomputes the rate w(y - x) b(occ_x, occ_y) of every
+jump with `model.jump_rates` from the model's jump table and b table, the
+one rate rule the exact generator reads too, so a b that depends on the
+destination needs no special case, and takes each row's total from a fresh
+cumulative sum: there is no running total, hence no drift and no
+resynchronization.  Each live row then draws its waiting time and its
+event; rows with no rate left or past the horizon end.  Its three users
+differ only in their stop rule and their extra draws: the killed runs
+(`run_killed`) stop at the target; the coupling (`second_class_escape`)
+adds the tagged particle's clocks and one draw per excess sub-event and
+stops when eta enters the target; the tagged exit (`sigma_exit`) draws a
+third uniform for the mover and stops when a tagged particle enters the
+window.  Recorded events are gathered per step and split by row at the
+end, so there is no event buffer and no resume.
 
 Every trajectory draws from its own counter-based stream keyed by
 (master seed, TRAJECTORY, index).  Draws are addressed by word position in
@@ -135,103 +138,140 @@ def _categorical(rates: np.ndarray, cum: np.ndarray, u: np.ndarray):
     return k, np.maximum(u - (cum[rows, k] - rates[rows, k]), 0.0)
 
 
-def _draw_jumps(nbr: np.ndarray, rates: np.ndarray, site: np.ndarray,
-                cum: np.ndarray, u: np.ndarray):
-    """Jump of each row, picked with probability proportional to its rate:
-    `u` in [0, total) selects the source site, and what is left of it the
-    offset.  Returns (sources, destinations)."""
-    src, residual = _categorical(site, cum, u)
-    if rates.shape[2] == 1:
-        return src, nbr[src, 0]
-    at = rates[np.arange(src.size), src]
-    off, _ = _categorical(at, np.cumsum(at, axis=1), residual)
-    return src, nbr[src, off]
+class _Lockstep:
+    """Gillespie's direct method on the rows of a batch, one event per live
+    row per step.  Row r starts from `occ[r]` at time t0 and reads its
+    uniforms from `draws`; `nbr` and `w` are the model's jump table
+    (`Model.jump_table`) and `btab` its b table (`RateFunction.b_table`).
 
+    The live rows are held as one compacted block: `live` holds their row
+    numbers in the batch, `x` their occupancies and `t` their clocks.  A
+    row ends when `step` finds it frozen (total rate at or below
+    `_FROZEN_RATE`) or its next event past the horizon (censored, with its
+    clock set to the horizon), or when its caller's stop rule ends it
+    (`stop`).  `retire` then writes its occupancy into `occ`, its end
+    status into `status` and its clock into `clock`, and drops it from the
+    block.  `counts` holds the events of each row."""
 
-def _site_rates(rates: np.ndarray):
-    """Per-site exit rates, their row-wise cumulative sums and totals."""
-    site = rates[:, :, 0] if rates.shape[2] == 1 else rates.sum(axis=2)
-    cum = np.cumsum(site, axis=1)
-    return site, cum, cum[:, -1]
+    def __init__(self, occ: np.ndarray, nbr: np.ndarray, w: np.ndarray,
+                 btab: np.ndarray, draws: _Draws, t0: float):
+        n = occ.shape[0]
+        self.occ, self.nbr, self.w, self.btab = occ, nbr, w, btab
+        self.draws = draws
+        self.status = np.zeros(n, dtype=np.int64)
+        self.clock = np.empty(n)
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.live = np.arange(n)
+        self.x = occ.copy()
+        self.t = np.full(n, float(t0))
+        self.end = np.zeros(n, dtype=np.int64)
+
+    def stop(self, rows, status: int) -> None:
+        """End `rows` (a mask or positions in the live block) with status."""
+        self.end[rows] = status
+
+    def retire(self) -> int:
+        """Write back the rows that ended and drop them from the block;
+        returns the number of rows still live."""
+        if self.end.any():
+            done = self.end > 0
+            rows, keep = self.live[done], ~done
+            self.occ[rows], self.status[rows] = self.x[done], self.end[done]
+            self.clock[rows] = self.t[done]
+            self.live, self.x, self.t, self.end = (
+                self.live[keep], self.x[keep], self.t[keep], self.end[keep])
+        return self.live.size
+
+    def step(self, n_u: int, horizon: float, clocks=None):
+        """Advance every live row by one event.  A row reads its next `n_u`
+        uniforms: the first gives the waiting time, and the second times
+        the total rate picks the event, among the particle jumps in (site,
+        offset) order, then among the columns of `clocks` (extra rates per
+        live row).  An event may fall at the horizon but not past it, as
+        P(tau > t) needs.  Returns the rows whose event was a particle jump
+        (positions in the live block), their sources, destinations and
+        uniforms, and the (rows, columns) of those whose event was a
+        clock."""
+        rates = jump_rates(self.x, self.nbr, self.w, self.btab)
+        site = rates[:, :, 0] if rates.shape[2] == 1 else rates.sum(axis=2)
+        cum = np.cumsum(site, axis=1)
+        jumps = cum[:, -1]
+        total = jumps if clocks is None else jumps + clocks.sum(axis=1)
+        u = self.draws.take(self.live, n_u)
+        frozen = total <= _FROZEN_RATE
+        # a frozen row divides by the floor instead of 0; it does not move
+        t_next = self.t - np.log1p(-u[:, 0]) / np.maximum(total, _FROZEN_RATE)
+        stay = frozen | (t_next > horizon)
+        if stay.any():
+            self.end[stay] = np.where(frozen[stay], _FROZEN, _CENSORED)
+            self.t[stay & ~frozen] = horizon
+            move = np.flatnonzero(~stay)
+        else:  # a slice spares copying the rate arrays
+            move = slice(None)
+        self.t[move] = t_next[move]
+        self.counts[self.live[move]] += 1
+        rows = np.arange(self.live.size)[move]
+        u = u[move]
+        pick = u[:, 1] * total[move]
+        fired = (rows[:0], rows[:0])
+        if clocks is not None:
+            jump = pick < jumps[move]
+            if not jump.all():
+                on = rows[~jump]
+                at = clocks[on]
+                fired = (on, _categorical(at, np.cumsum(at, axis=1),
+                                          pick[~jump] - jumps[on])[0])
+                rows = move = rows[jump]
+                u, pick = u[jump], pick[jump]
+        src, residual = _categorical(site[move], cum[move], pick)
+        if rates.shape[2] == 1:
+            dst = self.nbr[src, 0]
+        else:
+            at = rates[rows, src]
+            off, _ = _categorical(at, np.cumsum(at, axis=1), residual)
+            dst = self.nbr[src, off]
+        self.x[rows, src] -= 1
+        self.x[rows, dst] += 1
+        return rows, src, dst, u, fired
 
 
 def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
                t_max, status, clock, counts, frozen_rate, n_ev0):
-    """Lockstep engine: advance every row of `occ` (one trajectory per row,
-    all starting at time t0) until its window sum exceeds `threshold`, its
-    next event falls past `t_max`, or its total rate is at or below
-    `frozen_rate`.
-
-    `nbr` and `w` are the model's jump table (`Model.jump_table`), `btab`
-    its b table (`RateFunction.b_table`) and `draws` the rows' `_Draws` (two
-    uniforms per event: the waiting time, then the jump).  `occ` ends as the final occupancies;
-    `status`, `clock` and `counts` receive, per row, the end status, the end
-    time (the hit time; `t_max` when censored; the freezing time when
-    frozen) and the number of events.  When `log` is a list, each step
-    appends the (rows, times, sources, destinations) of its events.
+    """The killed runs on the lockstep engine (`_Lockstep`, two uniforms
+    per event): advance every row of `occ` from time t0 until its window
+    sum over the mask `in_window` exceeds `threshold`, its next event falls
+    past `t_max` or it has no rate left.  `occ` ends as the final
+    occupancies; `status`, `clock` and `counts` receive, per row, the end
+    status, the end time (the hit time; `t_max` when censored; the freezing
+    time when frozen) and the number of events.  When `log` is a list, each
+    step appends the (rows, times, sources, destinations) of its events.
 
     Returns (0, clock, n_ev0 + events).  The benchmark's layer tracer
     (bench/layertrace.py) reads this function by position: `occ`,
     `threshold`, `t0` and `n_ev0` at 0, 7, 8 and 14, and a result of
-    (status, time, event count) with a scalar status."""
+    (status, time, event count) with a scalar status.  So three leftovers
+    of an older per-trajectory kernel stay until that tracer changes
+    (ROADMAP D13): `frozen_rate`, which is not read (the engine's floor is
+    `_FROZEN_RATE`, the value the one caller passes), `n_ev0`, and the
+    leading 0 of the result."""
     cap = btab.shape[0] - 1
-    live = np.arange(occ.shape[0])
-    x = occ.copy()
-    t = np.full(live.size, float(t0))
-    win = x[:, in_window].sum(axis=1)
-    end = np.where(win > threshold, _HIT, 0)
-    while True:
-        done = end > 0
-        if done.any():
-            rows, keep = live[done], ~done
-            occ[rows], status[rows] = x[done], end[done]
-            clock[rows] = np.where(end[done] == _CENSORED, t_max, t[done])
-            live, x, t, win, end = live[keep], x[keep], t[keep], win[keep], \
-                end[keep]
-        if live.size == 0:
-            return 0, clock, n_ev0 + int(counts.sum())
-        rates = jump_rates(x, nbr, w, btab)
-        site, cum, total = _site_rates(rates)
-        end[total <= frozen_rate] = _FROZEN
-        if end.any():
-            continue
-        u = draws.take(live, 2)
-        t_next = t - np.log1p(-u[:, 0]) / total
-        censored = t_next > t_max
-        if censored.any():
-            end[censored] = _CENSORED
-            move = np.flatnonzero(~censored)
-        else:  # a slice spares copying the rate arrays
-            move = slice(None)
-        t[move] = t_next[move]
-        src, dst = _draw_jumps(nbr, rates[move], site[move], cum[move],
-                               u[move, 1] * total[move])
-        rows = np.arange(live.size)[move]
-        if (x[rows, dst] >= cap).any():
+    engine = _Lockstep(occ, nbr, w, btab, draws, t0)
+    win = occ[:, in_window].sum(axis=1)
+    engine.stop(win > threshold, _HIT)
+    while engine.retire():
+        rows, src, dst, _, _ = engine.step(2, t_max)
+        if (engine.x[rows, dst] > cap).any():
             # the rate table certifies b rows up to its cap; exceeding it
             # means the caller sized it below the particle total
             raise RuntimeError("occupancy exceeded the rate-table cap")
-        x[rows, src] -= 1
-        x[rows, dst] += 1
-        win[rows] += in_window[dst].astype(np.int64) - in_window[src]
-        counts[live[rows]] += 1
+        batch_rows = engine.live[rows]
+        win[batch_rows] += in_window[dst].astype(np.int64) - in_window[src]
         if log is not None:
-            log.append((live[rows], t[rows], src, dst))
-        end[win > threshold] = _HIT
-
-
-def _engine_events(log: list, counts: np.ndarray) -> list:
-    """Per-row (times, sources, destinations) from an engine log, by a
-    stable sort on the row."""
-    if not log:
-        return [(np.empty(0), np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.int64))] * counts.size
-    rows, times, srcs, dsts = (np.concatenate(part) for part in zip(*log))
-    order = np.argsort(rows, kind="stable")
-    times, srcs, dsts = times[order], srcs[order], dsts[order]
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    return [(times[a:b], srcs[a:b], dsts[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+            log.append((batch_rows, engine.t[rows], src, dst))
+        engine.stop(win[engine.live] > threshold, _HIT)
+    status[:], clock[:] = engine.status, engine.clock
+    counts += engine.counts
+    return 0, clock, n_ev0 + int(counts.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +395,8 @@ def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
     clock = np.full(n, float(t_max))
     counts = np.zeros(n, dtype=np.int64)
     if immortal.any():
-        _, _, total = _site_rates(
-            jump_rates(occ[immortal], ctx.nbr, ctx.weights, btab))
+        total = jump_rates(occ[immortal], ctx.nbr, ctx.weights,
+                           btab).sum(axis=(1, 2))
         status[immortal] = np.where(total <= _FROZEN_RATE, _FROZEN, _CENSORED)
     mortal = np.flatnonzero(~immortal)
     log = [] if record else None
@@ -372,10 +412,17 @@ def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
     hit = status == _HIT
     events = None
     if record:
-        events = [(np.empty(0), np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.int64))] * n
-        for k, ev in zip(mortal, _engine_events(log, counts[mortal])):
-            events[k] = ev
+        # a stable sort on the row splits the log by trajectory; `mortal`
+        # is increasing, and immortal rows have no events
+        times = np.empty(0)
+        srcs = dsts = np.empty(0, dtype=np.int64)
+        if log:
+            rows, times, srcs, dsts = (np.concatenate(p) for p in zip(*log))
+            order = np.argsort(rows, kind="stable")
+            times, srcs, dsts = times[order], srcs[order], dsts[order]
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        events = [(times[a:b], srcs[a:b], dsts[a:b])
+                  for a, b in zip(bounds[:-1], bounds[1:])]
     return BatchResult(np.where(hit, clock, t_max), hit, status == _FROZEN,
                        immortal, t_max, occ, events, finals, counts)
 
@@ -601,18 +648,13 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
     k_thr = int(target.threshold)
     draws = _Draws(rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj)),
                    0)
-    occ = np.tile(eta0, (n_traj, 1))
-    ws = occ @ lam                      # window sum of eta
+    engine = _Lockstep(np.tile(eta0, (n_traj, 1)), ctx.nbr, ctx.weights,
+                       btab, draws, 0.0)
+    ws = engine.occ @ lam               # window sum of eta
     X = np.full(n_traj, site)           # the tagged particle
-    t = np.zeros(n_traj)
-    tau_eta = np.full(n_traj, np.inf)
     tau_zeta = np.where(ws + lam[X] > k_thr, 0.0, np.inf)
-    events = 0
-    live = np.arange(n_traj)
-    while live.size:
-        x = occ[live]
-        rates = jump_rates(x, ctx.nbr, ctx.weights, btab)
-        site_r, cum, eta_total = _site_rates(rates)
+    while engine.retire():
+        live, x = engine.live, engine.x
         # tagged-particle clock: the attractiveness increment per target
         # (backward displacement by jumps into the tagged site is an excess
         # sub-event of the ordinary jumps, handled below)
@@ -623,51 +665,30 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
             nX = x[free, Xf][:, None]
             ny = x[free[:, None], ctx.nbr[Xf]]
             tag[free] = ctx.weights[Xf] * (btab[nX + 1, ny] - btab[nX, ny])
-        total = eta_total + tag.sum(axis=1)
-        u = draws.take(live, 2)
-        with np.errstate(divide="ignore"):
-            t_next = t[live] - np.log1p(-u[:, 0]) / total
-        go = np.flatnonzero((total > 0) & (t_next < horizon))
-        live, t_next, u, total = live[go], t_next[go], u[go], total[go]
-        rates, site_r, cum, eta_total, tag = (
-            rates[go], site_r[go], cum[go], eta_total[go], tag[go])
-        t[live] = t_next
-        events += live.size
-        pick = u[:, 1] * total
-        eta = pick < eta_total
-        if eta.any():
-            # ordinary eta jump (shared by both systems)
-            rows = live[eta]
-            src, dst = _draw_jumps(ctx.nbr, rates[eta], site_r[eta], cum[eta],
-                                   pick[eta])
-            occ[rows, src] -= 1
-            occ[rows, dst] += 1
-            ws[rows] += lam[dst] - lam[src]
-            into = (tau_zeta[rows] == np.inf) & (dst == X[rows])
-            if model.rates.target_dependent and into.any():
-                # excess part of jumps into the tagged site relocates the
-                # discrepancy: zeta keeps its particle, eta catches up
-                r, s = rows[into], src[into]
-                n_src, n_X = occ[r, s] + 1, occ[r, X[r]]
-                full = btab[n_src, n_X - 1]
-                excess = full - btab[n_src, n_X]
-                pos = excess > 0
-                r, s, full, excess = r[pos], s[pos], full[pos], excess[pos]
-                moved = draws.take(r)[:, 0] * full < excess
-                X[r[moved]] = s[moved]
-        if not eta.all():
-            tagged = ~eta
-            rows = live[tagged]
-            residual = pick[tagged] - eta_total[tagged]
-            off, _ = _categorical(tag[tagged], np.cumsum(tag[tagged], axis=1),
-                                  residual)
-            X[rows] = ctx.nbr[X[rows], off]  # tagged particle jumps
+        rows, src, dst, _, (clocked, off) = engine.step(2, horizon, tag)
+        # ordinary eta jumps (shared by both systems)
+        r = live[rows]
+        ws[r] += lam[dst] - lam[src]
+        into = (tau_zeta[r] == np.inf) & (dst == X[r])
+        if model.rates.target_dependent and into.any():
+            # excess part of jumps into the tagged site relocates the
+            # discrepancy: zeta keeps its particle, eta catches up
+            k, r, s = rows[into], r[into], src[into]
+            n_src, n_X = x[k, s] + 1, x[k, X[r]]  # x is after the move
+            full = btab[n_src, n_X - 1]
+            excess = full - btab[n_src, n_X]
+            pos = excess > 0
+            r, s, full, excess = r[pos], s[pos], full[pos], excess[pos]
+            moved = draws.take(r)[:, 0] * full < excess
+            X[r[moved]] = s[moved]
+        r = live[clocked]
+        X[r] = ctx.nbr[X[r], off]       # tagged particle jumps
         entered = ws[live] > k_thr
-        zeta_free = tau_zeta[live] == np.inf
-        tau_eta[live[entered]] = t[live[entered]]
-        zeta_hit = zeta_free & (entered | (ws[live] + lam[X[live]] > k_thr))
-        tau_zeta[live[zeta_hit]] = t[live[zeta_hit]]
-        live = live[~entered]
+        zeta_hit = (tau_zeta[live] == np.inf) \
+            & (entered | (ws[live] + lam[X[live]] > k_thr))
+        tau_zeta[live[zeta_hit]] = engine.t[zeta_hit]
+        engine.stop(entered, _HIT)
+    tau_eta = np.where(engine.status == _HIT, engine.clock, np.inf)
     violations = int(np.count_nonzero(tau_zeta > tau_eta))
     surv_eta = (tau_eta[None, :] > t_grid[:, None]).mean(axis=1)
     surv_zeta = (tau_zeta[None, :] > t_grid[:, None]).mean(axis=1)
@@ -677,7 +698,7 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
     gap_se = diff.std(axis=1, ddof=1) / np.sqrt(n_traj)
     h = rw_hitting(model.lattice, model.kernel, site, target.sites)
     WORK.trajectories += n_traj
-    WORK.events += events
+    WORK.events += int(engine.counts.sum())
     return SecondClassReport(
         t_grid=t_grid, gap=gap, gap_stderr=gap_se, survival_eta=surv_eta,
         walk_hit_probability=h, epsilon_bound=1.0 - h,
@@ -715,60 +736,37 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     the first num_sites uniforms) and then its events from stream (seed,
     TRAJECTORY, i)."""
     lattice = model.lattice
-    nbr, w = model.jump_table()
-    lam_sites = target.sites
-    lam_mask = target.mask(lattice.num_sites)
+    ctx = SimContext(model, target)
     key = rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj))
     occ = measure.from_uniforms(rngmod.uniforms(key, 0, lattice.num_sites))
     btab = model.rates.b_table(max(int(occ.sum(axis=1).max(initial=0)), 1))
-    tagged = occ.copy()
-    tagged[:, lam_sites] = 0
-    draws = _Draws(key, lattice.num_sites)
-    survived = np.ones(n_traj, dtype=bool)
-    t = np.zeros(n_traj)
-    events = 0
-    live = np.arange(n_traj)
-    while live.size:
-        rates = jump_rates(occ[live], nbr, w, btab)
-        site_r, cum, total = _site_rates(rates)
-        u = draws.take(live, 3)
-        with np.errstate(divide="ignore"):
-            t_next = t[live] - np.log1p(-u[:, 0]) / total
-        go = np.flatnonzero((total > 0) & (t_next <= kappa))
-        rows, t_next, u, total = live[go], t_next[go], u[go], total[go]
-        t[rows] = t_next
-        events += rows.size
-        src, dst = _draw_jumps(nbr, rates[go], site_r[go], cum[go],
-                               u[:, 1] * total)
-        mover_tagged = u[:, 2] * occ[rows, src] < tagged[rows, src]
-        occ[rows, src] -= 1
-        occ[rows, dst] += 1
-        tagged[rows[mover_tagged], src[mover_tagged]] -= 1
-        entered = mover_tagged & lam_mask[dst]
+    tagged = np.where(ctx.in_window, 0, occ)
+    engine = _Lockstep(occ, ctx.nbr, ctx.weights, btab,
+                       _Draws(key, lattice.num_sites), 0.0)
+    while engine.retire():
+        rows, src, dst, u, _ = engine.step(3, kappa)
+        r = engine.live[rows]
+        # the source held one more particle before the move
+        mover_tagged = u[:, 2] * (engine.x[rows, src] + 1) < tagged[r, src]
+        tagged[r[mover_tagged], src[mover_tagged]] -= 1
+        entered = mover_tagged & ctx.in_window[dst]
         stays = mover_tagged & ~entered
-        tagged[rows[stays], dst[stays]] += 1
-        survived[rows[entered]] = False
-        live = rows[~entered]
+        tagged[r[stays], dst[stays]] += 1
+        engine.stop(rows[entered], _HIT)
+    survived = engine.status != _HIT
     WORK.trajectories += n_traj
-    WORK.events += events
+    WORK.events += int(engine.counts.sum())
     p = float(survived.mean())
     se = float(np.sqrt(max(p * (1 - p), 1e-300) / n_traj))
-    dist = lattice.graph_distance(list(lam_sites), model.kernel.offsets)
+    dist = lattice.graph_distance(list(target.sites), model.kernel.offsets)
     R = max(1, model.kernel.range)
     delta_lip = model.rates.delta()
     deltas = np.zeros(lattice.num_sites)
-    for i in range(lattice.num_sites):
-        if lam_mask[i]:
-            continue
-        if dist[i] < 0:
-            deltas[i] = 0.0
-            continue
+    # window sites, and sites from which the window is out of reach, keep 0
+    for i in np.flatnonzero(~ctx.in_window & (dist >= 0)):
         d = dist[i] // R
         deltas[i] = min(1.0, (delta_lip * kappa) ** d / math.factorial(d))
-    outside = ~lam_mask
-    if np.any(deltas[outside] >= 1.0):
-        bound = 0.0
-    else:
-        bound = float(np.exp(measure.rho
-                             * np.log1p(-deltas[outside]).sum()))
+    outside = deltas[~ctx.in_window]
+    bound = 0.0 if (outside >= 1.0).any() else \
+        float(np.exp(measure.rho * np.log1p(-outside).sum()))
     return SigmaExitReport(kappa, p, se, bound, deltas)

@@ -430,7 +430,7 @@ def second_class_loop(model, target, eta0, site, horizon, n_traj, seed):
         ws, X, t, te, tz = int(occ[lam].sum()), site, 0.0, np.inf, np.inf
         if ws + lam[X] > k_thr:
             tz = 0.0
-        while t < horizon and te == np.inf:
+        while te == np.inf:
             site_rates = _site_rates_loop(occ, nbr, weights, b)
             tag = [0.0] * nbr.shape[1]
             if tz == np.inf:
@@ -441,10 +441,10 @@ def second_class_loop(model, target, eta0, site, horizon, n_traj, seed):
                                                - b(int(occ[X]), int(occ[y])))
             eta_total = _total_loop(site_rates)
             total = eta_total + _total_loop(tag)
-            if total <= 0:
+            if total <= 1e-300:
                 break
             t -= np.log1p(-gen.random()) / total
-            if t >= horizon:
+            if t > horizon:
                 break
             u = gen.random() * total
             if u < eta_total:
@@ -489,7 +489,7 @@ def sigma_exit_loop(model, target, measure, kappa, n_traj, seed):
         while True:
             site_rates = _site_rates_loop(occ, nbr, weights, b)
             total = _total_loop(site_rates)
-            if total <= 0:
+            if total <= 1e-300:
                 break
             t -= np.log1p(-gen.random()) / total
             if t > kappa:

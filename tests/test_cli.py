@@ -200,6 +200,7 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
               {"state_space": {"kind": "max_total"}}),
     _replaced(dict(SURVIVAL, experiment="spectral"), ("budgets",),
               {"state_space": "max_total"}),
+    _replaced(COUPLINGS, ("budgets", "n_traj"), 1),
     _replaced(COUPLINGS, ("budgets", "site"), 7),
     _replaced(COUPLINGS, ("budgets", "initial"), "abc"),
     _replaced(COUPLINGS, ("budgets", "initial"), [1, 0]),
@@ -217,10 +218,11 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
         "t_grid-string", "t_grid-empty", "state-space-no-value",
-        "state-space-string", "site-off-lattice", "initial-string",
-        "initial-short", "initial-negative", "site-in-window",
-        "initial-in-target", "site-full", "initial-over-cap",
-        "target-missing", "oracle-ring-no-rho", "oracle-line-no-rho"])
+        "state-space-string", "couplings-one-traj", "site-off-lattice",
+        "initial-string", "initial-short", "initial-negative",
+        "site-in-window", "initial-in-target", "site-full",
+        "initial-over-cap", "target-missing", "oracle-ring-no-rho",
+        "oracle-line-no-rho"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     """A fault found after the config parses exits 2 with a message, not a
     traceback."""

@@ -621,6 +621,8 @@ class TestSecondClass:
     # exclusion: jumps into the tagged site carry the excess sub-event
     ("excl_ring", [0, 0, 1, 0, 1, 1, 0, 1], 3),
     ("toy", [1, 1, 0], 1),
+    # b depends on the destination, and the kernel has range 2
+    ("misanthrope_ring", [1, 2, 0, 1], 2),
 ])
 def test_second_class_matches_scalar_loop(request, setup, eta0, site):
     model, target = request.getfixturevalue(setup)[:2]
@@ -638,7 +640,7 @@ def test_second_class_matches_scalar_loop(request, setup, eta0, site):
     assert (rep.gap > 0).any()
 
 
-@pytest.mark.parametrize("setup", ["tasep_line", "toy"])
+@pytest.mark.parametrize("setup", ["tasep_line", "toy", "misanthrope_ring"])
 def test_sigma_exit_matches_scalar_loop(request, setup):
     model, target, measure = request.getfixturevalue(setup)
     rep = sigma_exit(model, target, measure, 0.8, 200, seed=57)

@@ -224,15 +224,13 @@ def _run_domination(cfg: ExperimentConfig, out: Path,
 def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
                     workers: int) -> None:
     model, target, measure = cfg.model(), cfg.target(), cfg.measure()
-    reports = []
-    for kappa in cfg.budget("kappas"):
-        rep = sigma_exit(model, target, measure, float(kappa),
-                         int(cfg.budget("n_traj")), cfg.seed)
-        reports.append({
-            "kappa": rep.kappa, "estimate": rep.estimate,
-            "stderr": rep.stderr, "lower_bound": rep.lower_bound,
-            "passed_at_3_sigma": rep.passed(),
-        })
+    rep = sigma_exit(model, target, measure, cfg.budget("kappas"),
+                     int(cfg.budget("n_traj")), cfg.seed)
+    columns = (rep.kappas, rep.estimate, rep.stderr, rep.lower_bound,
+               rep.passed())
+    reports = [{"kappa": k, "estimate": p, "stderr": se, "lower_bound": b,
+                "passed_at_3_sigma": ok} for k, p, se, b, ok
+               in zip(*(c.tolist() for c in columns))]
     storage.write_json(out / "sigma_exit.json",
                        {"schema_version": 1, "reports": reports})
 
@@ -351,6 +349,19 @@ def compare_runs(dir_a, dir_b) -> dict:
     }
 
 
+def _read_config(path) -> dict:
+    """The JSON object in the config file at `path`; a ConfigError when the
+    file cannot be read, is not JSON or holds another JSON value."""
+    try:
+        raw = storage.read_json(path)
+    except (OSError, ValueError) as exc:  # decoding errors are ValueErrors
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object, "
+                          f"got {type(raw).__name__}")
+    return raw
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qslab",
@@ -375,9 +386,9 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         try:
-            cfg = ExperimentConfig.from_dict(storage.read_json(args.config))
+            cfg = ExperimentConfig.from_dict(_read_config(args.config))
             report = validate_model(cfg.lattice(), cfg.kernel(), cfg.rates())
-        except (ConfigError, ModelError, FileNotFoundError) as exc:
+        except (ConfigError, ModelError) as exc:
             print(f"config invalid: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         print(storage.canonical_json(report.to_dict()))
@@ -401,12 +412,12 @@ def main(argv=None) -> int:
               f"{args.workers}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        raw = storage.read_json(args.config)
+        raw = _read_config(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = ExperimentConfig.from_dict(raw)
         cfg.seed  # force the seed requirement before any work
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ModelError, DensityError, FugacityError) as exc:

@@ -1,7 +1,22 @@
 """Structured experiment configuration: dict schema <-> model objects.
 
-The canonical form is the JSON dict (documented in the README); objects are
-built on demand so a loaded config round-trips byte-for-byte.
+The canonical form is the JSON dict, a JSON object with the fields
+`experiment`, `model` (`lattice`, `kernel`, `rates`), `target`, `rho`,
+`seed` and `budgets`; objects are built on demand so a loaded config
+round-trips byte-for-byte.  The budgets each experiment kind reads:
+
+- `survival`: `t_grid` (a non-empty list of times), `n_traj`, and an
+  optional `t_max` that covers the grid;
+- `oracle-check`: `t_grid`, and `n_traj` on a blocked line;
+- `phi-iterate`: `iterations`, `n_particles`, `t_max`, optional
+  `probe_times`;
+- `phi-direct`: `order`, `n_traj`, `t_max`;
+- `spectral`: `state_space` (`{"kind": "fixed_total" or "max_total",
+  "value": n}`), optional `t_grid` for the hitting-time sandwich;
+- `domination`: `iterations`, `n_particles`, `t_max`;
+- `sigma-exit`: `kappas` (a non-empty list of positive times), `n_traj`;
+- `couplings`: `initial` (one occupancy per site), `site`, `t_grid`,
+  `n_traj` (at least 2).
 """
 
 from __future__ import annotations
@@ -156,10 +171,12 @@ class ExperimentConfig:
                                       f"got {value!r}")
                 if not value > 0:
                     raise ConfigError(f"budget {key} must be positive")
-            if key == "kappas" and not (isinstance(value, list) and all(
-                    _is_time(k) and k > 0 for k in value)):
+            # a tagged-exit run with no time checks nothing
+            if key == "kappas" and not (isinstance(value, list) and value
+                                        and all(_is_time(k) and k > 0
+                                                for k in value)):
                 raise ConfigError("budget kappas must be a list of positive "
-                                  f"times, got {value!r}")
+                                  f"times, at least one, got {value!r}")
             if key == "state_space" and not (
                     isinstance(value, dict)
                     and isinstance(value.get("kind"), str)

@@ -17,9 +17,10 @@ differ only in their stop rule and their extra draws: the killed runs
 (`run_killed`) stop at the target; the coupling (`second_class_escape`)
 adds the tagged particle's clocks and one draw per excess sub-event and
 stops when eta enters the target; the tagged exit (`sigma_exit`) draws a
-third uniform for the mover and stops when a tagged particle enters the
-window.  Recorded events are gathered per step and split by row at the
-end, so there is no event buffer and no resume.
+third uniform for the mover, stops when a tagged particle enters the window
+and runs once, to the largest time of its grid.  Recorded events are
+gathered per step and split by row at the end, so there is no event buffer
+and no resume.
 
 Every trajectory draws from its own counter-based stream keyed by
 (master seed, TRAJECTORY, index).  Draws are addressed by word position in
@@ -555,15 +556,18 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
-                 absorb_sites: np.ndarray):
-    """One-step matrix of a single walk among the non-absorbing sites, its
-    one-step hit vector into the absorbing set, and the site -> row map.
+                 target_sites: np.ndarray, dead: np.ndarray):
+    """One-step matrix of a single walk among the sites outside the target
+    and outside the mask `dead`, its one-step hit vector into the target,
+    and the site -> row map.  Both the target and the dead sites absorb; a
+    step into a dead site never reaches the target.
 
     A blocked direction is dropped and the open ones are rescaled; a site
     with none open never moves."""
     n = lattice.num_sites
-    absorbing = np.zeros(n, dtype=bool)
-    absorbing[absorb_sites] = True
+    in_target = np.zeros(n, dtype=bool)
+    in_target[target_sites] = True
+    absorbing = in_target | dead
     keep = np.flatnonzero(~absorbing)
     pos = -np.ones(n, dtype=np.int64)
     pos[keep] = np.arange(keep.size)
@@ -572,9 +576,8 @@ def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
     w = np.where(inside, kernel.weights, 0.0)
     norm = w.sum(axis=1, keepdims=True)
     prob = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0)
-    into = inside & absorbing[nbr]
-    hit = np.where(into, prob, 0.0).sum(axis=1)
-    move = inside & ~into
+    hit = np.where(inside & in_target[nbr], prob, 0.0).sum(axis=1)
+    move = inside & ~absorbing[nbr]
     rows = np.broadcast_to(np.arange(keep.size)[:, None], nbr.shape)
     P = csr_matrix((prob[move], (rows[move], pos[nbr[move]])),
                    shape=(keep.size, keep.size))
@@ -586,11 +589,15 @@ def rw_hitting(lattice: Lattice, kernel: JumpKernel, start: int,
     """Probability that a single free walk started at `start` ever enters the
     target window (one when it starts there).  Solved exactly on the given
     lattice graph as (I - P) h = hit, with `_walk_matrix`'s blocked-edge
-    rule."""
+    rule.  The sites from which no path of positive-weight jumps reaches the
+    window have h = 0 and absorb: they may form a closed class, on which
+    I - P would be singular."""
     target_sites = np.unique(np.asarray(target_sites, dtype=np.int64))
-    P, hit, pos = _walk_matrix(lattice, kernel, target_sites)
+    dead = lattice.graph_distance(
+        target_sites, kernel.offsets[kernel.weights > 0]) < 0
+    P, hit, pos = _walk_matrix(lattice, kernel, target_sites, dead)
     if pos[start] < 0:
-        return 1.0
+        return 0.0 if dead[start] else 1.0
     h = spsolve((identity(P.shape[0], format="csr") - P).tocsc(), hit)
     return float(np.clip(h[pos[start]], 0.0, 1.0))
 
@@ -711,30 +718,35 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
 
 @dataclass
 class SigmaExitReport:
-    kappa: float
-    estimate: float
-    stderr: float
-    lower_bound: float
-    deltas: np.ndarray
+    kappas: np.ndarray
+    estimate: np.ndarray        # P(sigma > kappa), per kappa
+    stderr: np.ndarray
+    lower_bound: np.ndarray
+    deltas: np.ndarray          # one row of site deltas per kappa
 
-    def passed(self) -> bool:
-        """Estimate within CI_SIGMAS standard errors of the floor or above."""
+    def passed(self) -> np.ndarray:
+        """Per kappa: estimate at most CI_SIGMAS stderrs below the floor."""
         return self.estimate >= self.lower_bound - CI_SIGMAS * self.stderr
 
 
 def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
-               kappa: float, n_traj: int, seed: int) -> SigmaExitReport:
-    """Estimate P(sigma > kappa): no particle starting outside the window
-    enters it up to time kappa, under the unkilled stationary dynamics.
+               kappas: Sequence[float], n_traj: int,
+               seed: int) -> SigmaExitReport:
+    """Estimate P(sigma > kappa) for each kappa of `kappas`: no particle
+    starting outside the window enters it up to time kappa, under the
+    unkilled stationary dynamics.
 
     Compared against the closed-form floor prod_i (1 - delta_i)^rho with
     delta_i = min(1, (Delta kappa)^{d_i} / d_i!) and d_i the kernel-graph
     distance to the window divided by the range, floored.  When a particle
     fires, the mover is uniform among the particles on the site, which keeps
     every per-particle clock below the Lipschitz rate.  All trajectories
-    advance in lockstep; trajectory i draws its start (the inverse CDF of
-    the first num_sites uniforms) and then its events from stream (seed,
-    TRAJECTORY, i)."""
+    advance in lockstep, once, to the largest kappa, and each keeps its
+    first entry time sigma (infinite when none enters): its path up to a
+    smaller kappa is the one a run to that kappa reads.  Trajectory i draws
+    its start (the inverse CDF of the first num_sites uniforms) and then its
+    events from stream (seed, TRAJECTORY, i)."""
+    kappas = np.asarray(kappas, dtype=np.float64)
     lattice = model.lattice
     ctx = SimContext(model, target)
     key = rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj))
@@ -744,7 +756,7 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     engine = _Lockstep(occ, ctx.nbr, ctx.weights, btab,
                        _Draws(key, lattice.num_sites), 0.0)
     while engine.retire():
-        rows, src, dst, u, _ = engine.step(3, kappa)
+        rows, src, dst, u, _ = engine.step(3, float(kappas.max()))
         r = engine.live[rows]
         # the source held one more particle before the move
         mover_tagged = u[:, 2] * (engine.x[rows, src] + 1) < tagged[r, src]
@@ -753,20 +765,21 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
         stays = mover_tagged & ~entered
         tagged[r[stays], dst[stays]] += 1
         engine.stop(rows[entered], _HIT)
-    survived = engine.status != _HIT
+    sigma = np.where(engine.status == _HIT, engine.clock, np.inf)
     WORK.trajectories += n_traj
     WORK.events += int(engine.counts.sum())
-    p = float(survived.mean())
-    se = float(np.sqrt(max(p * (1 - p), 1e-300) / n_traj))
+    p = (sigma[None, :] > kappas[:, None]).mean(axis=1)
+    se = np.sqrt(np.maximum(p * (1 - p), 1e-300) / n_traj)
     dist = lattice.graph_distance(list(target.sites), model.kernel.offsets)
     R = max(1, model.kernel.range)
     delta_lip = model.rates.delta()
-    deltas = np.zeros(lattice.num_sites)
+    deltas = np.zeros((kappas.size, lattice.num_sites))
     # window sites, and sites from which the window is out of reach, keep 0
-    for i in np.flatnonzero(~ctx.in_window & (dist >= 0)):
-        d = dist[i] // R
-        deltas[i] = min(1.0, (delta_lip * kappa) ** d / math.factorial(d))
-    outside = deltas[~ctx.in_window]
-    bound = 0.0 if (outside >= 1.0).any() else \
-        float(np.exp(measure.rho * np.log1p(-outside).sum()))
-    return SigmaExitReport(kappa, p, se, bound, deltas)
+    for kappa, row in zip(kappas.tolist(), deltas):
+        for i in np.flatnonzero(~ctx.in_window & (dist >= 0)):
+            d = dist[i] // R
+            row[i] = min(1.0, (delta_lip * kappa) ** d / math.factorial(d))
+    outside = deltas[:, ~ctx.in_window]
+    bound = np.array([np.exp(measure.rho * np.log1p(-o).sum())
+                      if (o < 1.0).all() else 0.0 for o in outside])
+    return SigmaExitReport(kappas, p, se, bound, deltas)

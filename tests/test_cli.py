@@ -153,6 +153,43 @@ def test_nonpositive_kappas_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sigma_exit_work_depends_on_largest_kappa_only(tmp_path):
+    """The tagged exit runs each trajectory once, to the largest kappa: a
+    smaller kappa on the grid adds no work."""
+    counters = []
+    for kappas in ([0.5, 0.8], [0.8]):
+        config = _write(tmp_path, "cfg", dict(
+            LINE, experiment="sigma-exit", seed=13,
+            budgets={"kappas": kappas, "n_traj": 60}))
+        out = tmp_path / f"out{len(kappas)}"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) \
+            == cli.EXIT_OK
+        counters.append(_manifest(out)["telemetry"]["counters"])
+    assert counters[0] == counters[1]
+    assert counters[0]["trajectories"] == 60
+
+
+@pytest.mark.parametrize("site,hit", [(1, 1.0), (4, 0.0)])
+def test_couplings_with_closed_class_out_of_reach(tmp_path, site, hit):
+    """The walk moves along the second axis of a 3 x 3 torus only, so the
+    rows without the window {0} never reach it: the walk bound is 1 from
+    the window's row and 0 from the others, not NaN."""
+    torus = {"lattice": {"extent": [3, 3], "boundary": "torus"},
+             "kernel": {"offsets": [[0, 1]], "weights": [1.0]},
+             "rates": {"family": "exclusion"}}
+    config = _write(tmp_path, "cfg", {
+        "model": torus, "target": {"sites": [0], "threshold": 0},
+        "experiment": "couplings", "seed": 13,
+        "budgets": {"initial": [0, 0, 1, 1, 0, 1, 0, 1, 0], "site": site,
+                    "t_grid": [0.5, 1.0, 2.0], "n_traj": 50}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) \
+        == cli.EXIT_OK
+    rep = json.loads((out / "couplings.json").read_text())
+    assert rep["walk_hit_probability"] == hit
+    assert rep["bound_ok_at_3_sigma"] is True
+
+
 def test_non_numeric_budget_exits_2(tmp_path, capsys):
     config = _write(tmp_path, "cfg", dict(
         TOY, experiment="survival", seed=13,
@@ -282,6 +319,30 @@ def test_spectral_is_worker_count_invariant(tmp_path, capsys, base,
 def test_missing_config_file_exits_2(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("text,match", [
+    ('{"experiment": ', "cannot read"),
+    ("[1, 2]", "must hold a JSON object, got list"),
+    (None, "Is a directory"),
+], ids=["not-json", "not-an-object", "directory"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, command, text,
+                                       match):
+    """A config file that holds no JSON object exits 2 with a message, not
+    a traceback."""
+    path = tmp_path / "cfg.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config invalid: ") and match in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_without_seed_exits_2(tmp_path):

@@ -51,6 +51,7 @@ def test_base_config_is_valid():
     (("budgets", "kappas"), [0.5, -0.5], "kappas"),
     (("budgets", "kappas"), [0.5, "1"], "kappas"),
     (("budgets", "kappas"), 0.5, "kappas"),
+    (("budgets", "kappas"), [], "kappas"),
     (("seed",), 2**64, "64 bits"),
     (("budgets", "n_traj"), "ten", "n_traj must be a number"),
     (("budgets", "n_traj"), True, "n_traj must be an integer"),
@@ -75,7 +76,7 @@ def test_base_config_is_valid():
                           "b": {"kind": "sideways"}}, "unknown b kind"),
 ], ids=["experiment", "no-rates", "no-kernel", "no-target", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
-        "kappas-scalar", "seed", "n_traj-word", "n_traj-bool",
+        "kappas-scalar", "kappas-empty", "seed", "n_traj-word", "n_traj-bool",
         "n_traj-fraction", "kappas-bool", "t_grid-bool",
         "state_space-fraction", "t_max-list", "rho-word",
         "seed-word", "rho-bool", "seed-bool", "seed-fraction",

@@ -570,6 +570,15 @@ class TestWalkHitting:
         kernel = JumpKernel(np.array([[1]]), np.array([1.0]))
         assert rw_hitting(lattice, kernel, 6, [6]) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_window_out_of_reach_of_a_closed_class(self):
+        # the walk only moves along the second axis, so the rows of the
+        # torus without site 0 are closed classes that never reach it
+        lattice = Lattice((3, 3), "torus")
+        kernel = JumpKernel(np.array([[0, 1]]), np.array([1.0]))
+        assert rw_hitting(lattice, kernel, 1, [0]) == pytest.approx(1.0)
+        assert rw_hitting(lattice, kernel, 4, [0]) == 0.0
+
 
 class TestSecondClass:
     def test_unreachable_window_gives_zero_gap(self):
@@ -642,11 +651,16 @@ def test_second_class_matches_scalar_loop(request, setup, eta0, site):
 
 @pytest.mark.parametrize("setup", ["tasep_line", "toy", "misanthrope_ring"])
 def test_sigma_exit_matches_scalar_loop(request, setup):
+    """One run to the largest kappa gives, at every kappa of the grid, the
+    estimate of a scalar run to that kappa alone."""
     model, target, measure = request.getfixturevalue(setup)
-    rep = sigma_exit(model, target, measure, 0.8, 200, seed=57)
-    survived = sigma_exit_loop(model, target, measure, 0.8, 200, seed=57)
-    assert rep.estimate == survived.mean()
-    assert 0 < rep.estimate < 1
+    kappas = [0.2, 0.5, 0.8, 1.3]
+    rep = sigma_exit(model, target, measure, kappas, 200, seed=57)
+    for k, kappa in enumerate(kappas):
+        survived = sigma_exit_loop(model, target, measure, kappa, 200,
+                                   seed=57)
+        assert rep.estimate[k] == survived.mean()
+    assert ((0 < rep.estimate) & (rep.estimate < 1)).all()
 
 
 def test_couplings_repeat_at_fixed_seed(tasep_line):
@@ -661,9 +675,9 @@ def test_couplings_repeat_at_fixed_seed(tasep_line):
     assert reps[0].order_violations == reps[1].order_violations
     assert works[0].events == works[1].events > 0
     sig, works = zip(*(work_of(
-        lambda: sigma_exit(model, target, measure, 0.8, 60, seed=69))
+        lambda: sigma_exit(model, target, measure, [0.8], 60, seed=69))
         for _ in range(2)))
-    assert sig[0].estimate == sig[1].estimate
+    assert np.array_equal(sig[0].estimate, sig[1].estimate)
     assert np.array_equal(sig[0].deltas, sig[1].deltas)
     assert works[0].events == works[1].events > 0
 
@@ -671,15 +685,15 @@ def test_couplings_repeat_at_fixed_seed(tasep_line):
 class TestSigmaExit:
     def test_short_horizon_probability_one(self, toy):
         model, target, measure = toy
-        rep = sigma_exit(model, target, measure, 1e-9, 400, seed=71)
-        assert rep.estimate == pytest.approx(1.0)
-        assert rep.lower_bound == pytest.approx(1.0, abs=1e-6)
+        rep = sigma_exit(model, target, measure, [1e-9], 400, seed=71)
+        assert rep.estimate[0] == pytest.approx(1.0)
+        assert rep.lower_bound[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_vacuum_never_enters(self, toy):
         model, target, _ = toy
         vacuum = ProductMeasure.at_density(0.0, model.rates)
-        rep = sigma_exit(model, target, vacuum, 1.0, 200, seed=73)
-        assert rep.estimate == 1.0
+        rep = sigma_exit(model, target, vacuum, [1.0], 200, seed=73)
+        assert rep.estimate[0] == 1.0
 
     def test_bound_holds_on_ring(self):
         lattice = Lattice((32,), "torus")
@@ -687,6 +701,6 @@ class TestSigmaExit:
                       RateFunction.exclusion())
         target = TargetSet(np.array([0]), 0)
         measure = ProductMeasure.at_density(0.5, model.rates)
-        rep = sigma_exit(model, target, measure, 0.5, 1500, seed=75)
-        assert 0 < rep.lower_bound < 1
-        assert rep.passed()
+        rep = sigma_exit(model, target, measure, [0.5], 1500, seed=75)
+        assert 0 < rep.lower_bound[0] < 1
+        assert rep.passed()[0]

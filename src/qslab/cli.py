@@ -23,8 +23,8 @@ from .measures import DensityError, FugacityError, increasing_suite, domination_
 from .model import ModelError, validate_model
 from .phi import PhiUndefinedError, cesaro_mixture, phi_direct, phi_iterate
 from .spectral import (FixedTotal, SolverError, StateSpaceError,
-                       TasepCircleOracle, absorbing_core,
-                       build_killed_generator, canonical_vector,
+                       absorbing_core, build_killed_generator,
+                       canonical_vector,
                        enumerate_states, exact_survival, hitting_sandwich_check,
                        normalize_density, principal_decay, product_vector,
                        qsd_fixed_point_check, rayleigh_quotient,
@@ -46,7 +46,7 @@ def _run_survival(cfg: ExperimentConfig, out: Path,
                   workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     curve = survival_curve(
-        model, target, cfg.budget("t_grid"), int(cfg.budget("n_traj")),
+        model, target, cfg.budgets["t_grid"], cfg.budgets["n_traj"],
         cfg.seed, measure=cfg.measure(),
         t_max=cfg.budgets.get("t_max"), workers=workers)
     storage.save_survival_curve(curve, out / "curve.csv")
@@ -63,10 +63,10 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
                       workers: int) -> None:
     model, target, measure = cfg.model(), cfg.target(), cfg.measure()
     rho = measure.rho
-    t_grid = np.asarray(cfg.budget("t_grid"), dtype=np.float64)
+    t_grid = np.asarray(cfg.budgets["t_grid"], dtype=np.float64)
     if model.lattice.boundary == "blocked":
         curve = survival_curve(model, target, t_grid,
-                               int(cfg.budget("n_traj")), cfg.seed,
+                               cfg.budgets["n_traj"], cfg.seed,
                                measure=measure, workers=workers)
         oracle = tasep_line_survival(rho, t_grid)
         rows = ["t,estimate,oracle,abs_err,three_sigma"]
@@ -88,14 +88,8 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
         })
         return
     # ring: canonical fixed-count chain against the closed-form mixture
-    n_sites = model.lattice.num_sites
-    n_particles = int(round(rho * n_sites))
-    try:
-        oracle = TasepCircleOracle(n_sites, n_particles)
-    except ValueError as exc:
-        raise ConfigError(f"density rho = {rho} on the {n_sites}-site ring: "
-                          f"{exc}") from None
-    space = enumerate_states(model.lattice, FixedTotal(n_particles),
+    oracle = cfg.ring_oracle()
+    space = enumerate_states(model.lattice, FixedTotal(oracle.n_particles),
                              site_cap=1)
     kg = build_killed_generator(space, model, target)
     nu = canonical_vector(space, model.rates.g)[kg.ac_indices]
@@ -117,8 +111,8 @@ def _run_phi_iterate(cfg: ExperimentConfig, out: Path,
                      workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     ensembles, log = phi_iterate(
-        model, target, cfg.measure(), int(cfg.budget("iterations")),
-        int(cfg.budget("n_particles")), float(cfg.budget("t_max")), cfg.seed,
+        model, target, cfg.measure(), cfg.budgets["iterations"],
+        cfg.budgets["n_particles"], float(cfg.budgets["t_max"]), cfg.seed,
         probe_times=cfg.budgets.get("probe_times", ()), workers=workers)
     storage.save_iteration_log(log, out / "iterations.csv")
     storage.save_ensemble(ensembles[-1], out / "ensemble_final")
@@ -133,12 +127,12 @@ def _run_phi_direct(cfg: ExperimentConfig, out: Path,
                     workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     ens, stats = phi_direct(
-        model, target, cfg.measure(), int(cfg.budget("order")),
-        int(cfg.budget("n_traj")), float(cfg.budget("t_max")), cfg.seed,
+        model, target, cfg.measure(), cfg.budgets["order"],
+        cfg.budgets["n_traj"], float(cfg.budgets["t_max"]), cfg.seed,
         workers=workers)
     storage.save_ensemble(ens, out / "ensemble")
     storage.write_json(out / "summary.json", {
-        "order": int(cfg.budget("order")),
+        "order": cfg.budgets["order"],
         "site_means": list(map(float, ens.site_means())),
         "censored_fraction": stats.censor_fraction,
         "effective_sample_size": stats.ess,
@@ -147,7 +141,7 @@ def _run_phi_direct(cfg: ExperimentConfig, out: Path,
 
 def _run_spectral(cfg: ExperimentConfig, out: Path,
                   workers: int) -> None:
-    model, target = cfg.model(), cfg.target()
+    model, target, measure = cfg.model(), cfg.target(), cfg.measure()
     space = enumerate_states(model.lattice, cfg.state_constraint(),
                              site_cap=model.rates.max_site_occupancy)
     kg = build_killed_generator(space, model, target)
@@ -167,7 +161,7 @@ def _run_spectral(cfg: ExperimentConfig, out: Path,
         report["qsd_fixed_point"] = {
             k: v for k, v in qsd_fixed_point_check(kgc, res.qsd).items()
             if k != "generator_residuals"}
-        nu_full = product_vector(space, cfg.measure().marginal)
+        nu_full = product_vector(space, measure.marginal)
         nu_core = nu_full[kgc.ac_indices]
         n_zero = int(np.count_nonzero(nu_core <= 0))
         if n_zero:
@@ -201,8 +195,8 @@ def _run_domination(cfg: ExperimentConfig, out: Path,
     model, target = cfg.model(), cfg.target()
     measure = cfg.measure()
     ensembles, log = phi_iterate(
-        model, target, measure, int(cfg.budget("iterations")),
-        int(cfg.budget("n_particles")), float(cfg.budget("t_max")), cfg.seed,
+        model, target, measure, cfg.budgets["iterations"],
+        cfg.budgets["n_particles"], float(cfg.budgets["t_max"]), cfg.seed,
         workers=workers)
     suite = increasing_suite(measure, model.lattice, target, model.kernel)
     rows = []
@@ -224,8 +218,8 @@ def _run_domination(cfg: ExperimentConfig, out: Path,
 def _run_sigma_exit(cfg: ExperimentConfig, out: Path,
                     workers: int) -> None:
     model, target, measure = cfg.model(), cfg.target(), cfg.measure()
-    rep = sigma_exit(model, target, measure, cfg.budget("kappas"),
-                     int(cfg.budget("n_traj")), cfg.seed)
+    rep = sigma_exit(model, target, measure, cfg.budgets["kappas"],
+                     cfg.budgets["n_traj"], cfg.seed)
     columns = (rep.kappas, rep.estimate, rep.stderr, rep.lower_bound,
                rep.passed())
     reports = [{"kappa": k, "estimate": p, "stderr": se, "lower_bound": b,
@@ -239,8 +233,8 @@ def _run_couplings(cfg: ExperimentConfig, out: Path,
                    workers: int) -> None:
     model, target = cfg.model(), cfg.target()
     rep = second_class_escape(
-        model, target, cfg.budget("initial"), cfg.budget("site"),
-        cfg.budget("t_grid"), int(cfg.budget("n_traj")), cfg.seed)
+        model, target, cfg.budgets["initial"], cfg.budgets["site"],
+        cfg.budgets["t_grid"], cfg.budgets["n_traj"], cfg.seed)
     storage.write_json(out / "couplings.json", {
         "schema_version": 1,
         "t_grid": list(map(float, rep.t_grid)),
@@ -425,9 +419,6 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     try:
         out = run_experiment(cfg, args.out, workers=args.workers)
-    except ConfigError as exc:  # a budget or field the experiment needs
-        print(f"config invalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ModelError, DensityError, FugacityError, StateSpaceError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

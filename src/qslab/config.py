@@ -3,36 +3,44 @@
 The canonical form is the JSON dict, a JSON object with the fields
 `experiment`, `model` (`lattice`, `kernel`, `rates`), `target`, `rho`,
 `seed` and `budgets`; objects are built on demand so a loaded config
-round-trips byte-for-byte.  The budgets each experiment kind reads:
-
-- `survival`: `t_grid` (a non-empty list of times), `n_traj`, and an
-  optional `t_max` that covers the grid;
-- `oracle-check`: `t_grid`, and `n_traj` on a blocked line;
-- `phi-iterate`: `iterations`, `n_particles`, `t_max`, optional
-  `probe_times`;
-- `phi-direct`: `order`, `n_traj`, `t_max`;
-- `spectral`: `state_space` (`{"kind": "fixed_total" or "max_total",
-  "value": n}`), optional `t_grid` for the hitting-time sandwich;
-- `domination`: `iterations`, `n_particles`, `t_max`;
-- `sigma-exit`: `kappas` (a non-empty list of positive times), `n_traj`;
-- `couplings`: `initial` (one occupancy per site), `site`, `t_grid`,
-  `n_traj` (at least 2).
+round-trips byte-for-byte.  `KINDS` names what each experiment kind reads,
+and `ExperimentConfig.validate` checks all of it before any work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import coupled_start
 from .measures import ProductMeasure
 from .model import (EXCLUSION, MISANTHROPE, ZERO_RANGE, JumpKernel, Lattice,
                     Model, ModelError, RateFunction, TargetSet, g_capped,
                     g_constant, g_from_table, g_identity)
-from .spectral import FixedTotal, MaxTotal
+from .spectral import FixedTotal, MaxTotal, TasepCircleOracle
 
-EXPERIMENT_KINDS = ("survival", "phi-iterate", "phi-direct", "spectral",
-                    "oracle-check", "domination", "sigma-exit", "couplings")
+
+class Kind(NamedTuple):
+    needs: tuple[str, ...]       # budgets a run of the kind cannot miss
+    takes: tuple[str, ...] = ()  # budgets it may take besides
+    rho: bool = True             # whether it reads the density rho
+
+
+# every experiment kind by name
+KINDS = {
+    "survival": Kind(("t_grid", "n_traj"), ("t_max",)),
+    "oracle-check": Kind(("t_grid",), ("n_traj",)),
+    "phi-iterate": Kind(("iterations", "n_particles", "t_max"),
+                        ("probe_times",)),
+    "phi-direct": Kind(("order", "n_traj", "t_max")),
+    "spectral": Kind(("state_space",), ("t_grid",)),
+    "domination": Kind(("iterations", "n_particles", "t_max")),
+    "sigma-exit": Kind(("kappas", "n_traj")),
+    "couplings": Kind(("initial", "site", "t_grid", "n_traj"), rho=False),
+}
 # state-space constraint of a `spectral` run by its `kind` name
 STATE_SPACES = {"fixed_total": FixedTotal, "max_total": MaxTotal}
 
@@ -47,10 +55,10 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
-def _number(value, kind, what: str):
-    """`kind(value)` (int or float), a ConfigError when it is no number."""
+def _number(value, what: str) -> float:
+    """`float(value)`, a ConfigError when it is no number."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
@@ -62,8 +70,9 @@ def _is_count(value) -> bool:
 
 
 def _is_time(value) -> bool:
-    """Whether `value` is a real number (a bool is not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether `value` is a finite real number (a bool is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def g_from_spec(spec: dict):
@@ -140,37 +149,36 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check every rule a run reads, so that a run which starts finds
+        all it needs (`KINDS` names what each kind reads)."""
         raw = self.raw
         kind = _require(raw, "experiment", "config")
-        if kind not in EXPERIMENT_KINDS:
+        if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         model_spec = _require(raw, "model", "config")
         for key in ("lattice", "kernel", "rates"):
             _require(model_spec, key, "model")
         _require(raw, "target", "config")  # every experiment kind reads it
         rho = raw.get("rho")
-        if rho is not None:
-            if not _is_time(rho):
-                raise ConfigError(f"density rho must be a number, "
-                                  f"got {rho!r}")
-            if not 0.0 <= rho:
-                raise ConfigError(f"density must be nonnegative, got {rho}")
+        if rho is None and KINDS[kind].rho:
+            raise ConfigError(f"experiment {kind} needs a density rho")
+        if rho is not None and not (_is_time(rho) and rho >= 0):
+            raise ConfigError(f"density rho must be a number >= 0, "
+                              f"got {rho!r}")
         budgets = raw.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ConfigError(f"budgets must be a mapping, got {budgets!r}")
         for key, value in budgets.items():
-            if key in ("n_traj", "n_particles", "iterations", "order"):
-                if _number(value, int, f"budget {key}") <= 0:
+            if key in ("n_traj", "n_particles", "iterations", "order",
+                       "t_max"):
+                if _number(value, f"budget {key}") <= 0:
                     raise ConfigError(f"budget {key} must be positive")
-                if not _is_count(value):
+                if key != "t_max" and not _is_count(value):
                     raise ConfigError(f"budget {key} must be an integer, "
                                       f"got {value!r}")
-            if key == "t_max":
                 if not _is_time(value):
                     raise ConfigError(f"budget {key} must be a number, "
                                       f"got {value!r}")
-                if not value > 0:
-                    raise ConfigError(f"budget {key} must be positive")
             # a tagged-exit run with no time checks nothing
             if key == "kappas" and not (isinstance(value, list) and value
                                         and all(_is_time(k) and k > 0
@@ -189,18 +197,9 @@ class ExperimentConfig:
             # a time grid needs a point; probe times may be none
             if key in ("t_grid", "probe_times") and not (
                     isinstance(value, list) and (value or key != "t_grid")
-                    and all(_is_time(t) for t in value)):
+                    and all(_is_time(t) and t >= 0 for t in value)):
                 raise ConfigError(f"budget {key} must be a list of times, "
-                                  f"got {value!r}")
-        # the gap's standard error is a sample deviation (ddof=1), which
-        # one coupling leaves undefined
-        if kind == "couplings" and budgets.get("n_traj", 2) < 2:
-            raise ConfigError("budget n_traj must be at least 2 for "
-                              "couplings: the gap's standard error needs "
-                              "two couplings")
-        if kind == "survival" and "t_grid" in budgets and "t_max" in budgets \
-                and float(budgets["t_max"]) < max(budgets["t_grid"]):
-            raise ConfigError("budget t_max must cover the time grid")
+                                  f"none negative, got {value!r}")
         if "seed" in raw:
             seed = raw["seed"]
             if not _is_time(seed):
@@ -214,40 +213,39 @@ class ExperimentConfig:
         # the wrong type or form is a config error, a well-formed model that
         # breaks a rule a model error
         try:
-            n_sites = self.model().lattice.num_sites
-            self.target().validate_on(self.lattice())
+            model, target = self.model(), self.target()
+            target.validate_on(model.lattice)
         except (ConfigError, ModelError):
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model or target: {exc}") from None
-        initial = budgets.get("initial")
-        if initial is not None and not (
-                isinstance(initial, list) and len(initial) == n_sites
-                and all(_is_count(n) for n in initial)):
-            raise ConfigError(f"budget initial must hold one nonnegative "
-                              f"integer per site ({n_sites}), got {initial!r}")
-        site = budgets.get("site")
-        if site is not None and not (_is_count(site) and site < n_sites):
-            raise ConfigError(f"budget site must be a site index below "
-                              f"{n_sites}, got {site!r}")
-        # the coupled start: eta from `initial` outside the target, and the
-        # tagged particle added at `site`, outside the window, with room
-        if kind == "couplings" and initial is not None and site is not None:
-            target = self.target()
-            cap = self.rates().max_site_occupancy
-            if site in target.sites:
-                raise ConfigError(f"budget site {site} lies inside the "
-                                  "target window; the tagged particle must "
-                                  "start outside it")
-            if target.contains(initial):
-                raise ConfigError("budget initial already lies inside the "
-                                  "target")
-            if cap is not None and max(initial) > cap:
-                raise ConfigError(f"budget initial puts more than {cap} "
-                                  "particle(s) on a site")
-            if cap is not None and initial[site] >= cap:
-                raise ConfigError(f"budget site {site} is full, so the "
-                                  "tagged particle cannot be added there")
+        blocked = model.lattice.boundary == "blocked"
+        needs = KINDS[kind].needs
+        if kind == "oracle-check" and blocked:  # Monte Carlo on the line
+            needs += ("n_traj",)
+        for key in needs:
+            if key not in budgets:
+                raise ConfigError(f"budget {key} required for {kind}")
+        for key in budgets:
+            if key not in needs + KINDS[kind].takes:
+                raise ConfigError(f"budget {key} is not read by {kind}")
+        if kind == "survival" and "t_max" in budgets \
+                and budgets["t_max"] < max(budgets["t_grid"]):
+            raise ConfigError("budget t_max must cover the time grid")
+        # the gap's standard error is a sample deviation (ddof=1), which
+        # one coupling leaves undefined
+        if kind == "couplings" and budgets["n_traj"] < 2:
+            raise ConfigError("budget n_traj must be at least 2 for "
+                              "couplings: the gap's standard error needs "
+                              "two couplings")
+        try:  # the closed forms of the ring, and the coupled start
+            if kind == "oracle-check" and not blocked:
+                self.ring_oracle()
+            if kind == "couplings":
+                coupled_start(model, target, budgets["initial"],
+                              budgets["site"])
+        except ValueError as exc:
+            raise ConfigError(f"{kind}: {exc}") from None
 
     # -- parsed views -------------------------------------------------------
 
@@ -268,12 +266,16 @@ class ExperimentConfig:
 
     def state_constraint(self):
         """The `state_space` budget as a state-space constraint."""
-        spec = self.budget("state_space")
+        spec = self.budgets["state_space"]
         return STATE_SPACES[spec["kind"]](spec["value"])
 
+    def ring_oracle(self) -> TasepCircleOracle:
+        """Closed forms of an `oracle-check` ring: round(rho N) particles."""
+        n_sites = self.lattice().num_sites
+        return TasepCircleOracle(n_sites,
+                                 int(round(float(self.raw["rho"]) * n_sites)))
+
     def measure(self) -> ProductMeasure:
-        if "rho" not in self.raw:
-            raise ConfigError("experiment needs a density rho")
         return ProductMeasure.at_density(float(self.raw["rho"]), self.rates())
 
     @property
@@ -289,9 +291,3 @@ class ExperimentConfig:
     @property
     def budgets(self) -> dict:
         return self.raw.get("budgets", {})
-
-    def budget(self, key: str):
-        val = self.budgets.get(key)
-        if val is None:
-            raise ConfigError(f"budget {key} required for {self.experiment}")
-        return val

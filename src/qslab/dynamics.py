@@ -624,29 +624,44 @@ class SecondClassReport:
         return bool(np.all(self.gap <= ceiling + 1e-12))
 
 
+def coupled_start(model: Model, target: TargetSet, eta0, site) -> np.ndarray:
+    """`eta0` as int64 once the coupled start passes every rule, else a
+    ValueError naming the first it breaks: one nonnegative integer per site,
+    at most the family's per-site bound, outside the target, and a tagged
+    site on the lattice, off the window and with room for the particle."""
+    occ, cap = np.asarray(eta0), model.rates.max_site_occupancy
+    n_sites = model.lattice.num_sites
+    if occ.shape != (n_sites,) or occ.dtype.kind not in "iu" \
+            or any(isinstance(n, bool) for n in eta0) or (occ < 0).any():
+        raise ValueError("initial configuration needs one nonnegative "
+                         f"occupancy per site, each an integer, got {eta0!r}")
+    if cap is not None and (occ > cap).any():
+        raise ValueError(f"initial configuration has over {cap} on a site")
+    if target.contains(occ):
+        raise ValueError("initial configuration already inside the target")
+    if isinstance(site, bool) or not isinstance(site, (int, np.integer)) \
+            or not 0 <= site < n_sites:
+        raise ValueError(f"tagged site {site!r} must be in [0, {n_sites})")
+    if site in target.sites:
+        raise ValueError(f"tagged site {site} must lie outside the window")
+    if cap is not None and occ[site] >= cap:
+        raise ValueError(f"tagged site {site} is full")
+    return occ.astype(np.int64)
+
+
 def second_class_escape(model: Model, target: TargetSet, eta0,
                         site: int, t_grid: Sequence[float], n_traj: int,
                         seed: int) -> SecondClassReport:
     """Couple eta with zeta = eta + one tagged particle at `site` and estimate
     the survival gap; the tagged particle rides its own kernel path with the
     attractiveness increment as clock, so it never perturbs the eta system.
-    `eta0` is the start of eta: one nonnegative occupancy per site.
+    `eta0` and `site` must pass `coupled_start`.
 
     All couplings advance in lockstep, one event per step; trajectory i
     draws from stream (seed, TRAJECTORY, i).  The gap is compared against
     (walk hitting probability) * P(tau_eta > t), with the walk solved
     exactly on the same lattice graph."""
-    eta0 = np.asarray(eta0, dtype=np.int64)
-    if eta0.shape != (model.lattice.num_sites,) or (eta0 < 0).any():
-        raise ValueError("initial configuration needs one nonnegative "
-                         "occupancy per site")
-    if site in target.sites:
-        raise ValueError("tagged start site must lie outside the window")
-    if target.contains(eta0):
-        raise ValueError("initial configuration already inside the target")
-    if model.rates.max_site_occupancy is not None \
-            and eta0[site] >= model.rates.max_site_occupancy:
-        raise ValueError("cannot add the tagged particle at a full site")
+    eta0 = coupled_start(model, target, eta0, site)
     ctx = SimContext(model, target)
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1])

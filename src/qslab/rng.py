@@ -21,7 +21,6 @@ import numpy as np
 
 # Purpose tags keep unrelated pipeline stages on disjoint keys; adding a new
 # consumer must use a fresh tag instead of sharing an existing stream.
-MISC = 0
 TRAJECTORY = 1
 RESAMPLE = 2
 BOOTSTRAP = 3

@@ -31,7 +31,7 @@ from .estimators import SurvivalCurve, fit_decay
 from .measures import Marginal
 from .model import Lattice, Model, TargetSet, jump_rates
 
-DEFAULT_STATE_LIMIT = 100_000
+DEFAULT_STATE_LIMIT = 100_000  # most states `enumerate_states` builds
 POISSON_TOL = 1e-12   # Poisson mass left out of each uniformized sum
 SANDWICH_TOL = 1e-10  # rounding slack of the hitting-time sandwich
 
@@ -186,19 +186,18 @@ class StateSpace:
 
 
 def enumerate_states(lattice: Lattice, constraint, *,
-                     site_cap: int | None = None,
-                     limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
+                     site_cap: int | None = None) -> StateSpace:
     """Enumerate the sectors from `constraint.lowest` to `constraint.total`
     particles, in increasing total and each lexicographically.
 
     The predicted count is computed first; enumeration is refused when it
-    exceeds the limit.  `site_cap` adds a per-site bound on top of the
-    constraint (1 for the exclusion family)."""
+    exceeds `DEFAULT_STATE_LIMIT`.  `site_cap` adds a per-site bound on top
+    of the constraint (1 for the exclusion family)."""
     n_sites = lattice.num_sites
     predicted = count_states(n_sites, constraint, site_cap)
-    if predicted > limit:
-        raise StateSpaceError(
-            f"state space would hold {predicted} states (limit {limit})")
+    if predicted > DEFAULT_STATE_LIMIT:
+        raise StateSpaceError(f"state space would hold {predicted} states "
+                              f"(limit {DEFAULT_STATE_LIMIT})")
     cap = constraint.total if site_cap is None else site_cap
     occ = np.vstack([_enumerate_fixed(n_sites, m, min(cap, m))
                      for m in range(constraint.lowest, constraint.total + 1)])

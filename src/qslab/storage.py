@@ -18,7 +18,6 @@ from .measures import WeightedEnsemble
 from .phi import PhiIterationLog
 
 ENSEMBLE_FORMAT_VERSION = 1
-CURVE_FORMAT_VERSION = 1
 
 
 def canonical_json(obj) -> str:

@@ -49,8 +49,6 @@ ALLOWED_PARAMETERS = {
         "the command line passes none; tests hand argument lists to it",
     "measures.ProductMeasure.sample_occupancies(n)":
         "the benchmark tracer wraps this sampler by name",
-    "spectral.enumerate_states(limit)":
-        "the refusal guard of the enumeration, to be raised per sector",
     "estimators.exponentiality_report(n_boot)":
         "the KS calibration test runs 200 replicas at 10 resamples",
 }

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qslab import cli
-from qslab.config import ExperimentConfig
+from qslab.config import KINDS, ExperimentConfig
 from qslab.dynamics import run_batch
 
 
@@ -252,6 +252,11 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
     _replaced(dict(SURVIVAL, experiment="oracle-check"), ("rho",), None),
     _replaced(dict(LINE, experiment="oracle-check", seed=13,
                    budgets=SURVIVAL["budgets"]), ("rho",), None),
+    _replaced(dict(SURVIVAL, experiment="spectral", budgets={
+        "state_space": {"kind": "max_total", "value": 3}}), ("rho",), None),
+    _replaced(SURVIVAL, ("budgets", "t_max"), float("inf")),
+    _replaced(SURVIVAL, ("budgets", "order"), 2),
+    _replaced(COUPLINGS, ("budgets", "site"), 1.0),
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
         "t_grid-string", "t_grid-empty", "state-space-no-value",
@@ -259,14 +264,24 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
         "initial-string", "initial-short", "initial-negative",
         "site-in-window", "initial-in-target", "site-full",
         "initial-over-cap", "target-missing", "oracle-ring-no-rho",
-        "oracle-line-no-rho"])
+        "oracle-line-no-rho", "spectral-no-rho", "t_max-infinite",
+        "budget-unread", "site-fraction"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
-    """A fault found after the config parses exits 2 with a message, not a
-    traceback."""
+    """A config fault exits 2 with a message, not a traceback, before
+    `--out` exists, and `validate` gives the same verdict."""
     config = _write(tmp_path, "cfg", cfg)
     assert cli.main(["run", "--config", config,
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config invalid: ")
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["validate", "--config", config]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config invalid: ")
+
+
+def test_every_kind_has_a_dispatcher():
+    """The runner and the validation table name the same experiment
+    kinds, so no kind runs unchecked."""
+    assert set(cli._DISPATCH) == set(KINDS)
 
 
 def test_nonpositive_decay_rate_exits_4(tmp_path, capsys):
@@ -355,8 +370,7 @@ def test_config_without_seed_exits_2(tmp_path):
 
 
 def test_validate_accepts_valid_config(tmp_path, capsys):
-    config = _write(tmp_path, "cfg", dict(TOY, experiment="survival",
-                                          seed=1))
+    config = _write(tmp_path, "cfg", SURVIVAL)
     assert cli.main(["validate", "--config", config]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
@@ -415,6 +429,16 @@ def test_spectral_over_state_limit_exits_3(tmp_path):
                                    "g": {"kind": "identity"}}))
     assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 12}) \
         == cli.EXIT_MODEL
+
+
+def test_spectral_density_fault_leaves_no_file(tmp_path, capsys):
+    """No product law on the exclusion ring has density 0.9999995: the run
+    exits 3 before it writes the generator."""
+    ring = dict(EXCL_RING, rho=0.9999995)
+    assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 8}) \
+        == cli.EXIT_MODEL
+    assert capsys.readouterr().err.startswith("model error: ")
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_spectral_site_cap_space_exits_2(tmp_path, capsys):

@@ -74,6 +74,14 @@ def test_base_config_is_valid():
     (("model", "rates"), {"family": "teleport"}, "unknown rate family"),
     (("model", "rates"), {"family": "misanthrope", "g": {"kind": "identity"},
                           "b": {"kind": "sideways"}}, "unknown b kind"),
+    (("budgets", "t_max"), float("inf"), "t_max must be a number"),
+    (("budgets", "t_grid"), [-1.0, 1.0], "t_grid must be a list of times"),
+    (("budgets", "kappas"), [0.5, float("nan")], "kappas"),
+    (("budgets", "probe_times"), [1.0, float("inf")],
+     "probe_times must be a list of times"),
+    (("budgets", "t_grid"), None, "budget t_grid required for survival"),
+    (("budgets", "order"), 2, "budget order is not read by survival"),
+    (("rho",), float("nan"), "rho must be a number"),
 ], ids=["experiment", "no-rates", "no-kernel", "no-target", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
         "kappas-scalar", "kappas-empty", "seed", "n_traj-word", "n_traj-bool",
@@ -81,7 +89,9 @@ def test_base_config_is_valid():
         "state_space-fraction", "t_max-list", "rho-word",
         "seed-word", "rho-bool", "seed-bool", "seed-fraction",
         "seed-negative", "threshold-fraction", "threshold-bool", "t_max-bool",
-        "g-kind", "rate-family", "b-kind"])
+        "g-kind", "rate-family", "b-kind", "t_max-infinite",
+        "t_grid-negative", "kappas-nan", "probe_times-infinite", "no-t_grid",
+        "budget-unread", "rho-nan"])
 def test_malformed_field_is_a_config_error(path, value, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(_with(path, value))

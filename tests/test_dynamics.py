@@ -9,8 +9,8 @@ from scipy.stats import chi2
 
 from qslab import dynamics
 from qslab import rng as rngmod
-from qslab.dynamics import (run_batch, rw_hitting, second_class_escape,
-                            sigma_exit, survival_curve)
+from qslab.dynamics import (coupled_start, run_batch, rw_hitting,
+                            second_class_escape, sigma_exit, survival_curve)
 from qslab.measures import ProductMeasure, _window_distribution
 from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
 from qslab.spectral import tasep_line_survival
@@ -607,6 +607,34 @@ class TestSecondClass:
         model, target, _ = toy
         with pytest.raises(ValueError, match="one nonnegative occupancy"):
             second_class_escape(model, target, eta0, 1, [1.0], 10, seed=1)
+
+    @pytest.mark.parametrize("eta0,site,match", [
+        ([0, 2, 0, 0, 0, 0], 2, "over 1 on a site"),
+        ([0, 1, 0, 0, 0, 0], 9, r"in \[0, 6\)"),
+        ([0, 1.5, 0, 0, 0, 0], 2, "one nonnegative occupancy"),
+        ([0, True, 0, 0, 0, 0], 2, "one nonnegative occupancy"),
+        ([0, 1, 0, 0, 0, 0], 1.0, r"in \[0, 6\)"),
+        ([0, 1, 0, 0, 0, 0], 0, "outside the window"),
+        ([1, 0, 0, 0, 0, 0], 2, "inside the target"),
+        ([0, 1, 0, 0, 0, 0], 1, "is full"),
+    ], ids=["over-cap", "site-off-lattice", "fraction", "bool",
+            "site-fraction", "site-in-window", "start-in-target",
+            "site-full"])
+    def test_coupled_start_rules(self, eta0, site, match):
+        """Every rule of the coupled start is a ValueError, never an index
+        error or a silent rounding, on the exclusion ring of 6 sites."""
+        lattice = Lattice((6,), "torus")
+        model = Model(lattice, JumpKernel(np.array([[1]]), np.array([1.0])),
+                      RateFunction.exclusion())
+        target = TargetSet(np.array([0]), 0)
+        with pytest.raises(ValueError, match=match):
+            second_class_escape(model, target, eta0, site, [1.0], 10, seed=1)
+
+    def test_coupled_start_takes_numpy_integers(self, toy):
+        model, target, _ = toy
+        eta0 = coupled_start(model, target, np.array([1, 1, 0], np.int32),
+                             np.int64(1))
+        assert eta0.dtype == np.int64 and eta0.tolist() == [1, 1, 0]
 
     def test_exact_gap_from_sector_pair(self, toy):
         """Coupling estimate against two exact semigroup computations."""

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qslab import rng as rngmod
 
-PURPOSES = [rngmod.MISC, rngmod.TRAJECTORY, rngmod.RESAMPLE,
-            rngmod.BOOTSTRAP, rngmod.SAMPLING]
+PURPOSES = [rngmod.TRAJECTORY, rngmod.RESAMPLE, rngmod.BOOTSTRAP,
+            rngmod.SAMPLING]
 LAST_INDEX = (1 << 48) - 1
 
 

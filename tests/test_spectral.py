@@ -156,10 +156,11 @@ class TestEnumeration:
         assert space._rank(np.array([last]) + 1).tolist() == [-1]
 
     def test_refusal_reports_count(self):
-        # binom(16, 8) states of at most 8 particles on 8 sites
-        lat = Lattice((8,), "torus")
-        with pytest.raises(StateSpaceError, match="12870"):
-            enumerate_states(lat, MaxTotal(8), limit=1000)
+        # binom(20, 10) = 184,756 states of at most 10 particles on 10
+        # sites, counted before any is enumerated
+        lat = Lattice((10,), "torus")
+        with pytest.raises(StateSpaceError, match="184756"):
+            enumerate_states(lat, MaxTotal(10))
 
     def test_index_round_trip(self):
         lat = Lattice((3,), "torus")

@@ -266,10 +266,17 @@ _DISPATCH = {
 
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
     out = Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     before = asdict(WORK)
-    _DISPATCH[cfg.experiment](cfg, out, workers)
+    try:
+        _DISPATCH[cfg.experiment](cfg, out, workers)
+    except BaseException:
+        # a failed run takes back the directory it made, while it is empty
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     counters = {k: v - before[k] for k, v in asdict(WORK).items()}
     results = {}
     for path in sorted(out.iterdir()):
@@ -382,9 +389,12 @@ def main(argv=None) -> int:
         try:
             cfg = ExperimentConfig.from_dict(_read_config(args.config))
             report = validate_model(cfg.lattice(), cfg.kernel(), cfg.rates())
-        except (ConfigError, ModelError) as exc:
+        except ConfigError as exc:
             print(f"config invalid: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        except ModelError as exc:
+            print(f"model invalid: {exc}", file=sys.stderr)
+            return EXIT_MODEL
         print(storage.canonical_json(report.to_dict()))
         return EXIT_OK if report.ok else EXIT_MODEL
 

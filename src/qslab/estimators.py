@@ -1,5 +1,13 @@
 """Statistical reduction: survival curves, decay-rate fits and
-exponentiality diagnostics.  Pure functions over immutable sample arrays."""
+exponentiality diagnostics.  Pure functions over immutable sample arrays.
+
+Both bootstraps draw only what a resample's statistic reads (Efron &
+Tibshirani, *An Introduction to the Bootstrap*, 1993): `fit_decay` draws a
+resample's counts in the m + 1 bins of its fit window (m grid times) in one
+multinomial draw instead of n picks, and `exponentiality_report` counts a
+resample's picks per sample and gets all MAX_MOMENT moment sums from one
+product of those counts with the powers (tau / tau_max)^k, so its moments
+share one resample set."""
 
 from __future__ import annotations
 
@@ -8,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expm1
+from scipy.special import expm1, logsumexp
 
 from . import rng as rngmod
 
@@ -19,13 +27,13 @@ MIN_POINTS = 5       # usable grid points a decay fit needs
 N_BOOT = 200         # bootstrap resamples
 MAX_MOMENT = 4       # largest moment order of the exponentiality report
 KS_ALPHA = 0.05      # level of its Kolmogorov-Smirnov threshold
-# picks drawn at once by both bootstraps (`fit_decay`'s and
-# `exponentiality_report`'s): resamples of n picks come in blocks of
-# max(1, _BOOT_BLOCK // n), and an (r, n) draw equals r draws of n in turn,
-# so a block picks what one resample at a time picks; the picks are uint32,
-# which numpy draws by the same bounded 32-bit path as int64 picks below
-# 2^32 (so the same values), and 64 kB of them keep the peak memory near
-# that of one resample and stay cache-resident
+# picks drawn at once by `exponentiality_report`'s bootstrap: resamples of
+# n picks come in blocks of max(1, _BOOT_BLOCK // n), and an (r, n) draw
+# equals r draws of n in turn, so a block picks what one resample at a time
+# picks; the uint32 picks (numpy draws them by the same bounded 32-bit path
+# as int64 picks below 2^32, so the same values) and the block's (r, n)
+# per-sample counts hold max(n, _BOOT_BLOCK) entries, so the peak memory
+# stays near that of one resample
 _BOOT_BLOCK = 1 << 14
 
 
@@ -139,7 +147,12 @@ def fit_decay(curve: SurvivalCurve, seed: int = 0) -> DecayFit:
     smallest residual mean square, which discards early-time polynomial
     corrections.  The standard error is the spread of the slope over
     N_BOOT bootstrap resamples of the hitting times when they are
-    available, else the WLS standard error.
+    available, else the WLS standard error.  A resample's fit reads only
+    how many of its n picks are alive at each of the m window times, that
+    is its counts in the m + 1 bins of "alive at the first j window times",
+    so each resample is one multinomial draw of n over the samples' bin
+    frequencies (the law of n uniform picks binned), and resamples with no
+    survivor at the last window time are dropped.
     """
     log_p = curve.log_estimate
     usable = np.isfinite(log_p)
@@ -167,26 +180,17 @@ def fit_decay(curve: SurvivalCurve, seed: int = 0) -> DecayFit:
     tw, yw, ww = t[start:], y[start:], w[start:]
 
     if curve.taus is not None and curve.n_total:
-        boot = rngmod.stream(seed, rngmod.BOOTSTRAP, 1)
-        taus = curve.taus
-        n, m = taus.size, tw.size
+        n, m = curve.taus.size, tw.size
         # sample i is alive at the first n_win[i] window times (all m when it
         # did not hit), so a resample's alive counts are the reversed
         # cumulative histogram of its picks' n_win
-        n_win = np.searchsorted(tw, taus, "left")
+        n_win = np.searchsorted(tw, curve.taus, "left")
         if curve.hit is not None:
             n_win[~curve.hit] = m
-        rows = max(1, _BOOT_BLOCK // n)
-        counts = []
-        for drawn in range(0, N_BOOT, rows):
-            r = min(rows, N_BOOT - drawn)
-            picks = boot.integers(0, n, (r, n), dtype=np.uint32)
-            bins = n_win[picks] + (m + 1) * np.arange(r)[:, None]
-            hist = np.bincount(bins.ravel(), minlength=r * (m + 1))
-            # alive at window time j: the picks with n_win > j
-            tail = hist.reshape(r, m + 1)[:, :0:-1].cumsum(axis=1)
-            counts.append(tail[:, ::-1])
-        counts = np.concatenate(counts)
+        hist = rngmod.stream(seed, rngmod.BOOTSTRAP, 1).multinomial(
+            n, np.bincount(n_win, minlength=m + 1) / n, size=N_BOOT)
+        # alive at window time j: the picks with n_win > j
+        counts = hist[:, :0:-1].cumsum(axis=1)[:, ::-1]
         # a resample with no survivor at the last window time has no fit
         pb = counts[counts[:, -1] > 0] / n
         slopes, *_ = _wls_slope(tw, np.log(pb),
@@ -250,29 +254,6 @@ class ExponentialityReport:
         }
 
 
-def _resampled_logsumexp(a, picks, shifted_by):
-    """log(sum(exp(a[picks]))) per row of `picks`, with the arithmetic of
-    scipy's `logsumexp` (1.17), so it gives the same bits: the count m of
-    entries equal to the row maximum leaves the sum, which adds exp of the
-    others shifted by the maximum (zeros in place of the maxima, so the
-    pairwise summation adds in the same order).  Each exp is taken once per
-    distinct maximum rather than once per pick: `shifted_by` maps a maximum
-    to exp of `a` shifted by it (zero at and above the maximum, which no
-    row with that maximum picks), and a row gathers its values from there.
-    Hitting times at zero sit far below any maximum, and an exp that
-    underflows costs many times a normal one."""
-    vals = a[picks]
-    a_max = vals.max(axis=-1)
-    m = (vals == a_max[:, None]).sum(axis=-1, dtype=np.float64)
-    tops, which = np.unique(a_max, return_inverse=True)
-    for top in tops.tolist():
-        if top not in shifted_by:
-            shifted_by[top] = np.exp(np.where(a < top, a, -np.inf) - top)
-    table = np.concatenate([shifted_by[top] for top in tops.tolist()])
-    s = table.take(picks + (which * a.size)[:, None]).sum(axis=-1)
-    return np.log1p(s / m) + np.log(m) + a_max
-
-
 def exponentiality_report(taus: np.ndarray, lambda_hat: float,
                           n_boot: int = N_BOOT,
                           seed: int = 0) -> ExponentialityReport:
@@ -282,7 +263,14 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
     Kolmogorov-Smirnov distance against its asymptotic critical value at
     level KS_ALPHA (simple hypothesis: lambda_hat is treated as given).
     Raises `FitError` without samples or with lambda_hat <= 0, which has no
-    exponential law."""
+    exponential law.
+
+    The moments share one set of resamples: a block of them is counted per
+    sample, and one product of the counts with (tau / tau_max)^k gives every
+    resample's sums for all k at once.  The scaling keeps the sums finite;
+    below about 1e-81 tau_max a sample adds exactly 0 to a k = 4 sum (and
+    below about 1e-77 tau_max a subnormal), which the tau_max term dwarfs.
+    """
     taus = np.asarray(taus, dtype=np.float64)
     n = taus.size
     if n == 0:
@@ -291,32 +279,31 @@ def exponentiality_report(taus: np.ndarray, lambda_hat: float,
         raise FitError(f"fitted decay rate {lambda_hat!r} is not positive, "
                        "so there is no exponential law to compare with; "
                        "extend the grid or add trajectories")
+    orders = np.arange(1, MAX_MOMENT + 1)
+    theo = [math.lgamma(k + 1) - k * math.log(lambda_hat)
+            for k in orders.tolist()]
+    scale = taus.max() or 1.0
+    powers = (taus / scale)[:, None] ** orders
     boot = rngmod.stream(seed, rngmod.BOOTSTRAP, 2)
-    moments = []
+    rows = max(1, _BOOT_BLOCK // n)
+    sums = []
+    for start in range(0, n_boot, rows):
+        r = min(rows, n_boot - start)
+        picks = boot.integers(0, n, (r, n), dtype=np.uint32)
+        counts = np.bincount((picks + n * np.arange(r)[:, None]).ravel(),
+                             minlength=r * n).reshape(r, n)
+        sums.append(counts @ powers)
+    with np.errstate(divide="ignore"):  # a resample of zeros has ratio 0
+        log_ratios = (np.log(np.concatenate(sums) / n)
+                      + (orders * math.log(scale) - theo))
+    lo, hi = np.quantile(np.exp(log_ratios), [0.0015, 0.9985], axis=0)
     logt = np.log(np.clip(taus, 1e-300, None))
-    for k in range(1, MAX_MOMENT + 1):
-        klogt = k * logt
-        # the full sample is one row, the picks of every sample
-        shifted_by = {}
-        log_mk = float(_resampled_logsumexp(
-            klogt, np.arange(n)[None, :], shifted_by)[0] - math.log(n))
-        theo = math.lgamma(k + 1) - k * math.log(lambda_hat)
-        ratio = math.exp(log_mk - theo)
-        # a row-wise log-sum-exp equals the 1-d one, so blocks of resamples
-        # give the values of one resample at a time; math.exp, not np.exp
-        # (which can differ in the last bit), keeps the interval identical
-        rows = max(1, _BOOT_BLOCK // n)
-        log_sums = []
-        for start in range(0, n_boot, rows):
-            picks = boot.integers(0, n, (min(rows, n_boot - start), n),
-                                  dtype=np.uint32)
-            log_sums += _resampled_logsumexp(klogt, picks,
-                                             shifted_by).tolist()
-        ratios = np.array([math.exp(v - math.log(n) - theo)
-                           for v in log_sums])
-        lo, hi = np.quantile(ratios, [0.0015, 0.9985])  # ~3 sigma band
-        moments.append(MomentRow(k, math.exp(log_mk), math.exp(theo),
-                                 ratio, (float(lo), float(hi))))
+    moments = []
+    for k, th, band in zip(orders.tolist(), theo,
+                           zip(lo.tolist(), hi.tolist())):  # ~3 sigma bands
+        log_mk = float(logsumexp(k * logt)) - math.log(n)
+        moments.append(MomentRow(k, math.exp(log_mk), math.exp(th),
+                                 math.exp(log_mk - th), band))
     # the two-sided statistic against the CDF 1 - exp(-lambda t), with the
     # arithmetic of scipy's kstest (which gives the same bits)
     cdf = -expm1(-np.sort(taus) / (1.0 / lambda_hat))

@@ -43,7 +43,7 @@ LINE_START[11] = LINE_START[15] = 0
 PINNED = [
     (TOY, "survival", {"t_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
                        "n_traj": 400, "t_max": 20.0},
-     "73c83cf3caec67b2ea933d638ac94876c966befc33f1de5c5b0688d6a209bb09"),
+     "b5dcec84b62403696cb82ad2d304caa0ff63b915789ae846d85d7824e1a1994d"),
     (TOY, "phi-direct", {"order": 2, "n_traj": 100, "t_max": 30.0},
      "cd95895cea1e56a9d47fbb2d765ed86b87c968d83f38c4eb59e985983b2333e0"),
     (TOY, "phi-iterate", {"iterations": 2, "n_particles": 100,
@@ -53,7 +53,7 @@ PINNED = [
      "2422f801307d71209047095799633e2832b0e98a0f54b7ae65996c6f9d38f744"),
     (LINE, "oracle-check", {"t_grid": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
                             "n_traj": 800},
-     "30d5e1b90d01ec6383ed0d5e4f8730f4a82dc50fa913c737c1acff461dea71a7"),
+     "da715d42cad451f586663999b629461073f3f3dede864218de819dae74378d2d"),
     (LINE, "couplings", {"initial": LINE_START, "site": 11,
                          "t_grid": [0.5, 1.0, 2.0], "n_traj": 50},
      "59b550d806e445db51835b7b5d23cb334b26963e9095b3c5a13d7b35555a7988"),
@@ -63,7 +63,7 @@ PINNED = [
     # atom at zero
     (LINE, "survival", {"t_grid": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
                         "n_traj": 800},
-     "90d13c7d5b4714727207fc5e076f07ee5e165ec4a7f510a83e992459c404a62a"),
+     "ade0051c4b07b48164e74d3931ce4bc7fc443708db600d2d8fbb0cc339b6d792"),
 ]
 # test ids: the experiment kind, prefixed by "line-" where the toy runs the
 # same kind
@@ -375,6 +375,21 @@ def test_validate_accepts_valid_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+@pytest.mark.parametrize("sites", [[3], [-1], [0, 7]])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_target_off_the_lattice_exits_3(tmp_path, capsys, command, sites):
+    """A target off the lattice is a model fault under both commands."""
+    config = _write(tmp_path, "cfg",
+                    _replaced(SURVIVAL, ("target", "sites"), sites))
+    argv = [command, "--config", config]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model invalid: ") and "outside the lattice" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_without_target_exits_2(tmp_path, capsys):
     config = _write(tmp_path, "cfg", _replaced(SURVIVAL, ("target",), None))
     assert cli.main(["validate", "--config", config]) == cli.EXIT_CONFIG
@@ -429,6 +444,7 @@ def test_spectral_over_state_limit_exits_3(tmp_path):
                                    "g": {"kind": "identity"}}))
     assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 12}) \
         == cli.EXIT_MODEL
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectral_density_fault_leaves_no_file(tmp_path, capsys):
@@ -438,7 +454,23 @@ def test_spectral_density_fault_leaves_no_file(tmp_path, capsys):
     assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 8}) \
         == cli.EXIT_MODEL
     assert capsys.readouterr().err.startswith("model error: ")
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_keeps_an_existing_out(tmp_path, capsys):
+    """A failed run removes only an `--out` it made itself: a directory
+    that was there before stays, with what it held."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    ring = dict(EXCL_RING, rho=0.9999995)
+    assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 8}) \
+        == cli.EXIT_MODEL
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    (out / "notes.txt").unlink()
+    assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 8}) \
+        == cli.EXIT_MODEL
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_spectral_site_cap_space_exits_2(tmp_path, capsys):

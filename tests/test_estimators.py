@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import logsumexp
+from scipy.stats import kstest
 
 from qslab import rng as rngmod
 from qslab.estimators import (N_ALIVE_FLOOR, N_BOOT, FitError,
@@ -72,12 +73,12 @@ class TestFitDecay:
 
     @pytest.mark.parametrize("n", [7, 100, 900, 20_000])
     def test_bootstrap_matches_one_resample_at_a_time(self, n):
-        """The blocked bootstrap gives the standard error, bit for bit, of
-        drawing and refitting one resample at a time (n = 100 and up split
-        the resamples into several blocks).  Sample 0 did not hit, and the
-        last grid time is the largest hitting time, so that sample alone is
-        alive there and about e^-1 of the resamples have no survivor and
-        are dropped; a tenth of the samples hit at tau = 0."""
+        """The block of multinomial window-bin counts gives the standard
+        error, bit for bit, of drawing and refitting one resample at a time
+        from the same stream.  Sample 0 did not hit, and the last grid time
+        is the largest hitting time, so that sample alone is alive there and
+        about e^-1 of the resamples have no survivor and are dropped; a
+        tenth of the samples hit at tau = 0."""
         taus = rngmod.stream(910, rngmod.SAMPLING, 0).exponential(2.0, n)
         taus[1:1 + n // 10] = 0.0
         hit = np.ones(n, dtype=bool)
@@ -88,12 +89,14 @@ class TestFitDecay:
                               taus=taus, hit=hit)
         fit = fit_decay(curve, seed=911)
         tw = t[t >= fit.window[0]]
+        # the number of window times at which each sample is alive
+        n_win = ((taus[:, None] > tw[None, :]) | ~hit[:, None]).sum(axis=1)
+        freq = np.bincount(n_win, minlength=tw.size + 1) / n
         boot = rngmod.stream(911, rngmod.BOOTSTRAP, 1)
         slopes = []
         for _ in range(N_BOOT):
-            pick = boot.integers(0, n, n)
-            pb = ((taus[pick][None, :] > tw[:, None])
-                  | ~hit[pick]).mean(axis=1)
+            hist = boot.multinomial(n, freq)
+            pb = np.array([hist[j + 1:].sum() for j in range(tw.size)]) / n
             if (pb <= 0).any():
                 continue
             w = n * pb / np.clip(1 - pb, 1e-12, None)
@@ -104,6 +107,32 @@ class TestFitDecay:
                           / (w * (tw - tbar) ** 2).sum())
         assert 1 < len(slopes) < N_BOOT
         assert fit.stderr == float(np.std(slopes, ddof=1))
+
+    def test_bootstrap_has_the_law_of_uniform_picks(self):
+        """Counts drawn by bin have the law of n uniform picks binned: over
+        40 exponential curves of 2,000 samples, the mean standard error
+        lies within 5% of that of a bootstrap of picks, refitted on the same
+        window (paired by curve, the two means differ by about 1% sd)."""
+        n, t = 2000, np.linspace(0.2, 3.0, 8)
+        ours, picked = [], []
+        for seed in range(40):
+            taus = rngmod.stream(920 + seed, rngmod.SAMPLING, 0) \
+                .exponential(1.0, n)
+            alive = (taus[None, :] > t[:, None]).sum(axis=1)
+            curve = SurvivalCurve(t=t, estimate=alive / n, n_alive=alive,
+                                  n_total=n, taus=taus,
+                                  hit=np.ones(n, dtype=bool))
+            fit = fit_decay(curve, seed=seed)
+            ours.append(fit.stderr)
+            tw = t[t >= fit.window[0]]
+            picks = rngmod.stream(seed, rngmod.SAMPLING, 1) \
+                .integers(0, n, (N_BOOT, n))
+            pb = (taus[picks][:, None, :] > tw[None, :, None]).mean(axis=2)
+            w = n * pb / (1 - pb)
+            slope = np.polynomial.polynomial.polyfit
+            picked.append(np.std([slope(tw, np.log(p), 1, w=np.sqrt(wi))[1]
+                                  for p, wi in zip(pb, w)], ddof=1))
+        assert np.mean(ours) == pytest.approx(np.mean(picked), rel=0.05)
 
 
 class TestExponentiality:
@@ -120,25 +149,41 @@ class TestExponentiality:
         pytest.param(30, 1, id="30-ties"),
         pytest.param(900, 1, id="900-ties")])
     def test_bootstrap_matches_one_resample_at_a_time(self, n, decimals):
-        """The blocked bootstrap gives the same interval endpoints, bit for
-        bit, as drawing and reducing one resample at a time (n = 100 and
-        20,000 split the resamples into several blocks).  At n = 7 and 30
-        the resample maxima take many values; taus rounded to 0.1 tie, also
-        at the maximum."""
+        """Every moment's band is, to 1e-12 relative, the quantiles of
+        mean(taus[pick] ** k) over resamples picked one at a time from the
+        same stream (n = 100 and 20,000 split the resamples into several
+        blocks), so all moments read one resample set.  A tenth of the
+        samples are zero; taus rounded to 0.1 tie, also at the maximum."""
         taus = rngmod.stream(908, rngmod.SAMPLING, 0).exponential(2.0, n)
         taus[:n // 10] = 0.0
         if decimals is not None:
             taus = np.round(taus, decimals)
         rep = exponentiality_report(taus, 0.5, seed=909)
         boot = rngmod.stream(909, rngmod.BOOTSTRAP, 2)
+        picks = [boot.integers(0, n, n) for _ in range(N_BOOT)]
+        for row in rep.moments:
+            theo = math.factorial(row.k) / 0.5 ** row.k
+            ratios = [np.mean(taus[pick] ** row.k) / theo for pick in picks]
+            lo, hi = np.quantile(ratios, [0.0015, 0.9985])
+            assert row.ratio_ci == pytest.approx((lo, hi), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 30, 900])
+    def test_statistics_match_scipy(self, n):
+        """The moments, ratios, KS statistic and atom at zero are, bit for
+        bit, scipy's log-sum-exp and `kstest` on the samples (a tenth of
+        them at zero)."""
+        taus = rngmod.stream(912, rngmod.SAMPLING, 0).exponential(2.0, n)
+        taus[:n // 10] = 0.0
+        rep = exponentiality_report(taus, 0.5, seed=913)
         logt = np.log(np.clip(taus, 1e-300, None))
         for row in rep.moments:
+            log_mk = float(logsumexp(row.k * logt)) - math.log(n)
             theo = math.lgamma(row.k + 1) - row.k * math.log(0.5)
-            ratios = [math.exp(float(logsumexp(
-                row.k * logt[boot.integers(0, n, n)]) - math.log(n)) - theo)
-                for _ in range(200)]
-            lo, hi = np.quantile(ratios, [0.0015, 0.9985])
-            assert row.ratio_ci == (float(lo), float(hi))
+            assert row.empirical == math.exp(log_mk)
+            assert row.ratio == math.exp(log_mk - theo)
+        assert rep.ks_statistic == kstest(taus, "expon",
+                                          args=(0, 1 / 0.5)).statistic
+        assert rep.atom_at_zero == np.mean(taus == 0.0)
 
     @pytest.mark.parametrize("taus,lambda_hat", [
         (np.array([0.5, 1.0]), 0.0), (np.array([0.5, 1.0]), -0.0),

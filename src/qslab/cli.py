@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, storage
 from .config import ConfigError, ExperimentConfig
 from .dynamics import WORK, second_class_escape, sigma_exit, survival_curve
-from .estimators import FitError, SurvivalCurve, exponentiality_report, fit_decay
+from .estimators import FitError, exponentiality_report, fit_decay
 from .measures import DensityError, FugacityError, increasing_suite, domination_test
 from .model import ModelError, validate_model
 from .phi import PhiUndefinedError, cesaro_mixture, phi_direct, phi_iterate
@@ -50,12 +50,11 @@ def _run_survival(cfg: ExperimentConfig, out: Path,
         cfg.seed, measure=cfg.measure(),
         t_max=cfg.budgets.get("t_max"), workers=workers)
     storage.save_survival_curve(curve, out / "curve.csv")
-    fit = fit_decay(curve, seed=cfg.seed)
+    fit = fit_decay(curve)
     report = fit.to_dict()
     report["censored_fraction"] = curve.censored_fraction
     storage.write_json(out / "decay_fit.json", report)
-    expo = exponentiality_report(curve.taus[curve.hit], fit.lambda_hat,
-                                 seed=cfg.seed)
+    expo = exponentiality_report(curve.taus[curve.hit], fit.lambda_hat)
     storage.write_json(out / "exponentiality.json", expo.to_dict())
 
 
@@ -76,7 +75,7 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
                 t_grid[k], curve.estimate[k], oracle[k],
                 abs(curve.estimate[k] - oracle[k]), 3.0 * se[k])))
         (out / "oracle_table.csv").write_text("\n".join(rows) + "\n")
-        fit = fit_decay(curve, seed=cfg.seed)
+        fit = fit_decay(curve)
         storage.write_json(out / "summary.json", {
             "oracle": "half_line_closed_form",
             "sup_abs_err": float(np.abs(curve.estimate - oracle).max()),
@@ -95,13 +94,9 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
     nu = canonical_vector(space, model.rates.g)[kg.ac_indices]
     exact = exact_survival(kg, nu, t_grid)
     closed = oracle.mixture_survival(t_grid)
-    fit_ts = np.linspace(1e7, 2e7, 9)
-    fit = fit_decay(SurvivalCurve.from_log(
-        fit_ts, oracle.log_mixture_survival(fit_ts)))
     storage.write_json(out / "summary.json", {
         "oracle": "ring_closed_form",
         "max_two_method_gap": float(np.abs(exact - closed).max()),
-        "lambda_ring_fit": fit.lambda_hat,
         "lambda_ring": oracle.decay_rate,
         "half_line_rate_for_same_density": rho,
     })

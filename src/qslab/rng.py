@@ -20,10 +20,10 @@ consumers and is the reference the block function is tested against.
 import numpy as np
 
 # Purpose tags keep unrelated pipeline stages on disjoint keys; adding a new
-# consumer must use a fresh tag instead of sharing an existing stream.
+# consumer must use a fresh tag instead of sharing an existing stream.  Tag 3
+# keyed a retired resampling stream and stays unused.
 TRAJECTORY = 1
 RESAMPLE = 2
-BOOTSTRAP = 3
 SAMPLING = 4
 
 _INDEX_BITS = 48

@@ -33,6 +33,9 @@ BENCH = ROOT / "bench"
 ALLOWED = {
     "spectral.TasepCircleOracle.yaglom_ratio":
         "closed-form conditioned law of the TASEP circle, a test oracle",
+    "spectral.TasepCircleOracle.log_mixture_survival":
+        "closed-form log survival of the TASEP circle far in the tail, the "
+        "test oracle of its unit decay rate",
     "spectral.StateSpace.index_of":
         "public inverse of `StateSpace.occupancies`",
     "storage.load_ensemble":
@@ -49,8 +52,6 @@ ALLOWED_PARAMETERS = {
         "the command line passes none; tests hand argument lists to it",
     "measures.ProductMeasure.sample_occupancies(n)":
         "the benchmark tracer wraps this sampler by name",
-    "estimators.exponentiality_report(n_boot)":
-        "the KS calibration test runs 200 replicas at 10 resamples",
 }
 
 

@@ -43,7 +43,7 @@ LINE_START[11] = LINE_START[15] = 0
 PINNED = [
     (TOY, "survival", {"t_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
                        "n_traj": 400, "t_max": 20.0},
-     "b5dcec84b62403696cb82ad2d304caa0ff63b915789ae846d85d7824e1a1994d"),
+     "2970ad9e312d69d7857e91280457b4df0a0b17d0f848c6eaac8cee1d605bb102"),
     (TOY, "phi-direct", {"order": 2, "n_traj": 100, "t_max": 30.0},
      "cd95895cea1e56a9d47fbb2d765ed86b87c968d83f38c4eb59e985983b2333e0"),
     (TOY, "phi-iterate", {"iterations": 2, "n_particles": 100,
@@ -53,17 +53,17 @@ PINNED = [
      "2422f801307d71209047095799633e2832b0e98a0f54b7ae65996c6f9d38f744"),
     (LINE, "oracle-check", {"t_grid": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
                             "n_traj": 800},
-     "da715d42cad451f586663999b629461073f3f3dede864218de819dae74378d2d"),
+     "b88d41e10449739f94a35fdda74e965b1b189f3b45c5746f1eedd8d5e65fbaaa"),
     (LINE, "couplings", {"initial": LINE_START, "site": 11,
                          "t_grid": [0.5, 1.0, 2.0], "n_traj": 50},
      "59b550d806e445db51835b7b5d23cb334b26963e9095b3c5a13d7b35555a7988"),
     (LINE, "sigma-exit", {"kappas": [0.5, 0.8], "n_traj": 60},
      "d970c1dc06e811dc7a384a25090fbf532c3409a49c7d4571b501eac559740c69"),
-    # half the line's starts hit at tau = 0, so both bootstraps resample an
-    # atom at zero
+    # half the line's starts hit at tau = 0, so the exponentiality report
+    # sees an atom at zero
     (LINE, "survival", {"t_grid": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5],
                         "n_traj": 800},
-     "ade0051c4b07b48164e74d3931ce4bc7fc443708db600d2d8fbb0cc339b6d792"),
+     "7a1af14fd88bcc297c6e88cf9f690a43e43d5f422dfb5148c2e753ed9d89342b"),
 ]
 # test ids: the experiment kind, prefixed by "line-" where the toy runs the
 # same kind

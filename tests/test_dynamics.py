@@ -485,22 +485,19 @@ class TestSurvivalCurve:
         assert (np.abs(curve.estimate - oracle) <= 3 * se + 1e-12).all()
 
 
-def supermultiplicativity_slack(model, target, measure, s, t, n_traj, seed,
-                                n_boot=200):
+def supermultiplicativity_slack(model, target, measure, s, t, n_traj, seed):
     """Monte Carlo slack p(s+t) - p(s) p(t) of the survival probability p
-    under the product law, and its bootstrap standard error."""
+    under the product law, and its delta-method standard error."""
     curve = survival_curve(model, target, [s, t, s + t], n_traj, seed,
                            measure=measure)
     # censored trajectories survived past the horizon: alive at every probe
     taus = np.where(curve.hit, curve.taus, np.inf)
-
-    def slack_of(arr):
-        return (arr > s + t).mean() - (arr > s).mean() * (arr > t).mean()
-
-    boot_gen = rngmod.stream(seed, rngmod.BOOTSTRAP, 0)
-    slacks = [slack_of(taus[boot_gen.integers(0, n_traj, n_traj)])
-              for _ in range(n_boot)]
-    return slack_of(taus), float(np.std(slacks, ddof=1))
+    p = (taus[:, None] > np.array([s, t, s + t])).mean(axis=0)
+    p_s, p_t, p_st = p
+    # the events tau > u are nested, so Cov = p_later - p_u p_v per start
+    cov = np.minimum.outer(p, p) - np.outer(p, p)
+    grad = np.array([-p_t, -p_s, 1.0])
+    return p_st - p_s * p_t, float(np.sqrt(grad @ cov @ grad / n_traj))
 
 
 class TestSupermultiplicativity:

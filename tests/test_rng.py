@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from qslab import rng as rngmod
 
-PURPOSES = [rngmod.TRAJECTORY, rngmod.RESAMPLE, rngmod.BOOTSTRAP,
-            rngmod.SAMPLING]
+PURPOSES = [rngmod.TRAJECTORY, rngmod.RESAMPLE, rngmod.SAMPLING]
 LAST_INDEX = (1 << 48) - 1
 
 

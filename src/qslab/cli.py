@@ -153,9 +153,7 @@ def _run_spectral(cfg: ExperimentConfig, out: Path,
             skipped[section] = ("defective spectrum: the decay rate is a "
                                 "survival fit, with no Perron vectors")
     else:
-        report["qsd_fixed_point"] = {
-            k: v for k, v in qsd_fixed_point_check(kgc, res.qsd).items()
-            if k != "generator_residuals"}
+        report["qsd_fixed_point"] = qsd_fixed_point_check(kgc, res.qsd)
         nu_full = product_vector(space, measure.marginal)
         nu_core = nu_full[kgc.ac_indices]
         n_zero = int(np.count_nonzero(nu_core <= 0))
@@ -174,11 +172,10 @@ def _run_spectral(cfg: ExperimentConfig, out: Path,
                 "entropy": sandwich.entropy,
                 "fg_mass": sandwich.fg_mass,
             }
-            ray = rayleigh_quotient(model, target, space, nu_full,
-                                    lambda_asymmetric=res.decay_rate)
+            ray = rayleigh_quotient(model, target, space, nu_full)
             report["rayleigh"] = {
-                "lambda_s": ray.lambda_s,
-                "classical_bound_margin": ray.classical_bound_margin,
+                "lambda_s": ray.decay_rate,
+                "classical_bound_margin": res.decay_rate - ray.decay_rate,
             }
     if skipped:
         report["skipped"] = skipped
@@ -316,9 +313,19 @@ def _diff_numeric(a, b, prefix=""):
     return diffs
 
 
+def _read_manifest(run_dir) -> dict:
+    """The JSON object in the run's `manifest.json`; a ValueError when it
+    holds another JSON value."""
+    path = Path(run_dir) / "manifest.json"
+    manifest = storage.read_json(path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} must hold a JSON object, "
+                         f"got {type(manifest).__name__}")
+    return manifest
+
+
 def compare_runs(dir_a, dir_b) -> dict:
-    man_a = storage.read_json(Path(dir_a) / "manifest.json")
-    man_b = storage.read_json(Path(dir_b) / "manifest.json")
+    man_a, man_b = _read_manifest(dir_a), _read_manifest(dir_b)
     if man_a["experiment"] != man_b["experiment"]:
         raise ValueError(
             f"incompatible experiment kinds: {man_a['experiment']} "
@@ -396,7 +403,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         try:
             result = compare_runs(args.run_a, args.run_b)
-        except (FileNotFoundError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             print(f"compare failed: {exc}", file=sys.stderr)
             return EXIT_COMPARE
         text = storage.canonical_json(result)

@@ -63,10 +63,23 @@ def _number(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
+def _is_integer(value) -> bool:
+    """Whether `value` is an integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
     """Whether `value` is a nonnegative integer (a bool is not)."""
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
+    return _is_integer(value) and value >= 0
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """`values` (a list, or nested lists) as an integer array; a ConfigError
+    when an entry is not an integer, so nothing is truncated."""
+    array = np.asarray(values, dtype=object)
+    if not all(_is_integer(v) for v in array.flat):
+        raise ConfigError(f"{what} must be integers, got {values!r}")
+    return array.astype(np.int64)
 
 
 def _is_time(value) -> bool:
@@ -82,7 +95,10 @@ def g_from_spec(spec: dict):
     if kind == "constant":
         return g_constant, 1.0
     if kind == "capped":
-        cap = int(_require(spec, "cap", "rates.g"))
+        cap = _require(spec, "cap", "rates.g")
+        if not _is_count(cap):
+            raise ConfigError(f"rates.g cap must be a nonnegative integer, "
+                              f"got {cap!r}")
         return g_capped(cap), float(cap)
     if kind == "table":
         values = _require(spec, "values", "rates.g")
@@ -118,12 +134,13 @@ def rates_from_dict(spec: dict) -> RateFunction:
 
 
 def lattice_from_dict(spec: dict) -> Lattice:
-    return Lattice(tuple(_require(spec, "extent", "lattice")),
-                   spec.get("boundary", "torus"))
+    extent = _integers(_require(spec, "extent", "lattice"), "lattice extent")
+    return Lattice(tuple(extent.tolist()), spec.get("boundary", "torus"))
 
 
 def kernel_from_dict(spec: dict) -> JumpKernel:
-    return JumpKernel(np.asarray(_require(spec, "offsets", "kernel")),
+    return JumpKernel(_integers(_require(spec, "offsets", "kernel"),
+                                "kernel offsets"),
                       np.asarray(_require(spec, "weights", "kernel"),
                                  dtype=np.float64))
 
@@ -133,7 +150,8 @@ def target_from_dict(spec: dict) -> TargetSet:
     if not _is_count(threshold):
         raise ConfigError(f"target threshold must be a nonnegative integer, "
                           f"got {threshold!r}")
-    return TargetSet(np.asarray(_require(spec, "sites", "target")), threshold)
+    return TargetSet(_integers(_require(spec, "sites", "target"),
+                               "target sites"), threshold)
 
 
 @dataclass

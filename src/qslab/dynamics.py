@@ -50,8 +50,6 @@ from .estimators import CI_SIGMAS, SurvivalCurve
 from .measures import ProductMeasure
 from .model import JumpKernel, Lattice, Model, TargetSet, jump_rates
 
-_NO_TARGET_THRESHOLD = np.int64(2**62)
-
 # end status of an engine row
 _HIT, _CENSORED, _FROZEN = 1, 2, 3
 # a total rate at or below this counts as no rate: the row is frozen
@@ -63,29 +61,21 @@ _FROZEN_RATE = 1e-300
 # ---------------------------------------------------------------------------
 
 class SimContext:
-    """Tables binding a model (and optional target) for the engine: the
-    model's jump table (`Model.jump_table`: destination and kernel weight
-    of every (site, offset) jump) and the window mask."""
+    """Tables binding a model and a target for the engine: the model's jump
+    table (`Model.jump_table`: destination and kernel weight of every
+    (site, offset) jump) and the window mask."""
 
-    def __init__(self, model: Model, target: TargetSet | None):
+    def __init__(self, model: Model, target: TargetSet):
+        target.validate_on(model.lattice)
         self.model = model
-        self.target = target
-        lattice = model.lattice
         self.nbr, self.weights = model.jump_table()
-        if target is not None:
-            target.validate_on(lattice)
-            self.in_window = target.mask(lattice.num_sites)
-            self.threshold = np.int64(target.threshold)
-        else:
-            self.in_window = np.zeros(lattice.num_sites, dtype=bool)
-            self.threshold = _NO_TARGET_THRESHOLD
+        self.in_window = target.mask(model.lattice.num_sites)
+        self.threshold = np.int64(target.threshold)
 
     def immortal(self, occ: np.ndarray) -> np.ndarray:
         """Per row of `occ`, whether the start can never enter the target:
         every jump conserves the particle total, and the window never holds
-        more than the total.  Without a target nothing is immortal."""
-        if self.target is None:
-            return np.zeros(occ.shape[0], dtype=bool)
+        more than the total."""
         return occ.sum(axis=1) <= self.threshold
 
 
@@ -333,13 +323,13 @@ class BatchResult:
     """Outcome of a batch, one entry per trajectory in index order.
 
     `immortal` marks the starts that can never enter the target (particle
-    total at or below the threshold; never set without a target).  They do
-    not enter the engine: each is censored at t_max with no events, its row
-    of `finals` is its initial state, not the state at t_max, and it is
-    `frozen` only when its total rate at t = 0 is 0.  `events` holds the
-    recorded (times, sources, destinations) per trajectory, `n_events` the
-    event counts whether recorded or not.  The batch's work is not a field:
-    `run_batch` adds it to `WORK`."""
+    total at or below the threshold).  They do not enter the engine: each
+    is censored at t_max with no events, its row of `finals` is its initial
+    state, not the state at t_max, and it is `frozen` only when its total
+    rate at t = 0 is 0.  `events` holds the recorded (times, sources,
+    destinations) per trajectory, `n_events` the event counts whether
+    recorded or not.  The batch's work is not a field: `run_batch` adds it
+    to `WORK`."""
 
     taus: np.ndarray            # hit time, or t_max where censored
     hit: np.ndarray             # bool per trajectory
@@ -447,7 +437,7 @@ def _span_worker(span):
     return _run_span(_FORK_CTX, span[0], span[1])
 
 
-def run_batch(model: Model, target: TargetSet | None, n_traj: int,
+def run_batch(model: Model, target: TargetSet, n_traj: int,
               t_max: float, seed: int, *,
               measure: ProductMeasure | None = None,
               initials: np.ndarray | None = None,

@@ -8,6 +8,11 @@ particle-number sectors: one canonical sector (`FixedTotal`) or every
 sector up to a total (`MaxTotal`).  Such a space is exactly closed under the
 dynamics, so the killed generator needs no truncation and the canonical
 stationary vectors stay exactly invariant.
+
+One Perron solver, `principal_decay`, answers both eigenproblems: the
+decay rate of the killed generator and, through the variational principle
+for the reversible symmetrized chain, the least Dirichlet quotient
+(`rayleigh_quotient`).
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from scipy.linalg import eig
 from scipy.sparse import csr_matrix
 from scipy.sparse import identity as sparse_identity
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigs,
-                                 eigsh, splu)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 from scipy.sparse.linalg import norm as sparse_norm
 from scipy.special import gammaln, logsumexp, pdtr, pdtrik, xlogy
 
@@ -425,7 +429,11 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     Poisson truncation of the last time (1,231 products with the
     uniformized matrix when the largest exit rate is at least 1, so that
     the last Poisson mean is 1000), and the fit window is the suffix of
-    that grid with the smallest residual mean square."""
+    that grid with the smallest residual mean square.
+
+    On a chain reversible under some nu this is also the least Dirichlet
+    quotient, with the right vector as its minimizer: `rayleigh_quotient`
+    is this solve on the symmetrized core."""
     n = kg.dim
     if n == 0:
         raise SolverError("empty surviving state space")
@@ -603,21 +611,12 @@ def occupation_vectors(kg: KilledGenerator, initial: np.ndarray,
 
 
 def qsd_fixed_point_check(kg: KilledGenerator, mu: np.ndarray) -> dict:
-    """L1 distance between mu and its occupation-map image, plus the
-    stationarity-of-conditioning residuals over coordinate functions."""
+    """L1 distance between mu and its occupation-map image, and the
+    expected killing time from mu."""
     mu = np.asarray(mu, dtype=np.float64)
     occ_map = occupation_vectors(kg, mu, 1)[0]
     phi_mu = occ_map / occ_map.sum()
-    l1 = float(np.abs(phi_mu - mu).sum())
-    kill_mean = float(mu @ kg.killing)
-    residuals = {}
-    occs = kg.space.occupancies[kg.ac_indices]
-    for site in range(kg.space.n_sites):
-        phi = occs[:, site].astype(np.float64)
-        lhs = float(mu @ (kg.matrix @ phi))
-        residuals[site] = abs(lhs + kill_mean * float(mu @ phi))
-    return {"l1_distance": l1,
-            "generator_residuals": residuals,
+    return {"l1_distance": float(np.abs(phi_mu - mu).sum()),
             "expected_tau": float(occ_map.sum())}
 
 
@@ -667,34 +666,20 @@ def normalize_density(vector: np.ndarray, nu_ac: np.ndarray) -> np.ndarray:
     return v / mass
 
 
-@dataclass
-class RayleighReport:
-    lambda_s: float
-    eigen_residual: float
-    lambda_asymmetric: float | None = None
-
-    @property
-    def classical_bound_margin(self) -> float | None:
-        if self.lambda_asymmetric is None:
-            return None
-        return self.lambda_asymmetric - self.lambda_s
-
-
 def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
-                      nu_full: np.ndarray,
-                      lambda_asymmetric: float | None = None) -> RayleighReport:
+                      nu_full: np.ndarray) -> SpectralResult:
     """Least Dirichlet quotient -<f, L f>_nu / <f, f>_nu of the
     symmetrized-half kernel over the functions f on the `absorbing_core` of
     its killed generator (f is zero on the target and on the states that are
     never killed, whose quotient would be a rounding-level 0).
 
-    The minimum is the bottom eigenvalue of the sparse S = D^(1/2) (-L)
-    D^(-1/2), D = diag(nu), found by shift-invert Lanczos about -1 from a
-    fixed start vector, so that repeated calls return the same bits.  S is
-    symmetric positive semidefinite with nonpositive off-diagonal entries,
-    so S + I is a nonsingular M-matrix with a symmetric pattern: it is
-    factored once with diagonal pivots (`_m_matrix_lu`) and the solves are
-    handed to Lanczos."""
+    The chain is reversible under nu (checked: S = D^(1/2) (-L) D^(-1/2),
+    D = diag(nu), must be symmetric), so by the variational principle the
+    least quotient is its principal decay rate, and the minimizing f is its
+    right Perron vector.  The result is `principal_decay` of the
+    symmetrized core, whose `decay_rate` is the quotient and whose
+    `right_vector` is f; a core without a Perron pair (`defective`) raises
+    SolverError rather than pass a survival fit off as a quotient."""
     sym_model = Model(model.lattice, model.kernel.symmetrized_half(),
                       model.rates)
     kgs = restrict_to_core(build_killed_generator(space, sym_model, target))
@@ -710,19 +695,11 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
         raise SolverError(
             "symmetrized-kernel chain is not reversible under the supplied "
             f"measure (asymmetry {asym:.2e}); the quotient is ill-posed")
-    S = (0.5 * (S + S.T)).tocsc()
-    if kgs.dim == 1:
-        lam_s, resid = float(S[0, 0]), 0.0
-    else:
-        lu = _m_matrix_lu(S + sparse_identity(kgs.dim, format="csc"))
-        shift_inverse = LinearOperator(S.shape, matvec=lu.solve,
-                                       dtype=np.float64)
-        evals, evecs = eigsh(S, k=1, sigma=-1.0, which="LM", tol=0,
-                             v0=np.ones(kgs.dim), OPinv=shift_inverse)
-        lam_s = float(evals[0])
-        v = evecs[:, 0]
-        resid = float(np.linalg.norm(S @ v - lam_s * v, np.inf))
-    return RayleighReport(lam_s, resid, lambda_asymmetric)
+    res = principal_decay(kgs)
+    if res.defective:
+        raise SolverError("symmetrized core has no Perron pair; its decay "
+                          "rate is a survival fit, not a quotient")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -758,17 +735,12 @@ class TasepCircleOracle:
                 return k
         raise ValueError("no particle on the ring")
 
-    def survival_given_chi(self, chi: int, t) -> np.ndarray | float:
-        """P(N_t < chi): Poisson tail, summed from k = 0 so that survival at
-        t = 0 is one whenever the origin starts empty."""
-        t = np.asarray(t, dtype=np.float64)
-        ks = np.arange(max(chi, 1))
-        if chi == 0:
-            return np.zeros_like(t) if t.ndim else 0.0
-        terms = (-t[..., None] + ks * np.log(np.clip(t[..., None], 1e-300, None))
-                 - gammaln(ks + 1))
-        out = np.exp(logsumexp(terms, axis=-1))
-        out = np.where(t == 0.0, 1.0, out)
+    def survival_given_chi(self, chi, t) -> np.ndarray | float:
+        """P(N_t < chi) = `pdtr(chi - 1, t)`, N the unit Poisson clock of
+        the particle behind the origin, which needs chi jumps to reach it:
+        one at t = 0 whenever the origin starts empty, 0 when chi = 0.
+        Arrays of chi and t broadcast."""
+        out = np.where(chi > 0, pdtr(np.maximum(chi, 1) - 1, t), 0.0)
         return out if out.ndim else float(out)
 
     def survival(self, occupancy: np.ndarray, t):
@@ -785,13 +757,13 @@ class TasepCircleOracle:
         return probs
 
     def mixture_survival(self, t):
+        """P(tau > t) under the uniform fixed-count law: the survival given
+        each gap against the gap's law."""
         dist = self.chi_distribution()
         t = np.asarray(t, dtype=np.float64)
-        acc = np.zeros_like(t, dtype=np.float64)
-        for c, p in enumerate(dist):
-            if p > 0 and c > 0:
-                acc = acc + p * self.survival_given_chi(c, t)
-        return acc if acc.ndim else float(acc)
+        out = self.survival_given_chi(np.arange(dist.size), t[..., None]) \
+            @ dist
+        return out if out.ndim else float(out)
 
     def log_mixture_survival(self, t) -> np.ndarray | float:
         """log P(tau > t) under the uniform mixture, stable at huge t where

@@ -375,7 +375,7 @@ def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
     (times, sources, destinations)."""
     nbr = model.lattice.neighbor_table(model.kernel.offsets)
     weights, b = model.kernel.weights, model.rates.b
-    thr = None if target is None else target.threshold
+    thr = target.threshold
     taus, hit, frozen, finals, events = [], [], [], [], []
     for i in range(n_traj):
         gen = rngmod.stream(seed, rngmod.TRAJECTORY, i)
@@ -386,9 +386,9 @@ def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
         while status is None:
             site_rates = _site_rates_loop(occ, nbr, weights, b)
             total = _total_loop(site_rates)
-            if thr is not None and occ.sum() <= thr:
+            if occ.sum() <= thr:
                 status = "frozen" if total <= 1e-300 else "censored"
-            elif thr is not None and occ[target.sites].sum() > thr:
+            elif occ[target.sites].sum() > thr:
                 status = "hit"
             elif total <= 1e-300:
                 status = "frozen"

@@ -499,6 +499,21 @@ def test_compare_without_manifests_exits_5(tmp_path):
                      str(tmp_path / "b")]) == cli.EXIT_COMPARE
 
 
+@pytest.mark.parametrize("layout", ["run-is-a-file", "manifest-is-a-list"])
+def test_compare_unreadable_run_exits_5(tmp_path, capsys, layout):
+    """A run path that is a file, or a manifest that holds no JSON object,
+    is a failed comparison, not a traceback."""
+    for name in ("a", "b"):
+        if layout == "run-is-a-file":
+            (tmp_path / name).write_text("{}\n")
+        else:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text("[1, 2]\n")
+    assert cli.main(["compare", str(tmp_path / "a"),
+                     str(tmp_path / "b")]) == cli.EXIT_COMPARE
+    assert capsys.readouterr().err.startswith("compare failed: ")
+
+
 @pytest.mark.parametrize("rho,count", [(0.01, 0), (0.99, 6)])
 def test_oracle_check_ring_without_room_exits_2(tmp_path, capsys, rho,
                                                 count):

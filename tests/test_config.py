@@ -82,6 +82,15 @@ def test_base_config_is_valid():
     (("budgets", "t_grid"), None, "budget t_grid required for survival"),
     (("budgets", "order"), 2, "budget order is not read by survival"),
     (("rho",), float("nan"), "rho must be a number"),
+    (("model", "lattice", "extent"), [3.5], "extent must be integers"),
+    (("model", "kernel", "offsets"), [[1.5], [-1]],
+     "offsets must be integers"),
+    (("target", "sites"), [0.5], "sites must be integers"),
+    (("target", "sites"), [True], "sites must be integers"),
+    (("model", "rates", "g"), {"kind": "capped", "cap": 1.5},
+     "cap must be a nonnegative integer"),
+    (("model", "rates", "g"), {"kind": "capped", "cap": True},
+     "cap must be a nonnegative integer"),
 ], ids=["experiment", "no-rates", "no-kernel", "no-target", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
         "kappas-scalar", "kappas-empty", "seed", "n_traj-word", "n_traj-bool",
@@ -91,7 +100,8 @@ def test_base_config_is_valid():
         "seed-negative", "threshold-fraction", "threshold-bool", "t_max-bool",
         "g-kind", "rate-family", "b-kind", "t_max-infinite",
         "t_grid-negative", "kappas-nan", "probe_times-infinite", "no-t_grid",
-        "budget-unread", "rho-nan"])
+        "budget-unread", "rho-nan", "extent-fraction", "offsets-fraction",
+        "sites-fraction", "sites-bool", "cap-fraction", "cap-bool"])
 def test_malformed_field_is_a_config_error(path, value, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(_with(path, value))

@@ -126,14 +126,18 @@ class TestBatches:
 
     def test_recorded_long_trajectories_worker_invariant(self):
         """Recorded trajectories of thousands of events (many blocks of
-        draws each) do not depend on the worker count."""
+        draws each) do not depend on the worker count.  The 18-particle
+        starts are mortal under the threshold 17 on site 0 but never put
+        all their particles there, so every row runs to t_max."""
         lattice = Lattice((6,), "torus")
         model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
                                           np.array([0.7, 0.3])), G_LINEAR)
+        target = TargetSet(np.array([0]), 17)
         initials = np.full((8, 6), 3)
-        one, two = (run_batch(model, None, 8, 300.0, seed=7,
+        one, two = (run_batch(model, target, 8, 300.0, seed=7,
                               initials=initials, record_events=True,
                               workers=w) for w in (1, 2))
+        assert not one.hit.any() and not one.immortal.any()
         assert min(ev[0].size for ev in one.events) > 2 * 2048
         for a, b in zip(one.events, two.events):
             for x, y in zip(a, b):
@@ -200,15 +204,6 @@ class TestImmortalStarts:
         # only the two mortal starts reach the engine, both from t = 0
         assert [t0 for t0, _ in kernel_calls] == [0.0]
         assert np.array_equal(kernel_calls[0][1], initials[3:])
-
-    def test_unkilled_runs_never_skip(self, toy, kernel_calls):
-        model, _, _ = toy
-        initials = np.array([[0, 1, 0], [0, 0, 0]])
-        batch = run_batch(model, None, 2, 5.0, seed=83, initials=initials)
-        assert not batch.immortal.any()
-        assert [t0 for t0, _ in kernel_calls] == [0.0]
-        assert np.array_equal(kernel_calls[0][1], initials)
-        assert batch.frozen.tolist() == [False, True]
 
     def test_recorded_batch_matches_golden(self, toy):
         """Skipping immortal starts leaves every other trajectory
@@ -340,12 +335,16 @@ class TestEngineOracle:
         assert residual.tolist() == [0.5, 0.0, 1.5, 2.0, 0.0]
 
     def test_unkilled_and_frozen_rows_match_scalar_loop(self, toy):
+        """Nine particles never all sit on site 0 in these runs, so the
+        threshold 8 there kills none of them; the empty start is frozen."""
         model, _, _ = toy
-        initials = np.array([[0, 0, 0], [2, 0, 1], [0, 3, 0], [1, 1, 1]])
-        batch = run_batch(model, None, 4, 4.0, 23, initials=initials,
+        target = TargetSet(np.array([0]), 8)
+        initials = np.array([[0, 0, 0], [5, 0, 4], [0, 9, 0], [3, 3, 3]])
+        batch = run_batch(model, target, 4, 4.0, 23, initials=initials,
                           record_events=True)
         taus, hit, frozen, finals, events = killed_loop(
-            model, None, 4, 4.0, 23, initials=initials)
+            model, target, 4, 4.0, 23, initials=initials)
+        assert not batch.hit.any() and not hit.any()
         assert frozen.tolist() == batch.frozen.tolist() == \
             [True, False, False, False]
         assert np.array_equal(batch.finals, finals)
@@ -415,7 +414,7 @@ class TestReplayProperties:
     @settings(max_examples=25, deadline=None)
     @given(n_sites=st.integers(2, 5), torus=st.booleans(),
            exclusion=st.booleans(), seed=st.integers(0, 2**32),
-           threshold=st.integers(-1, 3), data=st.data())
+           threshold=st.integers(0, 3), data=st.data())
     def test_states_finals_and_split_batches(self, n_sites, torus, exclusion,
                                              seed, threshold, data):
         """states() conserves the total and ends at the engine's final
@@ -427,8 +426,7 @@ class TestReplayProperties:
         rates = RateFunction.exclusion() if exclusion else G_LINEAR
         model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
                                           np.array([0.7, 0.3])), rates)
-        target = None if threshold < 0 else \
-            TargetSet(np.array([0]), threshold)
+        target = TargetSet(np.array([0]), threshold)
         cap = 1 if exclusion else 3
         initials = np.array(data.draw(st.lists(
             st.lists(st.integers(0, cap), min_size=n_sites,
@@ -439,10 +437,9 @@ class TestReplayProperties:
             states = trajectory(whole, i).states()
             assert (states.sum(axis=1) == initials[i].sum()).all()
             assert np.array_equal(states[-1], whole.finals[i])
-            if target is not None:
-                window = states[:, target.sites].sum(axis=1)
-                assert (window[:-1] <= threshold).all()
-                assert (window[-1] > threshold) == whole.hit[i]
+            window = states[:, target.sites].sum(axis=1)
+            assert (window[:-1] <= threshold).all()
+            assert (window[-1] > threshold) == whole.hit[i]
         halves = [run_batch(model, target, 2, 3.0, seed,
                             initials=initials[lo:lo + 2],
                             record_events=True, indices=lo + np.arange(2))
@@ -519,13 +516,19 @@ class TestStationarity:
     def test_occupancy_law_preserved_at_time_five(self):
         """Chi-square of the site-0 occupancy of the unkilled dynamics at
         time 5 against the marginal, tail bins pooled until every expected
-        count is at least 5, at the 4-sigma quantile."""
+        count is at least 5, at the 4-sigma quantile.  No run puts seven
+        particles on site 0, so the threshold 6 there kills none.  The
+        starts of at most six particles stay as drawn; whether a start does
+        depends only on its conserved total, and the law given the total is
+        stationary too, so the law at time 5 is the same."""
         lattice = Lattice((12,), "torus")
         model = Model(lattice, JumpKernel(np.array([[1], [-1]]),
                                           np.array([0.7, 0.3])), G_LINEAR)
         measure = ProductMeasure.at_density(0.6, G_LINEAR)
         n_traj = 4000
-        batch = run_batch(model, None, n_traj, 5.0, 41, measure=measure)
+        batch = run_batch(model, TargetSet(np.array([0]), 6), n_traj, 5.0,
+                          41, measure=measure)
+        assert not batch.hit.any()
         probs = measure.marginal.probabilities
         kmax = probs.size - 1
         counts = np.bincount(np.minimum(batch.finals[:, 0], kmax),

@@ -508,8 +508,8 @@ class TestPrincipalDecay:
         first = rayleigh_quotient(model, target, space, nu_full)
         assert calls == ["qslab.spectral"]
         second = rayleigh_quotient(model, target, space, nu_full)
-        assert (first.lambda_s, first.eigen_residual) \
-            == (second.lambda_s, second.eigen_residual)
+        assert (first.decay_rate, eigen_residual(first)) \
+            == (second.decay_rate, eigen_residual(second))
 
 
 class TestMMatrixLu:
@@ -612,7 +612,6 @@ class TestQsdFixedPoint:
         res = toy_spectral["principal"]
         chk = qsd_fixed_point_check(toy_spectral["core"], res.qsd)
         assert chk["l1_distance"] <= 1e-10
-        assert max(chk["generator_residuals"].values()) <= 1e-9
         assert chk["expected_tau"] == pytest.approx(1.0 / res.decay_rate,
                                                     rel=1e-9)
 
@@ -665,6 +664,11 @@ def symmetrized_core(model, target, space) -> KilledGenerator:
     return restrict_to_core(build_killed_generator(space, sym, target))
 
 
+def eigen_residual(res) -> float:
+    """The larger of the two residuals of a `principal_decay` result."""
+    return max(res.right_residual, res.left_residual)
+
+
 def dirichlet_quotient(kgs: KilledGenerator, nu_full: np.ndarray,
                        f: np.ndarray) -> float:
     """-<f, L f>_nu / <f, f>_nu for f on the states of `kgs`."""
@@ -683,8 +687,8 @@ class TestRayleigh:
         trial[0] = 1.0
         quotient = dirichlet_quotient(kgs, nu_full, trial)
         assert quotient == pytest.approx(-kgs.matrix.diagonal()[0])
-        assert quotient >= rep.lambda_s
-        assert rep.eigen_residual <= 1e-10
+        assert quotient >= rep.decay_rate
+        assert eigen_residual(rep) <= 1e-10
 
     def test_classical_bound_on_asymmetric_ring(self, excl_ring):
         """The symmetrized chain on its core: the never-killed sectors of at
@@ -693,10 +697,10 @@ class TestRayleigh:
         core = restrict_to_core(kg)
         res = principal_decay(core)
         nu_full = product_vector(space, measure.marginal)
-        rep = rayleigh_quotient(model, target, space, nu_full,
-                                lambda_asymmetric=res.decay_rate)
-        assert rep.lambda_s == pytest.approx(0.024409620960173406, rel=1e-9)
-        assert rep.classical_bound_margin > 0
+        rep = rayleigh_quotient(model, target, space, nu_full)
+        assert rep.decay_rate == pytest.approx(0.024409620960173406,
+                                               rel=1e-9)
+        assert res.decay_rate - rep.decay_rate > 0
 
     def test_classical_bound_on_toy_core(self, toy_spectral, toy):
         """The toy at MaxTotal(20) under its canonical weights: lambda_s
@@ -704,11 +708,11 @@ class TestRayleigh:
         model, target, _ = toy
         space = toy_spectral["space"]
         rep = rayleigh_quotient(
-            model, target, space, canonical_vector(space, model.rates.g),
-            lambda_asymmetric=toy_spectral["principal"].decay_rate)
-        assert rep.lambda_s == pytest.approx(0.21922359359558508, rel=1e-9)
-        assert rep.classical_bound_margin == pytest.approx(
-            0.011470314404189, rel=1e-9)
+            model, target, space, canonical_vector(space, model.rates.g))
+        assert rep.decay_rate == pytest.approx(0.21922359359558508,
+                                               rel=1e-9)
+        assert toy_spectral["principal"].decay_rate - rep.decay_rate \
+            == pytest.approx(0.011470314404189, rel=1e-9)
 
     def test_quotient_minimum_attained(self, excl_ring):
         """lambda_s lies below the quotient of random functions and is the
@@ -722,21 +726,21 @@ class TestRayleigh:
         for _ in range(5):
             trial = rng.random(kgs.dim)
             assert dirichlet_quotient(kgs, nu_full, trial) \
-                >= rep.lambda_s - 1e-12
+                >= rep.decay_rate - 1e-12
         d = np.sqrt(nu_full[kgs.ac_indices])
         dense = -d[:, None] * kgs.matrix.toarray() / d[None, :]
         bottom = np.linalg.eigh(0.5 * (dense + dense.T))[1][:, 0]
         assert dirichlet_quotient(kgs, nu_full, bottom / d) \
-            == pytest.approx(rep.lambda_s, rel=1e-9)
+            == pytest.approx(rep.decay_rate, rel=1e-9)
 
     def test_repeat_calls_are_bit_identical(self, excl_ring):
         model, target, measure, space, _ = excl_ring
         nu_full = product_vector(space, measure.marginal)
         first, second = (rayleigh_quotient(model, target, space, nu_full)
                          for _ in range(2))
-        assert first.lambda_s == second.lambda_s
-        assert first.eigen_residual == second.eigen_residual
-        assert first.eigen_residual <= 1e-10
+        assert first.decay_rate == second.decay_rate
+        assert eigen_residual(first) == eigen_residual(second)
+        assert eigen_residual(first) <= 1e-10
 
     def test_single_survivor_state(self):
         # one particle on a blocked pair, trap on the right: the symmetrized
@@ -748,8 +752,8 @@ class TestRayleigh:
         target = TargetSet(np.array([1]), 0)
         nu_full = np.ones(space.size)
         rep = rayleigh_quotient(model, target, space, nu_full)
-        assert rep.lambda_s == 0.5
-        assert rep.eigen_residual == 0.0
+        assert rep.decay_rate == 0.5
+        assert eigen_residual(rep) == 0.0
         kgs = symmetrized_core(model, target, space)
         assert dirichlet_quotient(kgs, nu_full, np.ones(1)) == 0.5
 
@@ -757,6 +761,21 @@ class TestRayleigh:
         model, target, _, space, _ = excl_ring
         nu_full = np.random.default_rng(3).uniform(0.5, 1.5, space.size)
         with pytest.raises(SolverError, match="not reversible"):
+            rayleigh_quotient(model, target, space, nu_full)
+
+    def test_defective_core_raises(self, excl_ring, monkeypatch):
+        """A survival fit is no quotient: without a Perron pair the
+        quotient is refused."""
+        model, target, measure, space, _ = excl_ring
+        nu_full = product_vector(space, measure.marginal)
+        solve = spectral.principal_decay
+
+        def no_perron_pair(kg):
+            res = solve(kg)
+            res.defective, res.right_vector, res.qsd = True, None, None
+            return res
+        monkeypatch.setattr(spectral, "principal_decay", no_perron_pair)
+        with pytest.raises(SolverError, match="no Perron pair"):
             rayleigh_quotient(model, target, space, nu_full)
 
 

@@ -113,8 +113,8 @@ def _run_phi_iterate(cfg: ExperimentConfig, out: Path,
     storage.save_ensemble(ensembles[-1], out / "ensemble_final")
     storage.save_ensemble(cesaro_mixture(ensembles), out / "ensemble_cesaro")
     storage.write_json(out / "summary.json", {
-        "e_tau_path": [r.e_tau for r in log.rows],
-        "censor_path": [r.censor_fraction for r in log.rows],
+        "e_tau_path": [r.e_tau for r in log],
+        "censor_path": [r.censor_fraction for r in log],
     })
 
 
@@ -315,12 +315,15 @@ def _diff_numeric(a, b, prefix=""):
 
 def _read_manifest(run_dir) -> dict:
     """The JSON object in the run's `manifest.json`; a ValueError when it
-    holds another JSON value."""
+    holds another JSON value or its `results` is no JSON object."""
     path = Path(run_dir) / "manifest.json"
     manifest = storage.read_json(path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{path} must hold a JSON object, "
                          f"got {type(manifest).__name__}")
+    if not isinstance(manifest.get("results"), dict):
+        raise ValueError(f"{path} must map results to digests, got "
+                         f"{type(manifest.get('results')).__name__}")
     return manifest
 
 

@@ -82,6 +82,15 @@ def _integers(values, what: str) -> np.ndarray:
     return array.astype(np.int64)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """`values` as a float array; a ConfigError when an entry is NaN or
+    infinite, which a JSON reader accepts but no rate can be."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{what} must be finite, got {values!r}")
+    return array
+
+
 def _is_time(value) -> bool:
     """Whether `value` is a finite real number (a bool is not)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
@@ -101,7 +110,7 @@ def g_from_spec(spec: dict):
                               f"got {cap!r}")
         return g_capped(cap), float(cap)
     if kind == "table":
-        values = _require(spec, "values", "rates.g")
+        values = _finite(_require(spec, "values", "rates.g"), "g values")
         return g_from_table(values), float(max(values))
     raise ConfigError(f"unknown g kind {kind!r}")
 
@@ -121,8 +130,8 @@ def rates_from_dict(spec: dict) -> RateFunction:
             def b(n, m):
                 return g(n) / (m + 1.0)
         elif b_kind == "table2d":
-            table = np.asarray(_require(b_spec, "values", "rates.b"),
-                               dtype=np.float64)
+            table = _finite(_require(b_spec, "values", "rates.b"),
+                            "b values")
 
             def b(n, m):
                 return float(table[min(n, table.shape[0] - 1),
@@ -141,8 +150,8 @@ def lattice_from_dict(spec: dict) -> Lattice:
 def kernel_from_dict(spec: dict) -> JumpKernel:
     return JumpKernel(_integers(_require(spec, "offsets", "kernel"),
                                 "kernel offsets"),
-                      np.asarray(_require(spec, "weights", "kernel"),
-                                 dtype=np.float64))
+                      _finite(_require(spec, "weights", "kernel"),
+                              "kernel weights"))
 
 
 def target_from_dict(spec: dict) -> TargetSet:
@@ -232,7 +241,7 @@ class ExperimentConfig:
         # breaks a rule a model error
         try:
             model, target = self.model(), self.target()
-            target.validate_on(model.lattice)
+            target.mask(model.lattice.num_sites)
         except (ConfigError, ModelError):
             raise
         except (TypeError, ValueError) as exc:

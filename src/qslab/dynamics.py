@@ -12,15 +12,17 @@ one rate rule the exact generator reads too, so a b that depends on the
 destination needs no special case, and takes each row's total from a fresh
 cumulative sum: there is no running total, hence no drift and no
 resynchronization.  Each live row then draws its waiting time and its
-event; rows with no rate left or past the horizon end.  Its three users
-differ only in their stop rule and their extra draws: the killed runs
-(`run_killed`) stop at the target; the coupling (`second_class_escape`)
-adds the tagged particle's clocks and one draw per excess sub-event and
-stops when eta enters the target; the tagged exit (`sigma_exit`) draws a
-third uniform for the mover, stops when a tagged particle enters the window
-and runs once, to the largest time of its grid.  Recorded events are
-gathered per step and split by row at the end, so there is no event buffer
-and no resume.
+event; a row with no rate left or past the horizon ends censored at the
+horizon.  Its three users differ only in their stop rule and their extra
+draws: the killed runs (`run_killed`) stop at the target; the coupling
+(`second_class_escape`) adds the tagged particle's clocks and one draw per
+excess sub-event and stops when eta enters the target; the tagged exit
+(`sigma_exit`) draws a third uniform for the mover, stops when a tagged
+particle enters the window and runs once, to the largest time of its grid.
+Each user reads the model's jump table and the window mask
+(`TargetSet.mask`, which refuses a window off the lattice) before any draw.
+Recorded events are gathered per step and split by row at the end, so
+there is no event buffer and no resume.
 
 Every trajectory draws from its own counter-based stream keyed by
 (master seed, TRAJECTORY, index).  Draws are addressed by word position in
@@ -51,33 +53,14 @@ from .measures import ProductMeasure
 from .model import JumpKernel, Lattice, Model, TargetSet, jump_rates
 
 # end status of an engine row
-_HIT, _CENSORED, _FROZEN = 1, 2, 3
-# a total rate at or below this counts as no rate: the row is frozen
+_HIT, _CENSORED = 1, 2
+# a total rate at or below this counts as no rate: the row ends censored
 _FROZEN_RATE = 1e-300
 
 
 # ---------------------------------------------------------------------------
 # engine primitives
 # ---------------------------------------------------------------------------
-
-class SimContext:
-    """Tables binding a model and a target for the engine: the model's jump
-    table (`Model.jump_table`: destination and kernel weight of every
-    (site, offset) jump) and the window mask."""
-
-    def __init__(self, model: Model, target: TargetSet):
-        target.validate_on(model.lattice)
-        self.model = model
-        self.nbr, self.weights = model.jump_table()
-        self.in_window = target.mask(model.lattice.num_sites)
-        self.threshold = np.int64(target.threshold)
-
-    def immortal(self, occ: np.ndarray) -> np.ndarray:
-        """Per row of `occ`, whether the start can never enter the target:
-        every jump conserves the particle total, and the window never holds
-        more than the total."""
-        return occ.sum(axis=1) <= self.threshold
-
 
 class _Draws:
     """Uniforms of keyed per-row streams, read in blocks: from absolute word
@@ -137,10 +120,9 @@ class _Lockstep:
 
     The live rows are held as one compacted block: `live` holds their row
     numbers in the batch, `x` their occupancies and `t` their clocks.  A
-    row ends when `step` finds it frozen (total rate at or below
-    `_FROZEN_RATE`) or its next event past the horizon (censored, with its
-    clock set to the horizon), or when its caller's stop rule ends it
-    (`stop`).  `retire` then writes its occupancy into `occ`, its end
+    row ends censored, with its clock set to the horizon, when `step` finds
+    its next event past the horizon or no rate left (total rate at or below
+    `_FROZEN_RATE`), or when its caller's stop rule ends it (`stop`).  `retire` then writes its occupancy into `occ`, its end
     status into `status` and its clock into `clock`, and drops it from the
     block.  `counts` holds the events of each row."""
 
@@ -189,13 +171,12 @@ class _Lockstep:
         jumps = cum[:, -1]
         total = jumps if clocks is None else jumps + clocks.sum(axis=1)
         u = self.draws.take(self.live, n_u)
-        frozen = total <= _FROZEN_RATE
-        # a frozen row divides by the floor instead of 0; it does not move
+        # a row with no rate left divides by the floor instead of 0
         t_next = self.t - np.log1p(-u[:, 0]) / np.maximum(total, _FROZEN_RATE)
-        stay = frozen | (t_next > horizon)
+        stay = (total <= _FROZEN_RATE) | (t_next > horizon)
         if stay.any():
-            self.end[stay] = np.where(frozen[stay], _FROZEN, _CENSORED)
-            self.t[stay & ~frozen] = horizon
+            self.end[stay] = _CENSORED
+            self.t[stay] = horizon
             move = np.flatnonzero(~stay)
         else:  # a slice spares copying the rate arrays
             move = slice(None)
@@ -233,8 +214,8 @@ def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
     sum over the mask `in_window` exceeds `threshold`, its next event falls
     past `t_max` or it has no rate left.  `occ` ends as the final
     occupancies; `status`, `clock` and `counts` receive, per row, the end
-    status, the end time (the hit time; `t_max` when censored; the freezing
-    time when frozen) and the number of events.  When `log` is a list, each
+    status (hit or censored), the end time (the hit time, else `t_max`) and
+    the number of events.  When `log` is a list, each
     step appends the (rows, times, sources, destinations) of its events.
 
     Returns (0, clock, n_ev0 + events).  The benchmark's layer tracer
@@ -322,18 +303,18 @@ WORK = WorkCounts()
 class BatchResult:
     """Outcome of a batch, one entry per trajectory in index order.
 
-    `immortal` marks the starts that can never enter the target (particle
-    total at or below the threshold).  They do not enter the engine: each
-    is censored at t_max with no events, its row of `finals` is its initial
-    state, not the state at t_max, and it is `frozen` only when its total
-    rate at t = 0 is 0.  `events` holds the recorded (times, sources,
+    A trajectory that is not a hit is censored at t_max: its next event
+    falls past t_max, or it has no rate left.  `immortal` marks the starts
+    that can never enter the target (particle total at or below the
+    threshold).  They do not enter the engine: each is censored at t_max
+    with no events, and its row of `finals` is its initial state, not the
+    state at t_max.  `events` holds the recorded (times, sources,
     destinations) per trajectory, `n_events` the event counts whether
     recorded or not.  The batch's work is not a field: `run_batch` adds it
     to `WORK`."""
 
     taus: np.ndarray            # hit time, or t_max where censored
     hit: np.ndarray             # bool per trajectory
-    frozen: np.ndarray
     immortal: np.ndarray        # bool per trajectory
     t_max: float
     initials: np.ndarray | None = None
@@ -359,11 +340,11 @@ class BatchResult:
         outcome no horizon changes beyond the censoring time, so the result
         equals a rerun of the whole batch at that horizon."""
         out = BatchResult(np.where(self.hit, self.taus, longer.t_max),
-                          self.hit.copy(), self.frozen.copy(), self.immortal,
+                          self.hit.copy(), self.immortal,
                           longer.t_max, self.initials,
                           None if self.events is None else list(self.events),
                           self.finals.copy(), self.n_events.copy())
-        for name in ("taus", "hit", "frozen", "finals", "n_events"):
+        for name in ("taus", "hit", "finals", "n_events"):
             getattr(out, name)[rows] = getattr(longer, name)
         if out.events is not None:
             for k, i in enumerate(rows):
@@ -371,36 +352,40 @@ class BatchResult:
         return out
 
 
-def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
-              start: int, t_max: float, record: bool) -> BatchResult:
-    """Run the rows of `occ` to the target or to t_max; row r reads the
-    stream with key `key[r]` from word position `start` on.  Immortal
-    starts (see `SimContext.immortal`) stay out of the engine: censored at
-    t_max with no events, frozen when their total rate at t = 0 is 0."""
+_FORK_CTX = None  # payload inherited by forked workers
+
+
+def _run_span(payload, lo, hi) -> BatchResult:
+    """Rows lo..hi - 1 of the batch `payload` holds (see `run_batch`), run
+    to the target or to t_max.  Immortal starts stay out of the engine:
+    every jump conserves the particle total, and the window never holds
+    more than the total."""
+    model, target, measure, initials, t_max, seed, record, indices = payload
+    nbr, weights = model.jump_table()
+    in_window = target.mask(model.lattice.num_sites)
+    key = rngmod.keys(seed, rngmod.TRAJECTORY, indices[lo:hi])
+    if initials is not None:
+        occ, start = np.array(initials[lo:hi], dtype=np.int64), 0
+    else:
+        start = model.lattice.num_sites
+        occ = measure.from_uniforms(rngmod.uniforms(key, 0, start))
     n = occ.shape[0]
-    btab = ctx.model.rates.b_table(
-        max(int(occ.sum(axis=1).max(initial=0)), 1))
-    immortal = ctx.immortal(occ)
-    finals = occ.copy()
-    status = np.full(n, _CENSORED)
-    clock = np.full(n, float(t_max))
+    immortal = occ.sum(axis=1) <= target.threshold
+    finals, taus = occ.copy(), np.full(n, float(t_max))
+    hit = np.zeros(n, dtype=bool)
     counts = np.zeros(n, dtype=np.int64)
-    if immortal.any():
-        total = jump_rates(occ[immortal], ctx.nbr, ctx.weights,
-                           btab).sum(axis=(1, 2))
-        status[immortal] = np.where(total <= _FROZEN_RATE, _FROZEN, _CENSORED)
     mortal = np.flatnonzero(~immortal)
     log = [] if record else None
     if mortal.size:
         m_occ, m_status = occ[mortal], np.empty(mortal.size, dtype=np.int64)
         m_clock = np.empty(mortal.size)
         m_counts = np.zeros(mortal.size, dtype=np.int64)
-        run_killed(m_occ, ctx.nbr, ctx.weights, btab, ctx.in_window,
-                   _Draws(key[mortal], start), log, ctx.threshold,
+        btab = model.rates.b_table(int(m_occ.sum(axis=1).max()))
+        run_killed(m_occ, nbr, weights, btab, in_window,
+                   _Draws(key[mortal], start), log, target.threshold,
                    0.0, t_max, m_status, m_clock, m_counts, _FROZEN_RATE, 0)
-        finals[mortal], status[mortal] = m_occ, m_status
-        clock[mortal], counts[mortal] = m_clock, m_counts
-    hit = status == _HIT
+        finals[mortal], hit[mortal] = m_occ, m_status == _HIT
+        taus[mortal], counts[mortal] = m_clock, m_counts
     events = None
     if record:
         # a stable sort on the row splits the log by trajectory; `mortal`
@@ -414,23 +399,8 @@ def _simulate(ctx: SimContext, occ: np.ndarray, key: np.ndarray,
         bounds = np.concatenate([[0], np.cumsum(counts)])
         events = [(times[a:b], srcs[a:b], dsts[a:b])
                   for a, b in zip(bounds[:-1], bounds[1:])]
-    return BatchResult(np.where(hit, clock, t_max), hit, status == _FROZEN,
-                       immortal, t_max, occ, events, finals, counts)
-
-
-_FORK_CTX = None  # payload inherited by forked workers
-
-
-def _run_span(payload, lo, hi) -> BatchResult:
-    model, target, measure, initials, t_max, seed, record, indices = payload
-    ctx = SimContext(model, target)
-    key = rngmod.keys(seed, rngmod.TRAJECTORY, indices[lo:hi])
-    if initials is not None:
-        occ, start = np.array(initials[lo:hi], dtype=np.int64), 0
-    else:
-        start = model.lattice.num_sites
-        occ = measure.from_uniforms(rngmod.uniforms(key, 0, start))
-    return _simulate(ctx, occ, key, start, t_max, record)
+    return BatchResult(taus, hit, immortal, t_max, occ, events, finals,
+                       counts)
 
 
 def _span_worker(span):
@@ -501,9 +471,8 @@ def run_batch(model: Model, target: TargetSet, n_traj: int,
     events = None
     if record_events:
         events = [ev for p in parts for ev in p.events]
-    return BatchResult(joined("taus"), joined("hit"), joined("frozen"),
-                       immortal, t_max, joined("initials"), events,
-                       joined("finals"), n_events)
+    return BatchResult(joined("taus"), joined("hit"), immortal, t_max,
+                       joined("initials"), events, joined("finals"), n_events)
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +620,17 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
     draws from stream (seed, TRAJECTORY, i).  The gap is compared against
     (walk hitting probability) * P(tau_eta > t), with the walk solved
     exactly on the same lattice graph."""
+    nbr, weights = model.jump_table()
+    lam = target.mask(model.lattice.num_sites).astype(np.int64)
     eta0 = coupled_start(model, target, eta0, site)
-    ctx = SimContext(model, target)
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1])
     btab = model.rates.b_table(int(eta0.sum()) + 1)
-    lam = ctx.in_window.astype(np.int64)
     k_thr = int(target.threshold)
     draws = _Draws(rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj)),
                    0)
-    engine = _Lockstep(np.tile(eta0, (n_traj, 1)), ctx.nbr, ctx.weights,
-                       btab, draws, 0.0)
+    engine = _Lockstep(np.tile(eta0, (n_traj, 1)), nbr, weights, btab,
+                       draws, 0.0)
     ws = engine.occ @ lam               # window sum of eta
     X = np.full(n_traj, site)           # the tagged particle
     tau_zeta = np.where(ws + lam[X] > k_thr, 0.0, np.inf)
@@ -670,13 +639,13 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
         # tagged-particle clock: the attractiveness increment per target
         # (backward displacement by jumps into the tagged site is an excess
         # sub-event of the ordinary jumps, handled below)
-        tag = np.zeros((live.size, ctx.nbr.shape[1]))
+        tag = np.zeros((live.size, nbr.shape[1]))
         free = np.flatnonzero(tau_zeta[live] == np.inf)
         if free.size:
             Xf = X[live[free]]
             nX = x[free, Xf][:, None]
-            ny = x[free[:, None], ctx.nbr[Xf]]
-            tag[free] = ctx.weights[Xf] * (btab[nX + 1, ny] - btab[nX, ny])
+            ny = x[free[:, None], nbr[Xf]]
+            tag[free] = weights[Xf] * (btab[nX + 1, ny] - btab[nX, ny])
         rows, src, dst, _, (clocked, off) = engine.step(2, horizon, tag)
         # ordinary eta jumps (shared by both systems)
         r = live[rows]
@@ -694,7 +663,7 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
             moved = draws.take(r)[:, 0] * full < excess
             X[r[moved]] = s[moved]
         r = live[clocked]
-        X[r] = ctx.nbr[X[r], off]       # tagged particle jumps
+        X[r] = nbr[X[r], off]           # tagged particle jumps
         entered = ws[live] > k_thr
         zeta_hit = (tau_zeta[live] == np.inf) \
             & (entered | (ws[live] + lam[X[live]] > k_thr))
@@ -753,20 +722,21 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     events from stream (seed, TRAJECTORY, i)."""
     kappas = np.asarray(kappas, dtype=np.float64)
     lattice = model.lattice
-    ctx = SimContext(model, target)
+    nbr, weights = model.jump_table()
+    in_window = target.mask(lattice.num_sites)
     key = rngmod.keys(seed, rngmod.TRAJECTORY, np.arange(n_traj))
     occ = measure.from_uniforms(rngmod.uniforms(key, 0, lattice.num_sites))
     btab = model.rates.b_table(max(int(occ.sum(axis=1).max(initial=0)), 1))
-    tagged = np.where(ctx.in_window, 0, occ)
-    engine = _Lockstep(occ, ctx.nbr, ctx.weights, btab,
-                       _Draws(key, lattice.num_sites), 0.0)
+    tagged = np.where(in_window, 0, occ)
+    engine = _Lockstep(occ, nbr, weights, btab, _Draws(key, lattice.num_sites),
+                       0.0)
     while engine.retire():
         rows, src, dst, u, _ = engine.step(3, float(kappas.max()))
         r = engine.live[rows]
         # the source held one more particle before the move
         mover_tagged = u[:, 2] * (engine.x[rows, src] + 1) < tagged[r, src]
         tagged[r[mover_tagged], src[mover_tagged]] -= 1
-        entered = mover_tagged & ctx.in_window[dst]
+        entered = mover_tagged & in_window[dst]
         stays = mover_tagged & ~entered
         tagged[r[stays], dst[stays]] += 1
         engine.stop(rows[entered], _HIT)
@@ -781,10 +751,10 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     deltas = np.zeros((kappas.size, lattice.num_sites))
     # window sites, and sites from which the window is out of reach, keep 0
     for kappa, row in zip(kappas.tolist(), deltas):
-        for i in np.flatnonzero(~ctx.in_window & (dist >= 0)):
+        for i in np.flatnonzero(~in_window & (dist >= 0)):
             d = dist[i] // R
             row[i] = min(1.0, (delta_lip * kappa) ** d / math.factorial(d))
-    outside = deltas[:, ~ctx.in_window]
+    outside = deltas[:, ~in_window]
     bound = np.array([np.exp(measure.rho * np.log1p(-o).sum())
                       if (o < 1.0).all() else 0.0 for o in outside])
     return SigmaExitReport(kappas, p, se, bound, deltas)

@@ -105,8 +105,9 @@ class DecayFit:
 
 
 def _wls_slope(t, y, w):
-    """Weighted least-squares line through (t, y): slope, intercept, R^2
-    and residual mean square."""
+    """Weighted least-squares line through (t, y): slope, intercept, R^2,
+    residual mean square, S_tt = sum_i w_i (t_i - tbar)^2 and the slope's
+    weights c_i = w_i (t_i - tbar) / S_tt (the slope is sum_i c_i y_i)."""
     W = w.sum()
     tbar = (w * t).sum() / W
     ybar = (w * y).sum() / W
@@ -117,7 +118,8 @@ def _wls_slope(t, y, w):
     ss_res = (w * resid**2).sum()
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, inter, r2, ss_res / max(1, t.size - 2)
+    return (slope, inter, r2, ss_res / max(1, t.size - 2), stt,
+            w * (t - tbar) / stt)
 
 
 def fit_decay(curve: SurvivalCurve) -> DecayFit:
@@ -155,20 +157,16 @@ def fit_decay(curve: SurvivalCurve) -> DecayFit:
     else:
         w = np.ones_like(t)
 
-    best = None
-    for start in range(0, idx.size - MIN_POINTS + 1):
-        slope, inter, r2, rms = _wls_slope(t[start:], y[start:], w[start:])
-        if best is None or rms < best[0]:
-            best = (rms, start, slope, inter, r2)
-    rms, start, slope, inter, r2 = best
-    tw, ww = t[start:], w[start:]
-    W = ww.sum()
-    tbar = (ww * tw).sum() / W
-    stt = (ww * (tw - tbar) ** 2).sum()
+    fits = [_wls_slope(t[start:], y[start:], w[start:])
+            for start in range(idx.size - MIN_POINTS + 1)]
+    # the first window of least residual mean square
+    start = min(range(len(fits)), key=lambda s: fits[s][3])
+    slope, inter, r2, rms, stt, c = fits[start]
+    tw = t[start:]
     if curve.n_total is not None:
         pw = curve.estimate[idx[start:]]
         v = (1 - pw) / (curve.n_total * pw)
-        tail = np.cumsum((ww * (tw - tbar) / stt)[::-1])[::-1]
+        tail = np.cumsum(c[::-1])[::-1]
         se = float(np.sqrt((np.diff(v, prepend=0.0) * tail**2).sum()))
     else:
         se = float(np.sqrt(rms / stt)) if tw.size > 2 else 0.0

@@ -254,15 +254,17 @@ class RateFunction:
     def b_table(self, cap: int) -> np.ndarray:
         """Dense table b(n, m) for 0 <= n, m <= cap (up to the family's hard
         per-site bound instead, when it has one), as `jump_rates` reads it.
-        Its row n = 0 is zero, since an empty site has nothing to move."""
+        Its row n = 0 is zero, since an empty site has nothing to move.  A
+        negative, infinite or NaN entry is a ModelError: the engine could
+        not draw a waiting time from it."""
         cap = cap if self.max_site_occupancy is None \
             else self.max_site_occupancy
         tab = np.empty((cap + 1, cap + 1), dtype=np.float64)
         for n in range(cap + 1):
             for m in range(cap + 1):
                 tab[n, m] = self.b(n, m)
-        if (tab < 0).any():
-            raise ModelError("negative jump rate in b table")
+        if not (np.isfinite(tab) & (tab >= 0)).all():
+            raise ModelError("negative or non-finite jump rate in b table")
         tab[0] = 0.0
         return tab
 
@@ -287,12 +289,12 @@ class TargetSet:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "threshold", int(self.threshold))
 
-    def validate_on(self, lattice: Lattice) -> None:
-        if self.sites.min() < 0 or self.sites.max() >= lattice.num_sites:
-            raise ModelError("target window outside the lattice")
-
     def mask(self, n_sites: int) -> np.ndarray:
-        """Indicator of the window sites among `n_sites` sites."""
+        """Indicator of the window sites among `n_sites` sites; a ModelError
+        when a window site is negative or not below `n_sites`, so that no
+        site wraps around."""
+        if self.sites[0] < 0 or self.sites[-1] >= n_sites:
+            raise ModelError("target window outside the lattice")
         inside = np.zeros(n_sites, dtype=bool)
         inside[self.sites] = True
         return inside

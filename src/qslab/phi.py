@@ -47,11 +47,6 @@ class PhiStats:
     probes: dict[float, float] = field(default_factory=dict)
 
 
-@dataclass
-class PhiIterationLog:
-    rows: list[PhiStats] = field(default_factory=list)
-
-
 def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
                       indices: np.ndarray, t_max: float, seed: int,
                       workers: int) -> BatchResult:
@@ -183,11 +178,11 @@ def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,
 def phi_iterate(model: Model, target: TargetSet, measure: ProductMeasure,
                 n_iterations: int, n_particles: int, t_max: float, seed: int,
                 *, probe_times: Sequence[float] = (), workers: int = 1
-                ) -> tuple[list[WeightedEnsemble], PhiIterationLog]:
+                ) -> tuple[list[WeightedEnsemble], list[PhiStats]]:
     """Iterate the occupation map starting from fresh product-measure samples;
-    the log tracks the hitting-time mean (approaching the inverse decay rate)
-    and survival probes per iteration."""
-    log = PhiIterationLog()
+    the log, one `PhiStats` per iteration, tracks the hitting-time mean
+    (approaching the inverse decay rate) and survival probes."""
+    log: list[PhiStats] = []
     ensembles: list[WeightedEnsemble] = []
     current: WeightedEnsemble | None = None
     for it in range(n_iterations):
@@ -196,7 +191,7 @@ def phi_iterate(model: Model, target: TargetSet, measure: ProductMeasure,
             measure=measure if current is None else None, iteration=it,
             probe_times=probe_times, workers=workers)
         ensembles.append(ens)
-        log.rows.append(stats)
+        log.append(stats)
         current = ens
     return ensembles, log
 

@@ -316,9 +316,9 @@ def build_killed_generator(space: StateSpace, model: Model,
     the moved states are ranked one offset at a time, to bound the memory.
     The diagonal and the killing rates are summed in (state, site, offset)
     order."""
-    target.validate_on(space.lattice)
+    in_window = target.mask(space.lattice.num_sites)
     occ_all = space.occupancies
-    in_a = occ_all[:, target.sites].sum(axis=1) > target.threshold
+    in_a = occ_all[:, in_window].sum(axis=1) > target.threshold
     ac_indices = np.flatnonzero(~in_a)
     pos = -np.ones(space.size, dtype=np.int64)
     pos[ac_indices] = np.arange(ac_indices.size)
@@ -334,7 +334,6 @@ def build_killed_generator(space: StateSpace, model: Model,
                       model.rates.b_table(int(occ.max(initial=0))))
     # an A^c state holds at most the threshold in the window, so a jump
     # kills exactly when it carries a particle in while the window is full
-    in_window = target.mask(n_sites)
     full = occ[:, in_window].sum(axis=1) == target.threshold
     dies = full[:, None, None] & in_window[nbr] & ~in_window[:, None]
     kills = np.where(dies, made, 0.0)

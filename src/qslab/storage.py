@@ -15,7 +15,7 @@ from scipy.io import mmwrite
 
 from .estimators import SurvivalCurve
 from .measures import WeightedEnsemble
-from .phi import PhiIterationLog
+from .phi import PhiStats
 
 ENSEMBLE_FORMAT_VERSION = 1
 
@@ -95,13 +95,13 @@ def save_survival_curve(curve: SurvivalCurve, path) -> None:
     Path(path).write_text(survival_curve_csv(curve))
 
 
-def iteration_log_csv(log: PhiIterationLog) -> str:
+def iteration_log_csv(log: list[PhiStats]) -> str:
     """One row per (iteration, probe); stats repeat across a run's probes."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["iteration", "e_tau", "ci", "censor_frac", "ess",
                 "probe_s", "probe_value"])
-    for it, row in enumerate(log.rows):
+    for it, row in enumerate(log):
         probes = row.probes or {float("nan"): float("nan")}
         for s, val in sorted(probes.items()):
             w.writerow([it + 1, repr(row.e_tau),
@@ -111,7 +111,7 @@ def iteration_log_csv(log: PhiIterationLog) -> str:
     return buf.getvalue()
 
 
-def save_iteration_log(log: PhiIterationLog, path) -> None:
+def save_iteration_log(log: list[PhiStats], path) -> None:
     Path(path).write_text(iteration_log_csv(log))
 
 

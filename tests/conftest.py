@@ -107,7 +107,6 @@ class Trajectory:
     destinations: np.ndarray
     terminal_time: float
     hit: bool
-    frozen: bool
 
     @property
     def n_events(self) -> int:
@@ -124,8 +123,7 @@ def trajectory(batch, i: int) -> Trajectory:
     """Row i of a recorded `BatchResult`."""
     times, sources, destinations = batch.events[i]
     return Trajectory(batch.initials[i], times, sources, destinations,
-                      float(batch.taus[i]), bool(batch.hit[i]),
-                      bool(batch.frozen[i]))
+                      float(batch.taus[i]), bool(batch.hit[i]))
 
 
 def ratio_site_means(batch, n_sites, weight_fn=None):
@@ -169,7 +167,7 @@ def work_of(call):
 
 def assert_same_batch(a, b):
     """Two `BatchResult`s agree bit for bit, events included."""
-    for name in ("taus", "hit", "frozen", "immortal", "initials", "finals",
+    for name in ("taus", "hit", "immortal", "initials", "finals",
                  "n_events"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.t_max == b.t_max
@@ -370,28 +368,28 @@ def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
     `measure.sample_occupancies` on that stream (or `initials[i]`), then
     per event one uniform for the waiting time and one for the jump.  A
     start whose particle total is at or below the threshold is immortal:
-    censored at t_max with no events.
-    Returns (taus, hit, frozen, finals, events) with events a list of
+    censored at t_max with no events.  A row with no rate left is censored
+    at t_max too.
+    Returns (taus, hit, immortal, finals, events) with events a list of
     (times, sources, destinations)."""
     nbr = model.lattice.neighbor_table(model.kernel.offsets)
     weights, b = model.kernel.weights, model.rates.b
     thr = target.threshold
-    taus, hit, frozen, finals, events = [], [], [], [], []
+    taus, hit, immortal, finals, events = [], [], [], [], []
     for i in range(n_traj):
         gen = rngmod.stream(seed, rngmod.TRAJECTORY, i)
         occ = np.array(
             measure.sample_occupancies(model.lattice, gen, 1)[0]
             if initials is None else initials[i], dtype=np.int64)
-        t, ev, status = 0.0, [], None
+        immortal.append(occ.sum() <= thr)
+        t, ev, status = 0.0, [], "censored" if immortal[-1] else None
         while status is None:
             site_rates = _site_rates_loop(occ, nbr, weights, b)
             total = _total_loop(site_rates)
-            if occ.sum() <= thr:
-                status = "frozen" if total <= 1e-300 else "censored"
-            elif occ[target.sites].sum() > thr:
+            if occ[target.sites].sum() > thr:
                 status = "hit"
             elif total <= 1e-300:
-                status = "frozen"
+                status = "censored"
             else:
                 t_next = t - np.log1p(-gen.random()) / total
                 if t_next > t_max:
@@ -405,12 +403,11 @@ def killed_loop(model, target, n_traj, t_max, seed, *, measure=None,
                 ev.append((t, src, dst))
         taus.append(t if status == "hit" else t_max)
         hit.append(status == "hit")
-        frozen.append(status == "frozen")
         finals.append(occ)
         events.append((np.array([e[0] for e in ev], dtype=np.float64),
                        np.array([e[1] for e in ev], dtype=np.int64),
                        np.array([e[2] for e in ev], dtype=np.int64)))
-    return (np.array(taus), np.array(hit), np.array(frozen),
+    return (np.array(taus), np.array(hit), np.array(immortal),
             np.array(finals).reshape(n_traj, -1), events)
 
 

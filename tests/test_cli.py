@@ -499,16 +499,22 @@ def test_compare_without_manifests_exits_5(tmp_path):
                      str(tmp_path / "b")]) == cli.EXIT_COMPARE
 
 
-@pytest.mark.parametrize("layout", ["run-is-a-file", "manifest-is-a-list"])
+@pytest.mark.parametrize("layout", ["run-is-a-file", "manifest-is-a-list",
+                                    "results-is-a-list"])
 def test_compare_unreadable_run_exits_5(tmp_path, capsys, layout):
-    """A run path that is a file, or a manifest that holds no JSON object,
-    is a failed comparison, not a traceback."""
+    """A run path that is a file, or a manifest that holds no JSON object or
+    whose results are no JSON object, is a failed comparison, not a
+    traceback."""
+    manifest = {"manifest-is-a-list": "[1, 2]",
+                "results-is-a-list": '{"experiment": "x", "results": [1], '
+                                     '"results_hash": "h"}'}
     for name in ("a", "b"):
         if layout == "run-is-a-file":
             (tmp_path / name).write_text("{}\n")
         else:
             (tmp_path / name).mkdir()
-            (tmp_path / name / "manifest.json").write_text("[1, 2]\n")
+            (tmp_path / name / "manifest.json").write_text(
+                manifest[layout] + "\n")
     assert cli.main(["compare", str(tmp_path / "a"),
                      str(tmp_path / "b")]) == cli.EXIT_COMPARE
     assert capsys.readouterr().err.startswith("compare failed: ")

@@ -91,6 +91,18 @@ def test_base_config_is_valid():
      "cap must be a nonnegative integer"),
     (("model", "rates", "g"), {"kind": "capped", "cap": True},
      "cap must be a nonnegative integer"),
+    (("model", "kernel", "weights"), [float("nan"), 0.3],
+     "kernel weights must be finite"),
+    (("model", "kernel", "weights"), [float("inf"), 0.3],
+     "kernel weights must be finite"),
+    (("model", "rates", "g"), {"kind": "table", "values": [0, 1, float("nan")]},
+     "g values must be finite"),
+    (("model", "rates", "g"), {"kind": "table", "values": [0, float("inf")]},
+     "g values must be finite"),
+    (("model", "rates"), {"family": "misanthrope", "g": {"kind": "identity"},
+                          "b": {"kind": "table2d",
+                                "values": [[0, 0], [1, float("nan")]]}},
+     "b values must be finite"),
 ], ids=["experiment", "no-rates", "no-kernel", "no-target", "n_traj-zero",
         "n_traj-negative", "t_max-zero", "kappas-negative", "kappas-string",
         "kappas-scalar", "kappas-empty", "seed", "n_traj-word", "n_traj-bool",
@@ -101,7 +113,9 @@ def test_base_config_is_valid():
         "g-kind", "rate-family", "b-kind", "t_max-infinite",
         "t_grid-negative", "kappas-nan", "probe_times-infinite", "no-t_grid",
         "budget-unread", "rho-nan", "extent-fraction", "offsets-fraction",
-        "sites-fraction", "sites-bool", "cap-fraction", "cap-bool"])
+        "sites-fraction", "sites-bool", "cap-fraction", "cap-bool",
+        "weights-nan", "weights-infinite", "g-table-nan", "g-table-infinite",
+        "b-table-nan"])
 def test_malformed_field_is_a_config_error(path, value, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(_with(path, value))

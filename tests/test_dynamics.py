@@ -12,7 +12,8 @@ from qslab import rng as rngmod
 from qslab.dynamics import (coupled_start, run_batch, rw_hitting,
                             second_class_escape, sigma_exit, survival_curve)
 from qslab.measures import ProductMeasure, _window_distribution
-from qslab.model import JumpKernel, Lattice, Model, RateFunction, TargetSet
+from qslab.model import (JumpKernel, Lattice, Model, ModelError, RateFunction,
+                         TargetSet)
 from qslab.spectral import tasep_line_survival
 
 from conftest import (_jump_rates_loop, assert_same_batch, killed_loop,
@@ -40,8 +41,41 @@ class TestSimulateKilled:
         res = trajectory(run_batch(model, target, 1, 5.0, 0,
                                    initials=np.array([[0, 0, 0]]),
                                    indices=[1], record_events=True), 0)
-        assert not res.hit and res.frozen
+        assert not res.hit and res.n_events == 0
         assert res.terminal_time == 5.0
+
+    def test_jammed_row_ends_censored_at_the_horizon(self, kernel_calls):
+        """Two particles jammed at the blocked right edge have no rate left:
+        the engine ends the row censored at t_max, with no event, and the
+        scalar loop agrees."""
+        model = Model(Lattice((3,), "blocked"),
+                      JumpKernel(np.array([[1]]), np.array([1.0])),
+                      RateFunction.exclusion())
+        target = TargetSet(np.array([0]), 0)
+        initials = np.array([[0, 1, 1], [1, 0, 1]])
+        batch = run_batch(model, target, 2, 5.0, 3, initials=initials,
+                          record_events=True)
+        assert len(kernel_calls) == 1 and not batch.immortal.any()
+        assert batch.hit.tolist() == [False, True]
+        assert batch.taus[0] == 5.0 and batch.n_events[0] == 0
+        assert np.array_equal(batch.finals[0], initials[0])
+        taus, hit, _, finals, _ = killed_loop(model, target, 2, 5.0, 3,
+                                              initials=initials)
+        assert np.array_equal(batch.taus, taus)
+        assert np.array_equal(batch.hit, hit)
+        assert np.array_equal(batch.finals, finals)
+
+    @pytest.mark.parametrize("sites", [[-1], [3]])
+    def test_window_off_the_lattice_refused_before_any_draw(
+            self, toy, kernel_calls, monkeypatch, sites):
+        model, _, measure = toy
+        draws = []
+        monkeypatch.setattr(rngmod, "uniforms",
+                            lambda *args: draws.append(args))
+        with pytest.raises(ModelError, match="outside the lattice"):
+            run_batch(model, TargetSet(np.array(sites), 1), 4, 5.0, 0,
+                      measure=measure)
+        assert draws == [] and kernel_calls == []
 
     def test_single_particle_gamma_hitting(self):
         # one particle three unobstructed hops from the trap: tau is a sum
@@ -186,7 +220,6 @@ class TestImmortalStarts:
                                    initials=np.array([[0, 1, 0]]),
                                    indices=[2], record_events=True), 0)
         assert not res.hit and res.terminal_time == 5.0
-        assert not res.frozen  # one particle keeps a positive rate
         assert res.n_events == 0
         assert kernel_calls == []
 
@@ -197,7 +230,6 @@ class TestImmortalStarts:
         batch = run_batch(model, target, 5, 5.0, seed=81, initials=initials,
                           record_events=True)
         assert batch.immortal.tolist() == [True, True, True, False, False]
-        assert batch.frozen.tolist()[:3] == [False, True, False]
         assert not batch.hit[:3].any() and (batch.taus[:3] == 5.0).all()
         assert all(batch.events[i][0].size == 0 for i in range(3))
         assert np.array_equal(batch.finals[:3], initials[:3])
@@ -261,11 +293,11 @@ class TestEngineOracle:
         model, target, measure = request.getfixturevalue(setup)
         batch = run_batch(model, target, n, t_max, 19, measure=measure,
                           record_events=True)
-        taus, hit, frozen, finals, events = killed_loop(
+        taus, hit, immortal, finals, events = killed_loop(
             model, target, n, t_max, 19, measure=measure)
         assert np.array_equal(batch.taus, taus)
         assert np.array_equal(batch.hit, hit)
-        assert np.array_equal(batch.frozen, frozen)
+        assert np.array_equal(batch.immortal, immortal)
         assert np.array_equal(batch.finals, finals)
         for mine, ref in zip(batch.events, events):
             for x, y in zip(mine, ref):
@@ -336,17 +368,19 @@ class TestEngineOracle:
 
     def test_unkilled_and_frozen_rows_match_scalar_loop(self, toy):
         """Nine particles never all sit on site 0 in these runs, so the
-        threshold 8 there kills none of them; the empty start is frozen."""
+        threshold 8 there kills none of them; the empty start is immortal
+        and censored at t_max like the others."""
         model, _, _ = toy
         target = TargetSet(np.array([0]), 8)
         initials = np.array([[0, 0, 0], [5, 0, 4], [0, 9, 0], [3, 3, 3]])
         batch = run_batch(model, target, 4, 4.0, 23, initials=initials,
                           record_events=True)
-        taus, hit, frozen, finals, events = killed_loop(
+        taus, hit, immortal, finals, events = killed_loop(
             model, target, 4, 4.0, 23, initials=initials)
         assert not batch.hit.any() and not hit.any()
-        assert frozen.tolist() == batch.frozen.tolist() == \
+        assert immortal.tolist() == batch.immortal.tolist() == \
             [True, False, False, False]
+        assert (batch.taus == 4.0).all() and np.array_equal(batch.taus, taus)
         assert np.array_equal(batch.finals, finals)
         for mine, ref in zip(batch.events, events):
             for x, y in zip(mine, ref):
@@ -384,7 +418,7 @@ class TestSplits:
                  for lo, hi in ((0, 1), (1, 100), (100, 240))]
         joined = dynamics.BatchResult(
             *(np.concatenate([getattr(p, name) for p in parts])
-              for name in ("taus", "hit", "frozen", "immortal")),
+              for name in ("taus", "hit", "immortal")),
             6.0, np.vstack([p.initials for p in parts]),
             [ev for p in parts for ev in p.events] if record else None,
             np.vstack([p.finals for p in parts]),
@@ -402,7 +436,7 @@ class TestSplits:
                          initials=initials[rows], record_events=True,
                          indices=7 + rows)
         assert np.array_equal(some.initials, initials[rows])
-        for name in ("taus", "hit", "frozen", "finals", "n_events"):
+        for name in ("taus", "hit", "finals", "n_events"):
             assert np.array_equal(getattr(some, name),
                                   getattr(whole, name)[rows])
         for k, i in enumerate(rows):

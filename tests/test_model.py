@@ -137,6 +137,17 @@ class TestRates:
         assert tab[3, 2] == 3.0
         assert (tab[0] == 0).all()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_b_table_refuses_non_finite_rates(self, bad):
+        """A NaN rate gives NaN waiting times, which never pass the horizon,
+        and an infinite one waiting times of 0: the table refuses both, as
+        it refuses a negative rate."""
+        rates = RateFunction.misanthrope(
+            lambda n, m: bad if (n, m) == (2, 1) else float(n),
+            lambda k: float(k))
+        with pytest.raises(ModelError, match="non-finite jump rate"):
+            rates.b_table(3)
+
 
 class TestConfigurationOps:
     """Occupancy rows: the target event and the jump-rate rule."""
@@ -218,6 +229,13 @@ class TestConfigurationOps:
                       RateFunction.exclusion())
         with pytest.raises(ModelError, match="negative kernel weight"):
             model.jump_table()
+
+    @pytest.mark.parametrize("sites", [[-1], [0, 3]])
+    def test_mask_refuses_sites_off_the_lattice(self, sites):
+        """A negative site would index from the end; one past the last site
+        has no entry."""
+        with pytest.raises(ModelError, match="outside the lattice"):
+            TargetSet(np.array(sites), 1).mask(3)
 
 
 class TestAttractiveness:

@@ -230,18 +230,18 @@ class TestPhiIterate:
         model, target, measure = toy
         ensembles, log = phi_iterate(model, target, measure, 0, 100, 20.0,
                                      seed=217)
-        assert ensembles == [] and log.rows == []
+        assert ensembles == [] and log == []
 
     def test_e_tau_approaches_inverse_rate(self, toy, toy_spectral):
         model, target, measure = toy
         lam = toy_spectral["principal"].decay_rate
         ensembles, log = phi_iterate(model, target, measure, 5, 4000, 60.0,
                                      seed=219, probe_times=(2.0,))
-        seq = np.array([r.e_tau for r in log.rows])
+        seq = np.array([r.e_tau for r in log])
         assert abs(seq[-1] - 1 / lam) < abs(seq[0] - 1 / lam)
         assert seq[-1] == pytest.approx(1 / lam, rel=0.1)
         # survival probes drift toward the exponential limit
-        probes = [r.probes[2.0] for r in log.rows]
+        probes = [r.probes[2.0] for r in log]
         target_p = math.exp(-lam * 2.0)
         assert abs(probes[-1] - target_p) < abs(probes[0] - target_p) + 0.02
 

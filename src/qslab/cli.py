@@ -68,17 +68,16 @@ def _run_oracle_check(cfg: ExperimentConfig, out: Path,
                                cfg.budgets["n_traj"], cfg.seed,
                                measure=measure, workers=workers)
         oracle = tasep_line_survival(rho, t_grid)
-        rows = ["t,estimate,oracle,abs_err,three_sigma"]
-        se = curve.stderr()
-        for k in range(t_grid.size):
-            rows.append(",".join(repr(float(v)) for v in (
-                t_grid[k], curve.estimate[k], oracle[k],
-                abs(curve.estimate[k] - oracle[k]), 3.0 * se[k])))
+        err = np.abs(curve.estimate - oracle)
+        table = np.column_stack([t_grid, curve.estimate, oracle, err,
+                                 3.0 * curve.stderr()])
+        rows = ["t,estimate,oracle,abs_err,three_sigma"] \
+            + [",".join(map(repr, row)) for row in table.tolist()]
         (out / "oracle_table.csv").write_text("\n".join(rows) + "\n")
         fit = fit_decay(curve)
         storage.write_json(out / "summary.json", {
             "oracle": "half_line_closed_form",
-            "sup_abs_err": float(np.abs(curve.estimate - oracle).max()),
+            "sup_abs_err": float(err.max()),
             "lambda_hat": fit.lambda_hat,
             "lambda_hat_stderr": fit.stderr,
             "oracle_rate": rho,
@@ -257,9 +256,17 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
+    """Run `cfg` into `out_dir`, a new path or an empty directory (else a
+    ConfigError before any work): the manifest hashes every file there."""
     out = Path(out_dir)
     created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        if not created and (not out.is_dir() or any(out.iterdir())):
+            raise ConfigError(f"cannot use --out {out}: not a new path or "
+                              "an empty directory")
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out}: {exc}") from None
     started = time.time()
     before = asdict(WORK)
     try:
@@ -270,11 +277,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
             out.rmdir()
         raise
     counters = {k: v - before[k] for k, v in asdict(WORK).items()}
-    results = {}
-    for path in sorted(out.iterdir()):
-        if path.name == "manifest.json" or not path.is_file():
-            continue
-        results[path.name] = storage.sha256_of_file(path)
+    results = {path.name: storage.sha256_of_file(path)
+               for path in sorted(out.iterdir())}
     manifest = {
         "schema_version": 1,
         "experiment": cfg.experiment,
@@ -333,19 +337,17 @@ def compare_runs(dir_a, dir_b) -> dict:
         raise ValueError(
             f"incompatible experiment kinds: {man_a['experiment']} "
             f"vs {man_b['experiment']}")
-    diffs = {}
+    diffs = {name: [{"note": "missing in a"}] for name in man_b["results"]
+             if name not in man_a["results"]}
     for name, digest in man_a["results"].items():
         other = man_b["results"].get(name)
         if other is None:
             diffs[name] = [{"note": "missing in b"}]
-            continue
-        if digest == other:
-            continue
-        if name.endswith(".json"):
+        elif digest != other and name.endswith(".json"):
             diffs[name] = _diff_numeric(
                 storage.read_json(Path(dir_a) / name),
                 storage.read_json(Path(dir_b) / name))
-        else:
+        elif digest != other:
             diffs[name] = [{"note": "content differs"}]
     return {
         "identical": not diffs
@@ -405,22 +407,21 @@ def main(argv=None) -> int:
 
     if args.command == "compare":
         try:
-            result = compare_runs(args.run_a, args.run_b)
+            text = storage.canonical_json(compare_runs(args.run_a,
+                                                       args.run_b))
+            if args.out:
+                Path(args.out).write_text(text + "\n")
         except (OSError, KeyError, ValueError) as exc:
             print(f"compare failed: {exc}", file=sys.stderr)
             return EXIT_COMPARE
-        text = storage.canonical_json(result)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
         print(text)
         return EXIT_OK
 
     # run
-    if args.workers < 1:
-        print(f"config invalid: --workers must be at least 1, got "
-              f"{args.workers}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got "
+                              f"{args.workers}")
         raw = _read_config(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     try:
         out = run_experiment(cfg, args.out, workers=args.workers)
+    except ConfigError as exc:
+        print(f"config invalid: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ModelError, DensityError, FugacityError, StateSpaceError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

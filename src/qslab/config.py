@@ -32,7 +32,7 @@ class Kind(NamedTuple):
 # every experiment kind by name
 KINDS = {
     "survival": Kind(("t_grid", "n_traj"), ("t_max",)),
-    "oracle-check": Kind(("t_grid",), ("n_traj",)),
+    "oracle-check": Kind(("t_grid",)),
     "phi-iterate": Kind(("iterations", "n_particles", "t_max"),
                         ("probe_times",)),
     "phi-direct": Kind(("order", "n_traj", "t_max")),

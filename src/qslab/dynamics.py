@@ -22,7 +22,8 @@ particle enters the window and runs once, to the largest time of its grid.
 Each user reads the model's jump table and the window mask
 (`TargetSet.mask`, which refuses a window off the lattice) before any draw.
 Recorded events are gathered per step and split by row at the end, so
-there is no event buffer and no resume.
+there is no event buffer and no resume.  The killed runs' P(tau > t) and
+the tagged exit's P(sigma > kappa) are `SurvivalCurve.from_times`.
 
 Every trajectory draws from its own counter-based stream keyed by
 (master seed, TRAJECTORY, index).  Draws are addressed by word position in
@@ -38,7 +39,6 @@ or on how the trajectories are split.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
+from scipy.special import gammaln, xlogy
 
 from . import rng as rngmod
 from .estimators import CI_SIGMAS, SurvivalCurve
@@ -226,16 +227,11 @@ def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
     (ROADMAP D13): `frozen_rate`, which is not read (the engine's floor is
     `_FROZEN_RATE`, the value the one caller passes), `n_ev0`, and the
     leading 0 of the result."""
-    cap = btab.shape[0] - 1
     engine = _Lockstep(occ, nbr, w, btab, draws, t0)
     win = occ[:, in_window].sum(axis=1)
     engine.stop(win > threshold, _HIT)
     while engine.retire():
         rows, src, dst, _, _ = engine.step(2, t_max)
-        if (engine.x[rows, dst] > cap).any():
-            # the rate table certifies b rows up to its cap; exceeding it
-            # means the caller sized it below the particle total
-            raise RuntimeError("occupancy exceeded the rate-table cap")
         batch_rows = engine.live[rows]
         win[batch_rows] += in_window[dst].astype(np.int64) - in_window[src]
         if log is not None:
@@ -487,27 +483,15 @@ def survival_curve(model: Model, target: TargetSet, t_grid: Sequence[float],
     from n_traj starts sampled from the product law `measure`.
 
     Trajectories censored at t_max >= max(t_grid) (max(t_grid) when not
-    given) count as alive at every grid point, so censoring does not bias
-    the curve, only the tail beyond the grid."""
+    given) count as alive at every grid point (`SurvivalCurve.from_times`),
+    so censoring does not bias the curve, only the tail beyond the grid."""
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
     horizon = float(t_grid[-1]) if t_max is None else float(t_max)
     if horizon < t_grid[-1]:
         raise ValueError("t_max must cover the time grid")
     batch = run_batch(model, target, n_traj, horizon, seed, measure=measure,
                       workers=workers)
-    alive = batch.taus[None, :] > t_grid[:, None]
-    # censored trajectories carry tau = t_max and stay alive on the grid
-    alive |= (~batch.hit)[None, :]
-    n_alive = alive.sum(axis=1)
-    return SurvivalCurve(
-        t=t_grid,
-        estimate=n_alive / n_traj,
-        n_alive=n_alive,
-        n_total=n_traj,
-        censored_fraction=batch.censored_fraction,
-        taus=batch.taus,
-        hit=batch.hit,
-    )
+    return SurvivalCurve.from_times(t_grid, batch.taus, batch.hit)
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +655,12 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
         engine.stop(entered, _HIT)
     tau_eta = np.where(engine.status == _HIT, engine.clock, np.inf)
     violations = int(np.count_nonzero(tau_zeta > tau_eta))
-    surv_eta = (tau_eta[None, :] > t_grid[:, None]).mean(axis=1)
-    surv_zeta = (tau_zeta[None, :] > t_grid[:, None]).mean(axis=1)
-    gap = surv_eta - surv_zeta
-    diff = (tau_eta[None, :] > t_grid[:, None]).astype(float) \
-        - (tau_zeta[None, :] > t_grid[:, None])
-    gap_se = diff.std(axis=1, ddof=1) / np.sqrt(n_traj)
+    alive_eta, alive_zeta = (tau[None, :] > t_grid[:, None]
+                             for tau in (tau_eta, tau_zeta))
+    surv_eta = alive_eta.mean(axis=1)
+    gap = surv_eta - alive_zeta.mean(axis=1)
+    gap_se = (alive_eta.astype(float) - alive_zeta).std(axis=1, ddof=1) \
+        / np.sqrt(n_traj)
     h = rw_hitting(model.lattice, model.kernel, site, target.sites)
     WORK.trajectories += n_traj
     WORK.events += int(engine.counts.sum())
@@ -716,9 +700,10 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     fires, the mover is uniform among the particles on the site, which keeps
     every per-particle clock below the Lipschitz rate.  All trajectories
     advance in lockstep, once, to the largest kappa, and each keeps its
-    first entry time sigma (infinite when none enters): its path up to a
-    smaller kappa is the one a run to that kappa reads.  Trajectory i draws
-    its start (the inverse CDF of the first num_sites uniforms) and then its
+    first entry time sigma (censored when none enters): its path up to a
+    smaller kappa is the one a run to that kappa reads, and the estimates
+    are `SurvivalCurve.from_times` of the sigmas.  Trajectory i draws its
+    start (the inverse CDF of the first num_sites uniforms) and then its
     events from stream (seed, TRAJECTORY, i)."""
     kappas = np.asarray(kappas, dtype=np.float64)
     lattice = model.lattice
@@ -740,21 +725,19 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
         stays = mover_tagged & ~entered
         tagged[r[stays], dst[stays]] += 1
         engine.stop(rows[entered], _HIT)
-    sigma = np.where(engine.status == _HIT, engine.clock, np.inf)
     WORK.trajectories += n_traj
     WORK.events += int(engine.counts.sum())
-    p = (sigma[None, :] > kappas[:, None]).mean(axis=1)
-    se = np.sqrt(np.maximum(p * (1 - p), 1e-300) / n_traj)
+    curve = SurvivalCurve.from_times(kappas, engine.clock,
+                                     engine.status == _HIT)
     dist = lattice.graph_distance(list(target.sites), model.kernel.offsets)
-    R = max(1, model.kernel.range)
-    delta_lip = model.rates.delta()
-    deltas = np.zeros((kappas.size, lattice.num_sites))
+    d = np.maximum(dist, 0) // max(1, model.kernel.range)
+    # (Delta kappa)^d / d! in logs, which no d overflows; d = 0 gives 1
+    dk = model.rates.delta() * kappas[:, None]
+    deltas = np.exp(np.minimum(0.0, xlogy(d, dk) - gammaln(d + 1)))
     # window sites, and sites from which the window is out of reach, keep 0
-    for kappa, row in zip(kappas.tolist(), deltas):
-        for i in np.flatnonzero(~in_window & (dist >= 0)):
-            d = dist[i] // R
-            row[i] = min(1.0, (delta_lip * kappa) ** d / math.factorial(d))
+    deltas[:, in_window | (dist < 0)] = 0.0
     outside = deltas[:, ~in_window]
     bound = np.array([np.exp(measure.rho * np.log1p(-o).sum())
                       if (o < 1.0).all() else 0.0 for o in outside])
-    return SigmaExitReport(kappas, p, se, bound, deltas)
+    return SigmaExitReport(kappas, curve.estimate, curve.stderr(), bound,
+                           deltas)

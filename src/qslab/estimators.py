@@ -1,5 +1,7 @@
 """Statistical reduction: survival curves, decay-rate fits and
-exponentiality diagnostics.  Pure functions over immutable sample arrays.
+exponentiality diagnostics.  Pure functions over immutable sample arrays;
+`SurvivalCurve.from_times` is the one reduction of first-passage times to
+P(T > t) on a grid, and `SurvivalCurve.stderr` their one binomial error.
 
 Error bars are closed forms, with no resampling.  The decay rate's is the
 delta-method variance of the fitted slope (Efron & Tibshirani, *An
@@ -60,6 +62,18 @@ class SurvivalCurve:
             self.log_estimate = np.asarray(self.log_estimate, dtype=np.float64)
             if self.estimate is None:
                 self.estimate = np.exp(self.log_estimate)
+
+    @staticmethod
+    def from_times(t: Sequence[float], taus: np.ndarray,
+                   hit: np.ndarray) -> "SurvivalCurve":
+        """Curve of the first-passage times `taus` on the grid `t`, in its
+        order; a time that is not a `hit` is alive at every grid time."""
+        t = np.asarray(t, dtype=np.float64)
+        n_alive = ((taus[None, :] > t[:, None]) | ~hit).sum(axis=1)
+        return SurvivalCurve(t=t, estimate=n_alive / taus.size,
+                             n_alive=n_alive, n_total=taus.size,
+                             censored_fraction=float(1.0 - hit.mean()),
+                             taus=taus, hit=hit)
 
     @staticmethod
     def from_log(t: Sequence[float], log_p: Sequence[float]) -> "SurvivalCurve":

@@ -18,13 +18,14 @@ trajectory started from the base law enters the n-th iterate with weight
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
 from .dynamics import WORK, BatchResult, replay, run_batch
+from .estimators import SurvivalCurve
 from .measures import (ProductMeasure, WeightedEnsemble, systematic_resample)
 from .model import Model, TargetSet
 
@@ -44,7 +45,7 @@ class PhiStats:
     censor_fraction: float
     ess: float
     t_max_used: float
-    probes: dict[float, float] = field(default_factory=dict)
+    probes: dict[float, float]      # P(tau > s) per probe time s
 
 
 def _simulate_to_hits(model: Model, target: TargetSet, initials, measure,
@@ -140,12 +141,9 @@ def _batch_stats(batch: BatchResult, ess: float,
     taus = batch.taus[batch.hit]
     e_tau = float(taus.mean()) if taus.size else float("nan")
     se = float(taus.std(ddof=1) / math.sqrt(taus.size)) if taus.size > 1 else 0.0
-    probes = {}
-    for s in probe_times:
-        alive = (batch.taus > s) | ~batch.hit
-        probes[float(s)] = float(alive.mean())
-    return PhiStats(e_tau, se, batch.censored_fraction, ess,
-                    batch.t_max, probes)
+    curve = SurvivalCurve.from_times(probe_times, batch.taus, batch.hit)
+    return PhiStats(e_tau, se, curve.censored_fraction, ess, batch.t_max,
+                    dict(zip(curve.t.tolist(), curve.estimate.tolist())))
 
 
 def phi_apply(input_ensemble: WeightedEnsemble | None, model: Model,

@@ -257,6 +257,9 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
     _replaced(SURVIVAL, ("budgets", "t_max"), float("inf")),
     _replaced(SURVIVAL, ("budgets", "order"), 2),
     _replaced(COUPLINGS, ("budgets", "site"), 1.0),
+    _replaced(dict(TASEP_RING, experiment="oracle-check", seed=13,
+                   budgets={"t_grid": [0.5, 1.0]}), ("budgets", "n_traj"),
+              999),
 ], ids=["no-n_traj", "no-rho", "t_max-below-grid", "state-space-kind",
         "extent-scalar", "budgets-list", "weights-string", "threshold-word",
         "t_grid-string", "t_grid-empty", "state-space-no-value",
@@ -265,7 +268,7 @@ COUPLINGS = dict(TOY, experiment="couplings", seed=13,
         "site-in-window", "initial-in-target", "site-full",
         "initial-over-cap", "target-missing", "oracle-ring-no-rho",
         "oracle-line-no-rho", "spectral-no-rho", "t_max-infinite",
-        "budget-unread", "site-fraction"])
+        "budget-unread", "site-fraction", "oracle-ring-n_traj"])
 def test_config_fault_found_late_exits_2(tmp_path, capsys, cfg):
     """A config fault exits 2 with a message, not a traceback, before
     `--out` exists, and `validate` gives the same verdict."""
@@ -459,13 +462,14 @@ def test_spectral_density_fault_leaves_no_file(tmp_path, capsys):
 
 def test_failed_run_keeps_an_existing_out(tmp_path, capsys):
     """A failed run removes only an `--out` it made itself: a directory
-    that was there before stays, with what it held."""
+    that was there before stays, with what it held (a directory that holds
+    anything is refused before the run)."""
     out = tmp_path / "out"
     out.mkdir()
     (out / "notes.txt").write_text("kept\n")
     ring = dict(EXCL_RING, rho=0.9999995)
     assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 8}) \
-        == cli.EXIT_MODEL
+        == cli.EXIT_CONFIG
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     (out / "notes.txt").unlink()
     assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 8}) \
@@ -490,6 +494,83 @@ def test_spectral_with_empty_core_exits_4(tmp_path):
             "target": {"sites": [0, 1], "threshold": 2}, "rho": 0.5}
     assert _run_spectral(tmp_path, ring, {"kind": "max_total", "value": 6}) \
         == cli.EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("layout", ["file", "under-a-file", "not-empty"])
+def test_unusable_out_exits_2(tmp_path, capsys, layout):
+    """An `--out` that is a file, lies under one or holds files is refused
+    before any work, and nothing is created: a leftover file there would
+    enter the manifest's results."""
+    out = tmp_path / "out"
+    if layout == "not-empty":
+        out.mkdir()
+        (out / "stale.txt").write_text("old\n")
+    else:
+        out.write_text("a file\n")
+    if layout == "under-a-file":
+        out = out / "run"
+    before = sorted(tmp_path.rglob("*"))
+    config = _write(tmp_path, "cfg", SURVIVAL)
+    assert cli.main(["run", "--config", config, "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config invalid: cannot use --out")
+    assert sorted(tmp_path.rglob("*")) == sorted(before + [tmp_path
+                                                           / "cfg.json"])
+
+
+def test_sigma_exit_far_from_the_window(tmp_path):
+    """The floor's terms (Delta kappa)^d / d! stay finite at distances d
+    past 170, where d! is no float: on a 200-site blocked line the window
+    {199} is 199 kernel ranges from site 0."""
+    line = dict(LINE, model=_model(200, "blocked", [[1]], [1.0],
+                                   {"family": "exclusion"}),
+                target={"sites": [199], "threshold": 0})
+    config = _write(tmp_path, "cfg", dict(
+        line, experiment="sigma-exit", seed=13,
+        budgets={"kappas": [0.5], "n_traj": 20}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out)]) \
+        == cli.EXIT_OK
+    report, = json.loads((out / "sigma_exit.json").read_text())["reports"]
+    assert 0 < report["lower_bound"] < 1
+
+
+def _runs_to_compare(tmp_path):
+    """Two runs of one tagged-exit config, a and b, and their directories."""
+    config = _write(tmp_path, "cfg", dict(
+        LINE, experiment="sigma-exit", seed=13,
+        budgets={"kappas": [0.5], "n_traj": 20}))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        assert cli.main(["run", "--config", config, "--out", str(run)]) \
+            == cli.EXIT_OK
+    return runs
+
+
+def test_compare_reports_a_result_only_in_b(tmp_path, capsys):
+    a, b = _runs_to_compare(tmp_path)
+    manifest = _manifest(b)
+    manifest["results"]["extra.txt"] = "0" * 64
+    (b / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["compare", str(a), str(b)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["identical"] is False
+    assert report["diffs"] == {"extra.txt": [{"note": "missing in a"}]}
+
+
+@pytest.mark.parametrize("target", ["directory", "under-a-missing-one"])
+def test_compare_unwritable_out_exits_5(tmp_path, capsys, target):
+    runs = _runs_to_compare(tmp_path)
+    out = {"directory": tmp_path,
+           "under-a-missing-one": tmp_path / "missing" / "diff.json"}[target]
+    capsys.readouterr()
+    assert cli.main(["compare", *map(str, runs), "--out", str(out)]) \
+        == cli.EXIT_COMPARE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("compare failed: ")
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_compare_without_manifests_exits_5(tmp_path):

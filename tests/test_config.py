@@ -130,3 +130,27 @@ def test_target_off_the_lattice_is_a_model_error(sites):
 def test_largest_seed_is_accepted():
     assert ExperimentConfig.from_dict(_with(("seed",), 2**64 - 1)).seed \
         == 2**64 - 1
+
+
+def test_oracle_check_reads_n_traj_on_the_line_only():
+    """The ring's oracle check is exact and reads no trajectory budget; the
+    blocked line's runs Monte Carlo and needs one."""
+    ring = dict(copy.deepcopy(BASE), experiment="oracle-check",
+                target={"sites": [0], "threshold": 0},
+                budgets={"t_grid": [0.5, 1.0]})
+    ring["model"] = {"lattice": {"extent": [6], "boundary": "torus"},
+                     "kernel": {"offsets": [[1]], "weights": [1.0]},
+                     "rates": {"family": "exclusion"}}
+    ExperimentConfig.from_dict(ring)
+    with pytest.raises(ConfigError,
+                       match="budget n_traj is not read by oracle-check"):
+        ExperimentConfig.from_dict(dict(ring, budgets={"t_grid": [0.5, 1.0],
+                                                       "n_traj": 999}))
+    line = copy.deepcopy(ring)
+    line["model"]["lattice"]["boundary"] = "blocked"
+    line["target"]["sites"] = [5]
+    with pytest.raises(ConfigError,
+                       match="budget n_traj required for oracle-check"):
+        ExperimentConfig.from_dict(line)
+    line["budgets"]["n_traj"] = 10
+    ExperimentConfig.from_dict(line)

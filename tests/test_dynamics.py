@@ -11,6 +11,7 @@ from qslab import dynamics
 from qslab import rng as rngmod
 from qslab.dynamics import (coupled_start, run_batch, rw_hitting,
                             second_class_escape, sigma_exit, survival_curve)
+from qslab.estimators import SurvivalCurve
 from qslab.measures import ProductMeasure, _window_distribution
 from qslab.model import (JumpKernel, Lattice, Model, ModelError, RateFunction,
                          TargetSet)
@@ -489,6 +490,26 @@ class TestReplayProperties:
 
 
 class TestSurvivalCurve:
+    def test_censored_times_alive_at_every_grid_time(self):
+        """`SurvivalCurve.from_times` by hand: a censored row (not a hit)
+        is alive at every grid time, even past its recorded time; the grid
+        keeps its order, and an empty grid gives an empty curve."""
+        taus = np.array([0.0, 0.4, 1.0, 2.5, 0.3, 0.3])
+        hit = np.array([True, True, True, True, False, False])
+        kappas = [2.0, 0.2, 3.0, 1.0]
+        curve = SurvivalCurve.from_times(kappas, taus, hit)
+        assert curve.t.tolist() == kappas
+        # alive: tau > kappa among the hits, plus the two censored rows
+        assert curve.n_alive.tolist() == [3, 5, 2, 3]
+        assert np.array_equal(curve.estimate, curve.n_alive / 6)
+        assert curve.n_total == 6
+        assert curve.censored_fraction == pytest.approx(1 / 3)
+        p = curve.estimate
+        assert np.array_equal(curve.stderr(), np.sqrt(p * (1 - p) / 6))
+        empty = SurvivalCurve.from_times([], taus, hit)
+        assert empty.t.size == empty.estimate.size == empty.n_alive.size == 0
+        assert empty.censored_fraction == curve.censored_fraction
+
     def test_nonincreasing_nested_evaluation(self, toy):
         model, target, measure = toy
         curve = survival_curve(model, target, np.linspace(0.0, 6.0, 13),

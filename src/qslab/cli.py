@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -255,26 +257,36 @@ _DISPATCH = {
 # run / compare / validate
 # ---------------------------------------------------------------------------
 
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove each of `dirs`, deepest first, that is an empty directory:
+    `rmdir` refuses any other path."""
+    for path in dirs:
+        with suppress(OSError):
+            path.rmdir()
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Path:
     """Run `cfg` into `out_dir`, a new path or an empty directory (else a
     ConfigError before any work): the manifest hashes every file there."""
     out = Path(out_dir)
-    created = not out.exists()
+    made = []
     try:
-        if not created and (not out.is_dir() or any(out.iterdir())):
+        # `out` and each of its missing ancestors, deepest first: the
+        # directories this run makes, and takes back if it fails
+        made = list(takewhile(lambda p: not p.exists(), (out, *out.parents)))
+        if not made and (not out.is_dir() or any(out.iterdir())):
             raise ConfigError(f"cannot use --out {out}: not a new path or "
                               "an empty directory")
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
+        _remove_empty(made)
         raise ConfigError(f"cannot use --out {out}: {exc}") from None
     started = time.time()
     before = asdict(WORK)
     try:
         _DISPATCH[cfg.experiment](cfg, out, workers)
     except BaseException:
-        # a failed run takes back the directory it made, while it is empty
-        if created and not any(out.iterdir()):
-            out.rmdir()
+        _remove_empty(made)
         raise
     counters = {k: v - before[k] for k, v in asdict(WORK).items()}
     results = {path.name: storage.sha256_of_file(path)

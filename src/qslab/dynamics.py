@@ -35,6 +35,9 @@ runs short in one keyed block, with exactly the values one-at-a-time
 `random()` calls would give; no per-trajectory Generator exists.  So
 batches are reproducible bit for bit and do not depend on the worker count
 or on how the trajectories are split.
+
+scipy is imported by the functions that call it, so that importing this
+module (and starting a run) costs numpy only.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import spsolve
-from scipy.special import gammaln, xlogy
 
 from . import rng as rngmod
 from .estimators import CI_SIGMAS, SurvivalCurve
@@ -507,6 +507,8 @@ def _walk_matrix(lattice: Lattice, kernel: JumpKernel,
 
     A blocked direction is dropped and the open ones are rescaled; a site
     with none open never moves."""
+    from scipy.sparse import csr_matrix
+
     n = lattice.num_sites
     in_target = np.zeros(n, dtype=bool)
     in_target[target_sites] = True
@@ -535,6 +537,9 @@ def rw_hitting(lattice: Lattice, kernel: JumpKernel, start: int,
     rule.  The sites from which no path of positive-weight jumps reaches the
     window have h = 0 and absorb: they may form a closed class, on which
     I - P would be singular."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import spsolve
+
     target_sites = np.unique(np.asarray(target_sites, dtype=np.int64))
     dead = lattice.graph_distance(
         target_sites, kernel.offsets[kernel.weights > 0]) < 0
@@ -705,6 +710,8 @@ def sigma_exit(model: Model, target: TargetSet, measure: ProductMeasure,
     are `SurvivalCurve.from_times` of the sigmas.  Trajectory i draws its
     start (the inverse CDF of the first num_sites uniforms) and then its
     events from stream (seed, TRAJECTORY, i)."""
+    from scipy.special import gammaln, xlogy
+
     kappas = np.asarray(kappas, dtype=np.float64)
     lattice = model.lattice
     nbr, weights = model.jump_table()

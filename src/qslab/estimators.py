@@ -7,7 +7,10 @@ Error bars are closed forms, with no resampling.  The decay rate's is the
 delta-method variance of the fitted slope (Efron & Tibshirani, *An
 Introduction to the Bootstrap*, 1993, ch. 21) under the binomial law of the
 survival counts, and a moment ratio's is its spread under the exponential
-law of the fitted rate."""
+law of the fitted rate.
+
+scipy is imported by the function that calls it, so that importing this
+module (and starting a run) costs numpy only."""
 
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expm1, logsumexp
 
 REPORT_SCHEMA_VERSION = 1
 CI_SIGMAS = 3.0      # standard errors of bands and Monte Carlo bound checks
@@ -250,6 +252,8 @@ def exponentiality_report(taus: np.ndarray,
     sqrt((C(2k, k) - 1) / n) and the band is
     ratio * exp(-+ CI_SIGMAS sqrt((C(2k, k) - 1) / n)).
     """
+    from scipy.special import expm1, logsumexp
+
     taus = np.asarray(taus, dtype=np.float64)
     n = taus.size
     if n == 0:

@@ -13,6 +13,9 @@ One Perron solver, `principal_decay`, answers both eigenproblems: the
 decay rate of the killed generator and, through the variational principle
 for the reversible symmetrized chain, the least Dirichlet quotient
 (`rayleigh_quotient`).
+
+scipy is imported by the functions that call it, so that importing this
+module (and starting a run) costs numpy only.
 """
 
 from __future__ import annotations
@@ -23,13 +26,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eig
-from scipy.sparse import csr_matrix
-from scipy.sparse import identity as sparse_identity
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
-from scipy.sparse.linalg import norm as sparse_norm
-from scipy.special import gammaln, logsumexp, pdtr, pdtrik, xlogy
 
 from .estimators import SurvivalCurve, fit_decay
 from .measures import Marginal
@@ -253,6 +249,8 @@ def _m_matrix_lu(a):
     fills roughly half as much as COLAMD with partial pivoting on the
     two-way generators; any other pattern is factored by plain `splu`.  An
     exactly zero pivot raises RuntimeError either way."""
+    from scipy.sparse.linalg import splu
+
     pattern = a != 0
     if (pattern != pattern.T).nnz == 0:
         return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -279,7 +277,7 @@ class KilledGenerator:
 
     space: StateSpace
     target: TargetSet
-    matrix: csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     killing: np.ndarray
     ac_indices: np.ndarray
 
@@ -316,6 +314,8 @@ def build_killed_generator(space: StateSpace, model: Model,
     the moved states are ranked one offset at a time, to bound the memory.
     The diagonal and the killing rates are summed in (state, site, offset)
     order."""
+    from scipy.sparse import csr_matrix
+
     in_window = target.mask(space.lattice.num_sites)
     occ_all = space.occupancies
     in_a = occ_all[:, in_window].sum(axis=1) > target.threshold
@@ -398,6 +398,8 @@ def _dominant_vector(solve: Callable[[np.ndarray], np.ndarray],
     `solve` (an inverse), by Arnoldi from the all-ones vector.  Without a
     converged Ritz pair the start vector comes back, for the Perron checks
     to judge."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
     op = LinearOperator((n, n), matvec=solve, dtype=np.float64)
     try:
         x = eigs(op, k=1, which="LM", tol=0, v0=np.ones(n))[1][:, 0].real
@@ -433,6 +435,10 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     On a chain reversible under some nu this is also the least Dirichlet
     quotient, with the right vector as its minimizer: `rayleigh_quotient`
     is this solve on the symmetrized core."""
+    from scipy.linalg import eig
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import norm as sparse_norm
+
     n = kg.dim
     if n == 0:
         raise SolverError("empty surviving state space")
@@ -488,6 +494,8 @@ def _poisson_logpmf(lam: float) -> np.ndarray:
     ceiling of the inverse of `pdtr` stepped back by one where `pdtr`
     already reaches the level there.  The arithmetic is that of scipy's
     `poisson.logpmf` and `poisson.ppf`, which give the same bits."""
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+
     level = 1.0 - POISSON_TOL
     top = np.ceil(pdtrik(level, lam))
     below = max(top - 1.0, 0.0)
@@ -513,6 +521,9 @@ def exact_survival(kg: KilledGenerator, initial: np.ndarray,
     logsumexp_k(log p(k) + log m_k), so log-survival stays representable
     far beyond double underflow.  Mass that vanishes exactly (Q nilpotent
     on the states left) leaves m_k = 0 from there on."""
+    from scipy.sparse import identity as sparse_identity
+    from scipy.special import logsumexp
+
     scalar = np.isscalar(ts)
     times = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     init = np.asarray(initial, dtype=np.float64)
@@ -564,6 +575,9 @@ def absorbing_core(kg: KilledGenerator) -> np.ndarray:
     into a class that cannot.  Each of the two masks is one breadth-first
     traversal of the reversed jump graph, started from a virtual state
     joined to every seed state."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
     n = kg.dim
     jumps = kg.matrix.tocoo()
     edge = (jumps.row != jumps.col) & (jumps.data != 0)
@@ -679,6 +693,8 @@ def rayleigh_quotient(model: Model, target: TargetSet, space: StateSpace,
     symmetrized core, whose `decay_rate` is the quotient and whose
     `right_vector` is f; a core without a Perron pair (`defective`) raises
     SolverError rather than pass a survival fit off as a quotient."""
+    from scipy.sparse import csr_matrix
+
     sym_model = Model(model.lattice, model.kernel.symmetrized_half(),
                       model.rates)
     kgs = restrict_to_core(build_killed_generator(space, sym_model, target))
@@ -739,6 +755,8 @@ class TasepCircleOracle:
         the particle behind the origin, which needs chi jumps to reach it:
         one at t = 0 whenever the origin starts empty, 0 when chi = 0.
         Arrays of chi and t broadcast."""
+        from scipy.special import pdtr
+
         out = np.where(chi > 0, pdtr(np.maximum(chi, 1) - 1, t), 0.0)
         return out if out.ndim else float(out)
 
@@ -767,6 +785,8 @@ class TasepCircleOracle:
     def log_mixture_survival(self, t) -> np.ndarray | float:
         """log P(tau > t) under the uniform mixture, stable at huge t where
         the probability underflows (survival ~ e^{-t} poly(t))."""
+        from scipy.special import gammaln, logsumexp
+
         dist = self.chi_distribution()
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         chunks = []

@@ -1,6 +1,9 @@
 """Versioned on-disk formats: ensembles (JSON manifest + npz payload),
 survival curves and iteration logs as CSV, reports as JSON, sparse matrices
-as Matrix Market triplets, and run manifests with content hashes."""
+as Matrix Market triplets, and run manifests with content hashes.
+
+scipy is imported by the function that calls it, so that importing this
+module (and starting a run) costs numpy only."""
 
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmwrite
 
 from .estimators import SurvivalCurve
 from .measures import WeightedEnsemble
@@ -121,4 +123,6 @@ def save_iteration_log(log: list[PhiStats], path) -> None:
 
 def save_matrix(matrix, path) -> None:
     """Sparse triplet text export (Matrix Market) for external verification."""
+    from scipy.io import mmwrite
+
     mmwrite(str(path), matrix)

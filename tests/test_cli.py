@@ -477,6 +477,22 @@ def test_failed_run_keeps_an_existing_out(tmp_path, capsys):
     assert out.is_dir() and not any(out.iterdir())
 
 
+def test_failed_run_takes_back_the_directories_it_made(tmp_path, capsys):
+    """A failed run removes the missing ancestors of `--out` that it made,
+    deepest first, and no directory that was there before."""
+    config = _write(tmp_path, "spectral", dict(
+        EXCL_RING, rho=0.9999995, experiment="spectral", seed=1,
+        budgets={"state_space": {"kind": "max_total", "value": 8}}))
+    (tmp_path / "keep").mkdir()
+    for out in (tmp_path / "nest" / "a" / "b" / "out",
+                tmp_path / "keep" / "a" / "out"):
+        assert cli.main(["run", "--config", config, "--out", str(out)]) \
+            == cli.EXIT_MODEL
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["keep", "spectral.json"]
+    assert not any((tmp_path / "keep").iterdir())
+
+
 def test_spectral_site_cap_space_exits_2(tmp_path, capsys):
     """A state space is a run of particle-number sectors; the per-site cap
     box is no kind of space."""
@@ -496,15 +512,22 @@ def test_spectral_with_empty_core_exits_4(tmp_path):
         == cli.EXIT_RUNTIME
 
 
-@pytest.mark.parametrize("layout", ["file", "under-a-file", "not-empty"])
+@pytest.mark.parametrize("layout", ["file", "under-a-file", "not-empty",
+                                    "long-name", "under-a-long-name"])
 def test_unusable_out_exits_2(tmp_path, capsys, layout):
-    """An `--out` that is a file, lies under one or holds files is refused
-    before any work, and nothing is created: a leftover file there would
-    enter the manifest's results."""
+    """An `--out` that is a file, lies under one, holds files or cannot be
+    made is refused before any work, and nothing is created: a leftover
+    file there would enter the manifest's results.  A name too long for
+    the file system under a missing directory is refused only after that
+    directory has been made."""
     out = tmp_path / "out"
     if layout == "not-empty":
         out.mkdir()
         (out / "stale.txt").write_text("old\n")
+    elif layout == "long-name":
+        out = tmp_path / ("x" * 300)
+    elif layout == "under-a-long-name":
+        out = out / ("x" * 300) / "run"
     else:
         out.write_text("a file\n")
     if layout == "under-a-file":

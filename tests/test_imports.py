@@ -1,18 +1,24 @@
-"""Every module-level import of the package and of its tests is used
-(stdlib `ast` only), and the command line does not load `scipy.stats`.
+"""Every module-level import of the package and of its tests is used, and
+no module of the package imports scipy at import time (stdlib `ast` only);
+importing the command line, or running a phi-direct config through it,
+loads no scipy module at all.
 
 Names a module lists in `__all__` are re-exports and count as used;
 `from __future__` imports bind nothing.  String annotations are parsed, so
-a name used only in a quoted annotation counts as used.
+a name used only in a quoted annotation counts as used.  scipy costs about
+a quarter of a second to import, twice what a small Monte Carlo run
+computes, so each function imports the scipy names it calls.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_cli import TOY
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qslab"
@@ -88,13 +94,75 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_cli_does_not_load_scipy_stats():
-    """`scipy.stats` costs about half a second and 30 MB to import; the
-    package computes its Poisson weights and its Kolmogorov-Smirnov
-    statistic from `scipy.special` instead."""
+def _run_at_import(node):
+    """The nodes under `node` that run when its module is imported: all but
+    the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line of every `import scipy...` or `from scipy... import` that runs
+    when `source` is imported."""
+    def is_scipy(name):
+        return name is not None and name.split(".")[0] == "scipy"
+    return [node.lineno for node in _run_at_import(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(is_scipy(alias.name) for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and is_scipy(node.module)]
+
+
+def test_checker_flags_only_import_time_scipy():
+    source = ("import numpy, scipy.sparse\n"
+              "from scipy import linalg\n"
+              "from .scipy_free import f\n"
+              "if numpy:\n"
+              "    from scipy.special import xlogy\n"
+              "class K:\n"
+              "    import scipy\n"
+              "    def m(self):\n"
+              "        from scipy.io import mmwrite\n"
+              "def k():\n"
+              "    import scipy.linalg\n")
+    assert scipy_imports(source) == [1, 2, 5, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert [f"{path.name}:{line}"
+            for line in scipy_imports(path.read_text())] == []
+
+
+def _scipy_loaded_by(script: str, *args: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter once `script` (run
+    with `args` as sys.argv[1:]) is done."""
     probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qslab.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import json, sys\n" + script
+         + "\nprint(json.dumps(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy')))", *args],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert probe.stdout.strip() == "False"
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_by(
+        "import qslab.cli, qslab.spectral, qslab.config") == []
+
+
+def test_phi_direct_run_loads_no_scipy(tmp_path):
+    """A whole `run` of the toy's phi-direct config, to its manifest."""
+    config = tmp_path / "phi-direct.json"
+    config.write_text(json.dumps(dict(
+        TOY, experiment="phi-direct", seed=13,
+        budgets={"order": 2, "n_traj": 100, "t_max": 30.0})))
+    out = tmp_path / "out"
+    assert _scipy_loaded_by(
+        "from qslab import cli\n"
+        "assert cli.main(['run', '--config', sys.argv[1],"
+        " '--out', sys.argv[2]]) == cli.EXIT_OK",
+        str(config), str(out)) == []
+    assert (out / "manifest.json").is_file()

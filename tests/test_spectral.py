@@ -486,27 +486,29 @@ class TestPrincipalDecay:
             self, excl_ring, monkeypatch):
         calls = []
 
-        def counting(module):
+        def counting(module, label):
             def counting_splu(matrix, *args, **kwargs):
-                calls.append(module.__name__)
+                calls.append(label)
                 return splu(matrix, *args, **kwargs)
             monkeypatch.setattr(module, "splu", counting_splu)
 
-        counting(spectral)
+        # spectral imports `splu` from scipy.sparse.linalg when it factors,
+        # so the name patched there is the one it calls
+        counting(importlib.import_module("scipy.sparse.linalg"), "spectral")
         # ARPACK's own factorization of A - sigma I, which a shift-inverse
         # handed to it replaces
         counting(importlib.import_module(
-            "scipy.sparse.linalg._eigen.arpack.arpack"))
+            "scipy.sparse.linalg._eigen.arpack.arpack"), "arpack")
         model, target, measure, space, kg = excl_ring
         core = restrict_to_core(kg)
         res = principal_decay(core)
         chk = qsd_fixed_point_check(core, res.qsd)
-        assert calls == ["qslab.spectral"]
+        assert calls == ["spectral"]
         assert chk["l1_distance"] <= 1e-12
         nu_full = product_vector(space, measure.marginal)
         calls.clear()
         first = rayleigh_quotient(model, target, space, nu_full)
-        assert calls == ["qslab.spectral"]
+        assert calls == ["spectral"]
         second = rayleigh_quotient(model, target, space, nu_full)
         assert (first.decay_rate, eigen_residual(first)) \
             == (second.decay_rate, eigen_residual(second))

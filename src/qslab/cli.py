@@ -8,6 +8,7 @@ byte-level reproducibility is a single string comparison.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import suppress
@@ -150,9 +151,14 @@ def _run_spectral(cfg: ExperimentConfig, out: Path,
     report["principal"] = res.to_dict()
     skipped = {}
     if res.qsd is None:
+        why = ("defective spectrum: the decay rate is a survival fit, with "
+               "no Perron vectors")
+        if res.jordan_block:
+            why = (f"defective spectrum: {res.jordan_block} states share the "
+                   "smallest exit rate on one path, so there is no Perron "
+                   "pair; the decay rate is a survival fit")
         for section in ("qsd_fixed_point", "sandwich", "rayleigh"):
-            skipped[section] = ("defective spectrum: the decay rate is a "
-                                "survival fit, with no Perron vectors")
+            skipped[section] = why
     else:
         report["qsd_fixed_point"] = qsd_fixed_point_check(kgc, res.qsd)
         nu_full = product_vector(space, measure.marginal)
@@ -321,7 +327,8 @@ def _diff_numeric(a, b, prefix=""):
         for i, (x, y) in enumerate(zip(a, b)):
             diffs += _diff_numeric(x, y, f"{prefix}{i}.")
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if a != b:
+        # NaN on both sides (an uncomputed residual) is no difference
+        if a != b and not (math.isnan(a) and math.isnan(b)):
             diffs.append({"field": prefix.rstrip("."), "a": a, "b": b,
                           "diff": float(b) - float(a)})
     elif a != b:

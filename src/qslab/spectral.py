@@ -269,10 +269,12 @@ class KilledGenerator:
     every jump that does not kill stays in it: no rate is cut.  `lu`
     factors -L once, on first use, for every solve with -L or its transpose
     (the Perron vectors and the occupation map), so `matrix` must not
-    change after that; it also checks the one precondition of those solves,
-    that the generator is its own `absorbing_core` (as `restrict_to_core`
-    returns it).  -L is an M-matrix (nonpositive off-diagonal, row sums the
-    killing rates), so it is factored with diagonal pivots
+    change after that; a generator that needs no solve (a defect that
+    `principal_decay` reads off the graph) is never factored.  `lu` checks
+    the one precondition of those solves, that the generator is its own
+    `absorbing_core` (as `restrict_to_core` returns it), through
+    `_require_core`.  -L is an M-matrix (nonpositive off-diagonal, row sums
+    the killing rates), so it is factored with diagonal pivots
     (`_m_matrix_lu`)."""
 
     space: StateSpace
@@ -290,16 +292,22 @@ class KilledGenerator:
         """SuperLU factorization of -L.  -L is weakly chained diagonally
         dominant, hence nonsingular, exactly when every state reaches
         killing, that is when the generator is its own `absorbing_core`;
-        any other generator raises SolverError with the number of states
-        outside the core and the occupancy of the first of them."""
-        core = absorbing_core(self)
-        if not core.all():
-            outside = np.flatnonzero(~core)
-            first = self.space.occupancies[self.ac_indices[outside[0]]]
-            raise SolverError(
-                f"{outside.size} survivor states are not killed almost "
-                f"surely, e.g. {tuple(first.tolist())}")
+        any other generator raises SolverError (`_require_core`)."""
+        _require_core(self)
         return _m_matrix_lu((-self.matrix).tocsc())
+
+
+def _require_core(kg: KilledGenerator) -> None:
+    """Raise SolverError unless `kg` is its own `absorbing_core`, naming
+    the number of states outside the core and the occupancy of the first
+    of them."""
+    core = absorbing_core(kg)
+    if not core.all():
+        outside = np.flatnonzero(~core)
+        first = kg.space.occupancies[kg.ac_indices[outside[0]]]
+        raise SolverError(
+            f"{outside.size} survivor states are not killed almost "
+            f"surely, e.g. {tuple(first.tolist())}")
 
 
 def build_killed_generator(space: StateSpace, model: Model,
@@ -380,9 +388,10 @@ class SpectralResult:
     defective: bool
     strongly_connected_components: int
     fit_window: tuple[float, float] | None = None
+    jordan_block: int | None = None         # set when the graph shows it
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "decay_rate": self.decay_rate,
             "right_residual": self.right_residual,
             "left_residual": self.left_residual,
@@ -390,6 +399,9 @@ class SpectralResult:
             "strongly_connected_components": self.strongly_connected_components,
             "fit_window": list(self.fit_window) if self.fit_window else None,
         }
+        if self.defective:          # a Perron pair's report keeps its bytes
+            out["jordan_block"] = self.jordan_block
+        return out
 
 
 def _dominant_vector(solve: Callable[[np.ndarray], np.ndarray],
@@ -408,29 +420,88 @@ def _dominant_vector(solve: Callable[[np.ndarray], np.ndarray],
     return x / np.linalg.norm(x)
 
 
+def _jordan_chain(matrix, n_scc: int) -> int:
+    """Size of the Jordan block of L at its smallest exit rate when the
+    jump graph alone shows that it is one block of two or more states,
+    else 0.
+
+    When every strongly connected block is a single state (`n_scc` equal
+    to the dimension), L is triangular up to a permutation and its
+    spectrum is the diagonal.  Let M be the states whose exit rate -L_ii
+    equals the smallest one exactly.  By Rothblum's index theorem the
+    largest Jordan block at that eigenvalue has the size of the longest
+    path through states of M, so when M has two or more states and every
+    two of them are joined by a path, the eigenvalue is one Jordan block of
+    size |M|.  One breadth-first search per state of M counts the pairs it
+    reaches; in an acyclic graph all |M| (|M| - 1) / 2 pairs are reached
+    exactly when M lies on one path."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = matrix.shape[0]
+    if n_scc < n:
+        return 0
+    rates = -matrix.diagonal()
+    minimal = rates == rates.min()
+    k = int(np.count_nonzero(minimal))
+    if k < 2:
+        return 0
+    pairs = 0
+    for s in np.flatnonzero(minimal):
+        reached = breadth_first_order(matrix, s, directed=True,
+                                      return_predecessors=False)
+        pairs += int(np.count_nonzero(minimal[reached])) - 1
+    return k if pairs == k * (k - 1) // 2 else 0
+
+
+def _survival_fit(kg: KilledGenerator, right_residual: float,
+                  left_residual: float, n_scc: int,
+                  jordan_block: int | None = None) -> SpectralResult:
+    """The defective result of `principal_decay`: its survival fit, with
+    the given residuals and Jordan block.  The fit sits far out because
+    polynomial prefactors bias the local slope by O(log t / t)."""
+    unif = 1.0 / max(1.0, float(-kg.matrix.diagonal().min()))
+    fit_times = np.linspace(500.0, 1000.0, 9) * unif
+    init = np.ones(kg.dim) / kg.dim
+    logs = exact_survival(kg, init, fit_times, return_log=True)
+    fit = fit_decay(SurvivalCurve.from_log(fit_times, logs))
+    return SpectralResult(fit.lambda_hat, None, None, right_residual,
+                          left_residual, True, n_scc, fit_window=fit.window,
+                          jordan_block=jordan_block)
+
+
 def principal_decay(kg: KilledGenerator) -> SpectralResult:
     """Smallest decay rate of the killed generator with both Perron vectors.
 
-    `kg` must be its own `absorbing_core`: `kg.lu` is read first, on every
-    path, and raises SolverError otherwise.  The right and left vectors are
-    the dominant eigenvectors of (-L)^{-1} and its transpose, found by
-    shift-invert Arnoldi (ARPACK) on that one cached factorization
-    (diagonal pivots, see `_m_matrix_lu`).  Cores of at most two states,
-    too small for ARPACK, take a dense eigensolve.
+    `kg` must be its own `absorbing_core`, else SolverError
+    (`_require_core`).  Which path runs is decided by the jump graph first,
+    with no solve:
+
+    - When every strongly connected block is a single state and two or
+      more states share the smallest exit rate on one path
+      (`_jordan_chain`), that rate is one Jordan block and no Perron pair
+      exists.  Nothing is factored and no eigensolve runs: the result is
+      the survival fit below, with both residuals NaN (no pair was
+      computed) and `jordan_block` the number of those states.
+    - Every other core is checked through `kg.lu`, the one factorization
+      of -L (diagonal pivots, see `_m_matrix_lu`).  The right and left
+      vectors are the dominant eigenvectors of (-L)^{-1} and its
+      transpose, found by shift-invert Arnoldi (ARPACK) on it.  Cores of
+      at most two states, too small for ARPACK, take a dense eigensolve.
 
     The pair is a Perron pair only when both residuals, and the rounding
     floor eps ||L||_inf, stay below 1e-10 |y^T x| (x, y the unit vectors:
     the eigenvalue condition number times the residual), the two Rayleigh
     quotients agree to 1e-8 and neither vector has mixed signs.  A
-    defective eigenvalue has y^T x = 0 however small its residuals (the
-    canonical totally asymmetric ring is the example); the rate is then
-    fitted (`fit_decay`) on the exact log-survival from the uniform law at
-    the nine times linspace(500, 1000, 9) / max(1, largest exit rate).  All
-    nine come from one log-mode sweep of `exact_survival`, as long as the
-    Poisson truncation of the last time (1,231 products with the
-    uniformized matrix when the largest exit rate is at least 1, so that
-    the last Poisson mean is 1000), and the fit window is the suffix of
-    that grid with the smallest residual mean square.
+    defective eigenvalue has y^T x = 0 however small its residuals; the
+    rate is then fitted (`fit_decay`) on the exact log-survival from the
+    uniform law at the nine times linspace(500, 1000, 9) / max(1, largest
+    exit rate), with the residuals of the rejected pair and no
+    `jordan_block`.  All nine come from one log-mode sweep of
+    `exact_survival`, as long as the Poisson truncation of the last time
+    (1,231 products with the uniformized matrix when the largest exit rate
+    is at least 1, so that the last Poisson mean is 1000), and the fit
+    window is the suffix of that grid with the smallest residual mean
+    square.
 
     On a chain reversible under some nu this is also the least Dirichlet
     quotient, with the right vector as its minimizer: `rayleigh_quotient`
@@ -442,10 +513,15 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     n = kg.dim
     if n == 0:
         raise SolverError("empty surviving state space")
+    n_scc = int(connected_components(kg.matrix, directed=True,
+                                     connection="strong",
+                                     return_labels=False))
+    jordan_block = _jordan_chain(kg.matrix, n_scc)
+    if jordan_block:
+        _require_core(kg)
+        return _survival_fit(kg, math.nan, math.nan, n_scc, jordan_block)
     lu = kg.lu
     L = kg.matrix.tocsc()
-    n_scc = connected_components(kg.matrix, directed=True,
-                                 connection="strong", return_labels=False)
     if n <= 2:
         values, lefts, rights = eig(L.toarray(), left=True)
         top = int(np.argmax(values.real))
@@ -471,17 +547,8 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     if ok:
         left = np.clip(left, 0.0, None)
         left /= left.sum()
-        return SpectralResult(lam, right, left, res_r, res_l, False, int(n_scc))
-    # defective or reducible: fit the decay of the exact survival curve; the
-    # window sits far out because polynomial prefactors bias the local slope
-    # by O(log t / t)
-    unif = 1.0 / max(1.0, float(-L.diagonal().min()))
-    fit_times = np.linspace(500.0, 1000.0, 9) * unif
-    init = np.ones(n) / n
-    logs = exact_survival(kg, init, fit_times, return_log=True)
-    fit = fit_decay(SurvivalCurve.from_log(fit_times, logs))
-    return SpectralResult(fit.lambda_hat, None, None, res_r, res_l, True,
-                          int(n_scc), fit_window=fit.window)
+        return SpectralResult(lam, right, left, res_r, res_l, False, n_scc)
+    return _survival_fit(kg, res_r, res_l, n_scc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end runs through the command-line entry point on small configs."""
 
 import json
+import math
 
 import pytest
 
@@ -422,12 +423,26 @@ def test_spectral_reports_zero_weight_skip(tmp_path):
 
 
 def test_spectral_reports_defective_skip(tmp_path):
+    """The 6-ring with 3 particles: 3 states share the smallest exit rate
+    on one path, so the graph shows the Jordan block and no pair is
+    computed."""
     rep = _spectral_report(tmp_path, TASEP_RING,
                            {"kind": "fixed_total", "value": 3})
     assert rep["principal"]["defective"]
+    assert rep["principal"]["jordan_block"] == 3
+    assert math.isnan(rep["principal"]["right_residual"])
+    assert math.isnan(rep["principal"]["left_residual"])
     assert set(rep["skipped"]) == {"qsd_fixed_point", "sandwich",
                                    "rayleigh"}
-    assert all("defective" in why for why in rep["skipped"].values())
+    assert all("defective" in why and "3 states share the smallest exit "
+               "rate on one path" in why for why in rep["skipped"].values())
+
+
+def test_spectral_report_of_a_perron_pair_has_no_jordan_block(tmp_path):
+    rep = _spectral_report(tmp_path, EXCL_RING,
+                           {"kind": "max_total", "value": 8})
+    assert not rep["principal"]["defective"]
+    assert "jordan_block" not in rep["principal"]
 
 
 def test_spectral_rayleigh_runs_on_the_core(tmp_path):
@@ -580,6 +595,18 @@ def test_compare_reports_a_result_only_in_b(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["identical"] is False
     assert report["diffs"] == {"extra.txt": [{"note": "missing in a"}]}
+
+
+def test_diff_numeric_takes_nan_as_equal_to_nan():
+    """Residuals that were not computed are NaN on both sides of a compare
+    of two defective spectral runs, and are no difference; NaN against a
+    number still is one."""
+    a = {"residual": float("nan"), "rate": 1.0, "pair": [float("nan"), 2.0]}
+    b = {"residual": float("nan"), "rate": 1.0, "pair": [float("nan"), 2.0]}
+    assert cli._diff_numeric(a, b) == []
+    diff, = cli._diff_numeric(a, dict(b, residual=0.5))
+    assert (diff["field"], diff["b"]) == ("residual", 0.5)
+    assert math.isnan(diff["a"])
 
 
 @pytest.mark.parametrize("target", ["directory", "under-a-missing-one"])

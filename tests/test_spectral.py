@@ -84,6 +84,44 @@ def exclusion_ring_core(n_sites: int) -> KilledGenerator:
     return restrict_to_core(kg)
 
 
+def one_directional_core() -> KilledGenerator:
+    """The totally asymmetric 6-site exclusion ring (window {0, 1},
+    threshold 1, MaxTotal(6)) restricted to its core: 41 states in 5
+    strongly connected blocks, one of them a cycle, with a Perron pair."""
+    lat = Lattice((6,), "torus")
+    model = Model(lat, JumpKernel(np.array([[1]]), np.array([1.0])),
+                  RateFunction.exclusion())
+    space = enumerate_states(lat, MaxTotal(6), site_cap=1)
+    kg = build_killed_generator(space, model, TargetSet(np.array([0, 1]), 1))
+    return restrict_to_core(kg)
+
+
+def hand_built(jumps, killing) -> KilledGenerator:
+    """Killed generator with jump rate jumps[i][j] from state i to state j
+    and the given killing rates, on the first states of a 4-site line with
+    one particle (the states only name the rows)."""
+    killing = np.asarray(killing, dtype=np.float64)
+    rates = np.asarray(jumps, dtype=np.float64)
+    lat = Lattice((4,), "blocked")
+    space = enumerate_states(lat, FixedTotal(1), site_cap=1)
+    matrix = csr_matrix(rates - np.diag(rates.sum(axis=1) + killing))
+    return KilledGenerator(space, TargetSet(np.array([3]), 0), matrix,
+                           killing, np.arange(killing.size))
+
+
+def counting_splu(monkeypatch) -> list:
+    """Patch the `splu` that spectral imports when it factors; the returned
+    list gets one entry per call."""
+    calls = []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+    monkeypatch.setattr(importlib.import_module("scipy.sparse.linalg"),
+                        "splu", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def never_killed(toy_spectral, toy, excl_ring):
     """Generators that keep states outside their absorbing core: the toy at
@@ -410,10 +448,11 @@ class TestPrincipalDecay:
 
     @pytest.mark.parametrize("n_sites,n_particles", sorted(PINNED_DEFECTIVE))
     def test_jordan_block_rings_are_defective(self, n_sites, n_particles):
-        """Arnoldi finds an eigenvector of the Jordan block with a residual
-        at rounding level; the left and right ones are orthogonal, and that
-        is what marks the spectrum defective.  The fitted rate lies in the
-        window bias band [1 - (N - m - 1)/t_lo, 1] of the closed-form 1.
+        """Every state is its own strongly connected block and N - m states
+        share the exit rate 1 on one path, so the rate 1 is one Jordan
+        block: no Perron pair exists and the rate is a survival fit.  The
+        fitted rate lies in the window bias band [1 - (N - m - 1)/t_lo, 1]
+        of the closed-form 1.
         The fit runs on the fixed grid linspace(500, 1000, 9) / max(1,
         largest exit rate) and its window ends on the last grid point.  The
         rate stays within 1e-12 of its pinned value and the window is the
@@ -514,6 +553,90 @@ class TestPrincipalDecay:
             == (second.decay_rate, eigen_residual(second))
 
 
+class TestJordanChain:
+    """A core whose strongly connected blocks are single states and whose
+    smallest exit rate is shared by states on one path is defective by its
+    graph: `principal_decay` factors nothing and runs no eigensolve."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a solve ran on the graph path")
+        for module, name in (("scipy.sparse.linalg", "splu"),
+                             ("scipy.sparse.linalg", "eigs"),
+                             ("scipy.linalg", "eig")):
+            monkeypatch.setattr(importlib.import_module(module), name,
+                                refused)
+
+    @pytest.mark.parametrize("n_sites,n_particles", sorted(PINNED_DEFECTIVE))
+    def test_rings_take_no_solve(self, n_sites, n_particles, no_solve):
+        kg = tasep_ring(n_sites, n_particles)
+        res = principal_decay(kg)
+        assert "lu" not in kg.__dict__
+        assert res.defective
+        assert res.jordan_block == n_sites - n_particles
+        assert math.isnan(res.right_residual)
+        assert math.isnan(res.left_residual)
+
+    @pytest.mark.parametrize("n_sites,n_particles", sorted(PINNED_DEFECTIVE))
+    def test_rings_match_the_solved_path(self, n_sites, n_particles,
+                                         monkeypatch):
+        """With the graph test off, the LU and Arnoldi reject the pair and
+        the same fit runs: the rate, window and block count are the same
+        bits."""
+        graph = principal_decay(tasep_ring(n_sites, n_particles))
+        monkeypatch.setattr(spectral, "_jordan_chain", lambda *args: 0)
+        kg = tasep_ring(n_sites, n_particles)
+        solved = principal_decay(kg)
+        assert "lu" in kg.__dict__
+        assert solved.defective and solved.jordan_block is None
+        assert (graph.decay_rate, graph.fit_window,
+                graph.strongly_connected_components) \
+            == (solved.decay_rate, solved.fit_window,
+                solved.strongly_connected_components)
+
+    def test_chain_test_on_hand_built_graphs(self):
+        """States 0 -> 1 -> 2 at unit rates, 2 killed at rate 1: one chain
+        of three minimal states.  Cutting the jump 1 -> 2 for killing leaves
+        2 on no path with 0 and 1; a unique minimum and a block of two
+        states are not read off the graph either."""
+        chain = hand_built([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 1])
+        assert spectral._jordan_chain(chain.matrix, 3) == 3
+        split = hand_built([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [0, 1, 1])
+        assert spectral._jordan_chain(split.matrix, 3) == 0
+        unique = hand_built([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [1, 0, 2])
+        assert spectral._jordan_chain(unique.matrix, 3) == 0
+        cycle = hand_built([[0, 1, 0], [1, 0, 1], [0, 0, 0]], [0, 0, 2])
+        assert spectral._jordan_chain(cycle.matrix, 2) == 0
+
+    def test_chain_plus_an_unrelated_minimal_state_is_factored(
+            self, monkeypatch):
+        """States 0 -> 1 and an unrelated 2 share the exit rate 1 and 3
+        leaves faster: the rate 1 has Jordan blocks of sizes 2 and 1, so
+        the graph does not decide and the core is factored once."""
+        kg = hand_built([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                         [2, 0, 0, 0]], [0, 1, 1, 0])
+        calls = counting_splu(monkeypatch)
+        res = principal_decay(kg)
+        assert calls == [(4, 4)]
+        assert res.jordan_block is None
+
+    def test_outside_the_core_raises_as_the_lu_does(self):
+        """The 6-ring with 3 particles and its killing taken away: the
+        graph test still fires on the matrix, and the core check refuses
+        with the text of `kg.lu`."""
+        kg, twin = tasep_ring(6, 3), tasep_ring(6, 3)
+        for k in (kg, twin):
+            k.killing = np.zeros(k.dim)
+        assert spectral._jordan_chain(kg.matrix, kg.dim) == 3
+        with pytest.raises(SolverError) as graph:
+            principal_decay(kg)
+        with pytest.raises(SolverError) as lu:
+            twin.lu
+        assert str(graph.value) == str(lu.value)
+        assert "lu" not in kg.__dict__
+
+
 class TestMMatrixLu:
     """`spectral._m_matrix_lu` orders by minimum degree with diagonal pivots
     on a symmetric pattern and is plain `splu` on any other."""
@@ -524,9 +647,17 @@ class TestMMatrixLu:
         assert ours.L.nnz + ours.U.nnz < plain.L.nnz + plain.U.nnz
 
     def test_one_directional_pattern_takes_plain_splu(self, monkeypatch):
-        kept = principal_decay(tasep_ring(10, 5)).to_dict()
+        core = one_directional_core()
+        pattern = core.matrix != 0
+        assert (pattern != pattern.T).nnz > 0
+        kept = principal_decay(core)
+        assert (core.dim, kept.strongly_connected_components,
+                kept.defective) == (41, 5, False)
+        assert kept.decay_rate == pytest.approx(0.08379700963224423,
+                                                rel=1e-12, abs=0)
         monkeypatch.setattr(spectral, "_m_matrix_lu", splu)
-        assert principal_decay(tasep_ring(10, 5)).to_dict() == kept
+        assert principal_decay(one_directional_core()).to_dict() \
+            == kept.to_dict()
 
 
 class TestExactSurvival:

@@ -12,7 +12,9 @@ stationary vectors stay exactly invariant.
 One Perron solver, `principal_decay`, answers both eigenproblems: the
 decay rate of the killed generator and, through the variational principle
 for the reversible symmetrized chain, the least Dirichlet quotient
-(`rayleigh_quotient`).
+(`rayleigh_quotient`).  On a union of sectors the killed generator is block
+diagonal, one block per sector: the solver factors only the slowest block
+and certifies the others slower by Collatz-Wielandt bounds.
 
 scipy is imported by the functions that call it, so that importing this
 module (and starting a run) costs numpy only.
@@ -34,6 +36,14 @@ from .model import Lattice, Model, TargetSet, jump_rates
 DEFAULT_STATE_LIMIT = 100_000  # most states `enumerate_states` builds
 POISSON_TOL = 1e-12   # Poisson mass left out of each uniformized sum
 SANDWICH_TOL = 1e-10  # rounding slack of the hitting-time sandwich
+RANK_ROWS = 4096      # rows per batch of the loops over states, which bounds
+                      # their transient memory
+# `principal_decay` on a core of several components (`_slowest_component`)
+JACOBI_CANDIDATE = 5   # sweeps before the candidate component is chosen
+JACOBI_SWEEPS = 500    # most sweeps that try to certify the others
+JACOBI_STALL = 1e-9    # a sweep moving no pending entry by more, relatively,
+                       # than this has stalled
+RATE_TIE_RTOL = 1e-10  # exact rates this close share the minimum
 
 
 class StateSpaceError(ValueError):
@@ -117,7 +127,7 @@ class StateSpace:
     sector states that agree before that site and hold less on it.  Each
     such number is a difference of two prefix counts read at the particles
     at and after the site and at those after it; the sum over the sites
-    telescopes, so a rank is one read per site of a flat term table of
+    telescopes, so a rank is one read per site of a term table of
     n_sites x (total + 1) entries, built once."""
 
     def __init__(self, lattice: Lattice, occupancies: np.ndarray, constraint):
@@ -145,7 +155,7 @@ class StateSpace:
         terms = below[:n_sites].copy()
         terms[:-1] -= below[1:n_sites]
         terms[-1] += fewer - fewer[constraint.lowest] - below[0, 0]
-        self._terms = terms.ravel()
+        self._terms = terms
         if not np.array_equal(self._rank(occupancies), np.arange(self.size)):
             raise StateSpaceError(
                 "occupancies are not the enumeration of the constraint")
@@ -159,20 +169,22 @@ class StateSpace:
         return self.occupancies.shape[1]
 
     def _rank(self, occ: np.ndarray) -> np.ndarray:
-        """Indices of the rows of `occ` in the space, -1 for absent ones."""
+        """Indices of the rows of `occ` in the space, -1 for absent ones.
+        The sites are read last to first, one column at a time, so that
+        `at` holds the particles at and after the site (which has j sites
+        after it) and the transient arrays are vectors over the rows."""
         occ = np.asarray(occ, dtype=np.int64)
-        # the sites last to first, so column j has j sites after it and
-        # holds the particles at and after its site
-        at = np.cumsum(occ[:, ::-1], axis=1)
-        totals = at[:, -1]
-        valid = ((totals >= self.constraint.lowest)
-                 & (totals <= self.constraint.total))
+        at = np.zeros(occ.shape[0], dtype=np.int64)
+        rank = np.zeros(occ.shape[0], dtype=np.uint64)
+        for j in range(self.n_sites):
+            at += occ[:, self.n_sites - 1 - j]
+            # an absent row may point outside the table: a clipped read
+            # keeps it in bounds, and -1 replaces its rank
+            rank += self._terms[j].take(at, mode="clip")
+        # `at` now holds the totals
+        valid = (at >= self.constraint.lowest) & (at <= self.constraint.total)
         if not 0 <= occ.min(initial=0) <= occ.max(initial=0) <= self._cap:
             valid &= ((occ >= 0) & (occ <= self._cap)).all(axis=1)
-        # an absent row may point outside the table: a clipped read keeps it
-        # in bounds, and -1 replaces its rank
-        at += np.arange(self.n_sites) * (self.constraint.total + 1)
-        rank = self._terms.take(at, mode="clip").sum(axis=1, dtype=np.uint64)
         return np.where(valid, rank.view(np.int64), -1)
 
     def index_of(self, occupancy) -> int:
@@ -199,8 +211,9 @@ def enumerate_states(lattice: Lattice, constraint, *,
         raise StateSpaceError(f"state space would hold {predicted} states "
                               f"(limit {DEFAULT_STATE_LIMIT})")
     cap = constraint.total if site_cap is None else site_cap
-    occ = np.vstack([_enumerate_fixed(n_sites, m, min(cap, m))
-                     for m in range(constraint.lowest, constraint.total + 1)])
+    sectors = [_enumerate_fixed(n_sites, m, min(cap, m))
+               for m in range(constraint.lowest, constraint.total + 1)]
+    occ = sectors[0] if len(sectors) == 1 else np.vstack(sectors)
     return StateSpace(lattice, occ, constraint)
 
 
@@ -229,7 +242,10 @@ def canonical_vector(space: StateSpace, g: Callable[[int], float]) -> np.ndarray
         if gk <= 0:
             raise StateSpaceError("canonical weights need g(k) > 0 for k >= 1")
         logg[k] = logg[k - 1] + math.log(gk)
-    logw = -logg[space.occupancies].sum(axis=1)
+    logw = np.empty(space.size)
+    for lo in range(0, space.size, RANK_ROWS):   # bounds the transient
+        logw[lo:lo + RANK_ROWS] = \
+            -logg[space.occupancies[lo:lo + RANK_ROWS]].sum(axis=1)
     w = np.exp(logw - logw.max())
     return w / w.sum()
 
@@ -258,6 +274,53 @@ def _m_matrix_lu(a):
     return splu(a)
 
 
+class _ComponentLU:
+    """The inverse of -L, one weakly connected component of the jump graph
+    at a time.  No jump joins two components (on a box, two particle-number
+    sectors), so -L is block diagonal up to a permutation and each block is
+    factored alone (`_m_matrix_lu`), on the first solve whose right-hand
+    side touches it; a block no solve needs is never factored.
+    `members[c]` lists the states of component c in increasing order and
+    `labels` gives each state's component."""
+
+    def __init__(self, matrix):
+        from scipy.sparse.csgraph import connected_components
+
+        self._matrix = matrix
+        count, self.labels = connected_components(
+            matrix, directed=True, connection="weak")
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.searchsorted(self.labels[order], np.arange(1, count))
+        self.members = np.split(order, bounds)
+        self._factors = {}
+
+    def block(self, c: int):
+        """L on component c, as a CSR matrix on its own indices."""
+        if len(self.members) == 1:
+            return self._matrix
+        idx = self.members[c]
+        return self._matrix[idx][:, idx]
+
+    def factor(self, c: int):
+        """SuperLU factors of -L on component c, made once."""
+        if c not in self._factors:
+            self._factors[c] = _m_matrix_lu((-self.block(c)).tocsc())
+        return self._factors[c]
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(-L)^{-1} b, or its transpose with trans="T", factoring only the
+        components where b is not zero; the solution is exactly zero on the
+        others."""
+        b = np.asarray(b, dtype=np.float64)
+        if len(self.members) == 1:
+            return self.factor(0).solve(b, trans=trans)
+        out = np.zeros_like(b)
+        for c in np.unique(self.labels[b != 0]):
+            idx = self.members[c]
+            out[idx] = self.factor(c).solve(b[idx], trans=trans)
+        return out
+
+
 @dataclass
 class KilledGenerator:
     """Generator restricted to the complement of the target with killing.
@@ -267,15 +330,15 @@ class KilledGenerator:
     minus the killing rate (strictly negative exactly where a jump into the
     target is possible).  The space is a run of particle-number sectors, so
     every jump that does not kill stays in it: no rate is cut.  `lu`
-    factors -L once, on first use, for every solve with -L or its transpose
-    (the Perron vectors and the occupation map), so `matrix` must not
-    change after that; a generator that needs no solve (a defect that
-    `principal_decay` reads off the graph) is never factored.  `lu` checks
-    the one precondition of those solves, that the generator is its own
-    `absorbing_core` (as `restrict_to_core` returns it), through
-    `_require_core`.  -L is an M-matrix (nonpositive off-diagonal, row sums
-    the killing rates), so it is factored with diagonal pivots
-    (`_m_matrix_lu`)."""
+    serves every solve with -L or its transpose (the Perron vectors and the
+    occupation map), factoring each component of the jump graph once, on
+    first need, so `matrix` must not change after `lu` is read; a
+    generator that needs no solve (a defect that `principal_decay` reads
+    off the graph) is never factored.  `lu` checks the one precondition of
+    those solves, that the generator is its own `absorbing_core` (as
+    `restrict_to_core` returns it), through `_require_core`.  -L is an
+    M-matrix (nonpositive off-diagonal, row sums the killing rates), so it
+    is factored with diagonal pivots (`_m_matrix_lu`)."""
 
     space: StateSpace
     target: TargetSet
@@ -288,13 +351,17 @@ class KilledGenerator:
         return self.matrix.shape[0]
 
     @cached_property
-    def lu(self):
-        """SuperLU factorization of -L.  -L is weakly chained diagonally
+    def lu(self) -> _ComponentLU:
+        """Solves with -L, factored one weakly connected component at a
+        time (`_ComponentLU`): a solve factors only the components its
+        right-hand side touches, so the occupation map of a QSD held by one
+        sector factors that sector alone.  -L is weakly chained diagonally
         dominant, hence nonsingular, exactly when every state reaches
         killing, that is when the generator is its own `absorbing_core`;
-        any other generator raises SolverError (`_require_core`)."""
+        any other generator raises SolverError (`_require_core`) before
+        anything is factored."""
         _require_core(self)
-        return _m_matrix_lu((-self.matrix).tocsc())
+        return _ComponentLU(self.matrix)
 
 
 def _require_core(kg: KilledGenerator) -> None:
@@ -314,58 +381,64 @@ def build_killed_generator(space: StateSpace, model: Model,
                            target: TargetSet) -> KilledGenerator:
     """Assemble the sparse killed generator over the A^c states.
 
-    The rate of every (state, site, offset) jump comes from one
-    `jump_rates` call on the model's jump table and b table, the rule the
-    Monte Carlo engine reads too.  A jump into the target kills and every
+    The rate of every (state, site, offset) jump comes from `jump_rates`
+    on the model's jump table and b table, the rule the Monte Carlo engine
+    reads too.  A jump into the target kills and every
     other one moves the state within its sector, which the space holds
-    unless its per-site cap is below the rate family's (StateSpaceError);
-    the moved states are ranked one offset at a time, to bound the memory.
-    The diagonal and the killing rates are summed in (state, site, offset)
-    order."""
+    unless its per-site cap is below the rate family's (StateSpaceError).
+    The states are taken in blocks that move at most `RANK_ROWS` states per
+    offset, which bounds the transient memory; the matrix does not depend
+    on the blocks.  The diagonal and the killing rates are summed in
+    (state, site, offset) order."""
     from scipy.sparse import csr_matrix
 
     in_window = target.mask(space.lattice.num_sites)
     occ_all = space.occupancies
     in_a = occ_all[:, in_window].sum(axis=1) > target.threshold
     ac_indices = np.flatnonzero(~in_a)
+    n_ac = ac_indices.size
     pos = -np.ones(space.size, dtype=np.int64)
-    pos[ac_indices] = np.arange(ac_indices.size)
+    pos[ac_indices] = np.arange(n_ac)
     nbr, w = model.jump_table()
-    occ = occ_all[ac_indices]
-    n_ac, n_sites = occ.shape
+    top = int(occ_all.max(axis=1, initial=0)[ac_indices].max(initial=0))
     hard_cap = model.rates.max_site_occupancy
-    if hard_cap is not None and occ.max(initial=0) > hard_cap:
+    if hard_cap is not None and top > hard_cap:
         raise StateSpaceError(f"the space holds occupancies above the rate "
                               f"family's per-site bound {hard_cap}")
-    # rates per (state, site, offset) of the jumps the chain makes
-    made = jump_rates(occ, nbr, w,
-                      model.rates.b_table(int(occ.max(initial=0))))
-    # an A^c state holds at most the threshold in the window, so a jump
-    # kills exactly when it carries a particle in while the window is full
-    full = occ[:, in_window].sum(axis=1) == target.threshold
-    dies = full[:, None, None] & in_window[nbr] & ~in_window[:, None]
-    kills = np.where(dies, made, 0.0)
+    btab = model.rates.b_table(top)
     rows, cols, vals = [], [], []
-    for o in range(nbr.shape[1]):
-        row, site = np.nonzero((made[:, :, o] > 0.0) & ~dies[:, :, o])
-        dest = nbr[site, o]
-        moved = occ[row]
-        moved[np.arange(row.size), site] -= 1
-        moved[np.arange(row.size), dest] += 1
-        tgt = space._rank(moved)
-        if (tgt < 0).any():
-            bad = moved[np.argmax(tgt < 0)]
-            raise StateSpaceError(
-                f"state {tuple(bad.tolist())} not in the space")
-        rows.append(row)
-        cols.append(pos[tgt])
-        vals.append(made[row, site, o])
-    diag = np.zeros(n_ac)
-    killing = np.zeros(n_ac)
-    for made_k, kills_k in zip(made.reshape(n_ac, -1).T,
-                               kills.reshape(n_ac, -1).T):
-        diag -= made_k
-        killing += kills_k
+    diag = np.empty(n_ac)
+    killing = np.empty(n_ac)
+    # a block of states moves at most RANK_ROWS states per offset
+    step = max(1, RANK_ROWS // space.n_sites)
+    for lo in range(0, n_ac, step):
+        occ = occ_all[ac_indices[lo:lo + step]]
+        # rates per (state, site, offset) of the jumps the chain makes
+        made = jump_rates(occ, nbr, w, btab)
+        # an A^c state holds at most the threshold in the window, so a jump
+        # kills exactly when it carries a particle in while the window is
+        # full
+        full = occ[:, in_window].sum(axis=1) == target.threshold
+        dies = full[:, None, None] & in_window[nbr] & ~in_window[:, None]
+        for o in range(nbr.shape[1]):
+            row, site = np.nonzero((made[:, :, o] > 0.0) & ~dies[:, :, o])
+            dest = nbr[site, o]
+            moved = occ[row]
+            moved[np.arange(row.size), site] -= 1
+            moved[np.arange(row.size), dest] += 1
+            tgt = space._rank(moved)
+            if (tgt < 0).any():
+                bad = moved[np.argmax(tgt < 0)]
+                raise StateSpaceError(
+                    f"state {tuple(bad.tolist())} not in the space")
+            rows.append(lo + row)
+            cols.append(pos[tgt])
+            vals.append(made[row, site, o])
+        # running sums in (site, offset) order
+        made = made.reshape(occ.shape[0], -1)
+        diag[lo:lo + step] = 0.0 - made.cumsum(axis=1)[:, -1]
+        killing[lo:lo + step] = np.where(
+            dies.reshape(made.shape), made, 0.0).cumsum(axis=1)[:, -1]
     diagonal = np.arange(n_ac)
     mat = csr_matrix((np.concatenate(vals + [diag]),
                       (np.concatenate(rows + [diagonal]),
@@ -389,6 +462,7 @@ class SpectralResult:
     strongly_connected_components: int
     fit_window: tuple[float, float] | None = None
     jordan_block: int | None = None         # set when the graph shows it
+    certificate: dict | None = None         # set on a multi-sector core
 
     def to_dict(self) -> dict:
         out = {
@@ -401,6 +475,8 @@ class SpectralResult:
         }
         if self.defective:          # a Perron pair's report keeps its bytes
             out["jordan_block"] = self.jordan_block
+        if self.certificate:        # so does a one-component report
+            out.update(self.certificate)
         return out
 
 
@@ -469,59 +545,17 @@ def _survival_fit(kg: KilledGenerator, right_residual: float,
                           jordan_block=jordan_block)
 
 
-def principal_decay(kg: KilledGenerator) -> SpectralResult:
-    """Smallest decay rate of the killed generator with both Perron vectors.
-
-    `kg` must be its own `absorbing_core`, else SolverError
-    (`_require_core`).  Which path runs is decided by the jump graph first,
-    with no solve:
-
-    - When every strongly connected block is a single state and two or
-      more states share the smallest exit rate on one path
-      (`_jordan_chain`), that rate is one Jordan block and no Perron pair
-      exists.  Nothing is factored and no eigensolve runs: the result is
-      the survival fit below, with both residuals NaN (no pair was
-      computed) and `jordan_block` the number of those states.
-    - Every other core is checked through `kg.lu`, the one factorization
-      of -L (diagonal pivots, see `_m_matrix_lu`).  The right and left
-      vectors are the dominant eigenvectors of (-L)^{-1} and its
-      transpose, found by shift-invert Arnoldi (ARPACK) on it.  Cores of
-      at most two states, too small for ARPACK, take a dense eigensolve.
-
-    The pair is a Perron pair only when both residuals, and the rounding
-    floor eps ||L||_inf, stay below 1e-10 |y^T x| (x, y the unit vectors:
-    the eigenvalue condition number times the residual), the two Rayleigh
-    quotients agree to 1e-8 and neither vector has mixed signs.  A
-    defective eigenvalue has y^T x = 0 however small its residuals; the
-    rate is then fitted (`fit_decay`) on the exact log-survival from the
-    uniform law at the nine times linspace(500, 1000, 9) / max(1, largest
-    exit rate), with the residuals of the rejected pair and no
-    `jordan_block`.  All nine come from one log-mode sweep of
-    `exact_survival`, as long as the Poisson truncation of the last time
-    (1,231 products with the uniformized matrix when the largest exit rate
-    is at least 1, so that the last Poisson mean is 1000), and the fit
-    window is the suffix of that grid with the smallest residual mean
-    square.
-
-    On a chain reversible under some nu this is also the least Dirichlet
-    quotient, with the right vector as its minimizer: `rayleigh_quotient`
-    is this solve on the symmetrized core."""
+def _perron_pair(L, lu) -> tuple:
+    """Both Perron vectors of the generator L (CSC) from `lu`, whose
+    `solve` inverts -L and, with trans="T", its transpose: the dominant
+    eigenvectors of (-L)^{-1} and its transpose by shift-invert Arnoldi,
+    or a dense eigensolve on at most two states.  Returns ((rate, right,
+    left), right residual, left residual), with None in place of the
+    triple when the pair fails the guard of `principal_decay`."""
     from scipy.linalg import eig
-    from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import norm as sparse_norm
 
-    n = kg.dim
-    if n == 0:
-        raise SolverError("empty surviving state space")
-    n_scc = int(connected_components(kg.matrix, directed=True,
-                                     connection="strong",
-                                     return_labels=False))
-    jordan_block = _jordan_chain(kg.matrix, n_scc)
-    if jordan_block:
-        _require_core(kg)
-        return _survival_fit(kg, math.nan, math.nan, n_scc, jordan_block)
-    lu = kg.lu
-    L = kg.matrix.tocsc()
+    n = L.shape[0]
     if n <= 2:
         values, lefts, rights = eig(L.toarray(), left=True)
         top = int(np.argmax(values.real))
@@ -537,18 +571,196 @@ def principal_decay(kg: KilledGenerator) -> SpectralResult:
     ok = (max(res_r, res_l, floor) <= 1e-10 * abs(float(left @ right))
           and abs(nu_r - nu_l) <= 1e-8)
     if ok:
-        lam = -0.5 * (nu_r + nu_l)
         if right.sum() < 0:
             right = -right
         if left.sum() < 0:
             left = -left
         if (right < -1e-9).any() or (left < -1e-9).any():
             ok = False  # mixed signs: not a Perron pair (reducible structure)
-    if ok:
-        left = np.clip(left, 0.0, None)
-        left /= left.sum()
-        return SpectralResult(lam, right, left, res_r, res_l, False, n_scc)
-    return _survival_fit(kg, res_r, res_l, n_scc)
+    if not ok:
+        return None, res_r, res_l
+    left = np.clip(left, 0.0, None)
+    left /= left.sum()
+    return (-0.5 * (nu_r + nu_l), right, left), res_r, res_l
+
+
+def _whole_core(kg: KilledGenerator, n_scc: int) -> SpectralResult:
+    """The Perron pair of the whole core through `kg.lu`, or the survival
+    fit when there is none."""
+    pair, res_r, res_l = _perron_pair(kg.matrix.tocsc(), kg.lu)
+    if pair is None:
+        return _survival_fit(kg, res_r, res_l, n_scc)
+    return SpectralResult(*pair, res_r, res_l, False, n_scc)
+
+
+def _slowest_component(kg: KilledGenerator, strong: np.ndarray,
+                       n_scc: int) -> SpectralResult:
+    """`principal_decay` of a core whose jump graph has several weakly
+    connected components (`kg.lu.members`): the pair of the slowest one,
+    with the others certified slower by Collatz-Wielandt lower bounds.
+
+    Let A = -L.  For a positive x the least ratio (A x)_i / x_i over a
+    component B bounds its rate from below, lambda_B >= min_B (A x)_i /
+    x_i (Berman & Plemmons 1994, ch. 2), and the largest ratio bounds it
+    from above.  Each ratio is lowered by the rounding of its product,
+    (terms + 2) eps (|A| x)_i / x_i, with |A| x = 2 diag(A) x - A x since A
+    has no positive off-diagonal entry.  The x are the Jacobi iterates
+    x <- x + (1 - A x) / diag(A) from x = 1, all positive because A is a
+    nonsingular M-matrix (Varga 1962); they tend to the mean killing times.
+
+    After `JACOBI_CANDIDATE` sweeps the component with the least upper
+    bound is solved exactly on its own block (`_jordan_chain`, its factors
+    from `kg.lu`, `_perron_pair`).  The sweeps go on until every other
+    component's lower bound exceeds the least exact rate by the relative
+    `RATE_TIE_RTOL`.  The components still short of it when a sweep moves
+    none of their entries by more than `JACOBI_STALL` relatively, or after
+    `JACOBI_SWEEPS` sweeps, are solved exactly too, and the least exact
+    rate wins; so the answer never rests on the cap.  The winner's vectors
+    are padded with exact zeros.  A component solved without a Perron pair
+    sends the whole core down `_whole_core`."""
+    lu = kg.lu
+    members = lu.members
+    order = np.concatenate(members)
+    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+    a = (-kg.matrix)[order][:, order].tocsr()
+    diag = a.diagonal()
+    slack = (int(np.diff(a.indptr).max()) + 2) * np.finfo(np.float64).eps
+    state_of = np.repeat(np.arange(len(members)), [m.size for m in members])
+    lower = np.full(len(members), -np.inf)
+    pending = np.ones(len(members), dtype=bool)
+    pairs = {}
+
+    def solve(c: int) -> bool:
+        block = lu.block(c)
+        n_block = np.unique(strong[members[c]]).size
+        if _jordan_chain(block, n_block):
+            return False
+        pair, res_r, res_l = _perron_pair(block.tocsc(), lu.factor(c))
+        pairs[c] = (pair, res_r, res_l)
+        pending[c] = False
+        return pair is not None
+
+    x = np.ones(kg.dim)
+    perron = True
+    for sweep in range(JACOBI_SWEEPS + 1):
+        ax = a @ x
+        lower = np.maximum(lower, np.minimum.reduceat(
+            (ax - slack * (2.0 * diag * x - ax)) / x, starts))
+        if sweep == JACOBI_CANDIDATE:
+            upper = np.maximum.reduceat(ax / x, starts)
+            perron = solve(int(np.argmin(upper)))
+            if not perron:
+                break
+        if pairs:
+            least = min(p[0][0] for p in pairs.values())
+            pending &= lower <= least * (1.0 + RATE_TIE_RTOL)
+            if not pending.any():
+                break
+        step = (1.0 - ax) / diag
+        live = pending[state_of]
+        if pairs and (np.abs(step[live]) <= JACOBI_STALL * x[live]).all():
+            break
+        x += step
+    if perron and all(solve(c) for c in np.flatnonzero(pending)):
+        return _padded(kg, pairs, lower, n_scc)
+    res = _whole_core(kg, n_scc)
+    res.certificate = {"components": len(members),
+                       "components_solved": len(members),
+                       "next_rate_lower_bound": None,
+                       "components_at_minimum": None}
+    return res
+
+
+def _padded(kg: KilledGenerator, pairs: dict, lower: np.ndarray,
+            n_scc: int) -> SpectralResult:
+    """The result of `_slowest_component` from the exact pairs of the
+    solved components and the certified lower bounds of the others."""
+    rates = {c: p[0][0] for c, p in pairs.items()}
+    win = min(rates, key=rates.get)
+    (lam, right, left), res_r, res_l = pairs[win]
+    idx = kg.lu.members[win]
+    bounds = lower.copy()
+    bounds[list(rates)] = list(rates.values())
+    others = np.delete(bounds, win)
+    padded_right, padded_left = np.zeros(kg.dim), np.zeros(kg.dim)
+    padded_right[idx], padded_left[idx] = right, left
+    res = SpectralResult(lam, padded_right, padded_left, res_r, res_l, False,
+                         n_scc)
+    res.certificate = {
+        "components": len(kg.lu.members),
+        "components_solved": len(pairs),
+        "next_rate_lower_bound": float(others.min()),
+        "components_at_minimum": sum(
+            r <= lam * (1.0 + RATE_TIE_RTOL) for r in rates.values()),
+    }
+    return res
+
+
+def principal_decay(kg: KilledGenerator) -> SpectralResult:
+    """Smallest decay rate of the killed generator with both Perron vectors.
+
+    `kg` must be its own `absorbing_core`, else SolverError
+    (`_require_core`).  Which path runs is decided by the jump graph first,
+    with no solve:
+
+    - When every strongly connected block is a single state and two or
+      more states share the smallest exit rate on one path
+      (`_jordan_chain`), that rate is one Jordan block and no Perron pair
+      exists.  Nothing is factored and no eigensolve runs: the result is
+      the survival fit below, with both residuals NaN (no pair was
+      computed) and `jordan_block` the number of those states.
+    - A core whose jump graph is one weakly connected component (every
+      `FixedTotal` core) is checked through `kg.lu`, the factorization of
+      -L (diagonal pivots, see `_m_matrix_lu`).  The right and left
+      vectors are the dominant eigenvectors of (-L)^{-1} and its
+      transpose, found by shift-invert Arnoldi (ARPACK) on it.  Cores of
+      at most two states, too small for ARPACK, take a dense eigensolve.
+    - A core of several components (a `MaxTotal` core, one component per
+      particle-number sector) is block diagonal, and its pair is the pair
+      of its slowest component padded with zeros.  That component alone is
+      factored and solved as above; every other one is shown to be slower
+      by a Collatz-Wielandt lower bound on its rate, or solved too where
+      the bound does not reach (`_slowest_component`).  The result's
+      `certificate` gives the number of components, how many were solved,
+      the least lower bound or exact rate among the others
+      (`next_rate_lower_bound`) and how many components attain the rate
+      (`components_at_minimum`; with two or more the QSD is not unique
+      and the one returned is that of one of them).
+
+    The pair is a Perron pair only when both residuals, and the rounding
+    floor eps ||L||_inf, stay below 1e-10 |y^T x| (x, y the unit vectors:
+    the eigenvalue condition number times the residual), the two Rayleigh
+    quotients agree to 1e-8 and neither vector has mixed signs.  A
+    defective eigenvalue has y^T x = 0 however small its residuals; the
+    rate is then fitted (`fit_decay`) on the exact log-survival from the
+    uniform law at the nine times linspace(500, 1000, 9) / max(1, largest
+    exit rate), with the residuals of the rejected pair and no
+    `jordan_block`.  All nine come from one log-mode sweep of
+    `exact_survival`, as long as the Poisson truncation of the last time
+    (1,231 products with the uniformized matrix when the largest exit rate
+    is at least 1, so that the last Poisson mean is 1000), and the fit
+    window is the suffix of that grid with the smallest residual mean
+    square.  On a core of several components, a component without a
+    Perron pair sends the whole core down the one-component path, with
+    every component factored.
+
+    On a chain reversible under some nu this is also the least Dirichlet
+    quotient, with the right vector as its minimizer: `rayleigh_quotient`
+    is this solve on the symmetrized core."""
+    from scipy.sparse.csgraph import connected_components
+
+    if kg.dim == 0:
+        raise SolverError("empty surviving state space")
+    n_scc, strong = connected_components(kg.matrix, directed=True,
+                                         connection="strong")
+    n_scc = int(n_scc)
+    jordan_block = _jordan_chain(kg.matrix, n_scc)
+    if jordan_block:
+        _require_core(kg)
+        return _survival_fit(kg, math.nan, math.nan, n_scc, jordan_block)
+    if len(kg.lu.members) == 1:
+        return _whole_core(kg, n_scc)
+    return _slowest_component(kg, strong, n_scc)
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +891,10 @@ def restrict_to_core(kg: KilledGenerator,
 def occupation_vectors(kg: KilledGenerator, initial: np.ndarray,
                        n: int) -> list[np.ndarray]:
     """Unnormalized row vectors initial (-L)^{-k} for k = 1..n (transpose
-    solves on the cached `kg.lu`); their sums are E[tau^k]/k!.  `kg` must be
-    its own `absorbing_core`, or `kg.lu` raises SolverError."""
+    solves on the cached `kg.lu`); their sums are E[tau^k]/k!.  The solves
+    stay on the components of the jump graph where `initial` has mass, and
+    only those are factored: from a QSD held by one sector, that sector.
+    `kg` must be its own `absorbing_core`, or `kg.lu` raises SolverError."""
     lu = kg.lu
     out = []
     x = np.asarray(initial, dtype=np.float64)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -613,13 +614,16 @@ class TestJordanChain:
             self, monkeypatch):
         """States 0 -> 1 and an unrelated 2 share the exit rate 1 and 3
         leaves faster: the rate 1 has Jordan blocks of sizes 2 and 1, so
-        the graph does not decide and the core is factored once."""
+        the graph does not decide and the core is factored.  Its component
+        {0, 1, 3} is one Jordan block by its own graph, so the whole core
+        is solved, and each of its two components is factored once."""
         kg = hand_built([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
                          [2, 0, 0, 0]], [0, 1, 1, 0])
         calls = counting_splu(monkeypatch)
         res = principal_decay(kg)
-        assert calls == [(4, 4)]
+        assert calls == [(3, 3), (1, 1)]
         assert res.jordan_block is None
+        assert res.certificate["components_solved"] == 2
 
     def test_outside_the_core_raises_as_the_lu_does(self):
         """The 6-ring with 3 particles and its killing taken away: the
@@ -635,6 +639,174 @@ class TestJordanChain:
             twin.lu
         assert str(graph.value) == str(lu.value)
         assert "lu" not in kg.__dict__
+
+
+def whole_core_pair(kg: KilledGenerator):
+    """The Perron pair of `kg` solved on the whole core with one LU."""
+    L = kg.matrix.tocsc()
+    pair, _, _ = spectral._perron_pair(L, spectral._m_matrix_lu((-L).tocsc()))
+    return pair
+
+
+def counting_lu(monkeypatch) -> list:
+    """Patch `spectral._m_matrix_lu`; the returned list gets the size of
+    every matrix it factors."""
+    calls = []
+    kept = spectral._m_matrix_lu
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return kept(a)
+    monkeypatch.setattr(spectral, "_m_matrix_lu", counted)
+    return calls
+
+
+class TestComponents:
+    """A core of several weakly connected components (one per particle
+    number on a `MaxTotal` space) is solved on its slowest component; the
+    others are certified slower by Collatz-Wielandt lower bounds."""
+
+    @pytest.mark.parametrize("n_sites", sorted(PINNED_DECAY))
+    def test_rings_match_the_whole_core(self, n_sites):
+        kg = exclusion_ring_core(n_sites)
+        res = principal_decay(kg)
+        lam, right, left = whole_core_pair(kg)
+        assert res.decay_rate == pytest.approx(lam, rel=1e-12, abs=0)
+        assert res.decay_rate == pytest.approx(PINNED_DECAY[n_sites],
+                                               rel=1e-9, abs=0)
+        assert np.abs(res.qsd - left).max() <= 1e-10
+        assert np.abs(res.right_vector / np.linalg.norm(res.right_vector)
+                      - right / np.linalg.norm(right)).max() <= 1e-10
+        cert = res.certificate
+        assert cert["components"] == n_sites - 2
+        assert cert["components_at_minimum"] == 1
+        assert cert["next_rate_lower_bound"] > res.decay_rate
+        assert res.to_dict()["components_solved"] == cert["components_solved"]
+
+    def test_certified_bound_is_below_every_other_rate(self):
+        """Each sector of the 9-site ring solved alone: the least of the
+        others lies between the rate and the certified lower bound."""
+        kg = exclusion_ring_core(9)
+        res = principal_decay(kg)
+        lu = kg.lu
+        rates = sorted(
+            spectral._perron_pair(lu.block(c).tocsc(), lu.factor(c))[0][0]
+            for c in range(len(lu.members)))
+        assert rates[0] == res.decay_rate
+        bound = res.certificate["next_rate_lower_bound"]
+        assert res.decay_rate < bound <= rates[1]
+
+    def test_toy_matches_the_whole_core(self, toy_spectral):
+        kg, res = toy_spectral["core"], toy_spectral["principal"]
+        lam, right, left = whole_core_pair(kg)
+        assert res.decay_rate == pytest.approx(lam, rel=1e-12, abs=0)
+        assert np.abs(res.qsd - left).max() <= 1e-10
+        assert np.abs(res.right_vector - right).max() <= 1e-10
+        assert res.certificate["components"] == 19
+        # the QSD lives on the two-particle sector alone
+        totals = toy_spectral["occ_core"].sum(axis=1)
+        assert (res.qsd[totals != 2] == 0).all()
+        assert (res.right_vector[totals != 2] == 0).all()
+
+    def test_thirteen_site_ring_factors_one_sector(self, monkeypatch):
+        """The 13-site ring's core holds 6,130 states in 11 sectors; only
+        the 77 states of two particles are factored, by `principal_decay`
+        and by the fixed-point check of its QSD together."""
+        kg = exclusion_ring_core(13)
+        calls = counting_lu(monkeypatch)
+        res = principal_decay(kg)
+        chk = qsd_fixed_point_check(kg, res.qsd)
+        assert (kg.dim, calls) == (6130, [77])
+        assert res.certificate == {
+            "components": 11, "components_solved": 1,
+            "next_rate_lower_bound": res.certificate["next_rate_lower_bound"],
+            "components_at_minimum": 1}
+        assert chk["l1_distance"] <= 1e-12
+
+    def test_identical_blocks_are_a_tie(self):
+        """Two copies of the block 0 <-> 1 (rates 1 and 0.5, 1 killed at
+        rate 1): no lower bound of one can clear the other's rate, so both
+        are solved and the tie is reported."""
+        kg = hand_built([[0, 1, 0, 0], [0.5, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, 0.5, 0]], [0, 1, 0, 1])
+        res = principal_decay(kg)
+        lam, _, left = whole_core_pair(hand_built([[0, 1], [0.5, 0]], [0, 1]))
+        assert res.decay_rate == pytest.approx(lam, rel=1e-14)
+        assert res.certificate == {
+            "components": 2, "components_solved": 2,
+            "next_rate_lower_bound": res.decay_rate,
+            "components_at_minimum": 2}
+        assert res.qsd.sum() == pytest.approx(1.0)
+
+    def test_a_wrong_candidate_is_overruled(self, monkeypatch):
+        """State 0 alone is killed at rate 0.5; state 2 jumps to 1 at rate
+        0.3 and 1 is killed at rate 10.  The largest ratio of the second
+        component stays near 10, so the first is the candidate, but the
+        lower bounds of the second tend to 1/E_2[tau] < 0.5, never clear
+        it, and the second is solved too: its rate 0.3 wins."""
+        kg = hand_built([[0, 0, 0], [0, 0, 0], [0, 0.3, 0]], [0.5, 10, 0])
+        sizes = []
+        kept = spectral._perron_pair
+
+        def counted(L, lu):
+            sizes.append(L.shape[0])
+            return kept(L, lu)
+        monkeypatch.setattr(spectral, "_perron_pair", counted)
+        res = principal_decay(kg)
+        assert sizes == [1, 2]
+        assert res.decay_rate == pytest.approx(0.3, rel=1e-14)
+        assert res.certificate["components_solved"] == 2
+        assert res.certificate["next_rate_lower_bound"] == 0.5
+        assert res.qsd[0] == 0.0 and res.right_vector[0] == 0.0
+
+    def test_one_component_keeps_its_bits(self, monkeypatch):
+        """The 8-site ring's four-particle sector (55 core states) is one
+        component: it is factored whole and its rate is the parent's bits,
+        with a report that has no certificate."""
+        lat = Lattice((8,), "torus")
+        model = Model(lat, JumpKernel(np.array([[1], [-1]]),
+                                      np.array([0.7, 0.3])),
+                      RateFunction.exclusion())
+        space = enumerate_states(lat, FixedTotal(4), site_cap=1)
+        kg = restrict_to_core(build_killed_generator(
+            space, model, TargetSet(np.array([0, 1]), 1)))
+        calls = counting_lu(monkeypatch)
+        res = principal_decay(kg)
+        assert calls == [55]
+        assert res.decay_rate == 0.1295748205597042
+        lam, right, left = whole_core_pair(kg)
+        assert (res.decay_rate, res.right_vector.tolist(), res.qsd.tolist()) \
+            == (lam, right.tolist(), left.tolist())
+        assert res.certificate is None
+        assert sorted(res.to_dict()) == [
+            "decay_rate", "defective", "fit_window", "left_residual",
+            "right_residual", "strongly_connected_components"]
+
+    def test_sixteen_site_ring_solves_one_sector(self, monkeypatch):
+        """The 16-site ring at MaxTotal(16) has 49,135 core states, whose
+        one LU took 38 s and 1.26 GB.  Only its two-particle sector is
+        factored now, and the rate is that sector's, solved alone."""
+        lat = Lattice((16,), "torus")
+        model = Model(lat, JumpKernel(np.array([[1], [-1]]),
+                                      np.array([0.7, 0.3])),
+                      RateFunction.exclusion())
+        target = TargetSet(np.array([0, 1]), 1)
+        sector = principal_decay(restrict_to_core(build_killed_generator(
+            enumerate_states(lat, FixedTotal(2), site_cap=1), model,
+            target)))
+        kg = restrict_to_core(build_killed_generator(
+            enumerate_states(lat, MaxTotal(16), site_cap=1), model, target))
+        calls = counting_lu(monkeypatch)
+        start = time.process_time()
+        res = principal_decay(kg)
+        chk = qsd_fixed_point_check(kg, res.qsd)
+        elapsed = time.process_time() - start
+        assert kg.dim == 49135
+        assert calls == [sector.qsd.size]
+        assert res.decay_rate == pytest.approx(sector.decay_rate, rel=1e-12,
+                                               abs=0)
+        assert chk["l1_distance"] <= 1e-12
+        assert elapsed < 2.0
 
 
 class TestMMatrixLu:

@@ -21,28 +21,36 @@ excess sub-event and stops when eta enters the target; the tagged exit
 particle enters the window and runs once, to the largest time of its grid.
 Each user reads the model's jump table and the window mask
 (`TargetSet.mask`, which refuses a window off the lattice) before any draw.
-Recorded events are gathered per step and split by row at the end, so
-there is no event buffer and no resume.  The killed runs' P(tau > t) and
-the tagged exit's P(sigma > kappa) are `SurvivalCurve.from_times`.
+Recorded events are gathered per step and ordered by row once, at the
+end, into one `EventLog`: the concatenated (times, sources, destinations)
+of all rows with each row's offset, so there is no event buffer and no
+resume.  The log stays concatenated: reruns are spliced into it by row and
+the occupation map replays a subset of its rows in one gather; a row's own
+triple is built only when it is read (`log[i]`).  The killed runs' P(tau >
+t) and the tagged exit's P(sigma > kappa) are `SurvivalCurve.from_times`.
 
 Every trajectory draws from its own counter-based stream keyed by
 (master seed, TRAJECTORY, index).  Draws are addressed by word position in
 that stream (see `rng`): a start sampled from a product law is the inverse
 CDF of positions 0 .. num_sites - 1, and the events then read from
 position num_sites on (from 0 when the start is given).  `_Draws` holds
-each row's key and position and computes the uniforms of every row that
-runs short in one keyed block, with exactly the values one-at-a-time
-`random()` calls would give; no per-trajectory Generator exists.  So
-batches are reproducible bit for bit and do not depend on the worker count
-or on how the trajectories are split.
+the next uniforms of each live row, row for row with the engine's live
+block, and compacts them with it when rows end.  Every row reads at one
+cursor, as the rows of a step all take the same number of words, so a
+step's draws are a column slice; a subset that takes extra words (the
+coupling's excess sub-events) moves its unread words left to stay at that
+cursor.  A refill computes one keyed block for the live rows alone, with
+exactly the values one-at-a-time `random()` calls would give; no
+per-trajectory Generator exists.  So batches are reproducible bit for bit
+and do not depend on the worker count or on how the trajectories are
+split.
 
-scipy is imported by the functions that call it, so that importing this
-module (and starting a run) costs numpy only.
+scipy and multiprocessing are imported by the functions that call them,
+so that importing this module (and starting a run) costs numpy only.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,68 +72,100 @@ _FROZEN_RATE = 1e-300
 # ---------------------------------------------------------------------------
 
 class _Draws:
-    """Uniforms of keyed per-row streams, read in blocks: from absolute word
-    position `start[r]` on, row r reads exactly the values that successive
-    `random()` calls of its stream would return.  Each call refills every
-    row it finds short with one keyed block computation (`rng.uniforms`)."""
+    """Uniforms of keyed per-row streams, held in step with the live block
+    of a `_Lockstep`: row j of `buf` holds the next words of the stream
+    with key `key[j]`, and every row reads them from the one cursor `cur`,
+    so the words of a step are a column slice.  Row j reads exactly the
+    values that successive `random()` calls of its stream would return,
+    from the word position `start` on.  `keep` compacts the rows with the
+    live block; a refill computes one keyed block (`rng.uniforms`) for the
+    rows still held, from each row's next unread word."""
 
-    block = 64
+    # words per row and refill.  A refill of 32 words takes 0.18 ms CPU
+    # for 1 row, 0.20 ms for 17, 0.35 ms for 100 and 1.1 ms for 400 rows
+    # (0.18, 0.24, 0.50 and 1.5 ms at 64 words; medians on a 2-core Xeon,
+    # numpy 2.4).  Its fixed cost favours long blocks when few rows are
+    # live, but the first refill holds every row, and most of them retire
+    # within a few events, leaving the rest of their words unread
+    block = 32
 
-    def __init__(self, key: np.ndarray, start):
-        """`key` holds the rows' stream keys (see `rng.keys`), `start` their
-        first word positions (one for all rows, or one per row)."""
-        n = key.shape[0]
+    def __init__(self, key: np.ndarray, start: int):
+        """`key` holds the rows' stream keys (see `rng.keys`), `start` the
+        word position of their first draw."""
         self.key = key
-        self.buf = np.empty((n, self.block))
-        self.cur = np.full(n, self.block)           # cursor into buf
-        # absolute position of buf[:, 0]; an empty buffer ends at start
-        self.base = np.broadcast_to(np.asarray(start, dtype=np.int64),
-                                    (n,)) - self.block
+        self.buf = np.empty((key.shape[0], 0))
+        # word position of buf[:, 0] per row; columns cur .. end - 1 are
+        # unread in every row
+        self.base = np.full(key.shape[0], start, dtype=np.int64)
+        self.cur = self.end = 0
 
-    def take(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
-        """The next k uniforms of each of `rows` (distinct row numbers),
-        shape (len(rows), k)."""
-        pos = self.cur[rows]
-        if (pos + k > self.block).any():
-            # a refill call has a fixed cost near that of filling some 40
-            # rows, so rows within a quarter block of running short join in
-            short = pos + k + self.block // 4 > self.block
-            r = rows[short]
-            self.base[r] += pos[short]
-            self.buf[r] = rngmod.uniforms(self.key[r], self.base[r],
-                                          self.block)
-            pos[short] = 0
-        self.cur[rows] = pos + k
-        return self.buf[rows[:, None], pos[:, None] + np.arange(k)]
+    def _refill(self) -> None:
+        self.base += self.cur
+        self.buf = rngmod.uniforms(self.key, self.base, self.block)
+        self.cur, self.end = 0, self.block
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k uniforms of every row, shape (rows, k)."""
+        if self.cur + k > self.end:
+            self._refill()
+        self.cur += k
+        return self.buf[:, self.cur - k:self.cur]
+
+    def take_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The next k uniforms of `rows` alone (distinct row positions),
+        shape (len(rows), k).  Their unread words move k columns left, so
+        that every row still reads at the cursor."""
+        if self.cur + k > self.end:
+            self._refill()
+        c, e = self.cur, self.end
+        out = self.buf[rows, c:c + k]
+        self.buf[rows, c:e - k] = self.buf[rows, c + k:e]
+        self.base[rows] += k
+        self.end -= k  # the moved rows hold k words fewer
+        return out
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the rows of `mask`, in order."""
+        self.key, self.buf, self.base = (
+            a.compress(mask, axis=0) for a in (self.key, self.buf, self.base))
 
 
-def _categorical(rates: np.ndarray, cum: np.ndarray, u: np.ndarray):
+def _pick(rates: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise pick of the first category whose cumulative rate exceeds u
     (float rounding that leaves u at or past the total falls back to the
-    last positive category); returns the picks and u minus the cumulative
-    rate before each pick, clipped at 0."""
-    n, m = rates.shape
+    last positive category)."""
+    m = rates.shape[1]
     k = (cum <= u[:, None]).sum(axis=1)
     over = k == m
     if over.any():
         k[over] = m - 1 - np.argmax(rates[over, ::-1] > 0.0, axis=1)
-    rows = np.arange(n)
+    return k
+
+
+def _categorical(rates: np.ndarray, cum: np.ndarray, u: np.ndarray):
+    """The picks of `_pick` and u minus the cumulative rate before each
+    pick, clipped at 0."""
+    k = _pick(rates, cum, u)
+    rows = np.arange(k.size)
     return k, np.maximum(u - (cum[rows, k] - rates[rows, k]), 0.0)
 
 
 class _Lockstep:
     """Gillespie's direct method on the rows of a batch, one event per live
     row per step.  Row r starts from `occ[r]` at time t0 and reads its
-    uniforms from `draws`; `nbr` and `w` are the model's jump table
-    (`Model.jump_table`) and `btab` its b table (`RateFunction.b_table`).
+    uniforms from row r of `draws`; `nbr` and `w` are the model's jump
+    table (`Model.jump_table`) and `btab` its b table
+    (`RateFunction.b_table`).
 
     The live rows are held as one compacted block: `live` holds their row
-    numbers in the batch, `x` their occupancies and `t` their clocks.  A
-    row ends censored, with its clock set to the horizon, when `step` finds
-    its next event past the horizon or no rate left (total rate at or below
-    `_FROZEN_RATE`), or when its caller's stop rule ends it (`stop`).  `retire` then writes its occupancy into `occ`, its end
-    status into `status` and its clock into `clock`, and drops it from the
-    block.  `counts` holds the events of each row."""
+    numbers in the batch, `x` their occupancies, `t` their clocks, `n`
+    their event counts and `draws` their uniforms.  A row ends censored,
+    with its clock set to the horizon, when `step` finds its next event
+    past the horizon or no rate left (total rate at or below
+    `_FROZEN_RATE`), or when its caller's stop rule ends it (`stop`).
+    `retire` then writes its occupancy into `occ`, its end status into
+    `status`, its clock into `clock` and its event count into `counts`,
+    and drops it from the block."""
 
     def __init__(self, occ: np.ndarray, nbr: np.ndarray, w: np.ndarray,
                  btab: np.ndarray, draws: _Draws, t0: float):
@@ -138,6 +178,7 @@ class _Lockstep:
         self.live = np.arange(n)
         self.x = occ.copy()
         self.t = np.full(n, float(t0))
+        self.n = np.zeros(n, dtype=np.int64)
         self.end = np.zeros(n, dtype=np.int64)
 
     def stop(self, rows, status: int) -> None:
@@ -150,10 +191,13 @@ class _Lockstep:
         if self.end.any():
             done = self.end > 0
             rows, keep = self.live[done], ~done
-            self.occ[rows], self.status[rows] = self.x[done], self.end[done]
-            self.clock[rows] = self.t[done]
-            self.live, self.x, self.t, self.end = (
-                self.live[keep], self.x[keep], self.t[keep], self.end[keep])
+            self.occ[rows] = self.x.compress(done, axis=0)
+            self.status[rows], self.clock[rows] = self.end[done], self.t[done]
+            self.counts[rows] = self.n[done]
+            self.live, self.x, self.t, self.n, self.end = (
+                a.compress(keep, axis=0) for a in (self.live, self.x, self.t,
+                                                   self.n, self.end))
+            self.draws.keep(keep)
         return self.live.size
 
     def step(self, n_u: int, horizon: float, clocks=None):
@@ -167,44 +211,46 @@ class _Lockstep:
         uniforms, and the (rows, columns) of those whose event was a
         clock."""
         rates = jump_rates(self.x, self.nbr, self.w, self.btab)
-        site = rates[:, :, 0] if rates.shape[2] == 1 else rates.sum(axis=2)
-        cum = np.cumsum(site, axis=1)
+        one_offset = rates.shape[2] == 1
+        site = rates[:, :, 0] if one_offset else rates.sum(axis=2)
+        cum = site.cumsum(axis=1)
         jumps = cum[:, -1]
         total = jumps if clocks is None else jumps + clocks.sum(axis=1)
-        u = self.draws.take(self.live, n_u)
+        u = self.draws.take(n_u)
         # a row with no rate left divides by the floor instead of 0
-        t_next = self.t - np.log1p(-u[:, 0]) / np.maximum(total, _FROZEN_RATE)
-        stay = (total <= _FROZEN_RATE) | (t_next > horizon)
-        if stay.any():
-            self.end[stay] = _CENSORED
-            self.t[stay] = horizon
-            move = np.flatnonzero(~stay)
-        else:  # a slice spares copying the rate arrays
-            move = slice(None)
-        self.t[move] = t_next[move]
-        self.counts[self.live[move]] += 1
-        rows = np.arange(self.live.size)[move]
-        u = u[move]
-        pick = u[:, 1] * total[move]
+        self.t = self.t - np.log1p(-u[:, 0]) / np.maximum(total, _FROZEN_RATE)
+        go = (total > _FROZEN_RATE) & (self.t <= horizon)
+        pick = u[:, 1] * total
+        every = go.all()
+        if not every:
+            self.end[~go] = _CENSORED
+            self.t[~go] = horizon
+        self.n += go
+        rows = np.arange(go.size)
         fired = (rows[:0], rows[:0])
         if clocks is not None:
-            jump = pick < jumps[move]
-            if not jump.all():
-                on = rows[~jump]
+            ticked = go & (pick >= jumps)
+            if ticked.any():
+                on = np.flatnonzero(ticked)
                 at = clocks[on]
-                fired = (on, _categorical(at, np.cumsum(at, axis=1),
-                                          pick[~jump] - jumps[on])[0])
-                rows = move = rows[jump]
-                u, pick = u[jump], pick[jump]
-        src, residual = _categorical(site[move], cum[move], pick)
-        if rates.shape[2] == 1:
+                fired = (on, _pick(at, np.cumsum(at, axis=1),
+                                   pick[on] - jumps[on]))
+                go &= ~ticked
+                every = False
+        if not every:  # a subset copies the rate arrays
+            rows = np.flatnonzero(go)
+            site, cum, u, pick = (a.compress(go, axis=0)
+                                  for a in (site, cum, u, pick))
+        if one_offset:
+            src = _pick(site, cum, pick)
             dst = self.nbr[src, 0]
         else:
+            src, residual = _categorical(site, cum, pick)
             at = rates[rows, src]
-            off, _ = _categorical(at, np.cumsum(at, axis=1), residual)
-            dst = self.nbr[src, off]
-        self.x[rows, src] -= 1
-        self.x[rows, dst] += 1
+            dst = self.nbr[src, _pick(at, np.cumsum(at, axis=1), residual)]
+        flat = rows * self.x.shape[1]  # x is C-contiguous
+        self.x.reshape(-1)[flat + src] -= 1
+        self.x.reshape(-1)[flat + dst] += 1
         return rows, src, dst, u, fired
 
 
@@ -228,15 +274,13 @@ def run_killed(occ, nbr, w, btab, in_window, draws, log, threshold, t0,
     `_FROZEN_RATE`, the value the one caller passes), `n_ev0`, and the
     leading 0 of the result."""
     engine = _Lockstep(occ, nbr, w, btab, draws, t0)
-    win = occ[:, in_window].sum(axis=1)
-    engine.stop(win > threshold, _HIT)
+    window = in_window.astype(np.int64)
+    engine.stop(occ @ window > threshold, _HIT)
     while engine.retire():
         rows, src, dst, _, _ = engine.step(2, t_max)
-        batch_rows = engine.live[rows]
-        win[batch_rows] += in_window[dst].astype(np.int64) - in_window[src]
         if log is not None:
-            log.append((batch_rows, engine.t[rows], src, dst))
-        engine.stop(win[engine.live] > threshold, _HIT)
+            log.append((engine.live[rows], engine.t[rows], src, dst))
+        engine.stop(engine.x @ window > threshold, _HIT)
     status[:], clock[:] = engine.status, engine.clock
     counts += engine.counts
     return 0, clock, n_ev0 + int(counts.sum())
@@ -296,6 +340,49 @@ WORK = WorkCounts()
 
 
 @dataclass
+class EventLog:
+    """The recorded events of a batch laid end to end in trajectory order:
+    trajectory i's (times, sources, destinations) are entries offsets[i] ..
+    offsets[i + 1] - 1 of the three arrays.  `log[i]` gives that triple
+    (views, built when read), so the log reads as a sequence of them."""
+
+    times: np.ndarray
+    sources: np.ndarray
+    destinations: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(f"trajectory {i} of {len(self)}")
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return self.times[a:b], self.sources[a:b], self.destinations[a:b]
+
+    @classmethod
+    def joined(cls, logs: Sequence["EventLog"]) -> "EventLog":
+        """The logs of consecutive spans of trajectories as one."""
+        if len(logs) == 1:
+            return logs[0]
+        shifts = np.cumsum([0] + [log.times.size for log in logs[:-1]])
+        offsets = np.concatenate(
+            [[0]] + [log.offsets[1:] + s for log, s in zip(logs, shifts)])
+        return cls(*(np.concatenate([getattr(log, name) for log in logs])
+                     for name in ("times", "sources", "destinations")),
+                   offsets)
+
+    def take(self, rows: np.ndarray) -> "EventLog":
+        """The log of the trajectories `rows`, in that order."""
+        counts = np.diff(self.offsets)[rows]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        at = np.repeat(self.offsets[rows] - offsets[:-1], counts) \
+            + np.arange(offsets[-1])
+        return EventLog(self.times[at], self.sources[at],
+                        self.destinations[at], offsets)
+
+
+@dataclass
 class BatchResult:
     """Outcome of a batch, one entry per trajectory in index order.
 
@@ -304,17 +391,16 @@ class BatchResult:
     that can never enter the target (particle total at or below the
     threshold).  They do not enter the engine: each is censored at t_max
     with no events, and its row of `finals` is its initial state, not the
-    state at t_max.  `events` holds the recorded (times, sources,
-    destinations) per trajectory, `n_events` the event counts whether
-    recorded or not.  The batch's work is not a field: `run_batch` adds it
-    to `WORK`."""
+    state at t_max.  `events` holds the recorded events as one `EventLog`,
+    `n_events` the event counts whether recorded or not.  The batch's work
+    is not a field: `run_batch` adds it to `WORK`."""
 
     taus: np.ndarray            # hit time, or t_max where censored
     hit: np.ndarray             # bool per trajectory
     immortal: np.ndarray        # bool per trajectory
     t_max: float
     initials: np.ndarray | None = None
-    events: list | None = None  # (times, srcs, dsts) triples when recorded
+    events: EventLog | None = None  # when recorded
     finals: np.ndarray | None = None  # occupancy at the end of each run
     n_events: np.ndarray | None = None  # events per trajectory
 
@@ -337,14 +423,16 @@ class BatchResult:
         equals a rerun of the whole batch at that horizon."""
         out = BatchResult(np.where(self.hit, self.taus, longer.t_max),
                           self.hit.copy(), self.immortal,
-                          longer.t_max, self.initials,
-                          None if self.events is None else list(self.events),
+                          longer.t_max, self.initials, self.events,
                           self.finals.copy(), self.n_events.copy())
         for name in ("taus", "hit", "finals", "n_events"):
             getattr(out, name)[rows] = getattr(longer, name)
         if out.events is not None:
-            for k, i in enumerate(rows):
-                out.events[i] = longer.events[k]
+            n = self.taus.size
+            order = np.arange(n)
+            order[rows] = n + np.arange(len(rows))
+            out.events = EventLog.joined([self.events, longer.events]
+                                         ).take(order)
         return out
 
 
@@ -384,7 +472,7 @@ def _run_span(payload, lo, hi) -> BatchResult:
         taus[mortal], counts[mortal] = m_clock, m_counts
     events = None
     if record:
-        # a stable sort on the row splits the log by trajectory; `mortal`
+        # a stable sort on the row orders the log by trajectory; `mortal`
         # is increasing, and immortal rows have no events
         times = np.empty(0)
         srcs = dsts = np.empty(0, dtype=np.int64)
@@ -392,9 +480,8 @@ def _run_span(payload, lo, hi) -> BatchResult:
             rows, times, srcs, dsts = (np.concatenate(p) for p in zip(*log))
             order = np.argsort(rows, kind="stable")
             times, srcs, dsts = times[order], srcs[order], dsts[order]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        events = [(times[a:b], srcs[a:b], dsts[a:b])
-                  for a, b in zip(bounds[:-1], bounds[1:])]
+        events = EventLog(times, srcs, dsts,
+                          np.concatenate([[0], np.cumsum(counts)]))
     return BatchResult(taus, hit, immortal, t_max, occ, events, finals,
                        counts)
 
@@ -448,6 +535,8 @@ def run_batch(model: Model, target: TargetSet, n_traj: int,
         bounds = np.linspace(0, n_traj, workers + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
                  if b > a]
+        import multiprocessing
+
         global _FORK_CTX
         _FORK_CTX = payload
         try:
@@ -464,9 +553,8 @@ def run_batch(model: Model, target: TargetSet, n_traj: int,
     WORK.trajectories += n_traj - skipped
     WORK.immortal_skipped += skipped
     WORK.events += int(n_events.sum())
-    events = None
-    if record_events:
-        events = [ev for p in parts for ev in p.events]
+    events = EventLog.joined([p.events for p in parts]) \
+        if record_events else None
     return BatchResult(joined("taus"), joined("hit"), immortal, t_max,
                        joined("initials"), events, joined("finals"), n_events)
 
@@ -648,8 +736,9 @@ def second_class_escape(model: Model, target: TargetSet, eta0,
             full = btab[n_src, n_X - 1]
             excess = full - btab[n_src, n_X]
             pos = excess > 0
-            r, s, full, excess = r[pos], s[pos], full[pos], excess[pos]
-            moved = draws.take(r)[:, 0] * full < excess
+            k, r, s, full, excess = k[pos], r[pos], s[pos], full[pos], \
+                excess[pos]
+            moved = draws.take_rows(k, 1)[:, 0] * full < excess
             X[r[moved]] = s[moved]
         r = live[clocked]
         X[r] = nbr[X[r], off]           # tagged particle jumps

@@ -108,9 +108,10 @@ def _harvest(batch: BatchResult,
             f"{batch.censored_fraction:.3f} at horizon {batch.t_max}; raise "
             "t_max or the trajectory budget")
     counts = batch.n_events[used]
-    ends, srcs, dsts = (np.concatenate(part) for part in
-                        zip(*(batch.events[i] for i in used)))
-    states = replay(batch.initials[used], counts, srcs, dsts)
+    events = batch.events.take(used)
+    ends = events.times
+    states = replay(batch.initials[used], counts, events.sources,
+                    events.destinations)
     last = np.cumsum(counts + 1) - 1
     inside = np.ones(states.shape[0], dtype=bool)
     inside[last] = False

@@ -620,12 +620,11 @@ def _slowest_component(kg: KilledGenerator, strong: np.ndarray,
     sends the whole core down `_whole_core`."""
     lu = kg.lu
     members = lu.members
+    sizes = np.array([m.size for m in members])
     order = np.concatenate(members)
-    starts = np.cumsum([0] + [m.size for m in members[:-1]])
     a = (-kg.matrix)[order][:, order].tocsr()
     diag = a.diagonal()
     slack = (int(np.diff(a.indptr).max()) + 2) * np.finfo(np.float64).eps
-    state_of = np.repeat(np.arange(len(members)), [m.size for m in members])
     lower = np.full(len(members), -np.inf)
     pending = np.ones(len(members), dtype=bool)
     pairs = {}
@@ -640,14 +639,21 @@ def _slowest_component(kg: KilledGenerator, strong: np.ndarray,
         pending[c] = False
         return pair is not None
 
+    # a sweep covers the pending components alone: `swept`, whose `rows`
+    # of `a` (`a_s`, with diagonal `d_s`) start each component at `at`.  A
+    # is block diagonal, so those rows read x on the same components only,
+    # and a component that clears keeps the lower bound of that sweep.
     x = np.ones(kg.dim)
+    swept, rows, a_s, d_s = np.arange(len(members)), slice(None), a, diag
+    at = np.cumsum(sizes) - sizes
     perron = True
     for sweep in range(JACOBI_SWEEPS + 1):
-        ax = a @ x
-        lower = np.maximum(lower, np.minimum.reduceat(
-            (ax - slack * (2.0 * diag * x - ax)) / x, starts))
-        if sweep == JACOBI_CANDIDATE:
-            upper = np.maximum.reduceat(ax / x, starts)
+        xs = x[rows]
+        ax = a_s @ x
+        lower[swept] = np.maximum(lower[swept], np.minimum.reduceat(
+            (ax - slack * (2.0 * d_s * xs - ax)) / xs, at))
+        if sweep == JACOBI_CANDIDATE:  # every component is pending
+            upper = np.maximum.reduceat(ax / xs, at)
             perron = solve(int(np.argmin(upper)))
             if not perron:
                 break
@@ -656,11 +662,16 @@ def _slowest_component(kg: KilledGenerator, strong: np.ndarray,
             pending &= lower <= least * (1.0 + RATE_TIE_RTOL)
             if not pending.any():
                 break
-        step = (1.0 - ax) / diag
-        live = pending[state_of]
-        if pairs and (np.abs(step[live]) <= JACOBI_STALL * x[live]).all():
+        step = (1.0 - ax) / d_s
+        live = np.repeat(pending[swept], sizes[swept])
+        if pairs and (np.abs(step[live]) <= JACOBI_STALL * xs[live]).all():
             break
-        x += step
+        x[rows] = xs + step
+        if not live.all():  # pending shrank, and only it is left
+            swept = np.flatnonzero(pending)
+            rows = np.flatnonzero(np.repeat(pending, sizes))
+            a_s, d_s = a[rows], diag[rows]
+            at = np.cumsum(sizes[swept]) - sizes[swept]
     if perron and all(solve(c) for c in np.flatnonzero(pending)):
         return _padded(kg, pairs, lower, n_scc)
     res = _whole_core(kg, n_scc)

@@ -282,6 +282,24 @@ def misanthrope_ring():
         ProductMeasure.at_density(0.5, G_LINEAR)
 
 
+def assert_matches_killed_loop(batch, model, target, seed, measure):
+    """`batch` (recorded, at its t_max) is the scalar loop's batch of the
+    same size, seed and law: outcomes, finals and each row's events."""
+    n = batch.taus.size
+    taus, hit, immortal, finals, events = killed_loop(
+        model, target, n, batch.t_max, seed, measure=measure)
+    assert np.array_equal(batch.taus, taus)
+    assert np.array_equal(batch.hit, hit)
+    assert np.array_equal(batch.immortal, immortal)
+    assert np.array_equal(batch.finals, finals)
+    assert len(batch.events) == n
+    for mine, ref in zip(batch.events, events):
+        for x, y in zip(mine, ref):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert hit.any() and (~hit).any()
+    assert np.array_equal(batch.n_events, [ev[0].size for ev in events])
+
+
 class TestEngineOracle:
     """The lockstep engine against the one-trajectory scalar loop of
     conftest.py: same streams, same draws, same float operations."""
@@ -294,17 +312,26 @@ class TestEngineOracle:
         model, target, measure = request.getfixturevalue(setup)
         batch = run_batch(model, target, n, t_max, 19, measure=measure,
                           record_events=True)
-        taus, hit, immortal, finals, events = killed_loop(
-            model, target, n, t_max, 19, measure=measure)
-        assert np.array_equal(batch.taus, taus)
-        assert np.array_equal(batch.hit, hit)
-        assert np.array_equal(batch.immortal, immortal)
-        assert np.array_equal(batch.finals, finals)
-        for mine, ref in zip(batch.events, events):
-            for x, y in zip(mine, ref):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
-        assert hit.any() and (~hit).any()
-        assert np.array_equal(batch.n_events, [ev[0].size for ev in events])
+        assert_matches_killed_loop(batch, model, target, 19, measure)
+
+    @pytest.mark.parametrize("setup,n,t_max", [
+        ("tasep_line", 300, 6.0), ("toy", 400, 20.0)])
+    def test_spliced_events_match_scalar_loop(self, request, setup, n,
+                                              t_max):
+        """A batch at a quarter of the horizon with its censored mortal
+        starts rerun at the horizon and spliced back by row
+        (`BatchResult.extended`): each row's events, read off the spliced
+        log, are the scalar loop's at the horizon."""
+        model, target, measure = request.getfixturevalue(setup)
+        short = run_batch(model, target, n, t_max / 4, 19, measure=measure,
+                          record_events=True)
+        rerun = np.flatnonzero(~short.hit & ~short.immortal)
+        assert 0 < rerun.size < n - short.immortal.sum()
+        longer = run_batch(model, target, rerun.size, t_max, 19,
+                           measure=measure, record_events=True,
+                           indices=rerun)
+        assert_matches_killed_loop(short.extended(rerun, longer), model,
+                                   target, 19, measure)
 
     @pytest.mark.parametrize("setup", ["toy", "tasep_line"])
     def test_batched_starts_match_per_row_sampling(self, request, setup):
@@ -340,21 +367,32 @@ class TestEngineOracle:
             assert np.array_equal(trajectory(batch, i).states(), ref[i])
 
     def test_draws_match_scalar_draws(self):
-        """Keyed blocks of uniforms hold what one-at-a-time draws would give
-        from each row's start position on (one not a multiple of 4),
-        whatever number each row takes per call."""
-        starts = np.array([0, 3, 6])
+        """The live-aligned blocks of uniforms hold what one-at-a-time
+        draws give from the start position on (3, not a multiple of 4):
+        every row takes k words a step at the one cursor, a subset takes
+        extra words the way the coupling does, and rows retire at
+        different steps, which compacts the block; the run spans many
+        refills."""
+        start, n = 3, 6
         draws = dynamics._Draws(
-            rngmod.keys(43, rngmod.TRAJECTORY, np.arange(3)), starts)
-        got = [[] for _ in starts]
+            rngmod.keys(43, rngmod.TRAJECTORY, np.arange(n)), start)
+        live = np.arange(n)
+        got = [[] for _ in range(n)]
         for step in range(200):
-            rows = np.array([r for r in range(3) if (step + r) % 4])
-            k = 1 + step % 3
-            for r, vals in zip(rows, draws.take(rows, k)):
+            for r, vals in zip(live, draws.take(1 + step % 3)):
                 got[r].extend(vals)
+            extra = np.flatnonzero((live + step) % 3 == 0)
+            for r, vals in zip(live[extra],
+                               draws.take_rows(extra, 1 + step % 2)):
+                got[r].extend(vals)
+            if step in (7, 60, 61, 150):
+                keep = np.arange(live.size) != step % live.size
+                live = live[keep]
+                draws.keep(keep)
+        assert live.size == 2 and sum(map(len, got)) > 20 * draws.block
         for i, vals in enumerate(got):
             ref = rngmod.stream(43, rngmod.TRAJECTORY, i)
-            ref.random(starts[i])
+            ref.random(start)
             assert vals == [ref.random() for _ in vals]
 
     def test_categorical_pick_and_float_edge(self):
@@ -421,7 +459,8 @@ class TestSplits:
             *(np.concatenate([getattr(p, name) for p in parts])
               for name in ("taus", "hit", "immortal")),
             6.0, np.vstack([p.initials for p in parts]),
-            [ev for p in parts for ev in p.events] if record else None,
+            dynamics.EventLog.joined([p.events for p in parts])
+            if record else None,
             np.vstack([p.finals for p in parts]),
             np.concatenate([p.n_events for p in parts]))
         assert_same_batch(whole, joined)

@@ -1,7 +1,8 @@
 """Every module-level import of the package and of its tests is used, and
 no module of the package imports scipy at import time (stdlib `ast` only);
 importing the command line, or running a phi-direct config through it,
-loads no scipy module at all.
+loads no scipy module at all, and no multiprocessing module either (only
+a batch run on more than one worker starts processes).
 
 Names a module lists in `__all__` are re-exports and count as used;
 `from __future__` imports bind nothing.  String annotations are parsed, so
@@ -136,21 +137,25 @@ def test_no_module_level_scipy_import(path):
             for line in scipy_imports(path.read_text())] == []
 
 
-def _scipy_loaded_by(script: str, *args: str) -> list[str]:
-    """The scipy modules loaded in a fresh interpreter once `script` (run
-    with `args` as sys.argv[1:]) is done."""
+UNLOADED = ("scipy", "multiprocessing")
+
+
+def _loaded_by(script: str, *args: str) -> dict[str, list[str]]:
+    """The modules of each package of `UNLOADED` loaded in a fresh
+    interpreter once `script` (run with `args` as sys.argv[1:]) is done."""
     probe = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + script
-         + "\nprint(json.dumps(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy')))", *args],
+         + "\nprint(json.dumps({p: sorted("
+         "m for m in sys.modules if m.split('.')[0] == p) for p in "
+         + repr(UNLOADED) + "}))", *args],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     return json.loads(probe.stdout.splitlines()[-1])
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_loaded_by(
-        "import qslab.cli, qslab.spectral, qslab.config") == []
+    assert _loaded_by("import qslab.cli, qslab.spectral, qslab.config") \
+        == {p: [] for p in UNLOADED}
 
 
 def test_phi_direct_run_loads_no_scipy(tmp_path):
@@ -160,9 +165,9 @@ def test_phi_direct_run_loads_no_scipy(tmp_path):
         TOY, experiment="phi-direct", seed=13,
         budgets={"order": 2, "n_traj": 100, "t_max": 30.0})))
     out = tmp_path / "out"
-    assert _scipy_loaded_by(
+    assert _loaded_by(
         "from qslab import cli\n"
         "assert cli.main(['run', '--config', sys.argv[1],"
         " '--out', sys.argv[2]]) == cli.EXIT_OK",
-        str(config), str(out)) == []
+        str(config), str(out)) == {p: [] for p in UNLOADED}
     assert (out / "manifest.json").is_file()
